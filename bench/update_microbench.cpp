@@ -1,9 +1,12 @@
 /// Google-benchmark micro-benchmarks of the per-iteration kernels: the
 /// closed-form local update (15) vs the benchmark's per-component QP solve,
-/// plus the global (13)/(18) and dual (12) updates. These are the
-/// building-block costs behind Figures 1, 3 and 4.
+/// plus the global (13)/(18) and dual (12) updates, and one whole
+/// iteration per instance. These are the building-block costs behind
+/// Figures 1, 3 and 4.
 
 #include <benchmark/benchmark.h>
+
+#include <string_view>
 
 #include "baseline/benchmark_admm.hpp"
 #include "core/admm.hpp"
@@ -112,6 +115,24 @@ void BM_BackendLocalUpdate(benchmark::State& state) {
                           inst.problem.num_components());
 }
 BENCHMARK(BM_BackendLocalUpdate)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// One full check iteration through SolverFreeAdmm on the serial backend:
+// global update, local update, then the fused dual+residual pass.
+void BM_Iteration(benchmark::State& state, const char* name) {
+  const auto& inst = std::string_view(name) == "ieee13"    ? instance13()
+                     : std::string_view(name) == "ieee123" ? instance123()
+                                                           : instance8500();
+  dopf::core::SolverFreeAdmm admm(inst.problem, {});
+  int t = 0;
+  for (auto _ : state) {
+    admm.global_update();
+    admm.local_update();
+    benchmark::DoNotOptimize(admm.dual_update_and_residuals(++t));
+  }
+}
+BENCHMARK_CAPTURE(BM_Iteration, ieee13, "ieee13");
+BENCHMARK_CAPTURE(BM_Iteration, ieee123, "ieee123");
+BENCHMARK_CAPTURE(BM_Iteration, ieee8500, "ieee8500");
 
 // Pre-refactor reference path: one AffineProjector object per component,
 // staging buffers allocated per call. The packed serial backend

@@ -115,6 +115,9 @@ struct TimingBreakdown {
   double precompute = 0.0;
   double global_update = 0.0;
   double local_update = 0.0;
+  /// core::SolverFreeAdmm books its check iterations' fused dual+residual
+  /// pass here, so its `residuals` stays zero; the SIMT and benchmark
+  /// solvers price and time the residual pass separately.
   double dual_update = 0.0;
   double residuals = 0.0;
   /// Simulated seconds spent recovering from injected faults (checkpoint
@@ -243,6 +246,9 @@ class SolverFreeAdmm {
   void dual_update();
   /// Residuals of (16) for the current iterate.
   IterationRecord compute_residuals(int iteration);
+  /// dual_update() then compute_residuals(), in one fused backend pass on
+  /// the plain path (same bits as the two calls).
+  IterationRecord dual_update_and_residuals(int iteration);
   bool termination_satisfied(const IterationRecord& rec) const;
 
   std::span<const double> x() const { return x_; }
@@ -308,6 +314,8 @@ class SolverFreeAdmm {
   /// the local/dual updates (no relaxation / quantization / async), i.e.
   /// when those updates can be delegated to the backend.
   bool plain_path() const;
+  IterationRecord residual_record(int iteration,
+                                  const ResidualSums& sums) const;
   void local_update_extension();
   void dual_update_extension();
 

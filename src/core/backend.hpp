@@ -42,10 +42,20 @@ inline std::size_t residual_num_chunks(std::size_t total_local) {
   return (total_local + kResidualChunk - 1) / kResidualChunk;
 }
 
-/// Linear accumulation of chunk `chunk` ([chunk*kResidualChunk, ...)) of the
-/// residual sums; the single shared definition of the per-entry expressions.
-void residual_chunk(const PackedLocalSolvers& pack, const PackedState& state,
-                    std::size_t chunk, ResidualSums* out);
+/// Linear accumulation of the residual sums of chunks [begin, end) (chunk k
+/// covers positions [k*kResidualChunk, ...)) into partials[k]; the single
+/// shared definition of the per-entry expressions. Any split of the chunk
+/// range gives the same partials.
+void residual_chunks(const PackedLocalSolvers& pack, const PackedState& state,
+                     std::size_t begin, std::size_t end,
+                     ResidualSums* partials);
+
+/// The fused check-iteration pass over chunks [begin, end): the dual update
+/// (12) of each position, then that position's residual terms, in one
+/// sweep. Same bits as the dual update followed by residual_chunks.
+void dual_residual_chunks(const PackedLocalSolvers& pack,
+                          const PackedState& state, std::size_t begin,
+                          std::size_t end, ResidualSums* partials);
 
 /// Fixed pairwise-tree combination of chunk partials (destroys `partials`).
 ResidualSums combine_residual_chunks(std::span<ResidualSums> partials);
@@ -79,6 +89,16 @@ class ExecutionBackend {
   /// contract above.
   virtual ResidualSums residual_sums(const PackedLocalSolvers& pack,
                                      const PackedState& state) = 0;
+  /// Check iterations: the dual update followed by the residual sums of the
+  /// updated state. Overrides fuse the two into one pass over the chunks
+  /// (dual_residual_chunks) with identical bits; the default runs the two
+  /// methods above, so a backend that prices or times them separately
+  /// keeps doing so.
+  virtual ResidualSums dual_update_and_residuals(
+      const PackedLocalSolvers& pack, PackedState& state) {
+    dual_update(pack, state);
+    return residual_sums(pack, state);
+  }
 };
 
 /// The serial reference backend (the paper's single-CPU path).

@@ -31,9 +31,23 @@ LocalSolvers LocalSolvers::precompute(
 std::size_t PackedLocalSolvers::bytes() const {
   return sizeof(std::int64_t) * (comp_offset.size() + abar_offset.size() +
                                  gather_ptr.size() + gather_pos.size()) +
-         sizeof(int) * (comp_nvars.size() + global_idx.size()) +
+         sizeof(int) * (comp_nvars.size() + global_idx.size() +
+                        global_order.size()) +
+         sizeof(std::size_t) * bucket_end.size() +
          sizeof(double) * (abar.size() + bbar.size() + c.size() + lb.size() +
                            ub.size() + x0.size());
+}
+
+void PackedLocalSolvers::set_abar(std::size_t s,
+                                  std::span<const double> row_major) {
+  const std::size_t n = static_cast<std::size_t>(comp_nvars[s]);
+  double* panels = abar.data() + abar_offset[s];
+  for (std::size_t i = 0; i < n; ++i) {
+    double* panel = panels + i / kPanelRows * kPanelRows * n + i % kPanelRows;
+    for (std::size_t j = 0; j < n; ++j) {
+      panel[j * kPanelRows] = row_major[i * n + j];
+    }
+  }
 }
 
 PackedLocalSolvers PackedLocalSolvers::build(const DistributedProblem& problem,
@@ -47,9 +61,10 @@ PackedLocalSolvers PackedLocalSolvers::build(const DistributedProblem& problem,
   std::size_t abar_total = 0, local_total = 0;
   for (const Component& comp : problem.components) {
     local_total += comp.num_vars();
-    abar_total += comp.num_vars() * comp.num_vars();
+    abar_total += panel_size(comp.num_vars());
   }
-  pack.abar.reserve(abar_total);
+  // Zero fill: the padding rows of each last panel stay zero.
+  pack.abar.assign(abar_total, 0.0);
   pack.bbar.reserve(local_total);
   pack.global_idx.reserve(local_total);
 
@@ -62,13 +77,12 @@ PackedLocalSolvers PackedLocalSolvers::build(const DistributedProblem& problem,
     pack.abar_offset.push_back(aoff);
     pack.comp_nvars.push_back(static_cast<int>(ns));
 
-    const auto& abar = proj.abar();
-    pack.abar.insert(pack.abar.end(), abar.data().begin(), abar.data().end());
+    pack.set_abar(s, proj.abar().data());
     pack.bbar.insert(pack.bbar.end(), proj.bbar().begin(), proj.bbar().end());
     pack.global_idx.insert(pack.global_idx.end(), comp.global.begin(),
                            comp.global.end());
     zoff += static_cast<std::int64_t>(ns);
-    aoff += static_cast<std::int64_t>(ns * ns);
+    aoff += static_cast<std::int64_t>(panel_size(ns));
   }
 
   const std::size_t n = problem.num_vars;
@@ -89,6 +103,23 @@ PackedLocalSolvers PackedLocalSolvers::build(const DistributedProblem& problem,
   for (std::size_t pos = 0; pos < pack.global_idx.size(); ++pos) {
     pack.gather_pos[cursor[pack.global_idx[pos]]++] =
         static_cast<std::int64_t>(pos);
+  }
+  // Global-update schedule: a stable partition of the variables by copy
+  // count, so each fixed-degree bucket runs a fixed-trip gather.
+  auto degree = [&](std::size_t i) {
+    return pack.gather_ptr[i + 1] - pack.gather_ptr[i];
+  };
+  pack.global_order.reserve(n);
+  for (int d = 1; d <= kMaxBucketDegree; ++d) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (degree(i) == d) pack.global_order.push_back(static_cast<int>(i));
+    }
+    pack.bucket_end[d - 1] = pack.global_order.size();
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (degree(i) < 1 || degree(i) > kMaxBucketDegree) {
+      pack.global_order.push_back(static_cast<int>(i));
+    }
   }
   return pack;
 }

@@ -51,12 +51,6 @@ std::span<double> ScenarioBinding::bbar_slice(std::size_t s) {
                static_cast<std::size_t>(pack_.comp_nvars[s]));
 }
 
-std::span<double> ScenarioBinding::abar_slice(std::size_t s) {
-  const std::size_t ns = static_cast<std::size_t>(pack_.comp_nvars[s]);
-  return std::span<double>(pack_.abar)
-      .subspan(static_cast<std::size_t>(pack_.abar_offset[s]), ns * ns);
-}
-
 void ScenarioBinding::set_rhs(std::size_t s, std::span<const double> b) {
   const std::vector<double> bbar = model_->rebind_rhs(s, b);
   std::span<double> slice = bbar_slice(s);
@@ -68,9 +62,7 @@ void ScenarioBinding::set_rhs(std::size_t s, std::span<const double> b) {
 void ScenarioBinding::refresh_component(std::size_t s, const Component& comp) {
   model_->refresh_component(s, comp);
   const dopf::linalg::AffineProjector& proj = model_->projector(s);
-  std::span<double> abar = abar_slice(s);
-  const std::span<const double> fresh = proj.abar().data();
-  std::copy(fresh.begin(), fresh.end(), abar.begin());
+  pack_.set_abar(s, proj.abar().data());
   std::span<double> bbar = bbar_slice(s);
   std::copy(proj.bbar().begin(), proj.bbar().end(), bbar.begin());
   bound_b_[s] = comp.b;

@@ -60,7 +60,8 @@ class ScenarioBinding {
   /// factorization (no refactorization).
   void set_rhs(std::size_t s, std::span<const double> b);
   /// Re-derive component s from an edited topology block (exactly one
-  /// refactorization); repacks that component's Abar/bbar slices.
+  /// refactorization); scatters the fresh Abar into that component's panels
+  /// and repacks its bbar slice.
   void refresh_component(std::size_t s, const dopf::opf::Component& comp);
   void set_objective(std::span<const double> c);
   void set_bounds(std::span<const double> lb, std::span<const double> ub);
@@ -83,7 +84,6 @@ class ScenarioBinding {
 
  private:
   std::span<double> bbar_slice(std::size_t s);
-  std::span<double> abar_slice(std::size_t s);
 
   SolveModel* model_;
   PackedLocalSolvers pack_;

@@ -95,9 +95,30 @@ std::uint64_t topology_fingerprint(const PackedLocalSolvers& pack) {
   const std::uint64_t n = pack.num_global();
   fnv_bytes(h, &n, sizeof(n));
   fnv_vec(h, pack.comp_offset);
-  fnv_vec(h, pack.abar_offset);
+  // Abar is hashed as the logical row-major blocks it packs (offsets and
+  // entries walked through the panels, padding skipped), so the
+  // fingerprint does not depend on the panel layout and checkpoints taken
+  // against row-major packs keep resuming.
+  const std::size_t S = pack.num_components();
+  std::uint64_t len = S;
+  fnv_bytes(h, &len, sizeof(len));
+  std::int64_t row_major_offset = 0;
+  for (int ns : pack.comp_nvars) {
+    fnv_bytes(h, &row_major_offset, sizeof(row_major_offset));
+    row_major_offset += static_cast<std::int64_t>(ns) * ns;
+  }
   fnv_vec(h, pack.comp_nvars);
-  fnv_vec(h, pack.abar);
+  len = static_cast<std::uint64_t>(row_major_offset);
+  fnv_bytes(h, &len, sizeof(len));
+  for (std::size_t s = 0; s < S; ++s) {
+    const std::size_t ns = static_cast<std::size_t>(pack.comp_nvars[s]);
+    for (std::size_t i = 0; i < ns; ++i) {
+      for (std::size_t j = 0; j < ns; ++j) {
+        const double v = pack.abar_at(s, i, j);
+        fnv_bytes(h, &v, sizeof(v));
+      }
+    }
+  }
   fnv_vec(h, pack.global_idx);
   fnv_vec(h, pack.gather_ptr);
   fnv_vec(h, pack.gather_pos);

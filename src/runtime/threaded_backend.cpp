@@ -15,13 +15,12 @@ ThreadedBackend::ThreadedBackend(int threads) : pool_(threads) {}
 
 void ThreadedBackend::global_update(const PackedLocalSolvers& pack,
                                     PackedState& state) {
+  // Slices of the degree-bucketed schedule; each x_i has one writer.
   pool_.parallel_for(pack.num_global(),
                      [&](int, std::size_t begin, std::size_t end) {
-                       for (std::size_t i = begin; i < end; ++i) {
-                         kernels::global_entry(pack, state.z.data(),
-                                               state.lambda.data(), state.rho,
-                                               i, state.x.data());
-                       }
+                       kernels::global_range(pack, state.z.data(),
+                                             state.lambda.data(), state.rho,
+                                             begin, end, state.x.data());
                      });
 }
 
@@ -48,11 +47,9 @@ void ThreadedBackend::dual_update(const PackedLocalSolvers& pack,
                                   PackedState& state) {
   pool_.parallel_for(pack.total_local(),
                      [&](int, std::size_t begin, std::size_t end) {
-                       for (std::size_t pos = begin; pos < end; ++pos) {
-                         kernels::dual_entry(pack, state.x.data(),
-                                             state.z.data(), state.rho, pos,
-                                             state.lambda.data());
-                       }
+                       kernels::dual_range(pack, state.x.data(),
+                                           state.z.data(), state.rho, begin,
+                                           end, state.lambda.data());
                      });
 }
 
@@ -65,10 +62,22 @@ ResidualSums ThreadedBackend::residual_sums(const PackedLocalSolvers& pack,
                    ResidualSums{});
   pool_.parallel_for(partials_.size(),
                      [&](int, std::size_t begin, std::size_t end) {
-                       for (std::size_t k = begin; k < end; ++k) {
-                         dopf::core::residual_chunk(pack, state, k,
-                                                    &partials_[k]);
-                       }
+                       dopf::core::residual_chunks(pack, state, begin, end,
+                                                   partials_.data());
+                     });
+  return dopf::core::combine_residual_chunks(partials_);
+}
+
+ResidualSums ThreadedBackend::dual_update_and_residuals(
+    const PackedLocalSolvers& pack, PackedState& state) {
+  // Same fixed chunks as residual_sums; the dual update of a position
+  // rides in the chunk that owns it.
+  partials_.assign(dopf::core::residual_num_chunks(pack.total_local()),
+                   ResidualSums{});
+  pool_.parallel_for(partials_.size(),
+                     [&](int, std::size_t begin, std::size_t end) {
+                       dopf::core::dual_residual_chunks(pack, state, begin,
+                                                        end, partials_.data());
                      });
   return dopf::core::combine_residual_chunks(partials_);
 }

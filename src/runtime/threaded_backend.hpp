@@ -10,8 +10,8 @@ namespace dopf::runtime {
 
 /// Multi-threaded CPU execution backend: the per-iteration updates of
 /// Algorithm 1 over a persistent ThreadPool with static contiguous
-/// chunking (components for the local update, global variables / z
-/// positions for the elementwise updates).
+/// chunking (components for the local update, slices of the global-update
+/// schedule, z positions and residual chunks for the elementwise updates).
 ///
 /// Bit-reproducibility: every output element is written by exactly one
 /// lane with the same per-element expression as the serial backend, and
@@ -36,6 +36,9 @@ class ThreadedBackend final : public dopf::core::ExecutionBackend {
   dopf::core::ResidualSums residual_sums(
       const dopf::core::PackedLocalSolvers& pack,
       const dopf::core::PackedState& state) override;
+  dopf::core::ResidualSums dual_update_and_residuals(
+      const dopf::core::PackedLocalSolvers& pack,
+      dopf::core::PackedState& state) override;
 
  private:
   ThreadPool pool_;

@@ -4,16 +4,14 @@ namespace dopf::serve {
 
 std::size_t estimate_model_bytes(const dopf::core::ScenarioBinding& binding) {
   const auto& pack = binding.pack();
-  const std::size_t doubles =
-      pack.abar.size() + pack.bbar.size() + pack.c.size() + pack.lb.size() +
-      pack.ub.size() + pack.x0.size();
-  const std::size_t ints = pack.global_idx.size() + pack.comp_nvars.size();
-  const std::size_t longs = pack.comp_offset.size() + pack.abar_offset.size() +
-                            pack.gather_ptr.size() + pack.gather_pos.size();
   // The retained per-component factorizations are roughly another
-  // Abar-sized block (Gram factors + pivot bookkeeping).
-  return (doubles + pack.abar.size()) * sizeof(double) + ints * sizeof(int) +
-         longs * sizeof(std::int64_t);
+  // Abar-sized block (Gram factors + pivot bookkeeping), unpadded.
+  std::size_t factor_doubles = 0;
+  for (int ns : pack.comp_nvars) {
+    const auto n = static_cast<std::size_t>(ns);
+    factor_doubles += n * n;
+  }
+  return pack.bytes() + factor_doubles * sizeof(double);
 }
 
 ModelCache::ModelCache(std::size_t budget_bytes)

@@ -39,9 +39,10 @@ struct CachedModel {
   std::mutex mu;
 };
 
-/// Rough resident-byte estimate for a bound model: the packed SoA image
-/// plus the retained Gram factorizations (approximated as one more
-/// Abar-sized block). Order-of-magnitude is all the budget needs.
+/// Rough resident-byte estimate for a bound model: the packed image as
+/// core::PackedLocalSolvers::bytes() counts it, plus the retained Gram
+/// factorizations (approximated as one more unpadded Abar-sized block).
+/// Order-of-magnitude is all the budget needs.
 std::size_t estimate_model_bytes(const dopf::core::ScenarioBinding& binding);
 
 /// Memory-budgeted LRU cache of CachedModel entries, keyed by the

@@ -354,9 +354,8 @@ IterationRecord MultiGpuSolverFreeAdmm::compute_residuals(int iteration) {
   st.y = y_scratch_;
   std::vector<ResidualSums> partials(
       dopf::core::residual_num_chunks(image_.total_local()));
-  for (std::size_t k = 0; k < partials.size(); ++k) {
-    dopf::core::residual_chunk(image_, st, k, &partials[k]);
-  }
+  dopf::core::residual_chunks(image_, st, 0, partials.size(),
+                              partials.data());
   const ResidualSums sums = dopf::core::combine_residual_chunks(partials);
   rec.primal_residual = std::sqrt(sums.pres2);
   rec.dual_residual = rho_ * std::sqrt(sums.dz2);

@@ -83,9 +83,8 @@ ResidualSums SimtBackend::residual_sums(const PackedLocalSolvers& pack,
   // partial sums.
   partials_.assign(dopf::core::residual_num_chunks(pack.total_local()),
                    ResidualSums{});
-  for (std::size_t k = 0; k < partials_.size(); ++k) {
-    dopf::core::residual_chunk(pack, state, k, &partials_[k]);
-  }
+  dopf::core::residual_chunks(pack, state, 0, partials_.size(),
+                              partials_.data());
   const std::size_t total = pack.total_local();
   const int T = config_.elementwise_block;
   device_.launch("residuals", static_cast<int>((total + T - 1) / T), T,

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/instances.hpp"
 #include "serve/cache.hpp"
 
 namespace dopf::serve {
@@ -124,6 +125,22 @@ TEST(ModelCacheTest, ConcurrentMissesBuildOnce) {
   const auto st = cache.stats();
   EXPECT_EQ(st.misses, 1u);
   EXPECT_EQ(st.hits, static_cast<std::uint64_t>(kThreads - 1));
+}
+
+TEST(EstimateModelBytesTest, PackBytesPlusOneUnpaddedFactorBlock) {
+  const auto inst = dopf::runtime::make_instance("ieee13");
+  dopf::core::SolveModel model(inst.problem, {});
+  dopf::core::ScenarioBinding binding(model);
+  const auto& pack = binding.pack();
+  std::size_t logical = 0;  // sum n_s^2: Abar without panel padding
+  for (int ns : pack.comp_nvars) logical += static_cast<std::size_t>(ns) * ns;
+  // The pack's own count includes the panel padding and the global-update
+  // schedule, so it is the one definition the budget builds on.
+  EXPECT_GT(pack.abar.size(), logical);
+  EXPECT_GE(pack.bytes(), sizeof(double) * pack.abar.size() +
+                              sizeof(int) * pack.global_order.size());
+  EXPECT_EQ(estimate_model_bytes(binding),
+            pack.bytes() + sizeof(double) * logical);
 }
 
 }  // namespace

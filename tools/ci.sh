@@ -77,6 +77,24 @@ sh tools/crash_recovery_check.sh ./build/tools/dopf_solve ./build
 echo "=== serve smoke (mixed requests + graceful drain) ==="
 sh tools/serve_smoke.sh ./build/tools/dopf_serve ./build/tools/dopf_client \
   ./build
+# Wide-ISA lane: on hosts with AVX2+FMA, rebuild Release for x86-64-v3 and
+# replay the golden traces. The SIMD kernels must stay bit-identical when
+# the compiler may use 256-bit registers and FMA instructions (the build
+# pins -ffp-contract=off; DESIGN.md §11). Only dopf_verify is built: the
+# golden gates are plain add_test entries.
+if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
+  echo "=== configure build-v3 (-march=x86-64-v3) ==="
+  cmake -B build-v3 -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-march=x86-64-v3 -DDOPF_BUILD_BENCH=OFF \
+    -DDOPF_BUILD_EXAMPLES=OFF
+  cmake --build build-v3 -j "${JOBS}" --target dopf_verify
+  echo "=== test build-v3 (golden traces) ==="
+  ctest --test-dir build-v3 --output-on-failure -j "${JOBS}" \
+    -R 'verify_golden|verify_session_golden'
+else
+  echo "=== skip build-v3: host lacks avx2/fma ==="
+fi
+
 # Sanitizers: tier1 only.
 run_pass build-asan "-LE tier2" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOPF_SANITIZE=ON
 
