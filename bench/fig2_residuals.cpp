@@ -10,7 +10,7 @@
 
 #include "bench/common.hpp"
 #include "core/admm.hpp"
-#include "simt/gpu_admm.hpp"
+#include "simt/simt_backend.hpp"
 
 int main() {
   dopf::bench::header("Figure 2",
@@ -23,9 +23,8 @@ int main() {
   dopf::core::SolverFreeAdmm cpu(inst.problem, opt);
   const auto rc = cpu.solve();
 
-  dopf::simt::GpuAdmmOptions gopt;
-  gopt.admm = opt;
-  dopf::simt::GpuSolverFreeAdmm gpu(inst.problem, gopt);
+  dopf::core::SolverFreeAdmm gpu(inst.problem, opt);
+  gpu.set_backend(std::make_unique<dopf::simt::SimtBackend>());
   const auto rg = gpu.solve();
 
   std::printf("CPU: %d iterations;  GPU: %d iterations\n", rc.iterations,

@@ -14,10 +14,31 @@
 #include "runtime/cluster.hpp"
 #include "runtime/measure.hpp"
 #include "runtime/threaded_backend.hpp"
-#include "simt/gpu_admm.hpp"
-#include "simt/multi_gpu.hpp"
+#include "simt/multi_device.hpp"
+#include "simt/simt_backend.hpp"
 
 namespace {
+
+/// One row of simulated seconds per iteration, by phase, from the timing
+/// a simulated backend reported to the driver.
+void print_simulated_row(int label, const dopf::core::TimingBreakdown& t) {
+  const double n = t.iterations;
+  std::printf("  %6d %12.3e %12.3e %12.3e %12.3e\n", label,
+              t.global_update / n, t.local_update / n, t.dual_update / n,
+              (t.global_update + t.local_update + t.dual_update) / n);
+}
+
+/// A 30-iteration, check-free solve over `backend`'s simulated hardware.
+template <class MakeBackend>
+dopf::core::TimingBreakdown simulated_timing(
+    const dopf::runtime::Instance& inst, dopf::core::AdmmOptions opt,
+    MakeBackend make_backend) {
+  opt.max_iterations = 30;
+  opt.check_every = 1000;
+  dopf::core::SolverFreeAdmm gpu(inst.problem, opt);
+  gpu.set_backend(make_backend(gpu.packed()));
+  return gpu.solve().timing;
+}
 
 void cpu_row(const dopf::runtime::Instance& inst,
              const dopf::core::AdmmOptions& opt) {
@@ -68,18 +89,13 @@ void gpu_row(const dopf::runtime::Instance& inst,
   std::printf("  multi-GPU (MPI):\n");
   std::printf("  %6s %12s %12s %12s %12s\n", "GPUs", "global", "local",
               "dual", "total");
-  for (std::size_t gpus : {1u, 2u, 4u, 8u}) {
+  for (int gpus : {1, 2, 4, 8}) {
     dopf::simt::MultiGpuOptions mo;
-    mo.gpu.admm = opt;
-    mo.gpu.admm.max_iterations = 30;
-    mo.gpu.admm.check_every = 1000;
-    mo.num_devices = gpus;
-    dopf::simt::MultiGpuSolverFreeAdmm gpu(inst.problem, mo);
-    gpu.solve();
-    const auto avg = gpu.iteration_averages();
-    std::printf("  %6zu %12.3e %12.3e %12.3e %12.3e\n", gpus,
-                avg.global_update, avg.local_update, avg.dual_update,
-                avg.total());
+    mo.num_devices = static_cast<std::size_t>(gpus);
+    print_simulated_row(
+        gpus, simulated_timing(inst, opt, [&](const auto& pack) {
+          return std::make_unique<dopf::simt::MultiDeviceBackend>(pack, mo);
+        }));
   }
 }
 
@@ -89,17 +105,12 @@ void thread_row(const dopf::runtime::Instance& inst,
   std::printf("  %6s %12s %12s %12s %12s\n", "T", "global", "local", "dual",
               "total");
   for (int threads : {1, 2, 4, 8, 16, 32, 64}) {
-    dopf::simt::GpuAdmmOptions gopt;
-    gopt.admm = opt;
-    gopt.admm.max_iterations = 30;
-    gopt.admm.check_every = 1000;
-    gopt.threads_per_block = threads;
-    dopf::simt::GpuSolverFreeAdmm gpu(inst.problem, gopt);
-    gpu.solve();
-    const auto avg = gpu.kernel_averages();
-    std::printf("  %6d %12.3e %12.3e %12.3e %12.3e\n", threads,
-                avg.global_update, avg.local_update, avg.dual_update,
-                avg.total());
+    print_simulated_row(
+        threads, simulated_timing(inst, opt, [&](const auto&) {
+          return std::make_unique<dopf::simt::SimtBackend>(
+              dopf::simt::Device(),
+              dopf::simt::SimtBackend::Config{threads, 256});
+        }));
   }
 }
 

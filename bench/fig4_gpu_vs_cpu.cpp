@@ -8,7 +8,7 @@
 #include "core/admm.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/measure.hpp"
-#include "simt/gpu_admm.hpp"
+#include "simt/simt_backend.hpp"
 
 int main() {
   dopf::bench::header("Figure 4", "total time: 1 GPU vs 16 CPUs");
@@ -36,13 +36,14 @@ int main() {
                             costs.dual_update_seconds;
 
     // 1-GPU per-iteration time from the SIMT cost model.
-    dopf::simt::GpuAdmmOptions gopt;
-    gopt.admm = opt;
-    gopt.admm.max_iterations = 30;
-    gopt.admm.check_every = 1000;
-    dopf::simt::GpuSolverFreeAdmm gpu(inst.problem, gopt);
-    gpu.solve();
-    const double gpu_iter = gpu.kernel_averages().total();
+    dopf::core::AdmmOptions gopt = opt;
+    gopt.max_iterations = 30;
+    gopt.check_every = 1000;
+    dopf::core::SolverFreeAdmm gpu(inst.problem, gopt);
+    gpu.set_backend(std::make_unique<dopf::simt::SimtBackend>());
+    const auto t = gpu.solve().timing;
+    const double gpu_iter =
+        (t.global_update + t.local_update + t.dual_update) / t.iterations;
 
     const double cpu_total = cpu_iter * res.iterations;
     const double gpu_total = gpu_iter * res.iterations;

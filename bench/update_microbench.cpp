@@ -12,7 +12,6 @@
 #include "core/admm.hpp"
 #include "runtime/instances.hpp"
 #include "runtime/threaded_backend.hpp"
-#include "simt/gpu_admm.hpp"
 
 namespace {
 

@@ -193,6 +193,12 @@ AdmmResult BenchmarkAdmm::solve() {
         result.status = dopf::core::AdmmStatus::kDiverged;
         break;
       }
+      // Cooperative cancellation (signal/deadline/caller), polled at the
+      // check cadence like the solver-free driver.
+      if (options_.cancel && options_.cancel->cancelled()) {
+        result.status = dopf::core::AdmmStatus::kCancelled;
+        break;
+      }
       if (options_.time_limit_seconds > 0.0 &&
           seconds_since(wall_start) > options_.time_limit_seconds) {
         result.status = dopf::core::AdmmStatus::kTimeLimit;

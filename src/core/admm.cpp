@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "core/packed_kernels.hpp"
 #include "core/scenario_binding.hpp"
@@ -92,6 +94,12 @@ SolverFreeAdmm::SolverFreeAdmm(ScenarioBinding& binding, AdmmOptions options)
 SolverFreeAdmm::~SolverFreeAdmm() = default;
 
 void SolverFreeAdmm::set_backend(std::unique_ptr<ExecutionBackend> backend) {
+  if (backend && !plain_path() &&
+      std::string_view(backend->name()) != "serial") {
+    throw std::invalid_argument(
+        std::string("relaxation/quantize_bits run a serial-only path; the ") +
+        backend->name() + " backend would not execute them");
+  }
   backend_ = backend ? std::move(backend) : make_serial_backend();
 }
 
@@ -120,15 +128,12 @@ PackedState SolverFreeAdmm::packed_state() {
 }
 
 bool SolverFreeAdmm::plain_path() const {
-  return options_.relaxation == 1.0 && options_.quantize_bits == 0 &&
-         options_.async_fraction >= 1.0;
+  return options_.relaxation == 1.0 && options_.quantize_bits == 0;
 }
 
 void SolverFreeAdmm::reset() {
   rho_ = options_.rho;
   start_iteration_ = 0;
-  active_.assign(pack_->num_components(), 1);
-  async_rng_.seed(options_.async_seed);
   x_ = pack_->x0;
   std::fill(lambda_.begin(), lambda_.end(), 0.0);
   // z_s = B_s x0 (the paper's per-element initial values are encoded in x0).
@@ -162,24 +167,34 @@ void SolverFreeAdmm::warm_start(std::span<const double> x,
   }
 }
 
-void SolverFreeAdmm::restore_state(int iteration, double rho,
-                                   std::span<const double> x,
-                                   std::span<const double> z,
-                                   std::span<const double> z_prev,
-                                   std::span<const double> lambda) {
-  if (iteration < 0) {
+void SolverFreeAdmm::capture(int iteration, IterateSnapshot* out) const {
+  out->iteration = iteration;
+  out->rho = rho_;
+  out->x.assign(x_.begin(), x_.end());
+  out->z.assign(z_.begin(), z_.end());
+  out->z_prev.assign(z_prev_.begin(), z_prev_.end());
+  out->lambda.assign(lambda_.begin(), lambda_.end());
+}
+
+void SolverFreeAdmm::load(const IterateSnapshot& state) {
+  rho_ = state.rho;
+  std::copy(state.x.begin(), state.x.end(), x_.begin());
+  std::copy(state.z.begin(), state.z.end(), z_.begin());
+  std::copy(state.z_prev.begin(), state.z_prev.end(), z_prev_.begin());
+  std::copy(state.lambda.begin(), state.lambda.end(), lambda_.begin());
+}
+
+void SolverFreeAdmm::restore_state(const IterateSnapshot& state) {
+  if (state.iteration < 0) {
     throw std::invalid_argument("restore_state: negative iteration");
   }
-  if (x.size() != pack_->num_global() || z.size() != total_local_ ||
-      z_prev.size() != total_local_ || lambda.size() != total_local_) {
+  if (state.x.size() != pack_->num_global() ||
+      state.z.size() != total_local_ || state.z_prev.size() != total_local_ ||
+      state.lambda.size() != total_local_) {
     throw std::invalid_argument("restore_state: state size mismatch");
   }
-  start_iteration_ = iteration;
-  rho_ = rho;
-  std::copy(x.begin(), x.end(), x_.begin());
-  std::copy(z.begin(), z.end(), z_.begin());
-  std::copy(z_prev.begin(), z_prev.end(), z_prev_.begin());
-  std::copy(lambda.begin(), lambda.end(), lambda_.begin());
+  start_iteration_ = state.iteration;
+  load(state);
 }
 
 void SolverFreeAdmm::set_checkpoint_hook(int every, CheckpointHook hook) {
@@ -205,30 +220,15 @@ void SolverFreeAdmm::local_update() {
 }
 
 void SolverFreeAdmm::local_update_extension() {
-  // (15) with the CPU-side extensions (over-relaxation, quantized messages,
-  // asynchronous participation). Runs serially over the packed pool; the
-  // extensions model agent-side message mangling and are inherently
-  // sequential to keep their RNG draws reproducible.
+  // (15) with the CPU-side extensions (over-relaxation, quantized
+  // messages). Runs serially over the packed pool; the extensions model
+  // agent-side message mangling.
   const bool timed = options_.record_component_times;
   const int qbits = options_.quantize_bits;
   const double alpha = options_.relaxation;
-  const bool async = options_.async_fraction < 1.0;
-  if (async) {
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
-    for (char& a : active_) {
-      a = unit(async_rng_) < options_.async_fraction ? 1 : 0;
-    }
-  }
   for (std::size_t s = 0; s < pack_->num_components(); ++s) {
     const std::size_t ns = static_cast<std::size_t>(pack_->comp_nvars[s]);
     const std::size_t off = static_cast<std::size_t>(pack_->comp_offset[s]);
-    if (async && !active_[s]) {
-      // Straggler: keep the stale local solution.
-      std::copy(z_prev_.begin() + static_cast<std::ptrdiff_t>(off),
-                z_prev_.begin() + static_cast<std::ptrdiff_t>(off + ns),
-                z_.begin() + static_cast<std::ptrdiff_t>(off));
-      continue;
-    }
     double* y = y_scratch_.data() + off;
     const double* ls = lambda_.data() + off;
     double* zs = z_.data() + off;
@@ -275,9 +275,7 @@ void SolverFreeAdmm::dual_update_extension() {
   // (12) with extensions: under over-relaxation B_s x is replaced by the
   // same relaxed combination the local update saw.
   const double alpha = options_.relaxation;
-  const bool async = options_.async_fraction < 1.0;
   for (std::size_t s = 0; s < pack_->num_components(); ++s) {
-    if (async && !active_[s]) continue;  // straggler keeps stale duals
     const std::size_t ns = static_cast<std::size_t>(pack_->comp_nvars[s]);
     const std::size_t off = static_cast<std::size_t>(pack_->comp_offset[s]);
     double* ls = lambda_.data() + off;
@@ -357,12 +355,32 @@ AdmmResult SolverFreeAdmm::solve() {
   ConvergenceWatchdog watchdog(options_.watchdog_window,
                                options_.watchdog_min_improvement,
                                options_.watchdog_max_restarts);
-  std::vector<double> best_x, best_z, best_z_prev, best_lambda;
-  double best_rho = rho_;
+  IterateSnapshot best;
+  // Restart point of a backend that can lose device state (multi-device
+  // failover), with the history bookkeeping to rewind. Backends that never
+  // rewind copy nothing.
+  const bool rewinds = backend_->can_rewind();
+  IterateSnapshot restart;
+  std::size_t restart_history = 0;
+  int restart_recorded = 0;
+  if (rewinds) capture(start_iteration_, &restart);
   // A restored checkpoint resumes at start_iteration_ + 1; the iterate state
   // was already placed by restore_state, so the loop body is oblivious.
   result.iterations = start_iteration_;
   for (int t = start_iteration_ + 1; t <= options_.max_iterations; ++t) {
+    if (backend_->begin_iteration(t) == IterationStart::kRewind) {
+      if (!rewinds) {
+        throw std::logic_error(std::string(backend_->name()) +
+                               " requested a rewind without can_rewind()");
+      }
+      // Replay from the restart point: every update is deterministic, so
+      // the replayed trajectory is bit-for-bit the uninterrupted one.
+      load(restart);
+      result.history.resize(restart_history);
+      recorded = restart_recorded;
+      t = restart.iteration;  // the loop increment resumes after it
+      continue;
+    }
     auto tic = Clock::now();
     global_update();
     timing_.global_update += seconds_since(tic);
@@ -419,13 +437,7 @@ AdmmResult SolverFreeAdmm::solve() {
       }
       if (options_.watchdog) {
         const auto decision = watchdog.observe(rec);
-        if (decision.new_best) {
-          best_x = x_;
-          best_z = z_;
-          best_z_prev = z_prev_;
-          best_lambda = lambda_;
-          best_rho = rho_;
-        }
+        if (decision.new_best) capture(t, &best);
         if (decision.action == ConvergenceWatchdog::Action::kNudgeRho) {
           // Forced residual balancing: same rule as adaptive_rho, but
           // applied regardless of the adaptive_ratio trigger.
@@ -436,13 +448,7 @@ AdmmResult SolverFreeAdmm::solve() {
           }
         } else if (decision.action ==
                    ConvergenceWatchdog::Action::kRestartFromBest) {
-          if (!best_x.empty()) {
-            x_ = best_x;
-            z_ = best_z;
-            z_prev_ = best_z_prev;
-            lambda_ = best_lambda;
-            rho_ = best_rho;
-          }
+          if (!best.x.empty()) load(best);
         } else if (decision.action == ConvergenceWatchdog::Action::kStop) {
           result.status = AdmmStatus::kStalled;
           result.watchdog = watchdog.summary();
@@ -462,15 +468,20 @@ AdmmResult SolverFreeAdmm::solve() {
         }
       }
     }
-    if (checkpoint_every_ > 0 && checkpoint_hook_ &&
-        t % checkpoint_every_ == 0) {
-      checkpoint_hook_(*this, t);
+    if (checkpoint_every_ > 0 && t % checkpoint_every_ == 0) {
+      if (rewinds) {
+        capture(t, &restart);
+        restart_history = result.history.size();
+        restart_recorded = recorded;
+      }
+      if (checkpoint_hook_) checkpoint_hook_(*this, t);
     }
   }
   result.x.assign(x_.begin(), x_.end());
   result.objective = objective();
   result.final_rho = rho_;
   result.timing = timing_;
+  backend_->report_simulated_timing(result.timing);
   result.component_seconds.assign(component_seconds_.begin(),
                                   component_seconds_.end());
   return result;

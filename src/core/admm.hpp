@@ -1,9 +1,7 @@
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
-#include <random>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -52,17 +50,11 @@ struct AdmmOptions {
   /// per entry with per-component uniform quantization. 0 disables
   /// (lossless, reproduces the paper). Inexact-ADMM territory: expect more
   /// iterations in exchange for an 8x-64/bits reduction in traffic.
+  ///
+  /// relaxation != 1 and quantize_bits > 0 run a serial extension path
+  /// that bypasses the execution backend, so SolverFreeAdmm::set_backend
+  /// rejects every non-serial backend while either is set.
   int quantize_bits = 0;
-
-  /// Asynchronous (partial-participation) mode: each iteration, every
-  /// component performs its local/dual update only with this probability;
-  /// the others keep their stale iterates — the straggler/lossy-agent
-  /// setting of the paper's non-ideal-communication references [12], [14].
-  /// 1.0 reproduces the synchronous paper algorithm. Applies to
-  /// SolverFreeAdmm only.
-  double async_fraction = 1.0;
-  /// Seed for the async participation draws (runs stay reproducible).
-  std::uint64_t async_seed = 1;
 
   /// Accumulate per-component local-update wall time (adds timer overhead;
   /// enable only for the runtime/cluster measurement benches).
@@ -85,9 +77,9 @@ struct AdmmOptions {
   int watchdog_max_restarts = 2;  ///< restart-from-best budget before kStalled
 
   /// Cooperative cancellation/deadline token (not owned; must outlive the
-  /// solve). Polled at the termination-check cadence, so a request lands
-  /// within `check_every` iterations at zero hot-path cost. nullptr
-  /// disables. A cancelled solve stops cleanly with AdmmStatus::kCancelled
+  /// solve). Polled at the termination-check cadence by both ADMMs, so a
+  /// request lands within `check_every` iterations at zero hot-path cost.
+  /// nullptr disables. A cancelled solve stops cleanly with AdmmStatus::kCancelled
   /// and a valid (restorable) iterate.
   const CancelToken* cancel = nullptr;
 
@@ -116,13 +108,14 @@ struct TimingBreakdown {
   double global_update = 0.0;
   double local_update = 0.0;
   /// core::SolverFreeAdmm books its check iterations' fused dual+residual
-  /// pass here, so its `residuals` stays zero; the SIMT and benchmark
-  /// solvers price and time the residual pass separately.
+  /// pass here, so its `residuals` stays zero on wall-clock backends; the
+  /// SIMT backend and the benchmark ADMM price and time the residual pass
+  /// separately.
   double dual_update = 0.0;
   double residuals = 0.0;
   /// Simulated seconds spent recovering from injected faults (checkpoint
   /// redistribution + problem re-upload on device failover). Zero on
-  /// fault-free runs; populated by simt::MultiGpuSolverFreeAdmm.
+  /// fault-free runs; populated by simt::MultiDeviceBackend.
   double recovery = 0.0;
   /// Simulated seconds spent on graceful degradation (exhausted retry
   /// budgets on stale iterations, quarantine/readmission re-partitioning).
@@ -175,6 +168,19 @@ struct WatchdogSummary {
   bool oscillation_detected = false;  ///< merit bounced rather than crept
 };
 
+/// The complete iterate state Algorithm 1 carries between iterations,
+/// captured after iteration `iteration`'s dual update. One type serves the
+/// watchdog's best iterate, the restart point of rewinding backends, and
+/// (as the base of runtime::AdmmCheckpoint) durable checkpoints.
+struct IterateSnapshot {
+  int iteration = 0;
+  double rho = 0.0;
+  std::vector<double> x;       ///< global iterate
+  std::vector<double> z;       ///< local solutions, concatenated
+  std::vector<double> z_prev;  ///< previous local solutions
+  std::vector<double> lambda;  ///< duals, concatenated
+};
+
 struct AdmmResult {
   std::vector<double> x;  ///< global solution (clipped to bounds)
   AdmmStatus status = AdmmStatus::kIterationLimit;
@@ -204,15 +210,18 @@ struct AdmmResult {
 ///   dual update   (12):      lambda_s += rho*(B_s x - x_s)
 /// with termination by the relative primal/dual residuals (16).
 ///
-/// Execution is delegated to an ExecutionBackend over the packed SoA
-/// storage (serial by default; inject runtime::make_threaded_backend or a
-/// simt::SimtBackend via set_backend). All backends produce byte-identical
-/// iterates. The extension options (relaxation != 1, quantize_bits,
-/// async_fraction < 1) run on a built-in serial path regardless of the
-/// selected backend; the plain paper configuration always uses the backend.
+/// solve() is the only solver-free iteration loop: execution is delegated
+/// to an ExecutionBackend over the packed SoA storage (serial by default;
+/// inject runtime::make_threaded_backend, a simt::SimtBackend or a
+/// simt::MultiDeviceBackend via set_backend), and termination, divergence
+/// guard, cancellation, time limit, adaptive rho, watchdog, history
+/// sampling and checkpointing behave the same on every backend. All
+/// backends produce byte-identical iterates. The extension options
+/// (relaxation != 1, quantize_bits > 0) run on a built-in serial path, so
+/// set_backend rejects non-serial backends while they are set.
 ///
-/// The class also exposes the individual updates so the SIMT-simulated GPU
-/// solvers and the virtual-cluster harness can drive one step at a time.
+/// The class also exposes the individual updates so the virtual-cluster
+/// harness can drive one step at a time.
 class SolverFreeAdmm {
  public:
   /// Single-shot entry points: thin wrappers that build an owned
@@ -232,7 +241,9 @@ class SolverFreeAdmm {
 
   /// Replace the execution backend (nullptr restores the serial backend).
   /// The iterate state is untouched, so backends may even be swapped
-  /// mid-solve without perturbing the trajectory.
+  /// mid-solve without perturbing the trajectory. Throws
+  /// std::invalid_argument for a non-serial backend while the options
+  /// select the serial-only extension path (relaxation, quantize_bits).
   void set_backend(std::unique_ptr<ExecutionBackend> backend);
   ExecutionBackend& backend() { return *backend_; }
   const ExecutionBackend& backend() const { return *backend_; }
@@ -277,22 +288,22 @@ class SolverFreeAdmm {
   void warm_start(std::span<const double> x,
                   std::span<const double> lambda = {});
 
-  /// Restore the complete iterate state captured after iteration
-  /// `iteration` (checkpoint restart): a subsequent solve() continues at
-  /// iteration+1 and — because every update is deterministic — reproduces
-  /// the uninterrupted run bit-for-bit from that point. Defined for the
-  /// plain paper configuration; the extension paths carry RNG state that a
-  /// checkpoint does not capture.
-  void restore_state(int iteration, double rho, std::span<const double> x,
-                     std::span<const double> z,
-                     std::span<const double> z_prev,
-                     std::span<const double> lambda);
+  /// Copy the current iterate state into `out` as the state after
+  /// `iteration` (reuses out's storage).
+  void capture(int iteration, IterateSnapshot* out) const;
+  /// Restore a complete iterate state (checkpoint restart): a subsequent
+  /// solve() continues at state.iteration+1 and — because every update is
+  /// deterministic — reproduces the uninterrupted run bit-for-bit from that
+  /// point. Throws std::invalid_argument on a size mismatch.
+  void restore_state(const IterateSnapshot& state);
   /// Iteration the next solve() resumes after (0 = fresh run).
   int start_iteration() const { return start_iteration_; }
 
   /// Invoke `hook` every `every` iterations inside solve() with the solver's
   /// current state (periodic checkpointing; see runtime/checkpoint.hpp).
-  /// every <= 0 or an empty hook disables.
+  /// The same cadence refreshes the in-memory restart point of a backend
+  /// that can rewind; an empty hook keeps that restart point in memory
+  /// only. every <= 0 disables both.
   using CheckpointHook = std::function<void(const SolverFreeAdmm&, int)>;
   void set_checkpoint_hook(int every, CheckpointHook hook);
 
@@ -311,9 +322,11 @@ class SolverFreeAdmm {
   void init_storage();
   PackedState packed_state();
   /// True when the configured options follow the plain paper algorithm for
-  /// the local/dual updates (no relaxation / quantization / async), i.e.
-  /// when those updates can be delegated to the backend.
+  /// the local/dual updates (no relaxation / quantization), i.e. when those
+  /// updates can be delegated to the backend.
   bool plain_path() const;
+  /// Overwrite the iterate state with `state` (no bookkeeping).
+  void load(const IterateSnapshot& state);
   IterationRecord residual_record(int iteration,
                                   const ResidualSums& sums) const;
   void local_update_extension();
@@ -343,10 +356,6 @@ class SolverFreeAdmm {
 
   std::vector<double> component_seconds_;
   TimingBreakdown timing_;
-
-  // Asynchronous-mode state: which components participate this iteration.
-  std::vector<char> active_;
-  std::mt19937_64 async_rng_;
 };
 
 }  // namespace dopf::core

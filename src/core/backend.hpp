@@ -7,6 +7,8 @@
 
 namespace dopf::core {
 
+struct TimingBreakdown;  // core/admm.hpp
+
 /// The mutable per-iteration state Algorithm 1 runs over, as spans into
 /// solver-owned storage. Backends read/write through these spans only.
 struct PackedState {
@@ -60,16 +62,24 @@ void dual_residual_chunks(const PackedLocalSolvers& pack,
 /// Fixed pairwise-tree combination of chunk partials (destroys `partials`).
 ResidualSums combine_residual_chunks(std::span<ResidualSums> partials);
 
+/// What ExecutionBackend::begin_iteration asks of the driver.
+enum class IterationStart {
+  kProceed,  ///< run the iteration
+  kRewind,   ///< device state was lost: restore the restart point first
+};
+
 /// One execution strategy for the per-iteration updates of Algorithm 1 over
 /// the packed storage. Implementations:
 ///   - serial   (core, make_serial_backend): plain loops, kernel-shaped;
 ///   - threaded (runtime::make_threaded_backend): persistent thread pool,
 ///     static chunking;
 ///   - simt     (simt::SimtBackend): bit-exact host execution plus a
-///     simulated-GPU cost ledger.
-/// All three produce byte-identical iterates and residual histories; the
-/// caller owns the state vectors and the update sequencing (including the
-/// z/z_prev swap before local_update).
+///     simulated-GPU cost ledger;
+///   - multigpu (simt::MultiDeviceBackend): components partitioned over
+///     simulated devices, with fault injection, failover and degraded mode.
+/// All of them produce byte-identical iterates and residual histories; the
+/// driver (core::SolverFreeAdmm::solve) owns the state vectors and the
+/// update sequencing (including the z/z_prev swap before local_update).
 class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
@@ -99,6 +109,24 @@ class ExecutionBackend {
     dual_update(pack, state);
     return residual_sums(pack, state);
   }
+
+  /// Called by the driver before iteration t's global update. Backends with
+  /// per-iteration work outside the kernels run it here (the multi-device
+  /// backend's fault, failover and degrade processing). kRewind means a
+  /// failover lost device state: the driver restores its restart point,
+  /// truncates the history to it, and resumes after it. Only a backend
+  /// whose can_rewind() is true may return kRewind.
+  virtual IterationStart begin_iteration(int /*t*/) {
+    return IterationStart::kProceed;
+  }
+  /// True when begin_iteration may request a rewind. The driver keeps an
+  /// in-memory restart point only for such backends.
+  virtual bool can_rewind() const { return false; }
+  /// Backends whose cost is a model rather than host work overwrite the
+  /// per-phase seconds of `timing` (global, local, dual, residuals,
+  /// recovery, degrade, degraded_iterations) with their simulated totals
+  /// since construction. The default keeps the driver's wall-clock values.
+  virtual void report_simulated_timing(TimingBreakdown& /*timing*/) const {}
 };
 
 /// The serial reference backend (the paper's single-CPU path).

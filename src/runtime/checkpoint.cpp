@@ -93,14 +93,9 @@ AdmmCheckpoint AdmmCheckpoint::capture(const dopf::core::SolverFreeAdmm& admm,
                                        int iteration, std::string label) {
   AdmmCheckpoint ck;
   ck.label = std::move(label);
-  ck.iteration = iteration;
-  ck.rho = admm.rho();
   ck.model_fingerprint = dopf::core::topology_fingerprint(admm.packed());
   ck.scenario_fingerprint = dopf::core::scenario_fingerprint(admm.packed());
-  ck.x.assign(admm.x().begin(), admm.x().end());
-  ck.z.assign(admm.z().begin(), admm.z().end());
-  ck.z_prev.assign(admm.z_prev().begin(), admm.z_prev().end());
-  ck.lambda.assign(admm.lambda().begin(), admm.lambda().end());
+  admm.capture(iteration, &ck);
   return ck;
 }
 
@@ -144,7 +139,7 @@ void AdmmCheckpoint::validate_for(const dopf::core::SolverFreeAdmm& admm,
 void AdmmCheckpoint::restore(dopf::core::SolverFreeAdmm* admm,
                              const std::string& expected_label) const {
   validate_for(*admm, expected_label);
-  admm->restore_state(iteration, rho, x, z, z_prev, lambda);
+  admm->restore_state(*this);
 }
 
 void write_checkpoint(const AdmmCheckpoint& ck, std::ostream& out) {

@@ -16,13 +16,14 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A complete restart point of the solver-free ADMM: everything the
-/// deterministic updates read, captured after iteration `iteration`.
+/// A complete restart point of the solver-free ADMM: the iterate snapshot
+/// (everything the deterministic updates read, captured after iteration
+/// `iteration`) plus the identity of the problem it was recorded on.
 /// Serialized with the same C99 hex-float codec as the golden traces
 /// (src/verify/codec.hpp) so a save/load round-trip preserves every bit,
 /// and guarded by a CRC-32 of the payload so truncation or bit rot is
 /// detected at load time instead of silently corrupting a resumed run.
-struct AdmmCheckpoint {
+struct AdmmCheckpoint : dopf::core::IterateSnapshot {
   std::string label;  ///< instance label (informational, e.g. "ieee13")
   /// FNV-1a fingerprint of the model topology (Abar pool, gather
   /// structure) the checkpoint was recorded against; 0 = unknown (legacy
@@ -37,12 +38,6 @@ struct AdmmCheckpoint {
   /// the highest valid generation on load, so a torn newest write falls
   /// back to the previous good one.
   std::uint64_t generation = 0;
-  int iteration = 0;  ///< the state is AFTER this iteration's dual update
-  double rho = 0.0;
-  std::vector<double> x;       ///< global iterate
-  std::vector<double> z;       ///< local solutions, concatenated
-  std::vector<double> z_prev;  ///< previous local solutions
-  std::vector<double> lambda;  ///< duals, concatenated
 
   /// Snapshot the solver's current state (use from a checkpoint hook or
   /// between step-level calls; the state must be post-dual-update).

@@ -1,19 +1,18 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
-#include "runtime/checkpoint.hpp"
 #include "runtime/comm_model.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/health.hpp"
 #include "runtime/partition.hpp"
-#include "simt/gpu_admm.hpp"
+#include "simt/simt_backend.hpp"
 
 namespace dopf::simt {
 
 struct MultiGpuOptions {
-  GpuAdmmOptions gpu;
+  /// Kernel launch shapes on every device.
+  SimtBackend::Config gpu;
   std::size_t num_devices = 2;
   /// Hardware model used for every device (defaults to the A100-like spec).
   DeviceSpec device_spec;
@@ -25,13 +24,6 @@ struct MultiGpuOptions {
   /// Reaction to injected faults: message retry/backoff, CRC verification
   /// of consensus payloads, and checkpoint-based device failover.
   dopf::runtime::RecoveryPolicy recovery;
-  /// Refresh the in-memory restart checkpoint every N iterations (0 keeps
-  /// only the initial state as the restart point).
-  int checkpoint_every = 0;
-  /// Also persist each checkpoint to this file (empty = in-memory only).
-  std::string checkpoint_path;
-  /// Label written into persisted checkpoints (e.g. "ieee13").
-  std::string label;
 
   /// Graceful degradation under persistent faults (runtime/health.hpp):
   /// per-device health tracking with bounded-staleness consensus,
@@ -42,23 +34,26 @@ struct MultiGpuOptions {
 };
 
 /// Functional multi-GPU execution of Algorithm 1 (the paper's Sec. IV-E /
-/// Fig. 3 middle row): components are block-partitioned across `num_devices`
-/// simulated GPUs; the lowest-indexed live device doubles as the aggregator
-/// running the global update. Every device executes its kernels bit-exactly
-/// (component order is preserved, so results equal the single-device and CPU
-/// paths), while the per-iteration *simulated* time accounts for
+/// Fig. 3 middle row) as an ExecutionBackend of core::SolverFreeAdmm:
+/// components are block-partitioned across `num_devices` simulated GPUs;
+/// the lowest-indexed live device doubles as the aggregator running the
+/// global update. Every device executes its kernels bit-exactly (component
+/// order is preserved, so results equal the single-device and CPU paths),
+/// while the per-iteration *simulated* time accounts for
 ///   max over devices of the local/dual kernel time
 ///   + PCIe staging of each device's consensus payload
 ///   + MPI messages between the aggregator and the other devices.
+/// The driver's TimingBreakdown reports these simulated seconds.
 ///
 /// Fault tolerance (options.faults / options.recovery): injected message
 /// drops and CRC-detected corruption are re-sent with timeout+backoff
 /// (priced through the CommModel); stragglers multiply a device's kernel
-/// span; a killed device triggers failover — its components are
-/// re-partitioned onto the survivors, the consensus state rolls back to the
-/// last checkpoint, and the run resumes deterministically, so a recovered
-/// run's trace is byte-identical to the fault-free one. Recovery cost is
-/// reported in TimingBreakdown::recovery.
+/// span; a killed device triggers failover in begin_iteration — its
+/// components are re-partitioned onto the survivors and the backend asks
+/// the driver to rewind to its restart point (refreshed at the
+/// set_checkpoint_hook cadence), so a recovered run's trace is
+/// byte-identical to the fault-free one. Recovery cost is reported in
+/// TimingBreakdown::recovery.
 ///
 /// Degraded mode (options.degrade.enabled): persistent pathologies that
 /// would livelock the transient machinery (a chronic straggler, a link
@@ -74,42 +69,45 @@ struct MultiGpuOptions {
 /// re-partition traffic) priced in TimingBreakdown::degrade. Traces of a
 /// degraded run legitimately diverge bitwise from the fault-free one, but
 /// must converge to the same solution within tolerance.
-class MultiGpuSolverFreeAdmm {
+class MultiDeviceBackend final : public dopf::core::ExecutionBackend {
  public:
-  /// Single-shot wrapper: precomputes through an internal SolveModel.
-  MultiGpuSolverFreeAdmm(const dopf::opf::DistributedProblem& problem,
-                         MultiGpuOptions options);
-  /// Session path: distribute an existing model's precompute across the
-  /// simulated devices (no factorization here). `model` must outlive the
-  /// solver.
-  MultiGpuSolverFreeAdmm(const dopf::core::SolveModel& model,
-                         MultiGpuOptions options);
+  /// Partitions `pack`'s components over the devices and charges each
+  /// device its slice of the problem-image upload. Only the pack's layout
+  /// is kept; the kernels read the pack the driver passes in.
+  MultiDeviceBackend(const dopf::core::PackedLocalSolvers& pack,
+                     MultiGpuOptions options);
 
-  dopf::core::AdmmResult solve();
+  const char* name() const override { return "multigpu"; }
+  void global_update(const dopf::core::PackedLocalSolvers& pack,
+                     dopf::core::PackedState& state) override;
+  void local_update(const dopf::core::PackedLocalSolvers& pack,
+                    dopf::core::PackedState& state) override;
+  void dual_update(const dopf::core::PackedLocalSolvers& pack,
+                   dopf::core::PackedState& state) override;
+  /// Deterministic chunk-tree sums, unpriced (the residual reduction rides
+  /// along with the consensus traffic).
+  dopf::core::ResidualSums residual_sums(
+      const dopf::core::PackedLocalSolvers& pack,
+      const dopf::core::PackedState& state) override;
+  /// Device kills and exhausted retry budgets (failover, kRewind), then the
+  /// degraded-mode health pass.
+  dopf::core::IterationStart begin_iteration(int t) override;
+  bool can_rewind() const override { return true; }
+  void report_simulated_timing(
+      dopf::core::TimingBreakdown& timing) const override;
 
-  void global_update();
-  void local_update(int iteration = 0);
-  void dual_update(int iteration = 0);
-  dopf::core::IterationRecord compute_residuals(int iteration);
-
-  std::span<const double> x() const { return x_; }
-  std::span<const double> z() const { return z_; }
   std::size_t num_devices() const { return devices_.size(); }
   std::size_t alive_devices() const;
   const Device& device(std::size_t d) const { return devices_[d]; }
 
-  /// Resume from a persisted checkpoint: the state becomes the restart
-  /// point, and solve() continues at checkpoint.iteration + 1.
-  void restore_state(const dopf::runtime::AdmmCheckpoint& checkpoint);
-
-  /// Fault-handling counters for the last solve().
+  /// Fault-handling counters.
   int failovers() const { return failovers_; }
   int message_retries() const { return retries_; }
   /// Simulated seconds spent in failover recovery.
   double recovery_seconds() const { return sim_recovery_; }
 
-  /// Degraded-mode counters for the last solve() (all zero unless
-  /// options.degrade.enabled and the policy tripped).
+  /// Degraded-mode counters (all zero unless options.degrade.enabled and
+  /// the policy tripped).
   int degraded_iterations() const { return degraded_iterations_; }
   int quarantines() const { return quarantines_; }
   int readmissions() const { return readmissions_; }
@@ -120,30 +118,37 @@ class MultiGpuSolverFreeAdmm {
     return health_[d];
   }
 
-  /// Average simulated seconds per iteration, by phase (Fig. 3 middle row).
-  struct IterationAverages {
-    double global_update = 0.0;
-    double local_update = 0.0;  ///< kernel span + staging + MPI
-    double dual_update = 0.0;
-    double total() const { return global_update + local_update + dual_update; }
-  };
-  IterationAverages iteration_averages() const;
-
  private:
-  void init_state();
+  /// Recompute the partition over the live devices (aggregator = lowest).
+  void repartition();
+  /// Device `device` is lost: re-partition and price the restart-point
+  /// redistribution plus the problem-image re-upload.
+  void fail_over(std::size_t device);
+  /// Degraded-mode health pass for iteration_: feed every device's
+  /// observations to its tracker, mark stale devices, and execute pending
+  /// quarantines/readmissions. Returns true when this iteration runs
+  /// degraded (some device stale or quarantined).
+  bool degrade_step();
+  /// Freeze a stale device's contribution: restore its z slices to the
+  /// previous iterate (called after the driver swapped z/z_prev).
+  void keep_stale_contribution(std::size_t d,
+                               const dopf::core::PackedLocalSolvers& pack,
+                               dopf::core::PackedState& state) const;
+  double launch_dual_on(std::size_t d,
+                        const dopf::core::PackedLocalSolvers& pack,
+                        dopf::core::PackedState& state);
 
-  const dopf::opf::DistributedProblem* problem_;
   MultiGpuOptions options_;
-  DeviceProblem image_;
+  std::vector<int> comp_nvars_;    // per component (the pack's layout)
+  std::size_t image_bytes_ = 0;    // problem image size
+  std::size_t restart_bytes_ = 0;  // serialized restart point size
   std::vector<Device> devices_;
   std::vector<char> alive_;
   std::size_t aggregator_ = 0;
   dopf::runtime::Partition partition_;     // per device; empty when dead
   std::vector<std::size_t> payload_vars_;  // per device
   dopf::runtime::FaultInjector injector_;
-  double rho_;
-  int start_iteration_ = 0;
-  int iterations_run_ = 0;
+  int iteration_ = 0;  // the iteration begin_iteration announced
   int failovers_ = 0;
   int retries_ = 0;
 
@@ -160,36 +165,7 @@ class MultiGpuSolverFreeAdmm {
   double sim_dual_ = 0.0;
   double sim_recovery_ = 0.0;
   double sim_degrade_ = 0.0;
-
-  std::vector<double> x_, z_, z_prev_, lambda_, y_scratch_;
-
-  // Restart point: the functional state after checkpoint_.iteration, plus
-  // the result-bookkeeping needed to rewind the residual history.
-  dopf::runtime::AdmmCheckpoint checkpoint_;
-  std::size_t ck_history_size_ = 0;
-  int ck_recorded_ = 0;
-
-  double launch_local_on(std::size_t d);
-  double launch_dual_on(std::size_t d);
-  /// Recompute the partition over the live devices (aggregator = lowest).
-  void repartition();
-  void take_checkpoint(int iteration, const dopf::core::AdmmResult& result,
-                       int recorded);
-  /// Handle kill / retry-exhaustion faults scheduled at `iteration`.
-  /// Returns true when a failover rolled the state back (the caller must
-  /// rewind its iteration counter to checkpoint_.iteration + 1).
-  bool process_device_faults(int iteration, dopf::core::AdmmResult* result,
-                             int* recorded);
-  void fail_over(std::size_t device, dopf::core::AdmmResult* result,
-                 int* recorded);
-  /// Degraded-mode health pass for `iteration`: feed every device's
-  /// observations to its tracker, mark stale devices, and execute pending
-  /// quarantines/readmissions. Returns true when this iteration runs
-  /// degraded (some device stale or quarantined).
-  bool degrade_step(int iteration);
-  /// Freeze a stale device's contribution: restore its z slices to the
-  /// previous iterate (called after z_prev_/z_ swapped).
-  void keep_stale_contribution(std::size_t d);
+  std::vector<dopf::core::ResidualSums> partials_;
 };
 
 }  // namespace dopf::simt

@@ -85,7 +85,7 @@ StreamResult StreamDriver::run() {
         dopf::runtime::resolve_checkpoint(options_.resume_path,
                                           options_.durable);
     if (loaded.fell_back) result.resume_fallback = loaded.diagnostic;
-    const auto ck = std::move(loaded.checkpoint);
+    auto ck = std::move(loaded.checkpoint);
     const int k = ck.iteration;  // stream checkpoints store the step index
     if (k < 0 || k >= profile_->num_steps) {
       throw StreamError(k, "checkpoint step out of range (steps " +
@@ -108,8 +108,8 @@ StreamResult StreamDriver::run() {
     } catch (const dopf::runtime::CheckpointError& e) {
       throw StreamError(k, e.what());
     }
-    session.solver().restore_state(0, ck.rho, ck.x, ck.z, ck.z_prev,
-                                   ck.lambda);
+    ck.iteration = 0;  // the step's warm solve starts a fresh count
+    session.solver().restore_state(ck);
     session.mark_warm();
     result.first_step = k + 1;
   }

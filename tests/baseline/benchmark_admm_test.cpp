@@ -143,5 +143,20 @@ TEST(BenchmarkAdmmTest, PerIterationLocalUpdateCostsExceedSolverFree) {
   EXPECT_GT(rb.timing.local_update, 2.0 * ro.timing.local_update);
 }
 
+TEST(BenchmarkAdmmTest, PreCancelledTokenReturnsCancelled) {
+  // The baseline polls the cancellation token at the check cadence, like
+  // the solver-free driver: signals and deadlines stop it too.
+  dopf::core::CancelToken cancel;
+  cancel.request("test cancel");
+  AdmmOptions opt;
+  opt.check_every = 5;
+  opt.cancel = &cancel;
+  BenchmarkAdmm admm(fixture().problem, opt);
+  const AdmmResult res = admm.solve();
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.status, dopf::core::AdmmStatus::kCancelled);
+  EXPECT_EQ(res.iterations, 5);
+}
+
 }  // namespace
 }  // namespace dopf::baseline

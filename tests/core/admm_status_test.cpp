@@ -193,71 +193,6 @@ TEST(AdmmWarmStartTest, SizeMismatchThrows) {
   EXPECT_THROW(admm.warm_start(x, bad_lambda), std::invalid_argument);
 }
 
-TEST(AdmmAsyncTest, PartialParticipationStillConverges) {
-  // With 70% of agents responding per round, consensus still forms — it
-  // just takes more rounds than the synchronous algorithm.
-  AdmmOptions sync;
-  SolverFreeAdmm s(problem(), sync);
-  const AdmmResult rs = s.solve();
-
-  AdmmOptions async = sync;
-  async.async_fraction = 0.7;
-  async.max_iterations = 400000;
-  SolverFreeAdmm a(problem(), async);
-  const AdmmResult ra = a.solve();
-
-  ASSERT_TRUE(rs.converged);
-  ASSERT_TRUE(ra.converged);
-  EXPECT_GT(ra.iterations, rs.iterations);
-  EXPECT_NEAR(ra.objective, rs.objective,
-              0.05 * (1.0 + std::abs(rs.objective)));
-}
-
-TEST(AdmmAsyncTest, DeterministicForFixedSeed) {
-  AdmmOptions opt;
-  opt.async_fraction = 0.5;
-  opt.max_iterations = 200;
-  opt.check_every = 1000;
-  SolverFreeAdmm a(problem(), opt);
-  SolverFreeAdmm b(problem(), opt);
-  const AdmmResult ra = a.solve();
-  const AdmmResult rb = b.solve();
-  for (std::size_t i = 0; i < ra.x.size(); ++i) {
-    ASSERT_EQ(ra.x[i], rb.x[i]);
-  }
-}
-
-TEST(AdmmAsyncTest, DifferentSeedsDiffer) {
-  AdmmOptions opt;
-  opt.async_fraction = 0.5;
-  opt.max_iterations = 200;
-  opt.check_every = 1000;
-  SolverFreeAdmm a(problem(), opt);
-  opt.async_seed = 2;
-  SolverFreeAdmm b(problem(), opt);
-  const AdmmResult ra = a.solve();
-  const AdmmResult rb = b.solve();
-  bool differs = false;
-  for (std::size_t i = 0; i < ra.x.size() && !differs; ++i) {
-    differs = ra.x[i] != rb.x[i];
-  }
-  EXPECT_TRUE(differs);
-}
-
-TEST(AdmmAsyncTest, FullParticipationMatchesSynchronousExactly) {
-  AdmmOptions opt;
-  opt.max_iterations = 100;
-  opt.check_every = 1000;
-  SolverFreeAdmm sync(problem(), opt);
-  opt.async_fraction = 1.0;  // boundary: must take the synchronous path
-  SolverFreeAdmm async(problem(), opt);
-  const AdmmResult rs = sync.solve();
-  const AdmmResult ra = async.solve();
-  for (std::size_t i = 0; i < rs.x.size(); ++i) {
-    ASSERT_EQ(rs.x[i], ra.x[i]);
-  }
-}
-
 TEST(AdmmStatusTest, StatusNamesAreStable) {
   EXPECT_STREQ(to_string(AdmmStatus::kConverged), "converged");
   EXPECT_STREQ(to_string(AdmmStatus::kIterationLimit), "iteration-limit");

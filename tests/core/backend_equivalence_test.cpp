@@ -1,21 +1,24 @@
-// Cross-backend bit-identity: the serial, threaded (any thread count), and
-// SIMT execution backends run the same core::kernels expressions over the
-// same packed pool with the same deterministic residual reduction, so the
-// residual history and final iterate must be byte-identical — not merely
-// close — on every instance.
+// Cross-backend bit-identity: the serial, threaded (any thread count), SIMT
+// and multi-device execution backends run the same core::kernels
+// expressions over the same packed pool with the same deterministic
+// residual reduction, so the residual history and final iterate must be
+// byte-identical — not merely close — on every instance.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/admm.hpp"
 #include "core/backend.hpp"
+#include "core/solve_session.hpp"
 #include "feeders/ieee13.hpp"
 #include "feeders/synthetic.hpp"
 #include "opf/decompose.hpp"
 #include "runtime/threaded_backend.hpp"
-#include "simt/gpu_admm.hpp"
+#include "simt/multi_device.hpp"
+#include "simt/simt_backend.hpp"
 
 namespace dopf::core {
 namespace {
@@ -71,11 +74,14 @@ void check_all_backends(const DistributedProblem& problem, int iterations) {
                                         : "threaded(16)");
   }
 
-  dopf::simt::GpuAdmmOptions gpu_opt;
-  gpu_opt.admm = opt;
-  dopf::simt::GpuSolverFreeAdmm gpu(problem, gpu_opt);
-  const AdmmResult simt = gpu.solve();
+  const AdmmResult simt = run_with_backend(
+      problem, opt, std::make_unique<dopf::simt::SimtBackend>());
   expect_bit_identical(serial, simt, "simt");
+
+  SolverFreeAdmm multi(problem, opt);
+  multi.set_backend(std::make_unique<dopf::simt::MultiDeviceBackend>(
+      multi.packed(), dopf::simt::MultiGpuOptions{}));
+  expect_bit_identical(serial, multi.solve(), "multigpu(2)");
 }
 
 TEST(BackendEquivalenceTest, Ieee13ResidualHistoriesByteIdentical) {
@@ -142,10 +148,11 @@ TEST(BackendEquivalenceTest, ZeroIterationSolveIsIdenticalAndInert) {
       problem, opt, dopf::runtime::make_threaded_backend(8));
   expect_bit_identical(serial, threaded, "threaded(8), zero iterations");
 
-  dopf::simt::GpuAdmmOptions gpu_opt;
-  gpu_opt.admm = opt;
-  dopf::simt::GpuSolverFreeAdmm gpu(problem, gpu_opt);
-  expect_bit_identical(serial, gpu.solve(), "simt, zero iterations");
+  expect_bit_identical(
+      serial,
+      run_with_backend(problem, opt,
+                       std::make_unique<dopf::simt::SimtBackend>()),
+      "simt, zero iterations");
 }
 
 TEST(BackendEquivalenceTest, BackendsReportTheirNames) {
@@ -157,6 +164,36 @@ TEST(BackendEquivalenceTest, BackendsReportTheirNames) {
   EXPECT_STREQ(admm.backend().name(), "threaded");
   admm.set_backend(nullptr);  // restores the built-in serial backend
   EXPECT_STREQ(admm.backend().name(), "serial");
+}
+
+TEST(BackendEquivalenceTest, ExtensionOptionsRejectNonSerialBackends) {
+  // relaxation and quantize_bits run a serial-only path that would bypass
+  // any other backend, so attaching one is an error, not a silent no-op.
+  const dopf::network::Network net = dopf::feeders::ieee13();
+  const DistributedProblem problem = dopf::opf::decompose(net);
+  AdmmOptions relaxed;
+  relaxed.relaxation = 1.6;
+  AdmmOptions quantized;
+  quantized.quantize_bits = 8;
+  for (const AdmmOptions& opt : {relaxed, quantized}) {
+    SolverFreeAdmm admm(problem, opt);
+    EXPECT_THROW(admm.set_backend(dopf::runtime::make_threaded_backend(2)),
+                 std::invalid_argument);
+    EXPECT_THROW(admm.set_backend(std::make_unique<dopf::simt::SimtBackend>()),
+                 std::invalid_argument);
+    EXPECT_THROW(admm.set_backend(
+                     std::make_unique<dopf::simt::MultiDeviceBackend>(
+                         admm.packed(), dopf::simt::MultiGpuOptions{})),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(admm.set_backend(make_serial_backend()));
+    EXPECT_NO_THROW(admm.set_backend(nullptr));
+
+    SolveModel model(problem, opt.projector);
+    ScenarioBinding binding(model);
+    SolveSession session(binding, opt);
+    EXPECT_THROW(session.set_backend(dopf::runtime::make_threaded_backend(2)),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <memory>
 #include <string>
 #include <vector>
@@ -402,8 +403,13 @@ TEST(KernelImageTest, SolveWithSparseChecksAndTimersMatchesReference) {
 
 TEST(KernelImageTest, RelaxedExtensionPathMatchesReference) {
   check_solve(problem("synthetic"), 1.6, make_serial_backend());
-  check_solve(problem("synthetic"), 1.6,
-              dopf::runtime::make_threaded_backend(3));
+  // The extension path is serial-only: a threaded backend, which it would
+  // bypass, is rejected instead of silently ignored.
+  AdmmOptions opt;
+  opt.relaxation = 1.6;
+  SolverFreeAdmm admm(problem("synthetic"), opt);
+  EXPECT_THROW(admm.set_backend(dopf::runtime::make_threaded_backend(3)),
+               std::invalid_argument);
 }
 
 TEST(KernelImageTest, Ieee13FingerprintMatchesCommittedCheckpoint) {

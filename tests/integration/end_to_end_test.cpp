@@ -13,7 +13,7 @@
 #include "feeders/synthetic.hpp"
 #include "opf/stats.hpp"
 #include "runtime/instances.hpp"
-#include "simt/gpu_admm.hpp"
+#include "simt/simt_backend.hpp"
 #include "solver/reference.hpp"
 
 namespace {
@@ -65,9 +65,8 @@ TEST(EndToEndTest, GpuPathMatchesCpuOnIeee123) {
   opt.max_iterations = 300;
   opt.check_every = 50;
   SolverFreeAdmm cpu(inst.problem, opt);
-  dopf::simt::GpuAdmmOptions gopt;
-  gopt.admm = opt;
-  dopf::simt::GpuSolverFreeAdmm gpu(inst.problem, gopt);
+  SolverFreeAdmm gpu(inst.problem, opt);
+  gpu.set_backend(std::make_unique<dopf::simt::SimtBackend>());
   const AdmmResult rc = cpu.solve();
   const AdmmResult rg = gpu.solve();
   for (std::size_t i = 0; i < rc.x.size(); ++i) {

@@ -7,7 +7,7 @@
 #include "core/admm.hpp"
 #include "feeders/ieee13.hpp"
 #include "multiperiod/multiperiod.hpp"
-#include "simt/gpu_admm.hpp"
+#include "simt/simt_backend.hpp"
 
 namespace {
 
@@ -30,9 +30,8 @@ TEST(MultiPeriodGpuTest, GpuMatchesCpuOnStackedProblem) {
   opt.max_iterations = 400;
   opt.check_every = 100;
   dopf::core::SolverFreeAdmm cpu(mp.problem, opt);
-  dopf::simt::GpuAdmmOptions gopt;
-  gopt.admm = opt;
-  dopf::simt::GpuSolverFreeAdmm gpu(mp.problem, gopt);
+  dopf::core::SolverFreeAdmm gpu(mp.problem, opt);
+  gpu.set_backend(std::make_unique<dopf::simt::SimtBackend>());
 
   const auto rc = cpu.solve();
   const auto rg = gpu.solve();
@@ -59,12 +58,11 @@ TEST(MultiPeriodGpuTest, StorageComponentDominatesKernelSpan) {
     dopf::core::AdmmOptions opt;
     opt.max_iterations = 10;
     opt.check_every = 100;
-    dopf::simt::GpuAdmmOptions gopt;
-    gopt.admm = opt;
-    gopt.threads_per_block = threads;
-    dopf::simt::GpuSolverFreeAdmm gpu(mp.problem, gopt);
-    gpu.solve();
-    return gpu.kernel_averages().local_update;
+    dopf::core::SolverFreeAdmm gpu(mp.problem, opt);
+    gpu.set_backend(std::make_unique<dopf::simt::SimtBackend>(
+        dopf::simt::Device(), dopf::simt::SimtBackend::Config{threads, 256}));
+    const auto timing = gpu.solve().timing;
+    return timing.local_update / timing.iterations;
   };
   const double t1 = kernel_time(1);
   const double t64 = kernel_time(64);

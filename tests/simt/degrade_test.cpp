@@ -1,4 +1,4 @@
-/// Degraded-mode consensus on the simulated multi-device solver: a
+/// Degraded-mode consensus on the simulated multi-device backend: a
 /// persistently slow device is carried with stale contributions up to the
 /// staleness bound, quarantined past it, readmitted after probation when it
 /// recovers, and the whole schedule is deterministic. A healthy run with
@@ -11,7 +11,7 @@
 #include "opf/decompose.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/health.hpp"
-#include "simt/multi_gpu.hpp"
+#include "multi_device_solve.hpp"
 
 namespace dopf::simt {
 namespace {
@@ -27,10 +27,15 @@ const dopf::opf::DistributedProblem& problem() {
   return p;
 }
 
-MultiGpuOptions base_options(int max_iters = 5000) {
+dopf::core::AdmmOptions admm_options(int max_iters = 5000) {
+  dopf::core::AdmmOptions opt;
+  opt.max_iterations = max_iters;
+  opt.check_every = 10;
+  return opt;
+}
+
+MultiGpuOptions base_options() {
   MultiGpuOptions mo;
-  mo.gpu.admm.max_iterations = max_iters;
-  mo.gpu.admm.check_every = 10;
   mo.num_devices = 3;
   return mo;
 }
@@ -58,17 +63,17 @@ TEST(DegradeTest, PersistentStragglerTerminatesUnderDegrade) {
   auto mo = base_options();
   mo.faults = FaultPlan::parse("straggle:device=1,from=30,factor=64");
   mo.degrade.enabled = true;
-  MultiGpuSolverFreeAdmm admm(problem(), mo);
+  MultiDeviceSolve admm(problem(), admm_options(), mo);
   const AdmmResult res = admm.solve();
 
   EXPECT_TRUE(res.converged) << to_string(res.status);
-  EXPECT_GT(admm.degraded_iterations(), 0);
-  EXPECT_EQ(admm.quarantines(), 1);
-  EXPECT_EQ(admm.readmissions(), 0);
-  EXPECT_EQ(admm.device_health(1).state(), DeviceState::kQuarantined);
-  EXPECT_EQ(res.timing.degraded_iterations, admm.degraded_iterations());
+  EXPECT_GT(admm->degraded_iterations(), 0);
+  EXPECT_EQ(admm->quarantines(), 1);
+  EXPECT_EQ(admm->readmissions(), 0);
+  EXPECT_EQ(admm->device_health(1).state(), DeviceState::kQuarantined);
+  EXPECT_EQ(res.timing.degraded_iterations, admm->degraded_iterations());
   EXPECT_GT(res.timing.degrade, 0.0);
-  EXPECT_EQ(admm.failovers(), 0);  // degrade handled it, not failover
+  EXPECT_EQ(admm->failovers(), 0);  // degrade handled it, not failover
 }
 
 TEST(DegradeTest, DegradedScheduleIsDeterministic) {
@@ -78,15 +83,15 @@ TEST(DegradeTest, DegradedScheduleIsDeterministic) {
     mo.degrade.enabled = true;
     return mo;
   };
-  MultiGpuSolverFreeAdmm a(problem(), make());
-  MultiGpuSolverFreeAdmm b(problem(), make());
+  MultiDeviceSolve a(problem(), admm_options(), make());
+  MultiDeviceSolve b(problem(), admm_options(), make());
   const AdmmResult ra = a.solve();
   const AdmmResult rb = b.solve();
   expect_identical_run(ra, rb);
-  EXPECT_EQ(a.degraded_iterations(), b.degraded_iterations());
-  EXPECT_EQ(a.quarantines(), b.quarantines());
-  EXPECT_EQ(a.readmissions(), b.readmissions());
-  EXPECT_EQ(a.degrade_seconds(), b.degrade_seconds());
+  EXPECT_EQ(a->degraded_iterations(), b->degraded_iterations());
+  EXPECT_EQ(a->quarantines(), b->quarantines());
+  EXPECT_EQ(a->readmissions(), b->readmissions());
+  EXPECT_EQ(a->degrade_seconds(), b->degrade_seconds());
 }
 
 TEST(DegradeTest, BoundedStragglerIsQuarantinedThenReadmitted) {
@@ -96,14 +101,14 @@ TEST(DegradeTest, BoundedStragglerIsQuarantinedThenReadmitted) {
   auto mo = base_options();
   mo.faults = FaultPlan::parse("straggle:device=1,from=30,until=120,factor=64");
   mo.degrade.enabled = true;
-  MultiGpuSolverFreeAdmm admm(problem(), mo);
+  MultiDeviceSolve admm(problem(), admm_options(), mo);
   const AdmmResult res = admm.solve();
 
   EXPECT_TRUE(res.converged) << to_string(res.status);
-  EXPECT_EQ(admm.quarantines(), 1);
-  EXPECT_EQ(admm.readmissions(), 1);
-  EXPECT_TRUE(admm.device_health(1).participating());
-  EXPECT_GT(admm.degraded_iterations(), 0);
+  EXPECT_EQ(admm->quarantines(), 1);
+  EXPECT_EQ(admm->readmissions(), 1);
+  EXPECT_TRUE(admm->device_health(1).participating());
+  EXPECT_GT(admm->degraded_iterations(), 0);
 }
 
 TEST(DegradeTest, StalenessBoundControlsQuarantine) {
@@ -113,46 +118,46 @@ TEST(DegradeTest, StalenessBoundControlsQuarantine) {
   mo.faults = FaultPlan::parse("straggle:device=2,from=40,until=50,factor=64");
   mo.degrade.enabled = true;
   mo.degrade.staleness_bound = 100;
-  MultiGpuSolverFreeAdmm admm(problem(), mo);
+  MultiDeviceSolve admm(problem(), admm_options(), mo);
   const AdmmResult res = admm.solve();
 
   EXPECT_TRUE(res.converged) << to_string(res.status);
-  EXPECT_EQ(admm.quarantines(), 0);
-  EXPECT_EQ(admm.readmissions(), 0);
-  EXPECT_GT(admm.degraded_iterations(), 0);
-  EXPECT_TRUE(admm.device_health(2).participating());
+  EXPECT_EQ(admm->quarantines(), 0);
+  EXPECT_EQ(admm->readmissions(), 0);
+  EXPECT_GT(admm->degraded_iterations(), 0);
+  EXPECT_TRUE(admm->device_health(2).participating());
 }
 
 TEST(DegradeTest, HealthyRunWithDegradeEnabledIsByteIdentical) {
   // Enabling the policy must cost nothing on a healthy fleet: same
   // trajectory, bit for bit, and zero degraded iterations.
-  MultiGpuSolverFreeAdmm plain(problem(), base_options());
+  MultiDeviceSolve plain(problem(), admm_options(), base_options());
   const AdmmResult ref = plain.solve();
 
   auto mo = base_options();
   mo.degrade.enabled = true;
-  MultiGpuSolverFreeAdmm guarded(problem(), mo);
+  MultiDeviceSolve guarded(problem(), admm_options(), mo);
   const AdmmResult res = guarded.solve();
 
   expect_identical_run(ref, res);
-  EXPECT_EQ(guarded.degraded_iterations(), 0);
-  EXPECT_EQ(guarded.quarantines(), 0);
-  EXPECT_EQ(guarded.degrade_seconds(), 0.0);
+  EXPECT_EQ(guarded->degraded_iterations(), 0);
+  EXPECT_EQ(guarded->quarantines(), 0);
+  EXPECT_EQ(guarded->degrade_seconds(), 0.0);
 }
 
 TEST(DegradeTest, PersistentStragglerWithoutDegradeOnlyCostsTime) {
   // Control: with the policy off, a persistent straggler is the PR-3
   // behavior — simulated time grows, the math is untouched.
-  MultiGpuSolverFreeAdmm clean(problem(), base_options(120));
+  MultiDeviceSolve clean(problem(), admm_options(120), base_options());
   const AdmmResult ref = clean.solve();
 
-  auto mo = base_options(120);
+  auto mo = base_options();
   mo.faults = FaultPlan::parse("straggle:device=1,from=30,factor=64");
-  MultiGpuSolverFreeAdmm faulted(problem(), mo);
+  MultiDeviceSolve faulted(problem(), admm_options(120), mo);
   const AdmmResult res = faulted.solve();
 
   expect_identical_run(ref, res);
-  EXPECT_EQ(faulted.degraded_iterations(), 0);
+  EXPECT_EQ(faulted->degraded_iterations(), 0);
   EXPECT_GT(res.timing.local_update, ref.timing.local_update);
 }
 
@@ -160,14 +165,14 @@ TEST(DegradeTest, DegradedSolutionStaysCloseToClean) {
   // Stale contributions perturb the trajectory, but the fixed point is the
   // same problem: the degraded solution must agree with the clean one to
   // engineering accuracy.
-  MultiGpuSolverFreeAdmm clean(problem(), base_options());
+  MultiDeviceSolve clean(problem(), admm_options(), base_options());
   const AdmmResult ref = clean.solve();
   ASSERT_TRUE(ref.converged);
 
   auto mo = base_options();
   mo.faults = FaultPlan::parse("straggle:device=1,from=30,factor=64");
   mo.degrade.enabled = true;
-  MultiGpuSolverFreeAdmm degraded(problem(), mo);
+  MultiDeviceSolve degraded(problem(), admm_options(), mo);
   const AdmmResult res = degraded.solve();
   ASSERT_TRUE(res.converged);
 
@@ -191,13 +196,13 @@ TEST(DegradeTest, RepeatedFailuresQuarantineWithoutStraggle) {
   mo.faults = FaultPlan::parse("drop:device=2,from=30");
   mo.recovery.max_retries = 2;
   mo.degrade.enabled = true;
-  MultiGpuSolverFreeAdmm admm(problem(), mo);
+  MultiDeviceSolve admm(problem(), admm_options(), mo);
   const AdmmResult res = admm.solve();
 
   EXPECT_TRUE(res.converged) << to_string(res.status);
-  EXPECT_EQ(admm.quarantines(), 1);
-  EXPECT_EQ(admm.failovers(), 0);
-  EXPECT_GT(admm.degraded_iterations(), 0);
+  EXPECT_EQ(admm->quarantines(), 1);
+  EXPECT_EQ(admm->failovers(), 0);
+  EXPECT_GT(admm->degraded_iterations(), 0);
 }
 
 }  // namespace

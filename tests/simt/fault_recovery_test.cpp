@@ -1,5 +1,5 @@
 /// Fault injection and deterministic recovery on the simulated multi-device
-/// solver: a killed device fails over from the last checkpoint and the
+/// backend: a killed device fails over from the last restart point and the
 /// recovered run stays bit-identical to the fault-free one; drops and
 /// stragglers move only simulated time; undetected corruption perturbs the
 /// trajectory (which is what the golden comparator must catch).
@@ -13,7 +13,7 @@
 #include "opf/decompose.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/fault.hpp"
-#include "simt/multi_gpu.hpp"
+#include "multi_device_solve.hpp"
 
 namespace dopf::simt {
 namespace {
@@ -30,10 +30,15 @@ const dopf::opf::DistributedProblem& problem() {
   return p;
 }
 
-MultiGpuOptions base_options(int max_iters = 120) {
+dopf::core::AdmmOptions admm_options(int max_iters = 120) {
+  dopf::core::AdmmOptions opt;
+  opt.max_iterations = max_iters;
+  opt.check_every = 10;
+  return opt;
+}
+
+MultiGpuOptions base_options() {
   MultiGpuOptions mo;
-  mo.gpu.admm.max_iterations = max_iters;
-  mo.gpu.admm.check_every = 10;
   mo.num_devices = 3;
   return mo;
 }
@@ -56,111 +61,108 @@ void expect_identical_run(const AdmmResult& a, const AdmmResult& b) {
 }
 
 TEST(FaultRecoveryTest, KillFailoverReplaysBitIdentically) {
-  MultiGpuSolverFreeAdmm clean(problem(), base_options());
+  MultiDeviceSolve clean(problem(), admm_options(), base_options());
   const AdmmResult ref = clean.solve();
 
   auto mo = base_options();
   mo.faults = FaultPlan::parse("kill:device=1,iter=60");
-  mo.checkpoint_every = 25;
-  MultiGpuSolverFreeAdmm faulted(problem(), mo);
+  MultiDeviceSolve faulted(problem(), admm_options(), mo, 25);
   const AdmmResult res = faulted.solve();
 
   expect_identical_run(ref, res);
-  EXPECT_EQ(faulted.failovers(), 1);
-  EXPECT_EQ(faulted.alive_devices(), 2u);
-  EXPECT_GT(faulted.recovery_seconds(), 0.0);
-  EXPECT_EQ(res.timing.recovery, faulted.recovery_seconds());
+  EXPECT_EQ(faulted->failovers(), 1);
+  EXPECT_EQ(faulted->alive_devices(), 2u);
+  EXPECT_GT(faulted->recovery_seconds(), 0.0);
+  EXPECT_EQ(res.timing.recovery, faulted->recovery_seconds());
   // The replayed iterations make the faulted run's simulated total larger.
   EXPECT_GT(res.timing.total(), ref.timing.total());
 }
 
 TEST(FaultRecoveryTest, KillingTheAggregatorFailsOverToo) {
-  MultiGpuSolverFreeAdmm clean(problem(), base_options());
+  MultiDeviceSolve clean(problem(), admm_options(), base_options());
   const AdmmResult ref = clean.solve();
 
   auto mo = base_options();
   mo.faults = FaultPlan::parse("kill:device=0,iter=40");
-  mo.checkpoint_every = 20;
-  MultiGpuSolverFreeAdmm faulted(problem(), mo);
+  MultiDeviceSolve faulted(problem(), admm_options(), mo, 20);
   const AdmmResult res = faulted.solve();
   expect_identical_run(ref, res);
-  EXPECT_EQ(faulted.failovers(), 1);
+  EXPECT_EQ(faulted->failovers(), 1);
 }
 
 TEST(FaultRecoveryTest, BackToBackKillsSurviveOnTheLastDevice) {
-  MultiGpuSolverFreeAdmm clean(problem(), base_options());
+  MultiDeviceSolve clean(problem(), admm_options(), base_options());
   const AdmmResult ref = clean.solve();
 
   auto mo = base_options();
   mo.faults = FaultPlan::parse("kill:device=1,iter=30;kill:device=2,iter=50");
-  mo.checkpoint_every = 10;
-  MultiGpuSolverFreeAdmm faulted(problem(), mo);
+  MultiDeviceSolve faulted(problem(), admm_options(), mo, 10);
   const AdmmResult res = faulted.solve();
   expect_identical_run(ref, res);
-  EXPECT_EQ(faulted.failovers(), 2);
-  EXPECT_EQ(faulted.alive_devices(), 1u);
+  EXPECT_EQ(faulted->failovers(), 2);
+  EXPECT_EQ(faulted->alive_devices(), 1u);
 }
 
 TEST(FaultRecoveryTest, KillWithoutFailoverThrows) {
   auto mo = base_options();
   mo.faults = FaultPlan::parse("kill:device=1,iter=20");
   mo.recovery.failover = false;
-  MultiGpuSolverFreeAdmm admm(problem(), mo);
+  MultiDeviceSolve admm(problem(), admm_options(), mo);
   EXPECT_THROW(admm.solve(), FaultError);
 }
 
 TEST(FaultRecoveryTest, RetryBudgetExhaustionEscalatesToFailover) {
-  MultiGpuSolverFreeAdmm clean(problem(), base_options());
+  MultiDeviceSolve clean(problem(), admm_options(), base_options());
   const AdmmResult ref = clean.solve();
 
   auto mo = base_options();
   mo.faults = FaultPlan::parse("drop:device=2,iter=35,count=9");
   mo.recovery.max_retries = 3;
-  mo.checkpoint_every = 30;
-  MultiGpuSolverFreeAdmm faulted(problem(), mo);
+  MultiDeviceSolve faulted(problem(), admm_options(), mo, 30);
   const AdmmResult res = faulted.solve();
   expect_identical_run(ref, res);
-  EXPECT_EQ(faulted.failovers(), 1);
-  EXPECT_EQ(faulted.alive_devices(), 2u);
+  EXPECT_EQ(faulted->failovers(), 1);
+  EXPECT_EQ(faulted->alive_devices(), 2u);
 }
 
 TEST(FaultRecoveryTest, DropsAndStragglersMoveOnlySimulatedTime) {
-  MultiGpuSolverFreeAdmm clean(problem(), base_options());
+  MultiDeviceSolve clean(problem(), admm_options(), base_options());
   const AdmmResult ref = clean.solve();
 
   auto mo = base_options();
   mo.faults = FaultPlan::parse(
       "drop:device=1,iter=15,count=2;"
       "straggle:device=2,iter=10,until=40,factor=8");
-  MultiGpuSolverFreeAdmm faulted(problem(), mo);
+  MultiDeviceSolve faulted(problem(), admm_options(), mo);
   const AdmmResult res = faulted.solve();
 
   expect_identical_run(ref, res);
-  EXPECT_EQ(faulted.failovers(), 0);
-  EXPECT_EQ(faulted.message_retries(), 2);
+  EXPECT_EQ(faulted->failovers(), 0);
+  EXPECT_EQ(faulted->message_retries(), 2);
   EXPECT_GT(res.timing.local_update, ref.timing.local_update);
 }
 
 TEST(FaultRecoveryTest, DetectedCorruptionIsResentIntact) {
-  MultiGpuSolverFreeAdmm clean(problem(), base_options());
+  MultiDeviceSolve clean(problem(), admm_options(), base_options());
   const AdmmResult ref = clean.solve();
 
   auto mo = base_options();
   mo.faults = FaultPlan::parse("corrupt:device=1,iter=25,scale=64");
-  MultiGpuSolverFreeAdmm faulted(problem(), mo);  // verify_messages default on
+  // verify_messages default on
+  MultiDeviceSolve faulted(problem(), admm_options(), mo);
   const AdmmResult res = faulted.solve();
   expect_identical_run(ref, res);
-  EXPECT_EQ(faulted.message_retries(), 1);
+  EXPECT_EQ(faulted->message_retries(), 1);
 }
 
 TEST(FaultRecoveryTest, UndetectedCorruptionPerturbsTheTrajectory) {
-  MultiGpuSolverFreeAdmm clean(problem(), base_options());
+  MultiDeviceSolve clean(problem(), admm_options(), base_options());
   const AdmmResult ref = clean.solve();
 
   auto mo = base_options();
   mo.faults = FaultPlan::parse("corrupt:device=1,iter=25,scale=64");
   mo.recovery.verify_messages = false;
-  MultiGpuSolverFreeAdmm faulted(problem(), mo);
+  MultiDeviceSolve faulted(problem(), admm_options(), mo);
   const AdmmResult res = faulted.solve();
 
   bool differs = false;
@@ -175,8 +177,7 @@ TEST(FaultRecoveryTest, CheckpointFromCoreSolverResumesMultiGpu) {
   // Cross-backend restart: capture the serial solver's state at iteration
   // 50, restore it into the multi-device solver, and finish. The combined
   // trajectory must equal the uninterrupted multi-device run bit for bit.
-  auto mo = base_options(100);
-  MultiGpuSolverFreeAdmm full(problem(), mo);
+  MultiDeviceSolve full(problem(), admm_options(100), base_options());
   const AdmmResult ref = full.solve();
 
   dopf::core::AdmmOptions opt;
@@ -191,8 +192,8 @@ TEST(FaultRecoveryTest, CheckpointFromCoreSolverResumesMultiGpu) {
   serial.solve();
   ASSERT_EQ(ck.iteration, 50);
 
-  MultiGpuSolverFreeAdmm resumed(problem(), mo);
-  resumed.restore_state(ck);
+  MultiDeviceSolve resumed(problem(), admm_options(100), base_options());
+  ck.restore(&resumed.admm, "ieee13");
   const AdmmResult res = resumed.solve();
   EXPECT_EQ(res.iterations, ref.iterations);
   ASSERT_EQ(res.x.size(), ref.x.size());
@@ -204,23 +205,27 @@ TEST(FaultRecoveryTest, CheckpointFromCoreSolverResumesMultiGpu) {
 }
 
 TEST(FaultRecoveryTest, ConvergedRunsReportConvergedStatus) {
+  dopf::core::AdmmOptions opt;
+  opt.check_every = 10;
   MultiGpuOptions mo;
-  mo.gpu.admm.check_every = 10;
   mo.num_devices = 2;
-  MultiGpuSolverFreeAdmm admm(problem(), mo);
+  MultiDeviceSolve admm(problem(), opt, mo);
   const AdmmResult res = admm.solve();
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.status, AdmmStatus::kConverged);
 }
 
 TEST(FaultRecoveryTest, PeriodicCheckpointWritesFile) {
-  auto mo = base_options(60);
-  mo.checkpoint_every = 20;
-  mo.checkpoint_path = ::testing::TempDir() + "/dopf_mgpu_test.ckpt";
-  mo.label = "ieee13";
-  MultiGpuSolverFreeAdmm admm(problem(), mo);
+  // The driver's checkpoint hook persists multi-device runs like any other.
+  const std::string path = ::testing::TempDir() + "/dopf_mgpu_test.ckpt";
+  MultiDeviceSolve admm(problem(), admm_options(60), base_options());
+  admm.admm.set_checkpoint_hook(
+      20, [&](const dopf::core::SolverFreeAdmm& solver, int iteration) {
+        dopf::runtime::save_checkpoint(
+            AdmmCheckpoint::capture(solver, iteration, "ieee13"), path);
+      });
   admm.solve();
-  const AdmmCheckpoint ck = dopf::runtime::load_checkpoint(mo.checkpoint_path);
+  const AdmmCheckpoint ck = dopf::runtime::load_checkpoint(path);
   EXPECT_EQ(ck.label, "ieee13");
   EXPECT_EQ(ck.iteration, 60);
   EXPECT_EQ(ck.x.size(), problem().num_vars);

@@ -1,6 +1,12 @@
-#include "simt/gpu_admm.hpp"
+/// The simulated single-GPU path: core::SolverFreeAdmm driving a
+/// SimtBackend. Iterates match the CPU path bit for bit (the paper's Fig. 2
+/// property) and the driver reports the ledger's simulated seconds.
+
+#include "simt/simt_backend.hpp"
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "core/admm.hpp"
 #include "feeders/ieee13.hpp"
@@ -11,6 +17,8 @@ namespace {
 
 using dopf::core::AdmmOptions;
 using dopf::core::AdmmResult;
+using dopf::core::AdmmStatus;
+using dopf::core::PackedLocalSolvers;
 using dopf::core::SolverFreeAdmm;
 using dopf::opf::DistributedProblem;
 
@@ -24,10 +32,23 @@ const Fixture& fixture() {
   return f;
 }
 
+/// A SIMT solve: the one solver-free driver over a SimtBackend it owns.
+struct SimtSolve {
+  SimtSolve(const AdmmOptions& opt, int threads_per_block = 32)
+      : admm(fixture().problem, opt) {
+    auto owned = std::make_unique<SimtBackend>(
+        Device(), SimtBackend::Config{threads_per_block, 256});
+    backend = owned.get();
+    admm.set_backend(std::move(owned));
+  }
+  SolverFreeAdmm admm;
+  SimtBackend* backend = nullptr;
+};
+
 TEST(DeviceProblemTest, ImageShapesMatchProblem) {
   const auto& p = fixture().problem;
   const auto solvers = dopf::core::LocalSolvers::precompute(p);
-  const DeviceProblem img = DeviceProblem::build(p, solvers);
+  const PackedLocalSolvers img = PackedLocalSolvers::build(p, solvers);
   EXPECT_EQ(img.num_components(), p.num_components());
   EXPECT_EQ(img.num_global(), p.num_vars);
   EXPECT_EQ(img.total_local(), p.total_local_vars());
@@ -51,11 +72,9 @@ TEST(GpuAdmmTest, TrajectoriesBitIdenticalToCpu) {
   opt.max_iterations = 200;
   opt.check_every = 1000;  // no early exit
   SolverFreeAdmm cpu(fixture().problem, opt);
-  GpuAdmmOptions gopt;
-  gopt.admm = opt;
-  GpuSolverFreeAdmm gpu(fixture().problem, gopt);
+  SimtSolve gpu(opt);
   const AdmmResult rc = cpu.solve();
-  const AdmmResult rg = gpu.solve();
+  const AdmmResult rg = gpu.admm.solve();
   ASSERT_EQ(rc.x.size(), rg.x.size());
   for (std::size_t i = 0; i < rc.x.size(); ++i) {
     EXPECT_EQ(rc.x[i], rg.x[i]) << "global entry " << i;
@@ -67,12 +86,13 @@ TEST(GpuAdmmTest, ResidualTrajectoriesMatchCpu) {
   opt.eps_rel = 1e-3;
   opt.max_iterations = 5000;
   SolverFreeAdmm cpu(fixture().problem, opt);
-  GpuAdmmOptions gopt;
-  gopt.admm = opt;
-  GpuSolverFreeAdmm gpu(fixture().problem, gopt);
+  SimtSolve gpu(opt);
   const AdmmResult rc = cpu.solve();
-  const AdmmResult rg = gpu.solve();
+  const AdmmResult rg = gpu.admm.solve();
   EXPECT_EQ(rc.iterations, rg.iterations);
+  // One driver: a converged SIMT run reports converged, like the CPU.
+  EXPECT_EQ(rg.status, AdmmStatus::kConverged);
+  EXPECT_EQ(rc.status, rg.status);
   ASSERT_EQ(rc.history.size(), rg.history.size());
   for (std::size_t k = 0; k < rc.history.size(); ++k) {
     EXPECT_EQ(rc.history[k].primal_residual, rg.history[k].primal_residual);
@@ -86,11 +106,8 @@ TEST(GpuAdmmTest, ThreadCountDoesNotChangeResults) {
   opt.check_every = 1000;
   std::vector<double> reference;
   for (int threads : {1, 4, 32, 64}) {
-    GpuAdmmOptions gopt;
-    gopt.admm = opt;
-    gopt.threads_per_block = threads;
-    GpuSolverFreeAdmm gpu(fixture().problem, gopt);
-    const AdmmResult r = gpu.solve();
+    SimtSolve gpu(opt, threads);
+    const AdmmResult r = gpu.admm.solve();
     if (reference.empty()) {
       reference = r.x;
     } else {
@@ -108,12 +125,9 @@ TEST(GpuAdmmTest, MoreThreadsReduceSimulatedLocalTime) {
   opt.check_every = 1000;
   double prev = -1.0;
   for (int threads : {1, 8, 64}) {
-    GpuAdmmOptions gopt;
-    gopt.admm = opt;
-    gopt.threads_per_block = threads;
-    GpuSolverFreeAdmm gpu(fixture().problem, gopt);
-    gpu.solve();
-    const double t = gpu.kernel_averages().local_update;
+    SimtSolve gpu(opt, threads);
+    const AdmmResult r = gpu.admm.solve();
+    const double t = r.timing.local_update / r.timing.iterations;
     if (prev > 0.0) EXPECT_LT(t, prev) << "threads = " << threads;
     prev = t;
   }
@@ -122,35 +136,36 @@ TEST(GpuAdmmTest, MoreThreadsReduceSimulatedLocalTime) {
 TEST(GpuAdmmTest, LedgerAccumulatesAllKernels) {
   AdmmOptions opt;
   opt.max_iterations = 10;
-  GpuAdmmOptions gopt;
-  gopt.admm = opt;
-  GpuSolverFreeAdmm gpu(fixture().problem, gopt);
-  gpu.solve();
-  const auto& by = gpu.device().ledger().by_kernel;
+  SimtSolve gpu(opt);
+  gpu.admm.solve();
+  const auto& by = gpu.backend->device().ledger().by_kernel;
   EXPECT_GT(by.at("global_update"), 0.0);
   EXPECT_GT(by.at("local_update"), 0.0);
   EXPECT_GT(by.at("dual_update"), 0.0);
-  EXPECT_GT(gpu.device().ledger().transfer_seconds, 0.0);  // upload
+  EXPECT_GT(gpu.backend->device().ledger().transfer_seconds, 0.0);  // upload
 }
 
 TEST(GpuAdmmTest, KernelAveragesDivideByIterations) {
+  // The driver's timing holds the ledger's simulated seconds, so the
+  // per-iteration averages are the ledger totals over the iteration count.
   AdmmOptions opt;
   opt.max_iterations = 10;
   opt.check_every = 1000;
-  GpuAdmmOptions gopt;
-  gopt.admm = opt;
-  GpuSolverFreeAdmm gpu(fixture().problem, gopt);
-  gpu.solve();
-  const auto avg = gpu.kernel_averages();
-  const auto& by = gpu.device().ledger().by_kernel;
-  EXPECT_NEAR(avg.local_update, by.at("local_update") / 10.0, 1e-15);
-  EXPECT_GT(avg.total(), 0.0);
+  SimtSolve gpu(opt);
+  const AdmmResult r = gpu.admm.solve();
+  const auto& by = gpu.backend->device().ledger().by_kernel;
+  ASSERT_EQ(r.timing.iterations, 10);
+  EXPECT_NEAR(r.timing.local_update / r.timing.iterations,
+              by.at("local_update") / 10.0, 1e-15);
+  EXPECT_EQ(r.timing.global_update, by.at("global_update"));
+  EXPECT_EQ(r.timing.dual_update, by.at("dual_update"));
+  EXPECT_GT(r.timing.total(), 0.0);
 }
 
 TEST(LocalKernelCostTest, SubsetCostsAreMonotone) {
   const auto& p = fixture().problem;
   const auto solvers = dopf::core::LocalSolvers::precompute(p);
-  const DeviceProblem img = DeviceProblem::build(p, solvers);
+  const PackedLocalSolvers img = PackedLocalSolvers::build(p, solvers);
   const Device dev;
   std::vector<std::size_t> all(p.num_components());
   for (std::size_t s = 0; s < all.size(); ++s) all[s] = s;

@@ -78,7 +78,8 @@ echo "=== serve smoke (mixed requests + graceful drain) ==="
 sh tools/serve_smoke.sh ./build/tools/dopf_serve ./build/tools/dopf_client \
   ./build
 # Wide-ISA lane: on hosts with AVX2+FMA, rebuild Release for x86-64-v3 and
-# replay the golden traces. The SIMD kernels must stay bit-identical when
+# replay the golden traces, the checkpoint resumes and the failover rewind.
+# The SIMD kernels must stay bit-identical when
 # the compiler may use 256-bit registers and FMA instructions (the build
 # pins -ffp-contract=off; DESIGN.md §11). Only dopf_verify is built: the
 # golden gates are plain add_test entries.
@@ -90,7 +91,7 @@ if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
   cmake --build build-v3 -j "${JOBS}" --target dopf_verify
   echo "=== test build-v3 (golden traces) ==="
   ctest --test-dir build-v3 --output-on-failure -j "${JOBS}" \
-    -R 'verify_golden|verify_session_golden'
+    -R 'verify_golden|verify_session_golden|verify_resume|verify_fault_failover'
 else
   echo "=== skip build-v3: host lacks avx2/fma ==="
 fi

@@ -13,8 +13,10 @@
 //   --rho R               ADMM penalty (default 100)
 //   --eps E               relative tolerance (default 1e-3)
 //   --max-iters N         iteration cap (default 200000)
-//   --relaxation A        over-relaxation factor (default 1.0)
-//   --quantize-bits B     message quantization (default 0 = exact)
+//   --relaxation A        over-relaxation factor (default 1.0; serial
+//                         backend only)
+//   --quantize-bits B     message quantization (default 0 = exact; serial
+//                         backend only)
 //   --faults SPEC         deterministic fault schedule (multigpu only), e.g.
 //                         "kill:device=1,iter=137;straggle:device=2,iter=5,
 //                         until=20,factor=4" (see runtime/fault.hpp)
@@ -28,8 +30,11 @@
 //   --watchdog            enable the convergence watchdog (stall detection,
 //                         rho nudge, restart-from-best, kStalled)
 //   --checkpoint-every N  capture a restart checkpoint every N iterations
+//                         (multigpu refreshes its in-memory failover
+//                         restart point at this cadence even without FILE)
 //   --checkpoint FILE     checkpoint file to (over)write
-//   --resume FILE         restore state from FILE before solving
+//   --resume FILE         restore state from FILE before solving (any
+//                         solver-free backend)
 //   --preflight MODE      input sanitation + conditioning analysis before
 //                         solving: off | warn (default) | auto | strict.
 //                         warn reports and rejects only hard errors; auto
@@ -124,8 +129,8 @@
 #include "runtime/signals.hpp"
 #include "runtime/threaded_backend.hpp"
 #include "verify/codec.hpp"
-#include "simt/gpu_admm.hpp"
-#include "simt/multi_gpu.hpp"
+#include "simt/multi_device.hpp"
+#include "simt/simt_backend.hpp"
 #include "solver/reference.hpp"
 #include "stream/driver.hpp"
 #include "stream/profile.hpp"
@@ -644,6 +649,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: missing feeder input\n", argv[0]);
     usage(argv[0]);
   }
+  if ((opt.relaxation != 1.0 || opt.quantize_bits > 0) &&
+      backend != "serial") {
+    // The extensions run on a serial-only path; another backend would
+    // silently not execute them.
+    std::fprintf(stderr,
+                 "%s: --relaxation/--quantize-bits require --backend serial\n",
+                 argv[0]);
+    return 1;
+  }
   if (!fault_spec.empty() && backend != "multigpu") {
     std::fprintf(stderr, "%s: --faults requires --backend multigpu\n",
                  argv[0]);
@@ -837,55 +851,35 @@ int main(int argc, char** argv) {
       if (algorithm == "benchmark") {
         dopf::baseline::BenchmarkAdmm admm(problem, opt);
         res = admm.solve();
-      } else if (algorithm == "solver-free" && backend == "multigpu") {
-        dopf::simt::MultiGpuOptions mo;
-        mo.gpu.admm = opt;
-        mo.num_devices = static_cast<std::size_t>(std::max(1, devices));
-        mo.faults = dopf::runtime::FaultPlan::parse(fault_spec);
-        if (no_recovery) {
-          mo.recovery.failover = false;
-          mo.recovery.verify_messages = false;
-        }
-        mo.checkpoint_every = checkpoint_every;
-        mo.checkpoint_path = checkpoint_file;
-        mo.label = input;
-        mo.degrade.enabled = degrade;
-        if (staleness_bound >= 0) mo.degrade.staleness_bound = staleness_bound;
-        backend_label = "multigpu(" + std::to_string(mo.num_devices) + ")";
-        dopf::simt::MultiGpuSolverFreeAdmm admm(problem, mo);
-        if (!resume_file.empty()) {
-          admm.restore_state(dopf::runtime::load_checkpoint(resume_file));
-          ++run_io.reads;
-          std::printf("resumed from %s\n", resume_file.c_str());
-        }
-        res = admm.solve();
-        if (admm.failovers() > 0 || admm.message_retries() > 0) {
-          std::printf(
-              "fault recovery: %d failover(s), %d message retr%s, %zu/%zu "
-              "devices alive, %.2e simulated recovery seconds\n",
-              admm.failovers(), admm.message_retries(),
-              admm.message_retries() == 1 ? "y" : "ies", admm.alive_devices(),
-              admm.num_devices(), admm.recovery_seconds());
-        }
-        if (admm.degraded_iterations() > 0) {
-          std::printf(
-              "degraded mode: %d degraded iteration(s), %d quarantine(s), "
-              "%d readmission(s), %.2e simulated degrade seconds\n",
-              admm.degraded_iterations(), admm.quarantines(),
-              admm.readmissions(), admm.degrade_seconds());
-        }
-      } else if (algorithm == "solver-free" && backend == "simt") {
-        dopf::simt::GpuAdmmOptions gpu_opt;
-        gpu_opt.admm = opt;
-        dopf::simt::GpuSolverFreeAdmm admm(problem, gpu_opt);
-        res = admm.solve();
       } else if (algorithm == "solver-free") {
+        // One driver for every backend: options, statuses, checkpoints and
+        // resume behave the same whichever backend executes the kernels.
         dopf::core::SolverFreeAdmm admm(problem, opt);
+        dopf::simt::MultiDeviceBackend* multi = nullptr;
         if (backend == "threaded") {
           auto tb = std::make_unique<dopf::runtime::ThreadedBackend>(threads);
           backend_label =
               "threaded(" + std::to_string(tb->threads()) + " threads)";
           admm.set_backend(std::move(tb));
+        } else if (backend == "simt") {
+          admm.set_backend(std::make_unique<dopf::simt::SimtBackend>());
+        } else if (backend == "multigpu") {
+          dopf::simt::MultiGpuOptions mo;
+          mo.num_devices = static_cast<std::size_t>(std::max(1, devices));
+          mo.faults = dopf::runtime::FaultPlan::parse(fault_spec);
+          if (no_recovery) {
+            mo.recovery.failover = false;
+            mo.recovery.verify_messages = false;
+          }
+          mo.degrade.enabled = degrade;
+          if (staleness_bound >= 0) {
+            mo.degrade.staleness_bound = staleness_bound;
+          }
+          backend_label = "multigpu(" + std::to_string(mo.num_devices) + ")";
+          auto mb = std::make_unique<dopf::simt::MultiDeviceBackend>(
+              admm.packed(), std::move(mo));
+          multi = mb.get();
+          admm.set_backend(std::move(mb));
         } else if (backend != "serial") {
           std::fprintf(stderr, "unknown backend '%s'\n", backend.c_str());
           return 1;
@@ -898,14 +892,19 @@ int main(int argc, char** argv) {
                       ck.iteration);
         }
         if (checkpoint_every > 0) {
-          admm.set_checkpoint_hook(
-              checkpoint_every,
-              [&](const dopf::core::SolverFreeAdmm& solver, int iteration) {
-                run_io += dopf::runtime::save_checkpoint(
-                    dopf::runtime::AdmmCheckpoint::capture(solver, iteration,
-                                                           input),
-                    checkpoint_file, durable);
-              });
+          // The cadence also refreshes a rewinding backend's in-memory
+          // restart point; --checkpoint additionally persists each one.
+          dopf::core::SolverFreeAdmm::CheckpointHook hook;
+          if (!checkpoint_file.empty()) {
+            hook = [&](const dopf::core::SolverFreeAdmm& solver,
+                       int iteration) {
+              run_io += dopf::runtime::save_checkpoint(
+                  dopf::runtime::AdmmCheckpoint::capture(solver, iteration,
+                                                         input),
+                  checkpoint_file, durable);
+            };
+          }
+          admm.set_checkpoint_hook(checkpoint_every, std::move(hook));
         }
         res = admm.solve();
         if (res.status == dopf::core::AdmmStatus::kCancelled &&
@@ -919,20 +918,39 @@ int main(int argc, char** argv) {
           std::printf("final durable checkpoint written to %s (iteration %d)\n",
                       checkpoint_file.c_str(), res.iterations);
         }
+        if (multi && (multi->failovers() > 0 || multi->message_retries() > 0)) {
+          std::printf(
+              "fault recovery: %d failover(s), %d message retr%s, %zu/%zu "
+              "devices alive, %.2e simulated recovery seconds\n",
+              multi->failovers(), multi->message_retries(),
+              multi->message_retries() == 1 ? "y" : "ies",
+              multi->alive_devices(), multi->num_devices(),
+              multi->recovery_seconds());
+        }
+        if (multi && multi->degraded_iterations() > 0) {
+          std::printf(
+              "degraded mode: %d degraded iteration(s), %d quarantine(s), "
+              "%d readmission(s), %.2e simulated degrade seconds\n",
+              multi->degraded_iterations(), multi->quarantines(),
+              multi->readmissions(), multi->degrade_seconds());
+        }
       } else {
         std::fprintf(stderr, "unknown algorithm '%s'\n", algorithm.c_str());
         return 1;
       }
+      // SIMT and multigpu report cost-model seconds, not host wall time.
+      const bool simulated = algorithm == "solver-free" &&
+                             (backend == "simt" || backend == "multigpu");
       std::printf(
           "%s ADMM [backend: %s]: %s in %d iterations, objective %.8f\n"
-          "residuals: primal %.3e dual %.3e; wall %.2fs "
+          "residuals: primal %.3e dual %.3e; %s %.2fs "
           "(global %.2fs local %.2fs dual %.2fs, +%.2fs precompute)\n",
           algorithm.c_str(), backend_label.c_str(),
           dopf::core::to_string(res.status), res.iterations,
           res.objective, res.primal_residual, res.dual_residual,
-          res.timing.total(), res.timing.global_update,
-          res.timing.local_update, res.timing.dual_update,
-          res.timing.precompute);
+          simulated ? "simulated" : "wall", res.timing.total(),
+          res.timing.global_update, res.timing.local_update,
+          res.timing.dual_update, res.timing.precompute);
       if (opt.watchdog && res.watchdog.stalls > 0) {
         std::printf(
             "watchdog: %d stall(s)%s, %d rho nudge(s), %d restart(s) from "

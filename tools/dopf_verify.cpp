@@ -61,7 +61,7 @@
 //                         (SolveModel -> ScenarioBinding -> SolveSession)
 //                         instead of the single-shot wrapper; the trace must
 //                         still match the committed golden byte-for-byte.
-//                         Not available with --backend multigpu or --resume
+//                         Not available with --resume
 //
 // Exit codes: 0 = verified, 1 = usage/infrastructure error,
 //             2 = verification failure (divergence or invariant violation).
@@ -84,7 +84,7 @@
 #include "runtime/fault.hpp"
 #include "runtime/instances.hpp"
 #include "runtime/threaded_backend.hpp"
-#include "simt/multi_gpu.hpp"
+#include "simt/multi_device.hpp"
 #include "simt/simt_backend.hpp"
 #include "robust/preflight.hpp"
 #include "solver/reference.hpp"
@@ -292,10 +292,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: negative/zero count argument\n", argv[0]);
     usage(argv[0]);
   }
-  if (session && (backend == "multigpu" || !resume_file.empty())) {
-    std::fprintf(
-        stderr, "%s: --session is not supported with multigpu or --resume\n",
-        argv[0]);
+  if (session && !resume_file.empty()) {
+    std::fprintf(stderr, "%s: --session is not supported with --resume\n",
+                 argv[0]);
     return 1;
   }
 
@@ -394,83 +393,85 @@ int main(int argc, char** argv) {
       resume_from = resume_ck.iteration;
     }
 
-    // --- Run the requested execution path.
+    // --- Run the requested execution path: one driver (SolverFreeAdmm,
+    // directly or under a SolveSession) over the requested backend.
     dopf::core::AdmmResult result;
     std::vector<double> final_x, final_z;
     std::string backend_label = backend;
     dopf::core::AdmmOptions run_profile = profile;
     run_profile.watchdog = watchdog;
-    if (backend == "multigpu") {
-      dopf::simt::MultiGpuOptions mo;
-      mo.gpu.admm = run_profile;
-      mo.num_devices = static_cast<std::size_t>(devices);
-      mo.faults = dopf::runtime::FaultPlan::parse(fault_spec);
-      if (no_recovery) {
-        mo.recovery.failover = false;
-        mo.recovery.verify_messages = false;
+    dopf::simt::MultiGpuOptions mo;
+    mo.num_devices = static_cast<std::size_t>(devices);
+    mo.faults = dopf::runtime::FaultPlan::parse(fault_spec);
+    if (no_recovery) {
+      mo.recovery.failover = false;
+      mo.recovery.verify_messages = false;
+    }
+    mo.degrade.enabled = degrade;
+    if (staleness_bound >= 0) mo.degrade.staleness_bound = staleness_bound;
+    // The restart point a device failover rewinds to is refreshed at the
+    // checkpoint cadence (kept in memory only).
+    if (checkpoint_every == 0 && !mo.faults.empty()) checkpoint_every = 50;
+    dopf::simt::MultiDeviceBackend* multi = nullptr;
+    auto attach_backend = [&](dopf::core::SolverFreeAdmm& admm) {
+      std::unique_ptr<dopf::core::ExecutionBackend> exec;
+      if (backend == "multigpu") {
+        auto mb = std::make_unique<dopf::simt::MultiDeviceBackend>(
+            admm.packed(), mo);
+        multi = mb.get();
+        exec = std::move(mb);
+        backend_label = "multigpu(" + std::to_string(mo.num_devices) + ")";
+      } else {
+        exec = make_backend(backend, threads);
       }
-      mo.checkpoint_every =
-          checkpoint_every > 0 ? checkpoint_every
-                               : (mo.faults.empty() ? 0 : 50);
-      mo.label = label;
-      mo.degrade.enabled = degrade;
-      if (staleness_bound >= 0) mo.degrade.staleness_bound = staleness_bound;
-      backend_label = "multigpu(" + std::to_string(mo.num_devices) + ")";
-      dopf::simt::MultiGpuSolverFreeAdmm admm(problem, mo);
-      if (!resume_file.empty()) admm.restore_state(resume_ck);
-      result = admm.solve();
-      final_x.assign(admm.x().begin(), admm.x().end());
-      final_z.assign(admm.z().begin(), admm.z().end());
-      if (!fault_spec.empty()) {
+      if (mutate) {
+        if (!exec) exec = dopf::core::make_serial_backend();
+        exec = dopf::verify::make_mutant_backend(std::move(exec));
+        backend_label = "mutant(" + backend + ")";
+      }
+      if (exec) admm.set_backend(std::move(exec));
+      if (checkpoint_every > 0) admm.set_checkpoint_hook(checkpoint_every, {});
+    };
+    // Fault/degrade counters, printed while the backend is still alive.
+    auto report_multi = [&]() {
+      if (multi && !fault_spec.empty()) {
         std::printf(
             "faults injected: %s\n"
             "recovery: %d failover(s), %d message retr%s, %zu/%zu devices "
             "alive, %.2e simulated recovery seconds\n",
-            mo.faults.to_string().c_str(), admm.failovers(),
-            admm.message_retries(),
-            admm.message_retries() == 1 ? "y" : "ies", admm.alive_devices(),
-            admm.num_devices(), admm.recovery_seconds());
+            mo.faults.to_string().c_str(), multi->failovers(),
+            multi->message_retries(),
+            multi->message_retries() == 1 ? "y" : "ies",
+            multi->alive_devices(), multi->num_devices(),
+            multi->recovery_seconds());
       }
-      if (degrade) {
+      if (multi && degrade) {
         std::printf(
             "degraded mode: %d degraded iteration(s), %d quarantine(s), "
             "%d readmission(s), %.2e simulated degrade seconds\n",
-            admm.degraded_iterations(), admm.quarantines(),
-            admm.readmissions(), admm.degrade_seconds());
+            multi->degraded_iterations(), multi->quarantines(),
+            multi->readmissions(), multi->degrade_seconds());
       }
-    } else if (session) {
+    };
+    if (session) {
       // Explicit session layers: the packed image the session binds must be
       // bit-identical to the single-shot wrapper's, so the golden trace
       // still matches byte-for-byte.
       dopf::core::SolveModel solve_model(problem, run_profile.projector);
       dopf::core::ScenarioBinding binding(solve_model);
       dopf::core::SolveSession sess(binding, run_profile);
-      {
-        auto exec = make_backend(backend, threads);
-        if (mutate) {
-          if (!exec) exec = dopf::core::make_serial_backend();
-          exec = dopf::verify::make_mutant_backend(std::move(exec));
-          backend_label = "mutant(" + backend + ")";
-        }
-        if (exec) sess.set_backend(std::move(exec));
-      }
+      attach_backend(sess.solver());
       backend_label += "+session";
       result = sess.solve();
+      report_multi();
       final_x.assign(sess.solver().x().begin(), sess.solver().x().end());
       final_z.assign(sess.solver().z().begin(), sess.solver().z().end());
     } else {
       dopf::core::SolverFreeAdmm admm(problem, run_profile);
-      {
-        auto exec = make_backend(backend, threads);
-        if (mutate) {
-          if (!exec) exec = dopf::core::make_serial_backend();
-          exec = dopf::verify::make_mutant_backend(std::move(exec));
-          backend_label = "mutant(" + backend + ")";
-        }
-        if (exec) admm.set_backend(std::move(exec));
-      }
+      attach_backend(admm);
       if (!resume_file.empty()) resume_ck.restore(&admm);
       result = admm.solve();
+      report_multi();
       final_x.assign(admm.x().begin(), admm.x().end());
       final_z.assign(admm.z().begin(), admm.z().end());
     }
