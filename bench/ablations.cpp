@@ -5,7 +5,6 @@
 ///   3. even-count vs load-balanced (LPT) partitioning of components
 ///   4. row-reduction preprocessing: rows dropped per instance
 ///   5. over-relaxation sweep     — iterations vs alpha
-///   6. message quantization      — iterations & traffic vs bits ([37])
 
 #include "bench/common.hpp"
 #include "core/admm.hpp"
@@ -79,20 +78,6 @@ int main() {
       const auto res = admm.solve();
       std::printf("  relaxation %.1f : iterations = %6d, converged = %d\n",
                   alpha, res.iterations, res.converged);
-    }
-
-    // --- 6. message quantization (operator<->agent traffic compression).
-    for (int bits : {24, 16}) {
-      dopf::core::AdmmOptions qopt = opt;
-      qopt.quantize_bits = bits;
-      qopt.max_iterations = 100000;
-      dopf::core::SolverFreeAdmm admm(inst.problem, qopt);
-      const auto res = admm.solve();
-      const double traffic = bits == 0 ? 1.0 : bits / 64.0;
-      std::printf(
-          "  quantize %2d bit: iterations = %6d, converged = %d, traffic "
-          "x%.2f\n",
-          bits, res.iterations, res.converged, traffic);
     }
 
     // --- 4. row reduction.

@@ -5,9 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
-#include "core/packed_kernels.hpp"
 #include "core/scenario_binding.hpp"
 #include "core/solve_model.hpp"
 #include "core/watchdog.hpp"
@@ -21,18 +19,6 @@ using dopf::opf::DistributedProblem;
 namespace {
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Uniform per-message quantization (communication-compression extension):
-/// snap every entry to one of 2^bits levels spanning [-max|v|, +max|v|].
-void quantize_message(std::span<double> v, int bits) {
-  if (bits <= 0 || bits >= 52 || v.empty()) return;
-  double scale = 0.0;
-  for (double x : v) scale = std::max(scale, std::abs(x));
-  if (scale == 0.0) return;
-  const double levels = std::ldexp(1.0, bits) - 1.0;  // 2^bits - 1
-  const double delta = 2.0 * scale / levels;
-  for (double& x : v) x = std::round(x / delta) * delta;
 }
 }  // namespace
 
@@ -94,12 +80,6 @@ SolverFreeAdmm::SolverFreeAdmm(ScenarioBinding& binding, AdmmOptions options)
 SolverFreeAdmm::~SolverFreeAdmm() = default;
 
 void SolverFreeAdmm::set_backend(std::unique_ptr<ExecutionBackend> backend) {
-  if (backend && !plain_path() &&
-      std::string_view(backend->name()) != "serial") {
-    throw std::invalid_argument(
-        std::string("relaxation/quantize_bits run a serial-only path; the ") +
-        backend->name() + " backend would not execute them");
-  }
   backend_ = backend ? std::move(backend) : make_serial_backend();
 }
 
@@ -116,6 +96,7 @@ void SolverFreeAdmm::init_storage() {
 PackedState SolverFreeAdmm::packed_state() {
   PackedState st;
   st.rho = rho_;
+  st.alpha = options_.relaxation;
   st.x = x_;
   st.z = z_;
   st.z_prev = z_prev_;
@@ -125,10 +106,6 @@ PackedState SolverFreeAdmm::packed_state() {
     st.component_seconds = component_seconds_;
   }
   return st;
-}
-
-bool SolverFreeAdmm::plain_path() const {
-  return options_.relaxation == 1.0 && options_.quantize_bits == 0;
 }
 
 void SolverFreeAdmm::reset() {
@@ -203,8 +180,6 @@ void SolverFreeAdmm::set_checkpoint_hook(int every, CheckpointHook hook) {
 }
 
 void SolverFreeAdmm::global_update() {
-  // (18) runs on the backend unconditionally: the extensions only alter the
-  // local/dual messages, never the operator-side consensus step.
   PackedState st = packed_state();
   backend_->global_update(*pack_, st);
 }
@@ -212,91 +187,12 @@ void SolverFreeAdmm::global_update() {
 void SolverFreeAdmm::local_update() {
   z_prev_.swap(z_);
   PackedState st = packed_state();
-  if (plain_path()) {
-    backend_->local_update(*pack_, st);
-    return;
-  }
-  local_update_extension();
-}
-
-void SolverFreeAdmm::local_update_extension() {
-  // (15) with the CPU-side extensions (over-relaxation, quantized
-  // messages). Runs serially over the packed pool; the extensions model
-  // agent-side message mangling.
-  const bool timed = options_.record_component_times;
-  const int qbits = options_.quantize_bits;
-  const double alpha = options_.relaxation;
-  for (std::size_t s = 0; s < pack_->num_components(); ++s) {
-    const std::size_t ns = static_cast<std::size_t>(pack_->comp_nvars[s]);
-    const std::size_t off = static_cast<std::size_t>(pack_->comp_offset[s]);
-    double* y = y_scratch_.data() + off;
-    const double* ls = lambda_.data() + off;
-    double* zs = z_.data() + off;
-    const double* zp = z_prev_.data() + off;
-
-    const auto start = timed ? Clock::now() : Clock::time_point{};
-    if (alpha == 1.0) {
-      for (std::size_t j = 0; j < ns; ++j) {
-        y[j] = x_[pack_->global_idx[off + j]];
-      }
-    } else {
-      for (std::size_t j = 0; j < ns; ++j) {
-        y[j] = alpha * x_[pack_->global_idx[off + j]] +
-               (1.0 - alpha) * zp[j];
-      }
-    }
-    if (qbits > 0) {
-      // The operator -> agent broadcast of B_s x is compressed; the agent's
-      // own dual variables stay exact.
-      quantize_message({y, ns}, qbits);
-    }
-    for (std::size_t j = 0; j < ns; ++j) {
-      y[j] += ls[j] / rho_;
-    }
-    kernels::project_component(*pack_, s, y_scratch_.data(), z_.data());
-    if (qbits > 0) {
-      // The agent -> operator reply (x_s) is compressed symmetrically.
-      quantize_message({zs, ns}, qbits);
-    }
-    if (timed) component_seconds_[s] += seconds_since(start);
-  }
+  backend_->local_update(*pack_, st);
 }
 
 void SolverFreeAdmm::dual_update() {
-  if (plain_path()) {
-    PackedState st = packed_state();
-    backend_->dual_update(*pack_, st);
-    return;
-  }
-  dual_update_extension();
-}
-
-void SolverFreeAdmm::dual_update_extension() {
-  // (12) with extensions: under over-relaxation B_s x is replaced by the
-  // same relaxed combination the local update saw.
-  const double alpha = options_.relaxation;
-  for (std::size_t s = 0; s < pack_->num_components(); ++s) {
-    const std::size_t ns = static_cast<std::size_t>(pack_->comp_nvars[s]);
-    const std::size_t off = static_cast<std::size_t>(pack_->comp_offset[s]);
-    double* ls = lambda_.data() + off;
-    const double* zs = z_.data() + off;
-    const double* zp = z_prev_.data() + off;
-    if (alpha == 1.0) {
-      for (std::size_t j = 0; j < ns; ++j) {
-        ls[j] += rho_ * (x_[pack_->global_idx[off + j]] - zs[j]);
-      }
-    } else {
-      for (std::size_t j = 0; j < ns; ++j) {
-        const double relaxed =
-            alpha * x_[pack_->global_idx[off + j]] + (1.0 - alpha) * zp[j];
-        ls[j] += rho_ * (relaxed - zs[j]);
-      }
-    }
-    if (options_.quantize_bits > 0) {
-      // lambda_s rides along in the agent -> operator message.
-      quantize_message({ls, ns}, options_.quantize_bits);
-    }
-  }
+  PackedState st = packed_state();
+  backend_->dual_update(*pack_, st);
 }
 
 IterationRecord SolverFreeAdmm::compute_residuals(int iteration) {
@@ -305,10 +201,6 @@ IterationRecord SolverFreeAdmm::compute_residuals(int iteration) {
 }
 
 IterationRecord SolverFreeAdmm::dual_update_and_residuals(int iteration) {
-  if (!plain_path()) {
-    dual_update();
-    return compute_residuals(iteration);
-  }
   PackedState st = packed_state();
   return residual_record(iteration,
                          backend_->dual_update_and_residuals(*pack_, st));

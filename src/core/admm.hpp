@@ -15,8 +15,8 @@ class SolveModel;
 class ScenarioBinding;
 
 /// Options shared by the solver-free ADMM and the benchmark ADMM.
-/// The extension fields (adaptive_rho, relaxation, quantize_bits) are
-/// honoured by core::SolverFreeAdmm only; the benchmark ADMM reproduces the
+/// The extension fields (adaptive_rho, relaxation) are honoured by
+/// core::SolverFreeAdmm only; the benchmark ADMM reproduces the
 /// paper's comparison configuration and ignores them.
 struct AdmmOptions {
   double rho = 100.0;     ///< penalty parameter (paper default)
@@ -40,21 +40,11 @@ struct AdmmOptions {
   /// Over-relaxation factor alpha (standard ADMM acceleration; 1.0
   /// reproduces the paper, 1.5-1.8 typically reduces iterations). The
   /// local/dual updates see alpha*B_s x + (1-alpha)*x_s^(t) instead of
-  /// B_s x. Note: the paper's ref [30] (multiple local updates) targets
-  /// *inexact* local solvers and is a no-op for closed-form local steps,
-  /// so this is the acceleration we expose instead.
+  /// B_s x, on every execution backend (the shared packed kernels run it).
+  /// Note: the paper's ref [30] (multiple local updates) targets *inexact*
+  /// local solvers and is a no-op for closed-form local steps, so this is
+  /// the acceleration we expose instead.
   double relaxation = 1.0;
-
-  /// Communication compression (the future-work direction of the paper's
-  /// ref [37]): quantize every operator<->agent message to this many bits
-  /// per entry with per-component uniform quantization. 0 disables
-  /// (lossless, reproduces the paper). Inexact-ADMM territory: expect more
-  /// iterations in exchange for an 8x-64/bits reduction in traffic.
-  ///
-  /// relaxation != 1 and quantize_bits > 0 run a serial extension path
-  /// that bypasses the execution backend, so SolverFreeAdmm::set_backend
-  /// rejects every non-serial backend while either is set.
-  int quantize_bits = 0;
 
   /// Accumulate per-component local-update wall time (adds timer overhead;
   /// enable only for the runtime/cluster measurement benches).
@@ -215,10 +205,8 @@ struct AdmmResult {
 /// inject runtime::make_threaded_backend, a simt::SimtBackend or a
 /// simt::MultiDeviceBackend via set_backend), and termination, divergence
 /// guard, cancellation, time limit, adaptive rho, watchdog, history
-/// sampling and checkpointing behave the same on every backend. All
-/// backends produce byte-identical iterates. The extension options
-/// (relaxation != 1, quantize_bits > 0) run on a built-in serial path, so
-/// set_backend rejects non-serial backends while they are set.
+/// sampling, checkpointing and over-relaxation behave the same on every
+/// backend. All backends produce byte-identical iterates.
 ///
 /// The class also exposes the individual updates so the virtual-cluster
 /// harness can drive one step at a time.
@@ -241,9 +229,7 @@ class SolverFreeAdmm {
 
   /// Replace the execution backend (nullptr restores the serial backend).
   /// The iterate state is untouched, so backends may even be swapped
-  /// mid-solve without perturbing the trajectory. Throws
-  /// std::invalid_argument for a non-serial backend while the options
-  /// select the serial-only extension path (relaxation, quantize_bits).
+  /// mid-solve without perturbing the trajectory.
   void set_backend(std::unique_ptr<ExecutionBackend> backend);
   ExecutionBackend& backend() { return *backend_; }
   const ExecutionBackend& backend() const { return *backend_; }
@@ -257,8 +243,8 @@ class SolverFreeAdmm {
   void dual_update();
   /// Residuals of (16) for the current iterate.
   IterationRecord compute_residuals(int iteration);
-  /// dual_update() then compute_residuals(), in one fused backend pass on
-  /// the plain path (same bits as the two calls).
+  /// dual_update() then compute_residuals(), in one fused backend pass
+  /// (same bits as the two calls).
   IterationRecord dual_update_and_residuals(int iteration);
   bool termination_satisfied(const IterationRecord& rec) const;
 
@@ -321,16 +307,10 @@ class SolverFreeAdmm {
  private:
   void init_storage();
   PackedState packed_state();
-  /// True when the configured options follow the plain paper algorithm for
-  /// the local/dual updates (no relaxation / quantization), i.e. when those
-  /// updates can be delegated to the backend.
-  bool plain_path() const;
   /// Overwrite the iterate state with `state` (no bookkeeping).
   void load(const IterateSnapshot& state);
   IterationRecord residual_record(int iteration,
                                   const ResidualSums& sums) const;
-  void local_update_extension();
-  void dual_update_extension();
 
   const dopf::opf::DistributedProblem* problem_ = nullptr;
   AdmmOptions options_;

@@ -18,10 +18,15 @@ struct Sums {
 };
 
 /// One z position's contribution to (16), after its dual update (12) when
-/// kDual: `l` is lambda at the position and is updated in place.
-template <bool kDual, class T>
-inline void position_step(Sums<T>& acc, double rho, T bx, T zv, T zp, T& l) {
-  if constexpr (kDual) l = kernels::dual_value(l, rho, bx, zv);
+/// kDual: `l` is lambda at the position and is updated in place. The dual
+/// update sees the relaxed B x when kRelaxed; the residual terms keep B x.
+template <bool kDual, bool kRelaxed, class T>
+inline void position_step(Sums<T>& acc, double rho, double alpha, T bx, T zv,
+                          T zp, T& l) {
+  if constexpr (kDual) {
+    l = kernels::dual_value(
+        l, rho, kernels::relaxed_value<kRelaxed>(bx, zp, alpha), zv);
+  }
   const T d = bx - zv;
   acc.pres2 += d * d;
   acc.bx2 += bx * bx;
@@ -32,13 +37,14 @@ inline void position_step(Sums<T>& acc, double rho, T bx, T zv, T zp, T& l) {
 }
 
 /// Positions [begin, end) of one chunk, continuing the sums in `acc`.
-template <bool kDual>
+template <bool kDual, bool kRelaxed>
 void scalar_pass(const PackedLocalSolvers& pack, const PackedState& state,
                  std::size_t begin, std::size_t end, Sums<double>& acc) {
   for (std::size_t pos = begin; pos < end; ++pos) {
     double l = state.lambda[pos];
-    position_step<kDual>(acc, state.rho, state.x[pack.global_idx[pos]],
-                         state.z[pos], state.z_prev[pos], l);
+    position_step<kDual, kRelaxed>(acc, state.rho, state.alpha,
+                                   state.x[pack.global_idx[pos]],
+                                   state.z[pos], state.z_prev[pos], l);
     if constexpr (kDual) state.lambda[pos] = l;
   }
 }
@@ -55,7 +61,7 @@ Sums<double> lane(const Sums<kernels::Vec2>& s, int i) {
 /// position by position, so each chunk's sums keep their ascending order
 /// while the two latency-bound add chains overlap. Chunk k is full; when
 /// chunk k+1 is the shorter last chunk, lane 0 finishes alone.
-template <bool kDual>
+template <bool kDual, bool kRelaxed>
 void chunk_pair(const PackedLocalSolvers& pack, const PackedState& state,
                 std::size_t k, ResidualSums* out) {
   using kernels::Vec2;
@@ -72,29 +78,32 @@ void chunk_pair(const PackedLocalSolvers& pack, const PackedState& state,
   for (std::size_t p = 0; p < n1; ++p) {
     const std::size_t q0 = b0 + p, q1 = b1 + p;
     Vec2 l = {lambda[q0], lambda[q1]};
-    position_step<kDual>(acc, state.rho, Vec2{x[g[q0]], x[g[q1]]},
-                         Vec2{z[q0], z[q1]}, Vec2{zp[q0], zp[q1]}, l);
+    position_step<kDual, kRelaxed>(acc, state.rho, state.alpha,
+                                   Vec2{x[g[q0]], x[g[q1]]}, Vec2{z[q0], z[q1]},
+                                   Vec2{zp[q0], zp[q1]}, l);
     if constexpr (kDual) {
       lambda[q0] = l[0];
       lambda[q1] = l[1];
     }
   }
   Sums<double> first = lane(acc, 0);
-  scalar_pass<kDual>(pack, state, b0 + n1, b1, first);
+  scalar_pass<kDual, kRelaxed>(pack, state, b0 + n1, b1, first);
   out[0] = to_sums(first);
   out[1] = to_sums(lane(acc, 1));
 }
 
-template <bool kDual>
+template <bool kDual, bool kRelaxed>
 void chunk_range(const PackedLocalSolvers& pack, const PackedState& state,
                  std::size_t begin, std::size_t end, ResidualSums* partials) {
   std::size_t k = begin;
-  for (; k + 2 <= end; k += 2) chunk_pair<kDual>(pack, state, k, partials + k);
+  for (; k + 2 <= end; k += 2) {
+    chunk_pair<kDual, kRelaxed>(pack, state, k, partials + k);
+  }
   if (k < end) {
     Sums<double> acc;
     const std::size_t b = k * kResidualChunk;
-    scalar_pass<kDual>(pack, state, b,
-                       std::min(pack.total_local(), b + kResidualChunk), acc);
+    scalar_pass<kDual, kRelaxed>(
+        pack, state, b, std::min(pack.total_local(), b + kResidualChunk), acc);
     partials[k] = to_sums(acc);
   }
 }
@@ -104,13 +113,17 @@ void chunk_range(const PackedLocalSolvers& pack, const PackedState& state,
 void residual_chunks(const PackedLocalSolvers& pack, const PackedState& state,
                      std::size_t begin, std::size_t end,
                      ResidualSums* partials) {
-  chunk_range<false>(pack, state, begin, end, partials);
+  chunk_range<false, false>(pack, state, begin, end, partials);
 }
 
 void dual_residual_chunks(const PackedLocalSolvers& pack,
                           const PackedState& state, std::size_t begin,
                           std::size_t end, ResidualSums* partials) {
-  chunk_range<true>(pack, state, begin, end, partials);
+  if (state.alpha == 1.0) {
+    chunk_range<true, false>(pack, state, begin, end, partials);
+  } else {
+    chunk_range<true, true>(pack, state, begin, end, partials);
+  }
 }
 
 ResidualSums combine_residual_chunks(std::span<ResidualSums> partials) {
@@ -156,8 +169,7 @@ class SerialBackend final : public ExecutionBackend {
     const bool timed = !state.component_seconds.empty();
     for (std::size_t s = 0; s < S; ++s) {
       const auto start = timed ? Clock::now() : Clock::time_point{};
-      kernels::stage_component(pack, state.x.data(), state.lambda.data(),
-                               state.rho, s, state.y.data());
+      kernels::stage_component(pack, state, s);
       kernels::project_component(pack, s, state.y.data(), state.z.data());
       if (timed) {
         state.component_seconds[s] +=
@@ -168,8 +180,7 @@ class SerialBackend final : public ExecutionBackend {
 
   void dual_update(const PackedLocalSolvers& pack,
                    PackedState& state) override {
-    kernels::dual_range(pack, state.x.data(), state.z.data(), state.rho, 0,
-                        pack.total_local(), state.lambda.data());
+    kernels::dual_range(pack, state, 0, pack.total_local());
   }
 
   ResidualSums residual_sums(const PackedLocalSolvers& pack,

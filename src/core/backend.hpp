@@ -13,6 +13,10 @@ struct TimingBreakdown;  // core/admm.hpp
 /// solver-owned storage. Backends read/write through these spans only.
 struct PackedState {
   double rho = 0.0;
+  /// Over-relaxation factor (AdmmOptions::relaxation); 1 is the paper's
+  /// update. The local and dual kernels see alpha B x + (1 - alpha) z_prev
+  /// in place of B x; the residual terms of (16) keep B x.
+  double alpha = 1.0;
   std::span<double> x;             ///< global iterate (n)
   std::span<double> z;             ///< local solutions, concatenated
   std::span<const double> z_prev;  ///< previous local solutions
@@ -53,8 +57,9 @@ void residual_chunks(const PackedLocalSolvers& pack, const PackedState& state,
                      ResidualSums* partials);
 
 /// The fused check-iteration pass over chunks [begin, end): the dual update
-/// (12) of each position, then that position's residual terms, in one
-/// sweep. Same bits as the dual update followed by residual_chunks.
+/// (12) of each position (relaxed when state.alpha != 1), then that
+/// position's residual terms, in one sweep. Same bits as the dual update
+/// followed by residual_chunks.
 void dual_residual_chunks(const PackedLocalSolvers& pack,
                           const PackedState& state, std::size_t begin,
                           std::size_t end, ResidualSums* partials);

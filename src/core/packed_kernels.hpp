@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "core/backend.hpp"
 #include "core/packed_solvers.hpp"
 
 /// The per-entry update expressions of Algorithm 1 over the packed SoA
@@ -61,6 +62,21 @@ inline T stage_value(T bx, T lambda, double rho) {
 template <class T>
 inline T dual_value(T lambda, double rho, T bx, T z) {
   return lambda + rho * (bx - z);
+}
+
+/// Over-relaxation of B x: the local and dual updates see
+///   alpha B x + (1 - alpha) z_prev
+/// in place of B x when kRelaxed. Kernels fix kRelaxed = (alpha != 1) once
+/// per call, so the paper path keeps B x itself: the relaxed form at
+/// alpha == 1 would turn -0 into +0 (0 z_prev) and a non-finite z_prev into
+/// NaN.
+template <bool kRelaxed, class T>
+inline T relaxed_value(T bx, T zp, double alpha) {
+  if constexpr (kRelaxed) {
+    return alpha * bx + (1.0 - alpha) * zp;
+  } else {
+    return bx;
+  }
 }
 
 /// Global update (18), one global variable i:
@@ -125,22 +141,40 @@ inline void global_range(const PackedLocalSolvers& p, const double* z,
   for (; k < end; ++k) global_entry(p, z, lambda, rho, p.global_order[k], x);
 }
 
-/// Local update (15), staging half for component s:
-///   y_s = B_s x + lambda_s / rho, written into the scratch pool.
-inline void stage_component(const PackedLocalSolvers& p, const double* x,
-                            const double* lambda, double rho, std::size_t s,
-                            double* y_pool) {
+/// stage_component with kRelaxed fixed.
+template <bool kRelaxed>
+inline void stage_lanes(const PackedLocalSolvers& p, const PackedState& st,
+                        std::size_t s) {
   const std::size_t ns = static_cast<std::size_t>(p.comp_nvars[s]);
   const std::int64_t off = p.comp_offset[s];
   const int* g = p.global_idx.data() + off;
-  const double* l = lambda + off;
-  double* y = y_pool + off;
+  const double* x = st.x.data();
+  const double* l = st.lambda.data() + off;
+  const double* zp = st.z_prev.data() + off;
+  double* y = st.y.data() + off;
+  const double rho = st.rho, alpha = st.alpha;
   std::size_t j = 0;
   for (; j + 2 <= ns; j += 2) {
-    const Vec2 bx = {x[g[j]], x[g[j + 1]]};
+    const Vec2 bx = relaxed_value<kRelaxed>(Vec2{x[g[j]], x[g[j + 1]]},
+                                            load2(zp + j), alpha);
     store2(y + j, stage_value(bx, load2(l + j), rho));
   }
-  if (j < ns) y[j] = stage_value(x[g[j]], l[j], rho);
+  if (j < ns) {
+    y[j] = stage_value(relaxed_value<kRelaxed>(x[g[j]], zp[j], alpha), l[j],
+                       rho);
+  }
+}
+
+/// Local update (15), staging half for component s:
+///   y_s = B_s x + lambda_s / rho, written into st.y, with B_s x relaxed
+/// when st.alpha != 1 (relaxed_value).
+inline void stage_component(const PackedLocalSolvers& p, const PackedState& st,
+                            std::size_t s) {
+  if (st.alpha == 1.0) {
+    stage_lanes<false>(p, st, s);
+  } else {
+    stage_lanes<true>(p, st, s);
+  }
 }
 
 /// Local update (15), projection half for component s:
@@ -181,25 +215,39 @@ inline void project_component(const PackedLocalSolvers& p, std::size_t s,
   }
 }
 
-/// Dual update (12), one z position: lambda += rho (B x - x_s).
-inline void dual_entry(const PackedLocalSolvers& p, const double* x,
-                       const double* z, double rho, std::size_t pos,
-                       double* lambda) {
-  lambda[pos] = dual_value(lambda[pos], rho, x[p.global_idx[pos]], z[pos]);
-}
-
-/// Dual update (12) over z positions [begin, end), two per vector.
-inline void dual_range(const PackedLocalSolvers& p, const double* x,
-                       const double* z, double rho, std::size_t begin,
-                       std::size_t end, double* lambda) {
+/// dual_range with kRelaxed fixed.
+template <bool kRelaxed>
+inline void dual_lanes(const PackedLocalSolvers& p, const PackedState& st,
+                       std::size_t begin, std::size_t end) {
   const int* g = p.global_idx.data();
+  const double* x = st.x.data();
+  const double* z = st.z.data();
+  const double* zp = st.z_prev.data();
+  double* lambda = st.lambda.data();
+  const double rho = st.rho, alpha = st.alpha;
   std::size_t pos = begin;
   for (; pos + 2 <= end; pos += 2) {
-    const Vec2 bx = {x[g[pos]], x[g[pos + 1]]};
+    const Vec2 bx = relaxed_value<kRelaxed>(Vec2{x[g[pos]], x[g[pos + 1]]},
+                                            load2(zp + pos), alpha);
     store2(lambda + pos,
            dual_value(load2(lambda + pos), rho, bx, load2(z + pos)));
   }
-  if (pos < end) dual_entry(p, x, z, rho, pos, lambda);
+  if (pos < end) {
+    lambda[pos] =
+        dual_value(lambda[pos], rho,
+                   relaxed_value<kRelaxed>(x[g[pos]], zp[pos], alpha), z[pos]);
+  }
+}
+
+/// Dual update (12) over z positions [begin, end), two per vector:
+///   lambda += rho (B x - x_s), with B x relaxed when st.alpha != 1.
+inline void dual_range(const PackedLocalSolvers& p, const PackedState& st,
+                       std::size_t begin, std::size_t end) {
+  if (st.alpha == 1.0) {
+    dual_lanes<false>(p, st, begin, end);
+  } else {
+    dual_lanes<true>(p, st, begin, end);
+  }
 }
 
 }  // namespace dopf::core::kernels

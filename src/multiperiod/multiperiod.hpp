@@ -17,7 +17,8 @@
 /// component whose equality block links its state of charge across periods
 /// and whose consensus copies tie into every period's bus balance. The
 /// result is an ordinary DistributedProblem, solvable unchanged by
-/// core::SolverFreeAdmm (or its GPU-simulated twin).
+/// core::SolverFreeAdmm on any execution backend (serial, threaded, simt,
+/// multigpu).
 namespace dopf::multiperiod {
 
 /// A grid-connected battery attached to a bus. Charging and discharging are

@@ -32,8 +32,7 @@ void ThreadedBackend::local_update(const PackedLocalSolvers& pack,
       pack.num_components(), [&](int, std::size_t begin, std::size_t end) {
         for (std::size_t s = begin; s < end; ++s) {
           const auto start = timed ? Clock::now() : Clock::time_point{};
-          kernels::stage_component(pack, state.x.data(), state.lambda.data(),
-                                   state.rho, s, state.y.data());
+          kernels::stage_component(pack, state, s);
           kernels::project_component(pack, s, state.y.data(), state.z.data());
           if (timed) {
             state.component_seconds[s] +=
@@ -47,9 +46,7 @@ void ThreadedBackend::dual_update(const PackedLocalSolvers& pack,
                                   PackedState& state) {
   pool_.parallel_for(pack.total_local(),
                      [&](int, std::size_t begin, std::size_t end) {
-                       kernels::dual_range(pack, state.x.data(),
-                                           state.z.data(), state.rho, begin,
-                                           end, state.lambda.data());
+                       kernels::dual_range(pack, state, begin, end);
                      });
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/admm.hpp"
-#include "core/packed_kernels.hpp"
 
 namespace dopf::simt {
 
@@ -16,7 +15,6 @@ using dopf::runtime::DeviceState;
 using dopf::runtime::FaultError;
 using dopf::runtime::FaultEvent;
 using dopf::runtime::retry_cost_seconds;
-namespace kernels = dopf::core::kernels;
 
 MultiDeviceBackend::MultiDeviceBackend(const PackedLocalSolvers& pack,
                                        MultiGpuOptions options)
@@ -158,13 +156,9 @@ double MultiDeviceBackend::launch_dual_on(std::size_t d,
       "dual_update", static_cast<int>(part.size()),
       options_.gpu.elementwise_block, [&](BlockContext& ctx) {
         const std::size_t s = part[ctx.block_index];
-        const std::size_t ns = static_cast<std::size_t>(pack.comp_nvars[s]);
-        const std::size_t off = static_cast<std::size_t>(pack.comp_offset[s]);
-        for (std::size_t j = 0; j < ns; ++j) {
-          kernels::dual_entry(pack, state.x.data(), state.z.data(), state.rho,
-                              off + j, state.lambda.data());
-        }
-        ctx.charge(ns, 3.0, 44.0);
+        const auto off = static_cast<std::size_t>(pack.comp_offset[s]);
+        dual_block(ctx, pack, state, off,
+                   off + static_cast<std::size_t>(pack.comp_nvars[s]));
       });
   return devices_[d].ledger().kernel_seconds - before;
 }

@@ -15,11 +15,23 @@ namespace kernels = dopf::core::kernels;
 
 namespace {
 
+/// Charges `items` entries of a pass over B x at `flops` and `bytes` each;
+/// over-relaxation (alpha != 1) adds the z_prev read and the two multiplies
+/// and one add of alpha B x + (1 - alpha) z_prev.
+void charge_bx_pass(BlockContext& ctx, std::size_t items, double flops,
+                    double bytes, double alpha) {
+  if (alpha != 1.0) {
+    flops += 3.0;
+    bytes += 8.0;
+  }
+  ctx.charge(items, flops, bytes);
+}
+
 /// One local-update block's cost for a component of `ns` variables: the
 /// staging pass y_s = B_s x + lambda_s / rho, then thread t computing
 /// entries t, t+T, ... of x_s = bbar_s - Abar_s y_s.
-void charge_local_block(BlockContext& ctx, std::size_t ns) {
-  ctx.charge(ns, 3.0, 28.0);  // staging pass
+void charge_local_block(BlockContext& ctx, std::size_t ns, double alpha) {
+  charge_bx_pass(ctx, ns, 3.0, 28.0, alpha);  // staging pass
   ctx.charge(ns, 2.0 * static_cast<double>(ns) + 1.0,
              8.0 * static_cast<double>(ns) + 24.0);
 }
@@ -56,14 +68,19 @@ void launch_local_update(Device& device, const PackedLocalSolvers& pack,
   device.launch("local_update", static_cast<int>(components.size()),
                 threads_per_block, [&](BlockContext& ctx) {
                   const std::size_t s = components[ctx.block_index];
-                  kernels::stage_component(pack, state.x.data(),
-                                           state.lambda.data(), state.rho, s,
-                                           state.y.data());
+                  kernels::stage_component(pack, state, s);
                   kernels::project_component(pack, s, state.y.data(),
                                              state.z.data());
                   charge_local_block(
-                      ctx, static_cast<std::size_t>(pack.comp_nvars[s]));
+                      ctx, static_cast<std::size_t>(pack.comp_nvars[s]),
+                      state.alpha);
                 });
+}
+
+void dual_block(BlockContext& ctx, const PackedLocalSolvers& pack,
+                PackedState& state, std::size_t begin, std::size_t end) {
+  kernels::dual_range(pack, state, begin, end);
+  charge_bx_pass(ctx, end - begin, 3.0, 44.0, state.alpha);
 }
 
 double local_update_kernel_seconds(const Device& device,
@@ -73,9 +90,9 @@ double local_update_kernel_seconds(const Device& device,
   Device pricing(device.spec());
   pricing.launch("local_update", static_cast<int>(components.size()),
                  threads_per_block, [&](BlockContext& ctx) {
-                   charge_local_block(ctx, static_cast<std::size_t>(
-                                               pack.comp_nvars[components
-                                                   [ctx.block_index]]));
+                   const std::size_t s = components[ctx.block_index];
+                   charge_local_block(
+                       ctx, static_cast<std::size_t>(pack.comp_nvars[s]), 1.0);
                  });
   return pricing.ledger().kernel_seconds;
 }
@@ -118,12 +135,7 @@ void SimtBackend::dual_update(const PackedLocalSolvers& pack,
   const int blocks = static_cast<int>((total + T - 1) / T);
   device_.launch("dual_update", blocks, T, [&](BlockContext& ctx) {
     const std::size_t begin = static_cast<std::size_t>(ctx.block_index) * T;
-    const std::size_t end = std::min(total, begin + T);
-    for (std::size_t pos = begin; pos < end; ++pos) {
-      kernels::dual_entry(pack, state.x.data(), state.z.data(), state.rho,
-                          pos, state.lambda.data());
-    }
-    ctx.charge(end - begin, 3.0, 44.0);
+    dual_block(ctx, pack, state, begin, std::min(total, begin + T));
   });
 }
 

@@ -69,17 +69,26 @@ void launch_global_update(Device& device,
 
 /// The local update (15) for `components` on `device`: one block per
 /// component with `threads_per_block` threads, priced as the cooperative
-/// staging pass plus the projection rows. Shared by the single- and
-/// multi-device backends.
+/// staging pass (plus the z_prev read when state.alpha != 1) and the
+/// projection rows. Shared by the single- and multi-device backends.
 void launch_local_update(Device& device,
                          const dopf::core::PackedLocalSolvers& pack,
                          dopf::core::PackedState& state,
                          std::span<const std::size_t> components,
                          int threads_per_block);
 
+/// One block of an elementwise dual-update (12) kernel over z positions
+/// [begin, end): runs core::kernels::dual_range and charges the block,
+/// including the z_prev read when state.alpha != 1. Shared by the single-
+/// and multi-device backends.
+void dual_block(BlockContext& ctx, const dopf::core::PackedLocalSolvers& pack,
+                dopf::core::PackedState& state, std::size_t begin,
+                std::size_t end);
+
 /// Pure cost helper: simulated seconds of one local-update kernel launch for
 /// the given subset of components with T threads per block, priced exactly
-/// as launch_local_update charges it, without executing anything.
+/// as launch_local_update charges it at alpha == 1, without executing
+/// anything.
 double local_update_kernel_seconds(const Device& device,
                                    const dopf::core::PackedLocalSolvers& pack,
                                    std::span<const std::size_t> components,

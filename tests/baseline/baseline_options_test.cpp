@@ -1,6 +1,6 @@
 /// The benchmark ADMM reproduces the paper's comparison configuration: the
-/// solver-free extensions (relaxation, quantization, adaptive rho) must not
-/// change its behaviour.
+/// solver-free extensions (relaxation, adaptive rho) must not change its
+/// behaviour.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@ TEST(BaselineOptionsTest, ExtensionsAreIgnored) {
 
   dopf::core::AdmmOptions exotic = plain;
   exotic.relaxation = 1.7;
-  exotic.quantize_bits = 12;
   exotic.adaptive_rho = true;
 
   BenchmarkAdmm a(problem, plain);

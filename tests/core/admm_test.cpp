@@ -213,45 +213,6 @@ TEST(SolverFreeAdmmTest, OverRelaxationAcceleratesConvergence) {
               5e-3 * (1.0 + std::abs(ref.objective)));
 }
 
-TEST(SolverFreeAdmmTest, QuantizedCommunicationStillConverges) {
-  AdmmOptions opt;
-  opt.eps_rel = 1e-3;
-  opt.max_iterations = 200000;
-  opt.quantize_bits = 24;
-  SolverFreeAdmm admm(fixture().problem, opt);
-  const AdmmResult res = admm.solve();
-  ASSERT_TRUE(res.converged);
-  const auto ref = dopf::solver::reference_solve(fixture().model);
-  // 24-bit messages (3 bytes/entry, a 62% traffic cut): near-exact.
-  EXPECT_NEAR(res.objective, ref.objective,
-              0.1 * (1.0 + std::abs(ref.objective)));
-}
-
-TEST(SolverFreeAdmmTest, CoarseQuantizationDegradesGracefully) {
-  // Fewer bits must not crash; iterates stay bounded even at 6 bits.
-  AdmmOptions opt;
-  opt.max_iterations = 2000;
-  opt.quantize_bits = 6;
-  SolverFreeAdmm admm(fixture().problem, opt);
-  const AdmmResult res = admm.solve();
-  for (double v : res.x) {
-    EXPECT_TRUE(std::isfinite(v));
-  }
-}
-
-TEST(SolverFreeAdmmTest, ZeroQuantizationBitsIsExactPath) {
-  AdmmOptions opt;
-  opt.max_iterations = 100;
-  opt.check_every = 1000;
-  SolverFreeAdmm plain(fixture().problem, opt);
-  AdmmOptions q = opt;
-  q.quantize_bits = 0;
-  SolverFreeAdmm same(fixture().problem, q);
-  const AdmmResult a = plain.solve();
-  const AdmmResult b = same.solve();
-  for (std::size_t i = 0; i < a.x.size(); ++i) EXPECT_EQ(a.x[i], b.x[i]);
-}
-
 TEST(SolverFreeAdmmTest, RhoSweepAllConverge) {
   for (double rho : {10.0, 100.0, 1000.0}) {
     AdmmOptions opt;

@@ -7,12 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "core/admm.hpp"
 #include "core/backend.hpp"
-#include "core/solve_session.hpp"
 #include "feeders/ieee13.hpp"
 #include "feeders/synthetic.hpp"
 #include "opf/decompose.hpp"
@@ -25,8 +23,9 @@ namespace {
 
 using dopf::opf::DistributedProblem;
 
-AdmmOptions test_options(int iterations) {
+AdmmOptions test_options(int iterations, double alpha = 1.0) {
   AdmmOptions opt;
+  opt.relaxation = alpha;
   opt.max_iterations = iterations;
   opt.check_every = 1;   // residuals every iteration
   opt.record_every = 1;  // and all of them in the history
@@ -60,8 +59,9 @@ void expect_bit_identical(const AdmmResult& a, const AdmmResult& b,
   }
 }
 
-void check_all_backends(const DistributedProblem& problem, int iterations) {
-  const AdmmOptions opt = test_options(iterations);
+void check_all_backends(const DistributedProblem& problem, int iterations,
+                        double alpha = 1.0) {
+  const AdmmOptions opt = test_options(iterations, alpha);
   const AdmmResult serial = run_with_backend(problem, opt, nullptr);
   ASSERT_EQ(serial.history.size(), static_cast<std::size_t>(iterations));
 
@@ -95,6 +95,21 @@ TEST(BackendEquivalenceTest, Ieee123ResidualHistoriesByteIdentical) {
       dopf::feeders::synthetic_feeder(dopf::feeders::ieee123_spec());
   const DistributedProblem problem = dopf::opf::decompose(net);
   check_all_backends(problem, 40);
+}
+
+TEST(BackendEquivalenceTest, Ieee123OverRelaxedHistoriesByteIdentical) {
+  // Over-relaxation runs in the shared kernels, so every backend relaxes.
+  const dopf::network::Network net =
+      dopf::feeders::synthetic_feeder(dopf::feeders::ieee123_spec());
+  const DistributedProblem problem = dopf::opf::decompose(net);
+  check_all_backends(problem, 40, 1.6);
+  // ... and relaxing changes the trajectory.
+  EXPECT_NE(run_with_backend(problem, test_options(40, 1.6), nullptr)
+                .history.back()
+                .primal_residual,
+            run_with_backend(problem, test_options(40), nullptr)
+                .history.back()
+                .primal_residual);
 }
 
 TEST(BackendEquivalenceTest, ThreadsExceedingComponentCountStayIdentical) {
@@ -164,36 +179,6 @@ TEST(BackendEquivalenceTest, BackendsReportTheirNames) {
   EXPECT_STREQ(admm.backend().name(), "threaded");
   admm.set_backend(nullptr);  // restores the built-in serial backend
   EXPECT_STREQ(admm.backend().name(), "serial");
-}
-
-TEST(BackendEquivalenceTest, ExtensionOptionsRejectNonSerialBackends) {
-  // relaxation and quantize_bits run a serial-only path that would bypass
-  // any other backend, so attaching one is an error, not a silent no-op.
-  const dopf::network::Network net = dopf::feeders::ieee13();
-  const DistributedProblem problem = dopf::opf::decompose(net);
-  AdmmOptions relaxed;
-  relaxed.relaxation = 1.6;
-  AdmmOptions quantized;
-  quantized.quantize_bits = 8;
-  for (const AdmmOptions& opt : {relaxed, quantized}) {
-    SolverFreeAdmm admm(problem, opt);
-    EXPECT_THROW(admm.set_backend(dopf::runtime::make_threaded_backend(2)),
-                 std::invalid_argument);
-    EXPECT_THROW(admm.set_backend(std::make_unique<dopf::simt::SimtBackend>()),
-                 std::invalid_argument);
-    EXPECT_THROW(admm.set_backend(
-                     std::make_unique<dopf::simt::MultiDeviceBackend>(
-                         admm.packed(), dopf::simt::MultiGpuOptions{})),
-                 std::invalid_argument);
-    EXPECT_NO_THROW(admm.set_backend(make_serial_backend()));
-    EXPECT_NO_THROW(admm.set_backend(nullptr));
-
-    SolveModel model(problem, opt.projector);
-    ScenarioBinding binding(model);
-    SolveSession session(binding, opt);
-    EXPECT_THROW(session.set_backend(dopf::runtime::make_threaded_backend(2)),
-                 std::invalid_argument);
-  }
 }
 
 }  // namespace

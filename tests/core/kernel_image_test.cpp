@@ -9,7 +9,6 @@
 #include <cmath>
 #include <cstring>
 #include <map>
-#include <stdexcept>
 #include <memory>
 #include <string>
 #include <vector>
@@ -401,15 +400,42 @@ TEST(KernelImageTest, SolveWithSparseChecksAndTimersMatchesReference) {
   }
 }
 
-TEST(KernelImageTest, RelaxedExtensionPathMatchesReference) {
-  check_solve(problem("synthetic"), 1.6, make_serial_backend());
-  // The extension path is serial-only: a threaded backend, which it would
-  // bypass, is rejected instead of silently ignored.
-  AdmmOptions opt;
-  opt.relaxation = 1.6;
-  SolverFreeAdmm admm(problem("synthetic"), opt);
-  EXPECT_THROW(admm.set_backend(dopf::runtime::make_threaded_backend(3)),
-               std::invalid_argument);
+TEST(KernelImageTest, RelaxedSolveMatchesReference) {
+  // Over-relaxation runs in the shared kernels, so every backend must
+  // reproduce the reference's relaxed trajectory bit for bit.
+  const std::size_t count = all_backends().size();
+  for (std::size_t k = 0; k < count; ++k) {
+    auto backends = all_backends();
+    SCOPED_TRACE(backends[k]->name());
+    check_solve(problem("synthetic"), 1.6, std::move(backends[k]));
+  }
+}
+
+TEST(KernelImageTest, UnrelaxedKernelsKeepBxItself) {
+  // At alpha == 1 the kernels must not evaluate alpha B x + (1 - alpha)
+  // z_prev: that turns B x = -0 into +0 and a NaN z_prev into NaN.
+  SolveModel model(problem("ieee13"), {});
+  ScenarioBinding binding(model);
+  const PackedLocalSolvers& pack = binding.pack();
+  const std::size_t total = pack.total_local();
+  for (const auto& backend : all_backends()) {
+    SCOPED_TRACE(backend->name());
+    std::vector<double> x(pack.num_global(), -0.0), z(total, 0.0),
+        z_prev(total, std::nan("")), lambda(total, -0.0), y(total, 1.0);
+    PackedState st;
+    st.rho = kRho;
+    st.x = x;
+    st.z = z;
+    st.z_prev = z_prev;
+    st.lambda = lambda;
+    st.y = y;
+    backend->local_update(pack, st);
+    for (double v : y) ASSERT_TRUE(v == 0.0 && std::signbit(v)) << v;
+    backend->dual_update(pack, st);
+    for (double v : lambda) ASSERT_TRUE(std::isfinite(v)) << v;
+    backend->dual_update_and_residuals(pack, st);
+    for (double v : lambda) ASSERT_TRUE(std::isfinite(v)) << v;
+  }
 }
 
 TEST(KernelImageTest, Ieee13FingerprintMatchesCommittedCheckpoint) {

@@ -53,8 +53,10 @@ void expect_timing(const TimingBreakdown& got, const Expected& want) {
   EXPECT_EQ(got.iterations, want.iterations);
 }
 
-AdmmResult simt_solve(const std::string& name) {
-  dopf::core::SolverFreeAdmm admm(problem(name), profile());
+AdmmResult simt_solve(const std::string& name, double alpha = 1.0) {
+  AdmmOptions opt = profile();
+  opt.relaxation = alpha;
+  dopf::core::SolverFreeAdmm admm(problem(name), opt);
   admm.set_backend(std::make_unique<SimtBackend>());
   return admm.solve();
 }
@@ -84,6 +86,19 @@ TEST(SimulatedTimingTest, SimtIeee123) {
                 {0x1.cb23ee871b166p-5, 0x1.20997a86896c5p-4,
                  0x1.a6d9f03ceb019p-5, 0x1.534c54912b4d7p-8, 0.0, 0.0,
                  12560});
+}
+
+TEST(SimulatedTimingTest, SimtOverRelaxationChargesThePrevRead) {
+  // alpha != 1 also reads z_prev and computes alpha B x + (1 - alpha)
+  // z_prev in the staging and dual passes, so both cost more per iteration.
+  const TimingBreakdown plain = simt_solve("ieee13").timing;
+  const TimingBreakdown relaxed = simt_solve("ieee13", 1.6).timing;
+  ASSERT_GT(plain.iterations, 0);
+  ASSERT_GT(relaxed.iterations, 0);
+  EXPECT_GT(relaxed.local_update / relaxed.iterations,
+            plain.local_update / plain.iterations);
+  EXPECT_GT(relaxed.dual_update / relaxed.iterations,
+            plain.dual_update / plain.iterations);
 }
 
 TEST(SimulatedTimingTest, MultiDeviceIeee13) {

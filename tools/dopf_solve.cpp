@@ -13,10 +13,8 @@
 //   --rho R               ADMM penalty (default 100)
 //   --eps E               relative tolerance (default 1e-3)
 //   --max-iters N         iteration cap (default 200000)
-//   --relaxation A        over-relaxation factor (default 1.0; serial
-//                         backend only)
-//   --quantize-bits B     message quantization (default 0 = exact; serial
-//                         backend only)
+//   --relaxation A        over-relaxation factor (default 1.0; every
+//                         solver-free backend)
 //   --faults SPEC         deterministic fault schedule (multigpu only), e.g.
 //                         "kill:device=1,iter=137;straggle:device=2,iter=5,
 //                         until=20,factor=4" (see runtime/fault.hpp)
@@ -143,7 +141,7 @@ namespace {
       "usage: %s [options] <feeder-file | builtin:NAME>\n"
       "  --algorithm solver-free|benchmark|reference\n"
       "  --backend serial|threaded|simt|multigpu  --threads N  --devices N\n"
-      "  --rho R  --eps E  --max-iters N  --relaxation A  --quantize-bits B\n"
+      "  --rho R  --eps E  --max-iters N  --relaxation A\n"
       "  --faults SPEC  --no-recovery\n"
       "  --degrade  --staleness-bound S  --watchdog\n"
       "  --checkpoint-every N  --checkpoint FILE  --resume FILE\n"
@@ -185,6 +183,34 @@ int parse_int(const char* arg, const char* what) {
     usage(g_argv0);
   }
   return static_cast<int>(v);
+}
+
+/// The execution backend --backend names, built as dopf_verify builds it:
+/// nullptr selects the solver's built-in serial backend. `label`, when
+/// given, receives the backend as the reports print it. multigpu partitions
+/// the components of `pack` over the devices of `multi`; the sweep and
+/// stream paths, which accept only serial and threaded, pass neither.
+std::unique_ptr<dopf::core::ExecutionBackend> make_backend(
+    const std::string& name, int threads, std::string* label = nullptr,
+    const dopf::core::PackedLocalSolvers* pack = nullptr,
+    const dopf::simt::MultiGpuOptions& multi = {}) {
+  std::string described = name;
+  std::unique_ptr<dopf::core::ExecutionBackend> backend;
+  if (name == "threaded") {
+    auto tb = std::make_unique<dopf::runtime::ThreadedBackend>(threads);
+    described = "threaded(" + std::to_string(tb->threads()) + " threads)";
+    backend = std::move(tb);
+  } else if (name == "simt") {
+    backend = std::make_unique<dopf::simt::SimtBackend>();
+  } else if (name == "multigpu" && pack) {
+    described = "multigpu(" + std::to_string(multi.num_devices) + ")";
+    backend = std::make_unique<dopf::simt::MultiDeviceBackend>(*pack, multi);
+  } else if (name != "serial") {
+    std::fprintf(stderr, "unknown backend '%s'\n", name.c_str());
+    std::exit(1);
+  }
+  if (label) *label = described;
+  return backend;
 }
 
 /// One row of the scenario sweep, for the text table and --json.
@@ -258,21 +284,14 @@ int run_scenario_sweep(const dopf::network::Network& net,
   dopf::core::SolveModel solve_model(problem, opt.projector);
   dopf::core::ScenarioBinding binding(solve_model);
   dopf::core::SolveSession session(binding, opt);
-  std::string backend_label = backend;
-  if (backend == "threaded") {
-    auto tb = std::make_unique<dopf::runtime::ThreadedBackend>(threads);
-    backend_label = "threaded(" + std::to_string(tb->threads()) + " threads)";
-    session.set_backend(std::move(tb));
-  }
+  std::string backend_label;
+  session.set_backend(make_backend(backend, threads, &backend_label));
 
   // Cold comparisons run through a second session on the same binding:
   // same pack, same factorizations, fresh iterate state every solve.
   auto solve_cold_copy = [&]() {
     dopf::core::SolveSession cold(binding, opt);
-    if (backend == "threaded") {
-      cold.set_backend(
-          std::make_unique<dopf::runtime::ThreadedBackend>(threads));
-    }
+    cold.set_backend(make_backend(backend, threads));
     return cold.solve();
   };
 
@@ -406,15 +425,11 @@ int run_stream(const dopf::network::Network& net, const std::string& label,
   sopt.resume_path = resume_file;
   sopt.cancel = &g_cancel;
   sopt.durable = durable;
-  std::string backend_label = backend;
-  if (backend == "threaded") {
-    const int n =
-        dopf::runtime::ThreadedBackend(threads).threads();
-    backend_label = "threaded(" + std::to_string(n) + " threads)";
-    sopt.make_backend = [threads]() {
-      return std::make_unique<dopf::runtime::ThreadedBackend>(threads);
-    };
-  }
+  std::string backend_label;
+  make_backend(backend, threads, &backend_label);
+  sopt.make_backend = [backend, threads]() {
+    return make_backend(backend, threads);
+  };
 
   dopf::stream::StreamResult result;
   try {
@@ -583,8 +598,6 @@ int main(int argc, char** argv) {
       opt.max_iterations = parse_int(next(), "--max-iters");
     } else if (arg == "--relaxation") {
       opt.relaxation = parse_double(next(), "--relaxation");
-    } else if (arg == "--quantize-bits") {
-      opt.quantize_bits = parse_int(next(), "--quantize-bits");
     } else if (arg == "--faults") {
       fault_spec = next();
     } else if (arg == "--no-recovery") {
@@ -648,15 +661,6 @@ int main(int argc, char** argv) {
   if (input.empty()) {
     std::fprintf(stderr, "%s: missing feeder input\n", argv[0]);
     usage(argv[0]);
-  }
-  if ((opt.relaxation != 1.0 || opt.quantize_bits > 0) &&
-      backend != "serial") {
-    // The extensions run on a serial-only path; another backend would
-    // silently not execute them.
-    std::fprintf(stderr,
-                 "%s: --relaxation/--quantize-bits require --backend serial\n",
-                 argv[0]);
-    return 1;
   }
   if (!fault_spec.empty() && backend != "multigpu") {
     std::fprintf(stderr, "%s: --faults requires --backend multigpu\n",
@@ -855,35 +859,22 @@ int main(int argc, char** argv) {
         // One driver for every backend: options, statuses, checkpoints and
         // resume behave the same whichever backend executes the kernels.
         dopf::core::SolverFreeAdmm admm(problem, opt);
-        dopf::simt::MultiDeviceBackend* multi = nullptr;
-        if (backend == "threaded") {
-          auto tb = std::make_unique<dopf::runtime::ThreadedBackend>(threads);
-          backend_label =
-              "threaded(" + std::to_string(tb->threads()) + " threads)";
-          admm.set_backend(std::move(tb));
-        } else if (backend == "simt") {
-          admm.set_backend(std::make_unique<dopf::simt::SimtBackend>());
-        } else if (backend == "multigpu") {
-          dopf::simt::MultiGpuOptions mo;
-          mo.num_devices = static_cast<std::size_t>(std::max(1, devices));
-          mo.faults = dopf::runtime::FaultPlan::parse(fault_spec);
-          if (no_recovery) {
-            mo.recovery.failover = false;
-            mo.recovery.verify_messages = false;
-          }
-          mo.degrade.enabled = degrade;
-          if (staleness_bound >= 0) {
-            mo.degrade.staleness_bound = staleness_bound;
-          }
-          backend_label = "multigpu(" + std::to_string(mo.num_devices) + ")";
-          auto mb = std::make_unique<dopf::simt::MultiDeviceBackend>(
-              admm.packed(), std::move(mo));
-          multi = mb.get();
-          admm.set_backend(std::move(mb));
-        } else if (backend != "serial") {
-          std::fprintf(stderr, "unknown backend '%s'\n", backend.c_str());
-          return 1;
+        dopf::simt::MultiGpuOptions mo;
+        mo.num_devices = static_cast<std::size_t>(std::max(1, devices));
+        mo.faults = dopf::runtime::FaultPlan::parse(fault_spec);
+        if (no_recovery) {
+          mo.recovery.failover = false;
+          mo.recovery.verify_messages = false;
         }
+        mo.degrade.enabled = degrade;
+        if (staleness_bound >= 0) {
+          mo.degrade.staleness_bound = staleness_bound;
+        }
+        admm.set_backend(make_backend(backend, threads, &backend_label,
+                                      &admm.packed(), mo));
+        const auto* multi =
+            dynamic_cast<const dopf::simt::MultiDeviceBackend*>(
+                &admm.backend());
         if (!resume_file.empty()) {
           const auto ck = dopf::runtime::load_checkpoint(resume_file, durable);
           ck.restore(&admm);
