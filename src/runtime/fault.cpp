@@ -1,7 +1,10 @@
 #include "runtime/fault.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -9,44 +12,149 @@ namespace dopf::runtime {
 
 namespace {
 
-const char* kind_name(FaultEvent::Kind kind) {
-  switch (kind) {
-    case FaultEvent::Kind::kKillDevice:
-      return "kill";
-    case FaultEvent::Kind::kDropMessage:
-      return "drop";
-    case FaultEvent::Kind::kCorruptMessage:
-      return "corrupt";
-    case FaultEvent::Kind::kStraggle:
-      return "straggle";
-  }
-  return "?";
+constexpr std::string_view kSpace = " \t";
+
+std::string_view trim(std::string_view s) {
+  const auto b = s.find_first_not_of(kSpace);
+  if (b == std::string_view::npos) return {};
+  return s.substr(b, s.find_last_not_of(kSpace) - b + 1);
 }
 
-double parse_value(const std::string& token, const std::string& event) {
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin || *end != '\0') {
-    throw FaultError("fault spec: bad number '" + token + "' in '" + event +
-                     "'");
-  }
-  return v;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::istringstream ss(s);
-  std::string part;
-  while (std::getline(ss, part, sep)) {
-    // Trim surrounding whitespace so "a; b" parses.
-    const auto b = part.find_first_not_of(" \t");
-    const auto e = part.find_last_not_of(" \t");
-    out.push_back(b == std::string::npos ? std::string()
-                                         : part.substr(b, e - b + 1));
+/// The one spec tokenizer: `sep`-separated pieces, trimmed, empties dropped.
+std::vector<std::string_view> split(std::string_view s, char sep) {
+  std::vector<std::string_view> out;
+  for (std::size_t begin = 0; begin <= s.size();) {
+    std::size_t end = s.find(sep, begin);
+    if (end == std::string_view::npos) end = s.size();
+    const std::string_view piece = trim(s.substr(begin, end - begin));
+    if (!piece.empty()) out.push_back(piece);
+    begin = end + 1;
   }
   return out;
 }
+
+std::string alternatives(std::span<const char* const> names) {
+  std::string out;
+  for (const char* name : names) {
+    if (!out.empty()) out += '|';
+    out += name;
+  }
+  return out;
+}
+
+int index_of(std::span<const char* const> names, std::string_view name) {
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (name == names[i]) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+}  // namespace
+
+SpecEntry::SpecEntry(const SpecGrammar& grammar, std::string_view text)
+    : grammar_(&grammar), text_(text) {
+  const auto colon = text.find(':');
+  if (colon == std::string_view::npos) fail("missing ':'");
+  const std::string_view kind = trim(text.substr(0, colon));
+  kind_ = index_of(grammar.kinds, kind);
+  if (kind_ < 0) {
+    fail("unknown kind '" + std::string(kind) + "' (" +
+         alternatives(grammar.kinds) + ")");
+  }
+  for (const std::string_view field : split(text.substr(colon + 1), ',')) {
+    const auto eq = field.find('=');
+    if (eq == std::string_view::npos) {
+      fail("expected key=value, got '" + std::string(field) + "'");
+    }
+    const std::string_view key = trim(field.substr(0, eq));
+    if (index_of(grammar.keys, key) < 0) {
+      fail("unknown key '" + std::string(key) + "' (" +
+           alternatives(grammar.keys) + ")");
+    }
+    if (has(key)) fail("repeats key '" + std::string(key) + "'");
+    fields_.emplace_back(std::string(key), std::string(trim(field.substr(eq + 1))));
+  }
+  for (const char* key : grammar.required) {
+    if (!has(key)) fail(std::string("needs ") + key + "=");
+  }
+}
+
+const std::string* SpecEntry::find(std::string_view key) const {
+  for (const auto& [k, v] : fields_) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
+bool SpecEntry::has(std::string_view key) const { return find(key) != nullptr; }
+
+int SpecEntry::integer(std::string_view key, int fallback, int lo,
+                       int hi) const {
+  const std::string* v = find(key);
+  if (v == nullptr) return fallback;
+  long long value = 0;
+  const auto [end, ec] = std::from_chars(v->data(), v->data() + v->size(), value);
+  if (ec != std::errc() || end != v->data() + v->size() || value < lo ||
+      value > hi) {
+    fail(std::string(key) + " needs an integer in [" + std::to_string(lo) +
+         ", " + std::to_string(hi) + "], got '" + std::string(*v) + "'");
+  }
+  return static_cast<int>(value);
+}
+
+double SpecEntry::real(std::string_view key, double fallback) const {
+  const std::string* v = find(key);
+  if (v == nullptr) return fallback;
+  const std::string& token = *v;
+  char* end = nullptr;
+  const double value = std::strtod(token.c_str(), &end);
+  if (token.empty() || *end != '\0' || !std::isfinite(value)) {
+    fail(std::string(key) + " needs a finite number, got '" + token + "'");
+  }
+  return value;
+}
+
+std::string SpecEntry::text(std::string_view key) const {
+  const std::string* v = find(key);
+  return v == nullptr ? std::string() : *v;
+}
+
+void SpecEntry::fail(const std::string& what) const {
+  throw FaultError(std::string(grammar_->prefix) + ": " + what + " in '" +
+                   text_ + "'");
+}
+
+std::vector<SpecEntry> split_spec(const std::string& spec,
+                                  const SpecGrammar& grammar) {
+  std::vector<SpecEntry> entries;
+  for (const std::string_view text : split(spec, ';')) {
+    entries.emplace_back(grammar, text);
+  }
+  return entries;
+}
+
+void OrdinalSchedule::add(int first, int times, int kind) {
+  Window w;
+  w.first = first;
+  w.end = static_cast<std::int64_t>(first) + times;
+  w.kind = kind;
+  windows_.push_back(w);
+}
+
+int OrdinalSchedule::fired(int kind) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(fired_[static_cast<std::size_t>(kind)]);
+}
+
+namespace {
+
+constexpr const char* kFaultKinds[] = {"kill", "drop", "corrupt", "straggle"};
+constexpr const char* kFaultKeys[] = {"device", "iter",  "from",  "until",
+                                      "count",  "scale", "factor"};
+constexpr const char* kFaultRequired[] = {"device"};
+constexpr SpecGrammar kFaultGrammar{"fault spec", kFaultKinds, kFaultKeys,
+                                    kFaultRequired,
+                                    "kind, device and iteration"};
 
 }  // namespace
 
@@ -59,7 +167,7 @@ bool FaultEvent::active_at(int t) const {
 
 std::string FaultEvent::to_string() const {
   std::ostringstream out;
-  out << kind_name(kind) << ":device=" << device
+  out << kFaultKinds[static_cast<int>(kind)] << ":device=" << device
       << (persistent ? ",from=" : ",iter=") << iteration;
   if (kind == Kind::kDropMessage && count != 1) out << ",count=" << count;
   if (kind == Kind::kCorruptMessage) out << ",scale=" << factor;
@@ -74,96 +182,39 @@ std::string FaultEvent::to_string() const {
 }
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
-  FaultPlan plan;
-  for (const std::string& entry : split(spec, ';')) {
-    if (entry.empty()) continue;
-    const auto colon = entry.find(':');
-    if (colon == std::string::npos) {
-      throw FaultError("fault spec: missing ':' in '" + entry + "'");
-    }
-    const std::string kind = entry.substr(0, colon);
+  const auto build = [](const SpecEntry& e) {
     FaultEvent ev;
-    if (kind == "kill") {
-      ev.kind = FaultEvent::Kind::kKillDevice;
-    } else if (kind == "drop") {
-      ev.kind = FaultEvent::Kind::kDropMessage;
-    } else if (kind == "corrupt") {
-      ev.kind = FaultEvent::Kind::kCorruptMessage;
-      ev.factor = 16.0;  // default corruption scale
-    } else if (kind == "straggle") {
-      ev.kind = FaultEvent::Kind::kStraggle;
-      ev.factor = 4.0;  // default slowdown
-    } else {
-      throw FaultError("fault spec: unknown fault kind '" + kind + "' in '" +
-                       entry + "'");
+    ev.kind = static_cast<FaultEvent::Kind>(e.kind());
+    if (e.has("iter") == e.has("from")) {
+      e.fail("needs exactly one of iter= and from=");
     }
-    bool have_device = false, have_iter = false, have_until = false;
-    for (const std::string& kv : split(entry.substr(colon + 1), ',')) {
-      if (kv.empty()) continue;
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) {
-        throw FaultError("fault spec: expected key=value, got '" + kv +
-                         "' in '" + entry + "'");
-      }
-      const std::string key = kv.substr(0, eq);
-      const double value = parse_value(kv.substr(eq + 1), entry);
-      if (key == "device") {
-        if (value < 0) throw FaultError("fault spec: negative device");
-        ev.device = static_cast<std::size_t>(value);
-        have_device = true;
-      } else if (key == "iter" || key == "from") {
-        if (have_iter) {
-          throw FaultError("fault spec: '" + entry +
-                           "' has both iter= and from= (pick one)");
-        }
-        ev.iteration = static_cast<int>(value);
-        ev.persistent = key == "from";
-        have_iter = true;
-      } else if (key == "until") {
-        ev.until = static_cast<int>(value);
-        have_until = true;
-      } else if (key == "count") {
-        ev.count = static_cast<int>(value);
-      } else if (key == "scale" || key == "factor") {
-        ev.factor = value;
-      } else {
-        throw FaultError("fault spec: unknown key '" + key + "' in '" +
-                         entry + "'");
-      }
+    if (e.has("scale") && e.has("factor")) {
+      e.fail("needs at most one of scale= and factor=");
     }
-    if (!have_device || !have_iter) {
-      throw FaultError("fault spec: '" + entry +
-                       "' needs at least device= and iter= (or from=)");
-    }
+    ev.persistent = e.has("from");
     if (ev.persistent && ev.kind == FaultEvent::Kind::kKillDevice) {
-      throw FaultError("fault spec: kill cannot be persistent (from=) in '" +
-                       entry + "' — a device dies once");
+      e.fail("kill cannot be persistent (from=) — a device dies once");
     }
-    if (ev.iteration < 1) {
-      throw FaultError("fault spec: iter must be >= 1 in '" + entry + "'");
-    }
-    if (ev.persistent && !have_until) {
-      ev.until = std::numeric_limits<int>::max();  // open-ended recurrence
-    }
-    if (ev.until < ev.iteration) ev.until = ev.iteration;
-    if (ev.kind == FaultEvent::Kind::kDropMessage && ev.count < 1) {
-      throw FaultError("fault spec: drop count must be >= 1 in '" + entry +
-                       "'");
-    }
-    for (std::size_t i = 0; i < plan.events.size(); ++i) {
-      const FaultEvent& prev = plan.events[i];
-      if (prev.kind == ev.kind && prev.device == ev.device &&
-          prev.iteration == ev.iteration) {
-        throw FaultError("fault spec: entry " +
-                         std::to_string(plan.events.size() + 1) + " ('" +
-                         entry + "') duplicates entry " + std::to_string(i + 1) +
-                         " ('" + prev.to_string() +
-                         "'): same kind, device and iteration");
-      }
-    }
-    plan.events.push_back(ev);
-  }
-  return plan;
+    ev.device = static_cast<std::size_t>(e.integer("device", 0, 0));
+    ev.iteration = e.integer(ev.persistent ? "from" : "iter", 1);
+    // A persistent event without until= recurs open-endedly.
+    ev.until = std::max(
+        ev.iteration,
+        e.integer("until", ev.persistent ? std::numeric_limits<int>::max()
+                                         : ev.iteration));
+    ev.count = e.integer("count", 1);
+    const double default_factor =
+        ev.kind == FaultEvent::Kind::kCorruptMessage ? 16.0   // scale
+        : ev.kind == FaultEvent::Kind::kStraggle     ? 4.0    // slowdown
+                                                     : 0.0;
+    ev.factor = e.real(e.has("scale") ? "scale" : "factor", default_factor);
+    return ev;
+  };
+  return {parse_spec(spec, kFaultGrammar, build,
+                     [](const FaultEvent& a, const FaultEvent& b) {
+                       return a.kind == b.kind && a.device == b.device &&
+                              a.iteration == b.iteration;
+                     })};
 }
 
 bool FaultPlan::has_persistent() const {
@@ -171,14 +222,7 @@ bool FaultPlan::has_persistent() const {
                      [](const FaultEvent& ev) { return ev.persistent; });
 }
 
-std::string FaultPlan::to_string() const {
-  std::string out;
-  for (const FaultEvent& ev : events) {
-    if (!out.empty()) out += ';';
-    out += ev.to_string();
-  }
-  return out;
-}
+std::string FaultPlan::to_string() const { return spec_string(events); }
 
 double retry_cost_seconds(const RecoveryPolicy& policy, const CommModel& comm,
                           std::size_t message_bytes, int failures) {
@@ -191,75 +235,59 @@ double retry_cost_seconds(const RecoveryPolicy& policy, const CommModel& comm,
   return seconds;
 }
 
-void FaultInjector::mark_consumed(std::size_t idx) {
-  if (consumed_.size() < plan_.events.size()) {
-    consumed_.resize(plan_.events.size(), false);
+std::size_t FaultInjector::next(FaultEvent::Kind kind, std::size_t device,
+                                int iteration, std::size_t from) const {
+  for (std::size_t i = from; i < plan_.events.size(); ++i) {
+    const FaultEvent& ev = plan_.events[i];
+    if (ev.kind == kind && ev.device == device && ev.active_at(iteration) &&
+        !consumed_[i]) {
+      return i;
+    }
   }
-  consumed_[idx] = true;
+  return plan_.events.size();
 }
 
 bool FaultInjector::kill_scheduled(std::size_t device, int iteration) const {
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    const FaultEvent& ev = plan_.events[i];
-    if (ev.kind == FaultEvent::Kind::kKillDevice && ev.device == device &&
-        ev.iteration == iteration && !is_consumed(i)) {
-      return true;
-    }
-  }
-  return false;
+  return next(FaultEvent::Kind::kKillDevice, device, iteration) <
+         plan_.events.size();
 }
 
 void FaultInjector::consume_kill(std::size_t device, int iteration) {
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    const FaultEvent& ev = plan_.events[i];
-    if (ev.kind == FaultEvent::Kind::kKillDevice && ev.device == device &&
-        ev.iteration == iteration && !is_consumed(i)) {
-      mark_consumed(i);
-      return;
-    }
-  }
+  const std::size_t i = next(FaultEvent::Kind::kKillDevice, device, iteration);
+  if (i < plan_.events.size()) consumed_[i] = 1;
 }
 
 int FaultInjector::message_drops(std::size_t device, int iteration) const {
+  constexpr auto kDrop = FaultEvent::Kind::kDropMessage;
   int drops = 0;
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    const FaultEvent& ev = plan_.events[i];
-    if (ev.kind == FaultEvent::Kind::kDropMessage && ev.device == device &&
-        ev.active_at(iteration) && !is_consumed(i)) {
-      drops += ev.count;
-    }
+  for (std::size_t i = next(kDrop, device, iteration); i < plan_.events.size();
+       i = next(kDrop, device, iteration, i + 1)) {
+    drops += plan_.events[i].count;
   }
   return drops;
 }
 
 void FaultInjector::consume_drops(std::size_t device, int iteration) {
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    const FaultEvent& ev = plan_.events[i];
-    if (ev.kind == FaultEvent::Kind::kDropMessage && !ev.persistent &&
-        ev.device == device && ev.active_at(iteration) && !is_consumed(i)) {
-      mark_consumed(i);
-    }
+  constexpr auto kDrop = FaultEvent::Kind::kDropMessage;
+  for (std::size_t i = next(kDrop, device, iteration); i < plan_.events.size();
+       i = next(kDrop, device, iteration, i + 1)) {
+    consumed_[i] = !plan_.events[i].persistent;
   }
 }
 
 const FaultEvent* FaultInjector::corruption(std::size_t device,
                                             int iteration) const {
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    const FaultEvent& ev = plan_.events[i];
-    if (ev.kind == FaultEvent::Kind::kCorruptMessage && ev.device == device &&
-        ev.active_at(iteration) && !is_consumed(i)) {
-      return &ev;
-    }
-  }
-  return nullptr;
+  const std::size_t i =
+      next(FaultEvent::Kind::kCorruptMessage, device, iteration);
+  return i < plan_.events.size() ? &plan_.events[i] : nullptr;
 }
 
 void FaultInjector::consume_corruption(std::size_t device, int iteration) {
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    const FaultEvent& ev = plan_.events[i];
-    if (ev.kind == FaultEvent::Kind::kCorruptMessage && !ev.persistent &&
-        ev.device == device && ev.active_at(iteration) && !is_consumed(i)) {
-      mark_consumed(i);
+  constexpr auto kCorrupt = FaultEvent::Kind::kCorruptMessage;
+  for (std::size_t i = next(kCorrupt, device, iteration);
+       i < plan_.events.size(); i = next(kCorrupt, device, iteration, i + 1)) {
+    if (!plan_.events[i].persistent) {
+      consumed_[i] = 1;
       return;
     }
   }
@@ -267,48 +295,29 @@ void FaultInjector::consume_corruption(std::size_t device, int iteration) {
 
 double FaultInjector::straggle_factor(std::size_t device,
                                       int iteration) const {
+  constexpr auto kStraggle = FaultEvent::Kind::kStraggle;
   double factor = 1.0;
-  for (const FaultEvent& ev : plan_.events) {
-    if (ev.kind == FaultEvent::Kind::kStraggle && ev.device == device &&
-        ev.active_at(iteration)) {
-      factor *= ev.factor;
-    }
+  for (std::size_t i = next(kStraggle, device, iteration);
+       i < plan_.events.size(); i = next(kStraggle, device, iteration, i + 1)) {
+    factor *= plan_.events[i].factor;
   }
   return factor;
 }
 
 namespace {
 
-const char* fs_kind_name(FsFailpoint::Kind kind) {
-  switch (kind) {
-    case FsFailpoint::Kind::kShortWrite:
-      return "short";
-    case FsFailpoint::Kind::kNoSpace:
-      return "enospc";
-    case FsFailpoint::Kind::kFailRename:
-      return "rename";
-    case FsFailpoint::Kind::kCrashAfterTemp:
-      return "crash";
-    case FsFailpoint::Kind::kCorruptRead:
-      return "corrupt-read";
-  }
-  return "?";
-}
-
-bool is_write_kind(FsFailpoint::Kind kind) {
-  return kind != FsFailpoint::Kind::kCorruptRead;
-}
+constexpr const char* kFsKinds[] = {"short", "enospc", "rename", "crash",
+                                    "corrupt-read"};
+constexpr const char* kFsKeys[] = {"op", "times", "bytes", "path"};
+constexpr const char* kFsRequired[] = {"op"};
+constexpr SpecGrammar kFsGrammar{"io fault spec", kFsKinds, kFsKeys,
+                                 kFsRequired, "kind, op and path filter"};
 
 }  // namespace
 
-bool FsFailpoint::matches_path(const std::string& path) const {
-  return path_contains.empty() ||
-         path.find(path_contains) != std::string::npos;
-}
-
 std::string FsFailpoint::to_string() const {
   std::ostringstream out;
-  out << fs_kind_name(kind) << ":op=" << op;
+  out << kFsKinds[static_cast<int>(kind)] << ":op=" << op;
   if (times != 1) out << ",times=" << times;
   if (kind == Kind::kShortWrite) out << ",bytes=" << bytes;
   if (!path_contains.empty()) out << ",path=" << path_contains;
@@ -316,109 +325,42 @@ std::string FsFailpoint::to_string() const {
 }
 
 FsFaultPlan FsFaultPlan::parse(const std::string& spec) {
-  FsFaultPlan plan;
-  for (const std::string& entry : split(spec, ';')) {
-    if (entry.empty()) continue;
-    const auto colon = entry.find(':');
-    if (colon == std::string::npos) {
-      throw FaultError("io fault spec: missing ':' in '" + entry + "'");
-    }
-    const std::string kind = entry.substr(0, colon);
+  const auto build = [](const SpecEntry& e) {
     FsFailpoint ev;
-    if (kind == "short") {
-      ev.kind = FsFailpoint::Kind::kShortWrite;
-    } else if (kind == "enospc") {
-      ev.kind = FsFailpoint::Kind::kNoSpace;
-    } else if (kind == "rename") {
-      ev.kind = FsFailpoint::Kind::kFailRename;
-    } else if (kind == "crash") {
-      ev.kind = FsFailpoint::Kind::kCrashAfterTemp;
-    } else if (kind == "corrupt-read") {
-      ev.kind = FsFailpoint::Kind::kCorruptRead;
-    } else {
-      throw FaultError("io fault spec: unknown failpoint kind '" + kind +
-                       "' in '" + entry + "'");
-    }
-    bool have_op = false;
-    for (const std::string& kv : split(entry.substr(colon + 1), ',')) {
-      if (kv.empty()) continue;
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) {
-        throw FaultError("io fault spec: expected key=value, got '" + kv +
-                         "' in '" + entry + "'");
-      }
-      const std::string key = kv.substr(0, eq);
-      if (key == "path") {
-        ev.path_contains = kv.substr(eq + 1);
-        continue;
-      }
-      const double value = parse_value(kv.substr(eq + 1), entry);
-      if (key == "op") {
-        ev.op = static_cast<int>(value);
-        have_op = true;
-      } else if (key == "times") {
-        ev.times = static_cast<int>(value);
-      } else if (key == "bytes") {
-        if (value < 0) throw FaultError("io fault spec: negative bytes");
-        ev.bytes = static_cast<std::size_t>(value);
-      } else {
-        throw FaultError("io fault spec: unknown key '" + key + "' in '" +
-                         entry + "'");
-      }
-    }
-    if (!have_op) {
-      throw FaultError("io fault spec: '" + entry + "' needs op=");
-    }
-    if (ev.op < 1) {
-      throw FaultError("io fault spec: op must be >= 1 in '" + entry + "'");
-    }
-    if (ev.times < 1) {
-      throw FaultError("io fault spec: times must be >= 1 in '" + entry +
-                       "'");
-    }
+    ev.kind = static_cast<FsFailpoint::Kind>(e.kind());
+    ev.op = e.integer("op", 1);
+    ev.times = e.integer("times", 1);
+    ev.bytes = static_cast<std::size_t>(e.integer("bytes", 0, 0));
+    ev.path_contains = e.text("path");
     if (ev.kind == FsFailpoint::Kind::kCrashAfterTemp && ev.times != 1) {
-      throw FaultError("io fault spec: crash fires once (drop times=) in '" +
-                       entry + "'");
+      e.fail("crash fires once (drop times=)");
     }
-    for (std::size_t i = 0; i < plan.events.size(); ++i) {
-      const FsFailpoint& prev = plan.events[i];
-      if (prev.kind == ev.kind && prev.op == ev.op &&
-          prev.path_contains == ev.path_contains) {
-        throw FaultError("io fault spec: entry " +
-                         std::to_string(plan.events.size() + 1) + " ('" +
-                         entry + "') duplicates entry " +
-                         std::to_string(i + 1) + " ('" + prev.to_string() +
-                         "'): same kind, op and path filter");
-      }
-    }
-    plan.events.push_back(ev);
-  }
-  return plan;
+    return ev;
+  };
+  return {parse_spec(spec, kFsGrammar, build,
+                     [](const FsFailpoint& a, const FsFailpoint& b) {
+                       return a.kind == b.kind && a.op == b.op &&
+                              a.path_contains == b.path_contains;
+                     })};
 }
 
-std::string FsFaultPlan::to_string() const {
-  std::string out;
-  for (const FsFailpoint& ev : events) {
-    if (!out.empty()) out += ';';
-    out += ev.to_string();
+std::string FsFaultPlan::to_string() const { return spec_string(events); }
+
+FsFaultInjector::FsFaultInjector(FsFaultPlan plan)
+    : plan_(std::move(plan)), schedule_(std::size(kFsKinds)) {
+  for (const FsFailpoint& ev : plan_.events) {
+    schedule_.add(ev.op, ev.times, static_cast<int>(ev.kind));
   }
-  return out;
 }
 
 const FsFailpoint* FsFaultInjector::advance(const std::string& path,
                                             bool write_side) {
-  const FsFailpoint* fired = nullptr;
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
+  const int hit = schedule_.advance([&](std::size_t i) {
     const FsFailpoint& ev = plan_.events[i];
-    if (is_write_kind(ev.kind) != write_side || !ev.matches_path(path)) {
-      continue;
-    }
-    const int n = ++seen_[i];
-    if (fired == nullptr && n >= ev.op && n < ev.op + ev.times) {
-      fired = &ev;
-    }
-  }
-  return fired;
+    return (ev.kind != FsFailpoint::Kind::kCorruptRead) == write_side &&
+           path.find(ev.path_contains) != std::string::npos;
+  });
+  return hit < 0 ? nullptr : &plan_.events[static_cast<std::size_t>(hit)];
 }
 
 const FsFailpoint* FsFaultInjector::on_write_attempt(const std::string& path) {

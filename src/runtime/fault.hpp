@@ -1,19 +1,154 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "runtime/comm_model.hpp"
 
 namespace dopf::runtime {
 
-/// Thrown on malformed fault specs and on unrecoverable injected faults
-/// (a device lost with failover disabled, or retries exhausted).
+/// Thrown on malformed fault specs (of every plane: --faults, --io-faults,
+/// --serve-faults, --crash-faults) and on unrecoverable injected faults (a
+/// device lost with failover disabled, or retries exhausted).
 class FaultError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
+};
+
+// ---------------------------------------------------------------------------
+// The failpoint grammar all four fault flags share (DESIGN.md §7, grammar
+// table): `;`-separated entries `kind:key=value,...`, whitespace trimmed
+// around every token, empty entries and fields skipped. A plane declares
+// only its tables; the tokenizer, the number readers, the required-key and
+// duplicate-entry checks and the diagnostics live here once.
+
+/// One plane's tables. `kinds[i]` names the plane's Kind enumerator i.
+struct SpecGrammar {
+  const char* prefix;  ///< leads every diagnostic: "io fault spec"
+  std::span<const char* const> kinds;
+  std::span<const char* const> keys;
+  std::span<const char* const> required;
+  const char* duplicate;  ///< what two duplicate entries share
+};
+
+/// One tokenized entry, already checked against its grammar's kinds, keys
+/// and required keys (a repeated key is rejected). Values are read on
+/// demand; every reader quotes the offending token and the entry.
+class SpecEntry {
+ public:
+  SpecEntry(const SpecGrammar& grammar, std::string_view text);
+
+  /// Index of the entry's kind in `grammar.kinds`.
+  int kind() const { return kind_; }
+  bool has(std::string_view key) const;
+  /// The value as a decimal integer in [lo, hi] (`fallback` when absent).
+  /// Fractions, exponents and out-of-range values are rejected.
+  int integer(std::string_view key, int fallback, int lo = 1,
+              int hi = 2147483647) const;
+  /// The value as a finite real (`fallback` when absent).
+  double real(std::string_view key, double fallback) const;
+  /// The raw value ("" when absent).
+  std::string text(std::string_view key) const;
+  /// Throws FaultError "<prefix>: <what> in '<entry>'".
+  [[noreturn]] void fail(const std::string& what) const;
+
+ private:
+  const std::string* find(std::string_view key) const;
+
+  const SpecGrammar* grammar_;
+  std::string text_;
+  int kind_ = 0;
+  std::vector<std::pair<std::string, std::string>> fields_;
+};
+
+/// Split a spec into its entries (empty spec: no entries).
+std::vector<SpecEntry> split_spec(const std::string& spec,
+                                  const SpecGrammar& grammar);
+
+/// Parse every entry through `build` and reject a later entry that
+/// `same_slot` finds equal to an earlier one: a duplicated event is almost
+/// always an editing mistake, and keeping both would double-fire it.
+template <class Build, class SameSlot>
+auto parse_spec(const std::string& spec, const SpecGrammar& grammar,
+                Build build, SameSlot same_slot) {
+  std::vector<decltype(build(std::declval<const SpecEntry&>()))> events;
+  for (const SpecEntry& entry : split_spec(spec, grammar)) {
+    auto ev = build(entry);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (same_slot(events[i], ev)) {
+        entry.fail("entry " + std::to_string(events.size() + 1) +
+                   " duplicates entry " + std::to_string(i + 1) + " ('" +
+                   events[i].to_string() + "'): same " + grammar.duplicate);
+      }
+    }
+    events.push_back(std::move(ev));
+  }
+  return events;
+}
+
+/// The `;`-joined to_string() of each event.
+template <class Event>
+std::string spec_string(const std::vector<Event>& events) {
+  std::string out;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (i > 0) out += ';';
+    out += events[i].to_string();
+  }
+  return out;
+}
+
+/// The "fire on matching ordinals [first, first + times)" counter behind
+/// the I/O, serve and crash planes. Each window counts only the operations
+/// its event matches (a path filter and read/write side, a frame kind; the
+/// crash plane matches every dispatch), so filtered failpoints fire
+/// independently. Counters stop once past their window, so no ordinal
+/// arithmetic can overflow. One mutex orders concurrent callers.
+class OrdinalSchedule {
+ public:
+  explicit OrdinalSchedule(std::size_t num_kinds) : fired_(num_kinds, 0) {}
+
+  /// Append the window of the next event; `kind` indexes fired().
+  void add(int first, int times, int kind);
+
+  /// Count one operation against every window `matches(i)` accepts; returns
+  /// the first window the operation lands in, or -1.
+  template <class Matches>
+  int advance(const Matches& matches) {
+    if (windows_.empty()) return -1;
+    std::lock_guard<std::mutex> lock(mu_);
+    int hit = -1;
+    for (std::size_t i = 0; i < windows_.size(); ++i) {
+      Window& w = windows_[i];
+      if (!matches(i)) continue;
+      if (w.seen < w.end) ++w.seen;
+      if (hit < 0 && w.seen >= w.first && w.seen < w.end) {
+        hit = static_cast<int>(i);
+      }
+    }
+    if (hit >= 0) ++fired_[static_cast<std::size_t>(windows_[hit].kind)];
+    return hit;
+  }
+
+  /// Operations on which an event of `kind` fired.
+  int fired(int kind) const;
+
+ private:
+  struct Window {
+    std::int64_t seen = 0;
+    std::int64_t first = 1;
+    std::int64_t end = 2;  // first + times
+    int kind = 0;
+  };
+  std::vector<Window> windows_;
+  std::vector<std::int64_t> fired_;
+  mutable std::mutex mu_;
 };
 
 /// One scheduled fault. All faults are keyed by (device, iteration), so a
@@ -46,25 +181,12 @@ struct FaultEvent {
   std::string to_string() const;
 };
 
-/// A deterministic schedule of faults, parseable from a CLI spec string:
-///
-///   kill:device=D,iter=K
-///   drop:device=D,iter=K[,count=C]
-///   corrupt:device=D,iter=K[,scale=S]
-///   straggle:device=D,iter=K[,until=L][,factor=F]
-///
-/// drop/corrupt/straggle also accept `from=K` in place of `iter=K` for a
-/// PERSISTENT fault that recurs on every iteration from K on (optionally
-/// bounded by `until=L`), e.g. a permanent straggler
-/// "straggle:device=1,from=1,factor=8" or a link that goes bad mid-run
-/// "drop:device=2,from=200". Persistent events are never consumed.
-///
-/// Events are separated by ';'. Example:
-///   "kill:device=1,iter=137;straggle:device=2,iter=10,until=40,factor=4"
-///
-/// Duplicate (kind, device, iteration) entries are rejected with an
-/// entry-numbered error: a duplicated event is almost always an editing
-/// mistake, and silently keeping both would double-fire the fault.
+/// A deterministic schedule of faults: a `--faults` spec in the shared
+/// grammar (device row of the DESIGN.md §7 table), e.g.
+///   "kill:device=1,iter=137;straggle:device=2,from=10,until=40,factor=4"
+/// `from=K` in place of `iter=K` makes a drop/corrupt/straggle PERSISTENT:
+/// it recurs on every iteration of [K, until] and is never consumed.
+/// simt::MultiDeviceBackend rejects a `device` it does not have.
 struct FaultPlan {
   std::vector<FaultEvent> events;
 
@@ -111,9 +233,9 @@ double retry_cost_seconds(const RecoveryPolicy& policy, const CommModel& comm,
 class FaultInjector {
  public:
   FaultInjector() = default;
-  explicit FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
+  explicit FaultInjector(FaultPlan plan)
+      : plan_(std::move(plan)), consumed_(plan_.events.size(), 0) {}
 
-  const FaultPlan& plan() const { return plan_; }
   bool empty() const { return plan_.empty(); }
 
   /// True when a not-yet-consumed kill is scheduled at (device, iteration).
@@ -137,13 +259,13 @@ class FaultInjector {
   double straggle_factor(std::size_t device, int iteration) const;
 
  private:
-  FaultPlan plan_;
-  std::vector<bool> consumed_ = {};  // parallel to plan_.events
+  /// The first unconsumed `kind` event of `device` active at `iteration`,
+  /// searching from index `from`; plan_.events.size() when there is none.
+  std::size_t next(FaultEvent::Kind kind, std::size_t device, int iteration,
+                   std::size_t from = 0) const;
 
-  bool is_consumed(std::size_t idx) const {
-    return idx < consumed_.size() && consumed_[idx];
-  }
-  void mark_consumed(std::size_t idx);
+  FaultPlan plan_;
+  std::vector<char> consumed_;  // parallel to plan_.events
 };
 
 /// One scheduled filesystem failpoint. Where the FaultEvent family above is
@@ -169,22 +291,13 @@ struct FsFailpoint {
   std::size_t bytes = 0;      ///< short-write length (kShortWrite)
   std::string path_contains;  ///< only ops whose path contains this count
 
-  bool matches_path(const std::string& path) const;
   std::string to_string() const;
 };
 
-/// A deterministic schedule of filesystem failpoints, parseable from a CLI
-/// spec string (same grammar family as FaultPlan):
-///
-///   short:op=N[,times=K][,bytes=B][,path=SUBSTR]
-///   enospc:op=N[,times=K][,path=SUBSTR]
-///   rename:op=N[,times=K][,path=SUBSTR]
-///   crash:op=N[,path=SUBSTR]
-///   corrupt-read:op=N[,times=K][,path=SUBSTR]
-///
-/// Events are separated by ';'. Example: the third checkpoint write attempt
-/// hits a full disk twice, then succeeds on retry:
-///   "enospc:op=3,times=2,path=day.ckpt"
+/// A deterministic schedule of filesystem failpoints: an `--io-faults` spec
+/// in the shared grammar (I/O row of the DESIGN.md §7 table). Example: the
+/// third checkpoint write attempt hits a full disk twice, then succeeds on
+/// retry: "enospc:op=3,times=2,path=day.ckpt".
 struct FsFaultPlan {
   std::vector<FsFailpoint> events;
 
@@ -194,17 +307,13 @@ struct FsFaultPlan {
 };
 
 /// Query-side view of an FsFaultPlan used inside durable_write_file /
-/// durable_read_file. Each failpoint keeps its own attempt counter over the
-/// operations matching its path filter, so two failpoints with different
-/// filters fire independently and deterministically.
+/// durable_read_file. Each failpoint counts the operations of its side
+/// (write or read) matching its path filter, so two failpoints with
+/// different filters fire independently and deterministically.
 class FsFaultInjector {
  public:
-  FsFaultInjector() = default;
-  explicit FsFaultInjector(FsFaultPlan plan) : plan_(std::move(plan)) {
-    seen_.assign(plan_.events.size(), 0);
-  }
+  explicit FsFaultInjector(FsFaultPlan plan);
 
-  const FsFaultPlan& plan() const { return plan_; }
   bool empty() const { return plan_.empty(); }
 
   /// Register one write attempt of `path`; returns the failpoint to apply
@@ -217,7 +326,7 @@ class FsFaultInjector {
   const FsFailpoint* advance(const std::string& path, bool write_side);
 
   FsFaultPlan plan_;
-  std::vector<int> seen_;  // per-event matching-operation counters
+  OrdinalSchedule schedule_;
 };
 
 }  // namespace dopf::runtime

@@ -1,202 +1,90 @@
 #include "serve/fault.hpp"
 
-#include <cctype>
-#include <cstdlib>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 namespace dopf::serve {
 namespace {
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : text) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else if (!std::isspace(static_cast<unsigned char>(c))) {
-      cur.push_back(c);
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
+using dopf::runtime::SpecEntry;
 
-long parse_value(const std::string& text, const std::string& entry) {
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  const long v = std::strtol(begin, &end, 10);
-  if (end == begin || *end != '\0') {
-    throw WireError("serve fault spec: bad numeric value '" + text +
-                    "' in '" + entry + "'");
-  }
-  return v;
-}
+constexpr const char* kKinds[] = {"drop", "corrupt", "truncate", "delay"};
+constexpr const char* kKeys[] = {"op", "times", "bytes", "ms", "frame"};
+constexpr const char* kRequired[] = {"op"};
+constexpr dopf::runtime::SpecGrammar kGrammar{
+    "serve fault spec", kKinds, kKeys, kRequired, "kind, op and frame filter"};
 
-std::uint8_t parse_frame_filter(const std::string& text,
-                                const std::string& entry) {
-  if (text == "response") return static_cast<std::uint8_t>(Op::kSolveResponse);
-  if (text == "reject") return static_cast<std::uint8_t>(Op::kReject);
-  if (text == "pong") return static_cast<std::uint8_t>(Op::kPong);
-  throw WireError("serve fault spec: unknown frame filter '" + text +
-                  "' in '" + entry + "' (response|reject|pong)");
-}
+/// `frame=` filter names, by frame op.
+constexpr std::pair<const char*, Op> kFrames[] = {
+    {"response", Op::kSolveResponse}, {"reject", Op::kReject},
+    {"pong", Op::kPong}};
 
-const char* kind_name(ServeFailpoint::Kind kind) {
-  switch (kind) {
-    case ServeFailpoint::Kind::kDrop: return "drop";
-    case ServeFailpoint::Kind::kCorrupt: return "corrupt";
-    case ServeFailpoint::Kind::kTruncate: return "truncate";
-    case ServeFailpoint::Kind::kDelay: return "delay";
+std::uint8_t parse_frame_filter(const SpecEntry& e) {
+  if (!e.has("frame")) return 0;
+  const std::string name = e.text("frame");
+  for (const auto& [frame, op] : kFrames) {
+    if (name == frame) return static_cast<std::uint8_t>(op);
   }
-  return "unknown";
+  e.fail("unknown frame filter '" + name + "' (response|reject|pong)");
 }
 
 }  // namespace
 
 std::string ServeFailpoint::to_string() const {
   std::ostringstream out;
-  out << kind_name(kind) << ":op=" << op;
+  out << kKinds[static_cast<int>(kind)] << ":op=" << op;
   if (times != 1) out << ",times=" << times;
   if (kind == Kind::kTruncate && bytes != 0) out << ",bytes=" << bytes;
   if (kind == Kind::kDelay) out << ",ms=" << delay_ms;
-  if (frame_op != 0) {
-    out << ",frame=";
-    switch (static_cast<Op>(frame_op)) {
-      case Op::kSolveResponse: out << "response"; break;
-      case Op::kReject: out << "reject"; break;
-      case Op::kPong: out << "pong"; break;
-      default: out << static_cast<int>(frame_op); break;
-    }
+  for (const auto& [name, frame] : kFrames) {
+    if (frame_op == static_cast<std::uint8_t>(frame)) out << ",frame=" << name;
   }
   return out.str();
 }
 
 ServeFaultPlan ServeFaultPlan::parse(const std::string& spec) {
-  ServeFaultPlan plan;
-  for (const std::string& entry : split(spec, ';')) {
-    if (entry.empty()) continue;
-    const auto colon = entry.find(':');
-    if (colon == std::string::npos) {
-      throw WireError("serve fault spec: missing ':' in '" + entry + "'");
-    }
-    const std::string kind = entry.substr(0, colon);
+  const auto build = [](const SpecEntry& e) {
     ServeFailpoint ev;
-    if (kind == "drop") {
-      ev.kind = ServeFailpoint::Kind::kDrop;
-    } else if (kind == "corrupt") {
-      ev.kind = ServeFailpoint::Kind::kCorrupt;
-    } else if (kind == "truncate") {
-      ev.kind = ServeFailpoint::Kind::kTruncate;
-    } else if (kind == "delay") {
-      ev.kind = ServeFailpoint::Kind::kDelay;
-    } else {
-      throw WireError("serve fault spec: unknown failpoint kind '" + kind +
-                      "' in '" + entry + "'");
-    }
-    bool have_op = false;
-    for (const std::string& kv : split(entry.substr(colon + 1), ',')) {
-      if (kv.empty()) continue;
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) {
-        throw WireError("serve fault spec: expected key=value, got '" + kv +
-                        "' in '" + entry + "'");
-      }
-      const std::string key = kv.substr(0, eq);
-      if (key == "frame") {
-        ev.frame_op = parse_frame_filter(kv.substr(eq + 1), entry);
-        continue;
-      }
-      const long value = parse_value(kv.substr(eq + 1), entry);
-      if (key == "op") {
-        ev.op = static_cast<int>(value);
-        have_op = true;
-      } else if (key == "times") {
-        ev.times = static_cast<int>(value);
-      } else if (key == "bytes") {
-        if (value < 0) {
-          throw WireError("serve fault spec: negative bytes in '" + entry +
-                          "'");
-        }
-        ev.bytes = static_cast<std::size_t>(value);
-      } else if (key == "ms") {
-        if (value < 0 || value > 60000) {
-          throw WireError("serve fault spec: ms must be in [0, 60000] in '" +
-                          entry + "'");
-        }
-        ev.delay_ms = static_cast<int>(value);
-      } else {
-        throw WireError("serve fault spec: unknown key '" + key + "' in '" +
-                        entry + "'");
-      }
-    }
-    if (!have_op) {
-      throw WireError("serve fault spec: '" + entry + "' needs op=");
-    }
-    if (ev.op < 1) {
-      throw WireError("serve fault spec: op must be >= 1 in '" + entry + "'");
-    }
-    if (ev.times < 1) {
-      throw WireError("serve fault spec: times must be >= 1 in '" + entry +
-                      "'");
-    }
-    for (std::size_t i = 0; i < plan.events.size(); ++i) {
-      const ServeFailpoint& prev = plan.events[i];
-      if (prev.kind == ev.kind && prev.op == ev.op &&
-          prev.frame_op == ev.frame_op) {
-        throw WireError("serve fault spec: entry " +
-                        std::to_string(plan.events.size() + 1) + " ('" +
-                        entry + "') duplicates entry " + std::to_string(i + 1) +
-                        " ('" + prev.to_string() +
-                        "'): same kind, op and frame filter");
-      }
-    }
-    plan.events.push_back(ev);
-  }
-  return plan;
+    ev.kind = static_cast<ServeFailpoint::Kind>(e.kind());
+    ev.op = e.integer("op", 1);
+    ev.times = e.integer("times", 1);
+    ev.bytes = static_cast<std::size_t>(e.integer("bytes", 0, 0));
+    ev.delay_ms = e.integer("ms", 50, 0, 60000);
+    ev.frame_op = parse_frame_filter(e);
+    return ev;
+  };
+  return {dopf::runtime::parse_spec(
+      spec, kGrammar, build,
+      [](const ServeFailpoint& a, const ServeFailpoint& b) {
+        return a.kind == b.kind && a.op == b.op && a.frame_op == b.frame_op;
+      })};
 }
 
 std::string ServeFaultPlan::to_string() const {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) out << ';';
-    out << events[i].to_string();
-  }
-  return out.str();
+  return dopf::runtime::spec_string(events);
 }
 
 ServeFaultInjector::ServeFaultInjector(ServeFaultPlan plan)
-    : plan_(std::move(plan)) {
-  seen_.assign(plan_.events.size(), 0);
+    : plan_(std::move(plan)), schedule_(std::size(kKinds)) {
+  for (const ServeFailpoint& ev : plan_.events) {
+    schedule_.add(ev.op, ev.times, static_cast<int>(ev.kind));
+  }
 }
 
 const ServeFailpoint* ServeFaultInjector::on_send(Op op) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const ServeFailpoint* hit = nullptr;
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    const ServeFailpoint& ev = plan_.events[i];
-    if (ev.frame_op != 0 && ev.frame_op != static_cast<std::uint8_t>(op)) {
-      continue;
-    }
-    const int ordinal = ++seen_[i];
-    if (hit == nullptr && ordinal >= ev.op && ordinal < ev.op + ev.times) {
-      hit = &ev;
-    }
-  }
-  if (hit != nullptr) {
-    switch (hit->kind) {
-      case ServeFailpoint::Kind::kDrop: ++counts_.dropped; break;
-      case ServeFailpoint::Kind::kCorrupt: ++counts_.corrupted; break;
-      case ServeFailpoint::Kind::kTruncate: ++counts_.truncated; break;
-      case ServeFailpoint::Kind::kDelay: ++counts_.delayed; break;
-    }
-  }
-  return hit;
+  const int hit = schedule_.advance([&](std::size_t i) {
+    const std::uint8_t filter = plan_.events[i].frame_op;
+    return filter == 0 || filter == static_cast<std::uint8_t>(op);
+  });
+  return hit < 0 ? nullptr : &plan_.events[static_cast<std::size_t>(hit)];
 }
 
 ServeFaultInjector::Counts ServeFaultInjector::counts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counts_;
+  using Kind = ServeFailpoint::Kind;
+  auto fired = [&](Kind k) { return schedule_.fired(static_cast<int>(k)); };
+  return {fired(Kind::kDrop), fired(Kind::kCorrupt), fired(Kind::kTruncate),
+          fired(Kind::kDelay)};
 }
 
 bool apply_failpoint(const ServeFailpoint& fp, std::string* frame,

@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstddef>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "runtime/fault.hpp"
 #include "serve/wire.hpp"
 
 namespace dopf::serve {
@@ -40,18 +40,10 @@ struct ServeFailpoint {
   std::string to_string() const;
 };
 
-/// A deterministic schedule of transport failpoints, parseable from a CLI
-/// spec string (same grammar family as FaultPlan / FsFaultPlan):
-///
-///   drop:op=N[,times=K][,frame=response]
-///   corrupt:op=N[,times=K][,frame=response]
-///   truncate:op=N[,times=K][,bytes=B][,frame=response]
-///   delay:op=N[,times=K][,ms=M][,frame=response]
-///
-/// `frame=` filters by frame kind: response, reject, pong (0 = all).
-/// Events are separated by ';'. Duplicate (kind, op, frame) entries are
-/// rejected with entry numbers — a duplicated failpoint is an editing
-/// mistake, and silently keeping both would double-fire.
+/// A deterministic schedule of transport failpoints: a `--serve-faults`
+/// spec in the grammar all fault flags share (transport row of the
+/// DESIGN.md §7 table), e.g. "delay:op=2,ms=100,frame=response". Malformed
+/// specs throw runtime::FaultError.
 struct ServeFaultPlan {
   std::vector<ServeFailpoint> events;
 
@@ -61,16 +53,12 @@ struct ServeFaultPlan {
 };
 
 /// Query-side view used inside the server's frame-send path. Each failpoint
-/// keeps its own matching-frame counter (like FsFaultInjector), advanced
-/// under a mutex so concurrent worker sends observe one deterministic
-/// global frame ordering per counter. Thread-safe.
+/// counts the frames its filter matches on the shared OrdinalSchedule,
+/// whose mutex gives concurrent sends one deterministic frame ordering per
+/// counter. Thread-safe; an empty plan takes no lock.
 class ServeFaultInjector {
  public:
-  ServeFaultInjector() = default;
   explicit ServeFaultInjector(ServeFaultPlan plan);
-
-  const ServeFaultPlan& plan() const { return plan_; }
-  bool empty() const { return plan_.empty(); }
 
   /// Register one outgoing frame of kind `op`; returns the failpoint to
   /// apply (the first armed match), or nullptr for a clean send.
@@ -87,9 +75,7 @@ class ServeFaultInjector {
 
  private:
   ServeFaultPlan plan_;
-  std::vector<int> seen_;  // per-event matching-frame counters
-  Counts counts_;
-  mutable std::mutex mu_;
+  dopf::runtime::OrdinalSchedule schedule_;
 };
 
 /// Apply `fp` to an encoded frame in place (kCorrupt flips a payload byte;

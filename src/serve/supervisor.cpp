@@ -1,6 +1,5 @@
 #include "serve/supervisor.hpp"
 
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -8,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -30,40 +30,14 @@
 namespace dopf::serve {
 namespace {
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : text) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else if (!std::isspace(static_cast<unsigned char>(c))) {
-      cur.push_back(c);
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
+using dopf::runtime::SpecEntry;
 
-long parse_value(const std::string& text, const std::string& entry) {
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  const long v = std::strtol(begin, &end, 10);
-  if (end == begin || *end != '\0') {
-    throw WireError("crash fault spec: bad numeric value '" + text + "' in '" +
-                    entry + "'");
-  }
-  return v;
-}
-
-const char* kind_name(CrashFailpoint::Kind kind) {
-  switch (kind) {
-    case CrashFailpoint::Kind::kSignal: return "signal";
-    case CrashFailpoint::Kind::kExit: return "exit";
-    case CrashFailpoint::Kind::kHang: return "hang";
-  }
-  return "unknown";
-}
+constexpr const char* kCrashKinds[] = {"signal", "exit", "hang"};
+constexpr const char* kCrashKeys[] = {"request", "times"};
+constexpr const char* kCrashRequired[] = {"request"};
+constexpr dopf::runtime::SpecGrammar kCrashGrammar{
+    "crash fault spec", kCrashKinds, kCrashKeys, kCrashRequired,
+    "kind and request ordinal"};
 
 std::string hex_u64(std::uint64_t v) {
   char buf[17];
@@ -144,109 +118,47 @@ WorkerExit classify_worker_exit(int waitpid_status) {
 
 std::string CrashFailpoint::to_string() const {
   std::ostringstream out;
-  out << kind_name(kind) << ":request=" << request;
+  out << kCrashKinds[static_cast<int>(kind)] << ":request=" << request;
   if (times != 1) out << ",times=" << times;
   return out.str();
 }
 
 CrashFaultPlan CrashFaultPlan::parse(const std::string& spec) {
-  CrashFaultPlan plan;
-  for (const std::string& entry : split(spec, ';')) {
-    if (entry.empty()) continue;
-    const auto colon = entry.find(':');
-    if (colon == std::string::npos) {
-      throw WireError("crash fault spec: missing ':' in '" + entry + "'");
-    }
-    const std::string kind = entry.substr(0, colon);
+  const auto build = [](const SpecEntry& e) {
     CrashFailpoint ev;
-    if (kind == "signal") {
-      ev.kind = CrashFailpoint::Kind::kSignal;
-    } else if (kind == "exit") {
-      ev.kind = CrashFailpoint::Kind::kExit;
-    } else if (kind == "hang") {
-      ev.kind = CrashFailpoint::Kind::kHang;
-    } else {
-      throw WireError("crash fault spec: unknown failpoint kind '" + kind +
-                      "' in '" + entry + "' (signal|exit|hang)");
-    }
-    bool have_request = false;
-    for (const std::string& kv : split(entry.substr(colon + 1), ',')) {
-      if (kv.empty()) continue;
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) {
-        throw WireError("crash fault spec: expected key=value, got '" + kv +
-                        "' in '" + entry + "'");
-      }
-      const std::string key = kv.substr(0, eq);
-      const long value = parse_value(kv.substr(eq + 1), entry);
-      if (key == "request") {
-        ev.request = static_cast<int>(value);
-        have_request = true;
-      } else if (key == "times") {
-        ev.times = static_cast<int>(value);
-      } else {
-        throw WireError("crash fault spec: unknown key '" + key + "' in '" +
-                        entry + "'");
-      }
-    }
-    if (!have_request) {
-      throw WireError("crash fault spec: '" + entry + "' needs request=");
-    }
-    if (ev.request < 1) {
-      throw WireError("crash fault spec: request must be >= 1 in '" + entry +
-                      "'");
-    }
-    if (ev.times < 1) {
-      throw WireError("crash fault spec: times must be >= 1 in '" + entry +
-                      "'");
-    }
-    for (std::size_t i = 0; i < plan.events.size(); ++i) {
-      const CrashFailpoint& prev = plan.events[i];
-      if (prev.kind == ev.kind && prev.request == ev.request) {
-        throw WireError("crash fault spec: entry " +
-                        std::to_string(plan.events.size() + 1) + " ('" +
-                        entry + "') duplicates entry " + std::to_string(i + 1) +
-                        " ('" + prev.to_string() +
-                        "'): same kind and request ordinal");
-      }
-    }
-    plan.events.push_back(ev);
-  }
-  return plan;
+    ev.kind = static_cast<CrashFailpoint::Kind>(e.kind());
+    ev.request = e.integer("request", 1);
+    ev.times = e.integer("times", 1);
+    return ev;
+  };
+  return {dopf::runtime::parse_spec(
+      spec, kCrashGrammar, build,
+      [](const CrashFailpoint& a, const CrashFailpoint& b) {
+        return a.kind == b.kind && a.request == b.request;
+      })};
 }
 
 std::string CrashFaultPlan::to_string() const {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) out << ';';
-    out << events[i].to_string();
+  return dopf::runtime::spec_string(events);
+}
+
+CrashFaultInjector::CrashFaultInjector(CrashFaultPlan plan)
+    : plan_(std::move(plan)), schedule_(std::size(kCrashKinds)) {
+  for (const CrashFailpoint& ev : plan_.events) {
+    schedule_.add(ev.request, ev.times, static_cast<int>(ev.kind));
   }
-  return out.str();
 }
 
 const CrashFailpoint* CrashFaultInjector::on_dispatch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const int ordinal = ++dispatched_;
-  const CrashFailpoint* hit = nullptr;
-  for (const CrashFailpoint& ev : plan_.events) {
-    if (ordinal >= ev.request && ordinal < ev.request + ev.times) {
-      hit = &ev;
-      break;
-    }
-  }
-  if (hit != nullptr) {
-    switch (hit->kind) {
-      case CrashFailpoint::Kind::kSignal: ++counts_.signaled; break;
-      case CrashFailpoint::Kind::kExit: ++counts_.exited; break;
-      case CrashFailpoint::Kind::kHang: ++counts_.hung; break;
-    }
-  }
-  return hit;
+  // Every dispatch counts for every window: one global dispatch ordinal.
+  const int hit = schedule_.advance([](std::size_t) { return true; });
+  return hit < 0 ? nullptr : &plan_.events[static_cast<std::size_t>(hit)];
 }
 
 CrashFaultInjector::Counts CrashFaultInjector::counts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counts_;
+  using Kind = CrashFailpoint::Kind;
+  auto fired = [&](Kind k) { return schedule_.fired(static_cast<int>(k)); };
+  return {fired(Kind::kSignal), fired(Kind::kExit), fired(Kind::kHang)};
 }
 
 // ---------------------------------------------------------------------------

@@ -77,19 +77,11 @@ struct CrashFailpoint {
   std::string to_string() const;
 };
 
-/// A deterministic worker-crash schedule, parseable from a CLI spec string
-/// (same grammar family as ServeFaultPlan):
-///
-///   signal:request=N[,times=K]
-///   exit:request=N[,times=K]
-///   hang:request=N[,times=K]
-///
-/// Events are separated by ';'. Example — the second dispatch segfaults its
-/// worker and the fifth exits uncleanly:
-///   "signal:request=2;exit:request=5"
-///
-/// Duplicate (kind, request) entries are rejected; throws WireError on any
-/// malformed input.
+/// A deterministic worker-crash schedule: a `--crash-faults` spec in the
+/// grammar all fault flags share (crash row of the DESIGN.md §7 table).
+/// Example — the second dispatch segfaults its worker and the fifth exits
+/// uncleanly: "signal:request=2;exit:request=5". Malformed specs throw
+/// runtime::FaultError.
 struct CrashFaultPlan {
   std::vector<CrashFailpoint> events;
 
@@ -99,12 +91,12 @@ struct CrashFaultPlan {
 };
 
 /// Query-side view of a CrashFaultPlan shared by all dispatcher threads:
-/// one global dispatch counter under a mutex, so concurrent dispatchers
-/// observe a single deterministic ordinal sequence per dispatch order.
+/// an OrdinalSchedule whose windows count every dispatch, under one mutex,
+/// so concurrent dispatchers observe a single deterministic ordinal
+/// sequence per dispatch order.
 class CrashFaultInjector {
  public:
-  CrashFaultInjector() = default;
-  explicit CrashFaultInjector(CrashFaultPlan plan) : plan_(std::move(plan)) {}
+  explicit CrashFaultInjector(CrashFaultPlan plan);
 
   struct Counts {
     int signaled = 0;
@@ -116,14 +108,11 @@ class CrashFaultInjector {
   /// first match on this ordinal), or nullptr for a clean dispatch.
   const CrashFailpoint* on_dispatch();
 
-  bool empty() const { return plan_.empty(); }
   Counts counts() const;
 
  private:
   CrashFaultPlan plan_;
-  mutable std::mutex mu_;
-  int dispatched_ = 0;
-  Counts counts_;
+  dopf::runtime::OrdinalSchedule schedule_;
 };
 
 // ---------------------------------------------------------------------------

@@ -29,6 +29,15 @@ MultiDeviceBackend::MultiDeviceBackend(const PackedLocalSolvers& pack,
       injector_(options_.faults) {
   devices_.assign(std::max<std::size_t>(1, options_.num_devices),
                   Device(options_.device_spec));
+  const auto& events = options_.faults.events;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].device >= devices_.size()) {
+      throw FaultError("fault spec: entry " + std::to_string(i + 1) + " ('" +
+                       events[i].to_string() + "') names device " +
+                       std::to_string(events[i].device) + ", but the backend has " +
+                       std::to_string(devices_.size()) + " device(s)");
+    }
+  }
   alive_.assign(devices_.size(), 1);
   health_.assign(devices_.size(), DeviceHealth(options_.degrade));
   quarantined_.assign(devices_.size(), 0);

@@ -73,7 +73,9 @@ class MultiDeviceBackend final : public dopf::core::ExecutionBackend {
  public:
   /// Partitions `pack`'s components over the devices and charges each
   /// device its slice of the problem-image upload. Only the pack's layout
-  /// is kept; the kernels read the pack the driver passes in.
+  /// is kept; the kernels read the pack the driver passes in. Throws
+  /// runtime::FaultError naming the entry when a fault event's device does
+  /// not exist.
   MultiDeviceBackend(const dopf::core::PackedLocalSolvers& pack,
                      MultiGpuOptions options);
 

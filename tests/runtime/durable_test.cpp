@@ -170,6 +170,8 @@ TEST(FsFaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_THROW(FsFaultPlan::parse("enospc:op=x"), FaultError);
   EXPECT_THROW(FsFaultPlan::parse("crash:op=1,times=3"), FaultError);
   EXPECT_THROW(FsFaultPlan::parse("enospc:op=1;enospc:op=1"), FaultError);
+  EXPECT_THROW(FsFaultPlan::parse("enospc:op=2.7"), FaultError);
+  EXPECT_THROW(FsFaultPlan::parse("enospc:op=4294967297"), FaultError);
 }
 
 TEST(FsFaultInjectorTest, PathFilterCountsMatchingOpsOnly) {
@@ -179,6 +181,16 @@ TEST(FsFaultInjectorTest, PathFilterCountsMatchingOpsOnly) {
   EXPECT_EQ(inj.on_write_attempt("other/file"), nullptr);
   EXPECT_NE(inj.on_write_attempt("dir/target.ckpt"), nullptr);  // op 2 fires
   EXPECT_EQ(inj.on_write_attempt("dir/target.ckpt"), nullptr);  // op 3 clean
+}
+
+TEST(FsFaultInjectorTest, MaxTimesFiresOnEveryOrdinalFromOpOnward) {
+  // op + times exceeds INT_MAX: the window must stay open, without overflow.
+  FsFaultInjector inj(FsFaultPlan::parse("enospc:op=2,times=2147483647"));
+  EXPECT_EQ(inj.on_write_attempt("a.ckpt"), nullptr);  // op 1
+  for (int op = 2; op <= 5000; ++op) {
+    ASSERT_NE(inj.on_write_attempt("a.ckpt"), nullptr) << "op " << op;
+  }
+  EXPECT_EQ(inj.on_read("a.ckpt"), nullptr);  // reads have their own count
 }
 
 AdmmCheckpoint small_checkpoint(int iteration) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "runtime/cluster.hpp"
 #include "runtime/partition.hpp"
 
@@ -63,12 +66,21 @@ TEST(FaultPlanTest, MalformedSpecsThrowWithContext) {
   EXPECT_THROW(FaultPlan::parse("kill:device=-1,iter=5"), FaultError);
   EXPECT_THROW(FaultPlan::parse("kill:device=0,iter=5,bogus=1"), FaultError);
   EXPECT_THROW(FaultPlan::parse("drop:device=0,iter=5,count=0"), FaultError);
-  try {
-    FaultPlan::parse("kill:device=0,iter=1x");
-    FAIL() << "expected FaultError";
-  } catch (const FaultError& e) {
-    EXPECT_NE(std::string(e.what()).find("1x"), std::string::npos)
-        << "diagnostic should quote the offending token: " << e.what();
+  const std::pair<const char*, const char*> quoted[] = {
+      {"kill:device=0,iter=1x", "1x"},
+      {"kill:device=1.5,iter=3", "1.5"},
+      {"kill:device=0,iter=1.9", "1.9"},
+      {"kill:device=0,iter=4294967297", "4294967297"},
+  };
+  for (const auto& [spec, token] : quoted) {
+    try {
+      FaultPlan::parse(spec);
+      FAIL() << "expected FaultError for " << spec;
+    } catch (const FaultError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + token + "'"),
+                std::string::npos)
+          << "diagnostic should quote the offending token: " << e.what();
+    }
   }
 }
 

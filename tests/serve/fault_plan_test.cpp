@@ -14,6 +14,8 @@
 namespace dopf::serve {
 namespace {
 
+using dopf::runtime::FaultError;
+
 TEST(FaultPlanTest, ParsesEveryKindWithOptions) {
   const ServeFaultPlan plan = ServeFaultPlan::parse(
       "drop:op=1;corrupt:op=2,times=3,frame=response;"
@@ -55,23 +57,25 @@ TEST(FaultPlanTest, EmptySpecIsEmptyPlan) {
 }
 
 TEST(FaultPlanTest, MalformedSpecsRaiseTypedErrors) {
-  EXPECT_THROW(ServeFaultPlan::parse("explode:op=1"), WireError);
-  EXPECT_THROW(ServeFaultPlan::parse("drop"), WireError);          // no ':'
-  EXPECT_THROW(ServeFaultPlan::parse("drop:times=2"), WireError);  // no op
-  EXPECT_THROW(ServeFaultPlan::parse("drop:op=0"), WireError);
-  EXPECT_THROW(ServeFaultPlan::parse("drop:op=x"), WireError);
-  EXPECT_THROW(ServeFaultPlan::parse("drop:op=1,times=0"), WireError);
-  EXPECT_THROW(ServeFaultPlan::parse("drop:op=1,bogus=2"), WireError);
-  EXPECT_THROW(ServeFaultPlan::parse("drop:op=1,frame=request"), WireError);
-  EXPECT_THROW(ServeFaultPlan::parse("truncate:op=1,bytes=-1"), WireError);
-  EXPECT_THROW(ServeFaultPlan::parse("delay:op=1,ms=99999"), WireError);
+  EXPECT_THROW(ServeFaultPlan::parse("explode:op=1"), FaultError);
+  EXPECT_THROW(ServeFaultPlan::parse("drop"), FaultError);          // no ':'
+  EXPECT_THROW(ServeFaultPlan::parse("drop:times=2"), FaultError);  // no op
+  EXPECT_THROW(ServeFaultPlan::parse("drop:op=0"), FaultError);
+  EXPECT_THROW(ServeFaultPlan::parse("drop:op=x"), FaultError);
+  EXPECT_THROW(ServeFaultPlan::parse("drop:op=1,times=0"), FaultError);
+  EXPECT_THROW(ServeFaultPlan::parse("drop:op=1,bogus=2"), FaultError);
+  EXPECT_THROW(ServeFaultPlan::parse("drop:op=1,frame=request"), FaultError);
+  EXPECT_THROW(ServeFaultPlan::parse("truncate:op=1,bytes=-1"), FaultError);
+  EXPECT_THROW(ServeFaultPlan::parse("delay:op=1,ms=99999"), FaultError);
+  EXPECT_THROW(ServeFaultPlan::parse("drop:op=2.7"), FaultError);
+  EXPECT_THROW(ServeFaultPlan::parse("drop:op=4294967297"), FaultError);
 }
 
 TEST(FaultPlanTest, DuplicateKindOpFrameIsRejected) {
-  EXPECT_THROW(ServeFaultPlan::parse("drop:op=2;drop:op=2"), WireError);
+  EXPECT_THROW(ServeFaultPlan::parse("drop:op=2;drop:op=2"), FaultError);
   EXPECT_THROW(
       ServeFaultPlan::parse("drop:op=2,frame=response;drop:op=2,frame=response"),
-      WireError);
+      FaultError);
   // Different frame filter or different kind at the same ordinal is fine.
   EXPECT_EQ(
       ServeFaultPlan::parse("drop:op=2;drop:op=2,frame=response").events.size(),
@@ -98,6 +102,16 @@ TEST(FaultPlanTest, TimesWidensTheArmedWindow) {
   EXPECT_NE(inj.on_send(Op::kPong), nullptr);           // frame 3
   EXPECT_EQ(inj.on_send(Op::kSolveResponse), nullptr);  // frame 4
   EXPECT_EQ(inj.counts().corrupted, 2);
+}
+
+TEST(FaultPlanTest, MaxTimesFiresOnEveryOrdinalFromOpOnward) {
+  // op + times exceeds INT_MAX: the window must stay open, without overflow.
+  ServeFaultInjector inj(ServeFaultPlan::parse("drop:op=2,times=2147483647"));
+  EXPECT_EQ(inj.on_send(Op::kPong), nullptr);  // frame 1
+  for (int frame = 2; frame <= 5000; ++frame) {
+    ASSERT_NE(inj.on_send(Op::kSolveResponse), nullptr) << "frame " << frame;
+  }
+  EXPECT_EQ(inj.counts().dropped, 4999);
 }
 
 TEST(FaultPlanTest, InjectorIsDeterministicAcrossRuns) {

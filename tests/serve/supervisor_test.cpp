@@ -63,9 +63,12 @@ TEST(CrashFaultPlanTest, RejectsMalformedSpecsTyped) {
       "signal:request=x",            // malformed integer
       "signal:bogus=1",              // unknown key
       "signal:request=1;signal:request=1",  // duplicate (kind, ordinal)
+      "signal:request=1.5",          // fractional ordinal
+      "signal:request=4294967297",   // ordinal beyond int
   };
   for (const char* spec : bad) {
-    EXPECT_THROW(CrashFaultPlan::parse(spec), WireError) << spec;
+    EXPECT_THROW(CrashFaultPlan::parse(spec), dopf::runtime::FaultError)
+        << spec;
   }
 }
 
@@ -87,6 +90,18 @@ TEST(CrashFaultInjectorTest, MatchesDispatchOrdinalsAndCounts) {
   EXPECT_EQ(c.signaled, 2);
   EXPECT_EQ(c.exited, 1);
   EXPECT_EQ(c.hung, 0);
+}
+
+TEST(CrashFaultInjectorTest, MaxTimesFiresOnEveryOrdinalFromRequestOnward) {
+  // request + times exceeds INT_MAX: the window must stay open, without
+  // overflow.
+  CrashFaultInjector inj(
+      CrashFaultPlan::parse("hang:request=2,times=2147483647"));
+  EXPECT_EQ(inj.on_dispatch(), nullptr);  // ordinal 1
+  for (int ordinal = 2; ordinal <= 5000; ++ordinal) {
+    ASSERT_NE(inj.on_dispatch(), nullptr) << "ordinal " << ordinal;
+  }
+  EXPECT_EQ(inj.counts().hung, 4999);
 }
 
 // ---------------------------------------------------------------------------

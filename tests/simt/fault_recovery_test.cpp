@@ -111,6 +111,23 @@ TEST(FaultRecoveryTest, KillWithoutFailoverThrows) {
   EXPECT_THROW(admm.solve(), FaultError);
 }
 
+TEST(FaultRecoveryTest, FaultOnAMissingDeviceIsRejected) {
+  // A plan naming device 7 on a 3-device backend would otherwise be
+  // silently ignored; the backend refuses it, naming the entry.
+  auto mo = base_options();
+  mo.faults = FaultPlan::parse("drop:device=1,iter=5;kill:device=7,iter=120");
+  try {
+    MultiDeviceSolve admm(problem(), admm_options(), mo);
+    FAIL() << "expected FaultError";
+  } catch (const FaultError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("entry 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("kill:device=7,iter=120"), std::string::npos) << what;
+  }
+  mo.faults = FaultPlan::parse("kill:device=2,iter=120");
+  EXPECT_NO_THROW(MultiDeviceSolve(problem(), admm_options(), mo));
+}
+
 TEST(FaultRecoveryTest, RetryBudgetExhaustionEscalatesToFailover) {
   MultiDeviceSolve clean(problem(), admm_options(), base_options());
   const AdmmResult ref = clean.solve();

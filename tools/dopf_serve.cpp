@@ -118,7 +118,7 @@ int worker_mode(int argc, char** argv) {
     } else if (arg == "--io-faults") {
       try {
         cfg.fs_faults = dopf::runtime::FsFaultPlan::parse(next());
-      } catch (const std::exception& e) {
+      } catch (const dopf::runtime::FaultError& e) {
         std::fprintf(stderr, "%s (worker): %s\n", argv[0], e.what());
         return 1;
       }
@@ -190,14 +190,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--serve-faults") {
       try {
         opts.faults = dopf::serve::ServeFaultPlan::parse(next());
-      } catch (const dopf::serve::WireError& e) {
+      } catch (const dopf::runtime::FaultError& e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         return 1;
       }
     } else if (arg == "--crash-faults") {
       try {
         opts.crash_faults = dopf::serve::CrashFaultPlan::parse(next());
-      } catch (const dopf::serve::WireError& e) {
+      } catch (const dopf::runtime::FaultError& e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         return 1;
       }
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
       io_faults_spec = next();
       try {
         (void)dopf::runtime::FsFaultPlan::parse(io_faults_spec);
-      } catch (const std::exception& e) {
+      } catch (const dopf::runtime::FaultError& e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         return 1;
       }

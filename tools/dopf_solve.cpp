@@ -185,6 +185,18 @@ int parse_int(const char* arg, const char* what) {
   return static_cast<int>(v);
 }
 
+/// Fault specs are parsed where their flag is read: a malformed one exits 1
+/// before any input is loaded, whichever algorithm would have run.
+template <class Plan>
+Plan parse_plan(const char* spec) {
+  try {
+    return Plan::parse(spec);
+  } catch (const dopf::runtime::FaultError& e) {
+    std::fprintf(stderr, "%s: %s\n", g_argv0, e.what());
+    std::exit(1);
+  }
+}
+
 /// The execution backend --backend names, built as dopf_verify builds it:
 /// nullptr selects the solver's built-in serial backend. `label`, when
 /// given, receives the backend as the reports print it. multigpu partitions
@@ -553,7 +565,8 @@ int main(int argc, char** argv) {
   g_argv0 = argv[0];
   std::string input, algorithm = "solver-free", residual_file, output_file;
   std::string backend = "serial";
-  std::string fault_spec, checkpoint_file, resume_file;
+  std::string checkpoint_file, resume_file;
+  dopf::runtime::FaultPlan faults;
   int threads = 0;  // 0 = hardware concurrency
   int devices = 2;
   int checkpoint_every = 0;
@@ -567,7 +580,7 @@ int main(int argc, char** argv) {
   int checkpoint_every_steps = 0;
   bool reset_on_switch = false;
   bool cold_compare = false, json = false;
-  std::string io_fault_spec;
+  dopf::runtime::FsFaultPlan io_fault_plan;
   double deadline_seconds = 0.0;
   bool no_fsync = false;
   dopf::core::AdmmOptions opt;
@@ -599,7 +612,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--relaxation") {
       opt.relaxation = parse_double(next(), "--relaxation");
     } else if (arg == "--faults") {
-      fault_spec = next();
+      faults = parse_plan<dopf::runtime::FaultPlan>(next());
     } else if (arg == "--no-recovery") {
       no_recovery = true;
     } else if (arg == "--degrade") {
@@ -634,7 +647,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--deadline") {
       deadline_seconds = parse_double(next(), "--deadline");
     } else if (arg == "--io-faults") {
-      io_fault_spec = next();
+      io_fault_plan = parse_plan<dopf::runtime::FsFaultPlan>(next());
     } else if (arg == "--no-fsync") {
       no_fsync = true;
     } else if (arg == "--reset-on-switch") {
@@ -662,9 +675,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: missing feeder input\n", argv[0]);
     usage(argv[0]);
   }
-  if (!fault_spec.empty() && backend != "multigpu") {
+  if (!faults.empty() && backend != "multigpu") {
     std::fprintf(stderr, "%s: --faults requires --backend multigpu\n",
                  argv[0]);
+    return 1;
+  }
+  if (backend != "serial" && algorithm != "solver-free") {
+    std::fprintf(stderr, "%s: --backend %s requires --algorithm solver-free\n",
+                 argv[0], backend.c_str());
     return 1;
   }
   if (degrade && backend != "multigpu") {
@@ -756,16 +774,12 @@ int main(int argc, char** argv) {
   if (deadline_seconds > 0.0) g_cancel.set_deadline_after(deadline_seconds);
   opt.cancel = &g_cancel;
 
-  dopf::runtime::FsFaultInjector io_faults;
+  dopf::runtime::FsFaultInjector io_faults(std::move(io_fault_plan));
   dopf::runtime::DurableOptions durable;
   durable.fsync = !no_fsync;
+  if (!io_faults.empty()) durable.faults = &io_faults;
 
   try {
-    if (!io_fault_spec.empty()) {
-      io_faults = dopf::runtime::FsFaultInjector(
-          dopf::runtime::FsFaultPlan::parse(io_fault_spec));
-      durable.faults = &io_faults;
-    }
     dopf::network::Network net;
     if (input.rfind("builtin:", 0) == 0) {
       net = dopf::runtime::make_instance(input.substr(8)).net;
@@ -844,11 +858,6 @@ int main(int argc, char** argv) {
                                : dopf::opf::decompose(net, model);
       std::printf("decomposition: %zu components\n",
                   problem.num_components());
-      if (backend != "serial" && algorithm != "solver-free") {
-        std::fprintf(stderr, "--backend %s requires --algorithm solver-free\n",
-                     backend.c_str());
-        return 1;
-      }
       std::string backend_label = backend;
       dopf::core::AdmmResult res;
       dopf::runtime::IoStats run_io;  // durable checkpoint traffic (--json)
@@ -861,7 +870,7 @@ int main(int argc, char** argv) {
         dopf::core::SolverFreeAdmm admm(problem, opt);
         dopf::simt::MultiGpuOptions mo;
         mo.num_devices = static_cast<std::size_t>(std::max(1, devices));
-        mo.faults = dopf::runtime::FaultPlan::parse(fault_spec);
+        mo.faults = faults;
         if (no_recovery) {
           mo.recovery.failover = false;
           mo.recovery.verify_messages = false;

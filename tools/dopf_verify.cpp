@@ -186,13 +186,25 @@ std::unique_ptr<dopf::core::ExecutionBackend> make_backend(
   std::exit(1);
 }
 
+/// Fault specs are parsed where their flag is read: a malformed one exits 1
+/// before any input is loaded.
+dopf::runtime::FaultPlan parse_fault_plan(const char* spec) {
+  try {
+    return dopf::runtime::FaultPlan::parse(spec);
+  } catch (const dopf::runtime::FaultError& e) {
+    std::fprintf(stderr, "%s: %s\n", g_argv0, e.what());
+    std::exit(1);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   g_argv0 = argv[0];
   std::string network = "ieee13", backend = "serial";
   std::string golden_file, golden_dir;
-  std::string fault_spec, resume_file;
+  std::string resume_file;
+  dopf::runtime::FaultPlan faults;
   int threads = 4;
   int devices = 3;
   int checkpoint_every = 0;
@@ -226,7 +238,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--devices") {
       devices = parse_int(next(), "--devices");
     } else if (arg == "--faults") {
-      fault_spec = next();
+      faults = parse_fault_plan(next());
     } else if (arg == "--no-recovery") {
       no_recovery = true;
     } else if (arg == "--degrade") {
@@ -272,7 +284,7 @@ int main(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (!fault_spec.empty() && backend != "multigpu") {
+  if (!faults.empty() && backend != "multigpu") {
     std::fprintf(stderr, "%s: --faults requires --backend multigpu\n",
                  argv[0]);
     return 1;
@@ -402,7 +414,7 @@ int main(int argc, char** argv) {
     run_profile.watchdog = watchdog;
     dopf::simt::MultiGpuOptions mo;
     mo.num_devices = static_cast<std::size_t>(devices);
-    mo.faults = dopf::runtime::FaultPlan::parse(fault_spec);
+    mo.faults = faults;
     if (no_recovery) {
       mo.recovery.failover = false;
       mo.recovery.verify_messages = false;
@@ -434,7 +446,7 @@ int main(int argc, char** argv) {
     };
     // Fault/degrade counters, printed while the backend is still alive.
     auto report_multi = [&]() {
-      if (multi && !fault_spec.empty()) {
+      if (multi && !faults.empty()) {
         std::printf(
             "faults injected: %s\n"
             "recovery: %d failover(s), %d message retr%s, %zu/%zu devices "
@@ -491,7 +503,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "refusing to record a mutated golden trace\n");
         return 1;
       }
-      if (!fault_spec.empty() || resume_from > 0) {
+      if (!faults.empty() || resume_from > 0) {
         std::fprintf(stderr,
                      "refusing to record a faulted or resumed golden trace\n");
         return 1;

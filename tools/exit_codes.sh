@@ -77,6 +77,12 @@ expect 0 "default warn policy also solves it" \
   "$solve" "$degenerate" --eps 1e-2 --max-iters 20000
 expect 1 "non-finite feeder data rejected by the parser" \
   "$solve" "$corrupt" --preflight off
+expect 1 "fault on a device the backend does not have" \
+  "$solve" builtin:ieee13 --backend multigpu --devices 3 \
+    --checkpoint-every 50 --faults "kill:device=7,iter=120"
+expect 1 "fault spec and backend checked before the algorithm runs" \
+  "$solve" builtin:ieee13 --algorithm reference --backend multigpu \
+    --faults "explode:device=0,iter=1"
 
 # --- cancellation (6) and durable I/O failure (7) ------------------------
 
