@@ -239,6 +239,10 @@ AdmmResult SolverFreeAdmm::solve() {
     ++timing_.precompute_reuse_count;
   }
   ++solves_run_;
+  // A simulated backend reports totals since it was built; this solve's
+  // share is the difference against the totals before it.
+  TimingBreakdown simulated_before;
+  backend_->report_simulated_timing(simulated_before);
   AdmmResult result;
   int recorded = 0;
   const auto wall_start = Clock::now();
@@ -374,6 +378,13 @@ AdmmResult SolverFreeAdmm::solve() {
   result.final_rho = rho_;
   result.timing = timing_;
   backend_->report_simulated_timing(result.timing);
+  result.timing.global_update -= simulated_before.global_update;
+  result.timing.local_update -= simulated_before.local_update;
+  result.timing.dual_update -= simulated_before.dual_update;
+  result.timing.residuals -= simulated_before.residuals;
+  result.timing.recovery -= simulated_before.recovery;
+  result.timing.degrade -= simulated_before.degrade;
+  result.timing.degraded_iterations -= simulated_before.degraded_iterations;
   result.component_seconds.assign(component_seconds_.begin(),
                                   component_seconds_.end());
   return result;

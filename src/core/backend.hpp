@@ -130,7 +130,9 @@ class ExecutionBackend {
   /// Backends whose cost is a model rather than host work overwrite the
   /// per-phase seconds of `timing` (global, local, dual, residuals,
   /// recovery, degrade, degraded_iterations) with their simulated totals
-  /// since construction. The default keeps the driver's wall-clock values.
+  /// since construction. The driver calls it before and after each solve
+  /// and reports the difference, so every solve of a session gets its own
+  /// seconds. The default keeps the driver's wall-clock values.
   virtual void report_simulated_timing(TimingBreakdown& /*timing*/) const {}
 };
 

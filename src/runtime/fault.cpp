@@ -42,9 +42,19 @@ std::string alternatives(std::span<const char* const> names) {
   return out;
 }
 
-int index_of(std::span<const char* const> names, std::string_view name) {
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (name == names[i]) return static_cast<int>(i);
+std::string alternatives(std::span<const SpecKind> kinds) {
+  std::vector<const char*> names;
+  for (const SpecKind& kind : kinds) names.push_back(kind.name);
+  return alternatives(names);
+}
+
+bool contains(std::span<const char* const> names, std::string_view name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+int kind_index(std::span<const SpecKind> kinds, std::string_view name) {
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    if (name == kinds[i].name) return static_cast<int>(i);
   }
   return -1;
 }
@@ -56,20 +66,21 @@ SpecEntry::SpecEntry(const SpecGrammar& grammar, std::string_view text)
   const auto colon = text.find(':');
   if (colon == std::string_view::npos) fail("missing ':'");
   const std::string_view kind = trim(text.substr(0, colon));
-  kind_ = index_of(grammar.kinds, kind);
+  kind_ = kind_index(grammar.kinds, kind);
   if (kind_ < 0) {
     fail("unknown kind '" + std::string(kind) + "' (" +
          alternatives(grammar.kinds) + ")");
   }
+  const SpecKind& row = grammar.kinds[static_cast<std::size_t>(kind_)];
   for (const std::string_view field : split(text.substr(colon + 1), ',')) {
     const auto eq = field.find('=');
     if (eq == std::string_view::npos) {
       fail("expected key=value, got '" + std::string(field) + "'");
     }
     const std::string_view key = trim(field.substr(0, eq));
-    if (index_of(grammar.keys, key) < 0) {
-      fail("unknown key '" + std::string(key) + "' (" +
-           alternatives(grammar.keys) + ")");
+    if (!contains(row.keys, key)) {
+      fail("unknown key '" + std::string(key) + "' for " + row.name + " (" +
+           alternatives(row.keys) + ")");
     }
     if (has(key)) fail("repeats key '" + std::string(key) + "'");
     fields_.emplace_back(std::string(key), std::string(trim(field.substr(eq + 1))));
@@ -88,18 +99,27 @@ const std::string* SpecEntry::find(std::string_view key) const {
 
 bool SpecEntry::has(std::string_view key) const { return find(key) != nullptr; }
 
+std::optional<int> read_integer(std::string_view text, int lo, int hi) {
+  long long value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || value < lo ||
+      value > hi) {
+    return std::nullopt;
+  }
+  return static_cast<int>(value);
+}
+
 int SpecEntry::integer(std::string_view key, int fallback, int lo,
                        int hi) const {
   const std::string* v = find(key);
   if (v == nullptr) return fallback;
-  long long value = 0;
-  const auto [end, ec] = std::from_chars(v->data(), v->data() + v->size(), value);
-  if (ec != std::errc() || end != v->data() + v->size() || value < lo ||
-      value > hi) {
+  const std::optional<int> value = read_integer(*v, lo, hi);
+  if (!value) {
     fail(std::string(key) + " needs an integer in [" + std::to_string(lo) +
          ", " + std::to_string(hi) + "], got '" + std::string(*v) + "'");
   }
-  return static_cast<int>(value);
+  return *value;
 }
 
 double SpecEntry::real(std::string_view key, double fallback) const {
@@ -148,12 +168,19 @@ int OrdinalSchedule::fired(int kind) const {
 
 namespace {
 
-constexpr const char* kFaultKinds[] = {"kill", "drop", "corrupt", "straggle"};
-constexpr const char* kFaultKeys[] = {"device", "iter",  "from",  "until",
-                                      "count",  "scale", "factor"};
+// `until` bounds a persistent (from=) window; on a one-shot drop or
+// corrupt it is rejected below. `scale` and `factor` name the same value.
+constexpr const char* kKillKeys[] = {"device", "iter"};
+constexpr const char* kDropKeys[] = {"device", "iter", "from", "until",
+                                     "count"};
+constexpr const char* kScaledKeys[] = {"device", "iter",  "from",
+                                       "until",  "scale", "factor"};
+constexpr SpecKind kFaultKinds[] = {{"kill", kKillKeys},
+                                    {"drop", kDropKeys},
+                                    {"corrupt", kScaledKeys},
+                                    {"straggle", kScaledKeys}};
 constexpr const char* kFaultRequired[] = {"device"};
-constexpr SpecGrammar kFaultGrammar{"fault spec", kFaultKinds, kFaultKeys,
-                                    kFaultRequired,
+constexpr SpecGrammar kFaultGrammar{"fault spec", kFaultKinds, kFaultRequired,
                                     "kind, device and iteration"};
 
 }  // namespace
@@ -167,7 +194,7 @@ bool FaultEvent::active_at(int t) const {
 
 std::string FaultEvent::to_string() const {
   std::ostringstream out;
-  out << kFaultKinds[static_cast<int>(kind)] << ":device=" << device
+  out << kFaultKinds[static_cast<int>(kind)].name << ":device=" << device
       << (persistent ? ",from=" : ",iter=") << iteration;
   if (kind == Kind::kDropMessage && count != 1) out << ",count=" << count;
   if (kind == Kind::kCorruptMessage) out << ",scale=" << factor;
@@ -192,8 +219,9 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       e.fail("needs at most one of scale= and factor=");
     }
     ev.persistent = e.has("from");
-    if (ev.persistent && ev.kind == FaultEvent::Kind::kKillDevice) {
-      e.fail("kill cannot be persistent (from=) — a device dies once");
+    if (e.has("until") && !ev.persistent &&
+        ev.kind != FaultEvent::Kind::kStraggle) {
+      e.fail("until= needs from= (a one-shot event fires at iter= only)");
     }
     ev.device = static_cast<std::size_t>(e.integer("device", 0, 0));
     ev.iteration = e.integer(ev.persistent ? "from" : "iter", 1);
@@ -306,18 +334,22 @@ double FaultInjector::straggle_factor(std::size_t device,
 
 namespace {
 
-constexpr const char* kFsKinds[] = {"short", "enospc", "rename", "crash",
-                                    "corrupt-read"};
-constexpr const char* kFsKeys[] = {"op", "times", "bytes", "path"};
+constexpr const char* kShortKeys[] = {"op", "times", "bytes", "path"};
+constexpr const char* kFsKeys[] = {"op", "times", "path"};
+constexpr SpecKind kFsKinds[] = {{"short", kShortKeys},
+                                 {"enospc", kFsKeys},
+                                 {"rename", kFsKeys},
+                                 {"crash", kFsKeys},
+                                 {"corrupt-read", kFsKeys}};
 constexpr const char* kFsRequired[] = {"op"};
-constexpr SpecGrammar kFsGrammar{"io fault spec", kFsKinds, kFsKeys,
-                                 kFsRequired, "kind, op and path filter"};
+constexpr SpecGrammar kFsGrammar{"io fault spec", kFsKinds, kFsRequired,
+                                 "kind, op and path filter"};
 
 }  // namespace
 
 std::string FsFailpoint::to_string() const {
   std::ostringstream out;
-  out << kFsKinds[static_cast<int>(kind)] << ":op=" << op;
+  out << kFsKinds[static_cast<int>(kind)].name << ":op=" << op;
   if (times != 1) out << ",times=" << times;
   if (kind == Kind::kShortWrite) out << ",bytes=" << bytes;
   if (!path_contains.empty()) out << ",path=" << path_contains;

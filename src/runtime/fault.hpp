@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -29,18 +30,31 @@ class FaultError : public std::runtime_error {
 // only its tables; the tokenizer, the number readers, the required-key and
 // duplicate-entry checks and the diagnostics live here once.
 
-/// One plane's tables. `kinds[i]` names the plane's Kind enumerator i.
+/// `text` as a plain decimal integer in [lo, hi], or nullopt: signs other
+/// than a leading '-', fractions, exponents, surrounding text and
+/// out-of-range values are rejected, never truncated. The one integer
+/// reader behind SpecEntry::integer and the tools' integer flags.
+std::optional<int> read_integer(std::string_view text, int lo, int hi);
+
+/// One kind of a plane: its name and the keys it reads. Any other key is
+/// rejected, so a plan's to_string() never drops a key it was given.
+struct SpecKind {
+  const char* name;
+  std::span<const char* const> keys;
+};
+
+/// One plane's tables. `kinds[i]` is the plane's Kind enumerator i.
 struct SpecGrammar {
   const char* prefix;  ///< leads every diagnostic: "io fault spec"
-  std::span<const char* const> kinds;
-  std::span<const char* const> keys;
+  std::span<const SpecKind> kinds;
   std::span<const char* const> required;
   const char* duplicate;  ///< what two duplicate entries share
 };
 
-/// One tokenized entry, already checked against its grammar's kinds, keys
-/// and required keys (a repeated key is rejected). Values are read on
-/// demand; every reader quotes the offending token and the entry.
+/// One tokenized entry, already checked against its grammar's kinds, its
+/// kind's keys and the required keys (a repeated key is rejected). Values
+/// are read on demand; every reader quotes the offending token and the
+/// entry.
 class SpecEntry {
  public:
   SpecEntry(const SpecGrammar& grammar, std::string_view text);

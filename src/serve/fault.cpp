@@ -9,11 +9,16 @@ namespace {
 
 using dopf::runtime::SpecEntry;
 
-constexpr const char* kKinds[] = {"drop", "corrupt", "truncate", "delay"};
-constexpr const char* kKeys[] = {"op", "times", "bytes", "ms", "frame"};
+constexpr const char* kKeys[] = {"op", "times", "frame"};
+constexpr const char* kTruncateKeys[] = {"op", "times", "bytes", "frame"};
+constexpr const char* kDelayKeys[] = {"op", "times", "ms", "frame"};
+constexpr dopf::runtime::SpecKind kKinds[] = {{"drop", kKeys},
+                                              {"corrupt", kKeys},
+                                              {"truncate", kTruncateKeys},
+                                              {"delay", kDelayKeys}};
 constexpr const char* kRequired[] = {"op"};
 constexpr dopf::runtime::SpecGrammar kGrammar{
-    "serve fault spec", kKinds, kKeys, kRequired, "kind, op and frame filter"};
+    "serve fault spec", kKinds, kRequired, "kind, op and frame filter"};
 
 /// `frame=` filter names, by frame op.
 constexpr std::pair<const char*, Op> kFrames[] = {
@@ -33,7 +38,7 @@ std::uint8_t parse_frame_filter(const SpecEntry& e) {
 
 std::string ServeFailpoint::to_string() const {
   std::ostringstream out;
-  out << kKinds[static_cast<int>(kind)] << ":op=" << op;
+  out << kKinds[static_cast<int>(kind)].name << ":op=" << op;
   if (times != 1) out << ",times=" << times;
   if (kind == Kind::kTruncate && bytes != 0) out << ",bytes=" << bytes;
   if (kind == Kind::kDelay) out << ",ms=" << delay_ms;

@@ -32,11 +32,12 @@ namespace {
 
 using dopf::runtime::SpecEntry;
 
-constexpr const char* kCrashKinds[] = {"signal", "exit", "hang"};
 constexpr const char* kCrashKeys[] = {"request", "times"};
+constexpr dopf::runtime::SpecKind kCrashKinds[] = {
+    {"signal", kCrashKeys}, {"exit", kCrashKeys}, {"hang", kCrashKeys}};
 constexpr const char* kCrashRequired[] = {"request"};
 constexpr dopf::runtime::SpecGrammar kCrashGrammar{
-    "crash fault spec", kCrashKinds, kCrashKeys, kCrashRequired,
+    "crash fault spec", kCrashKinds, kCrashRequired,
     "kind and request ordinal"};
 
 std::string hex_u64(std::uint64_t v) {
@@ -118,7 +119,7 @@ WorkerExit classify_worker_exit(int waitpid_status) {
 
 std::string CrashFailpoint::to_string() const {
   std::ostringstream out;
-  out << kCrashKinds[static_cast<int>(kind)] << ":request=" << request;
+  out << kCrashKinds[static_cast<int>(kind)].name << ":request=" << request;
   if (times != 1) out << ",times=" << times;
   return out.str();
 }

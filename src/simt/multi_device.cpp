@@ -1,6 +1,7 @@
 #include "simt/multi_device.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "core/admm.hpp"
 
@@ -305,6 +306,28 @@ IterationStart MultiDeviceBackend::begin_iteration(int t) {
   }
   if (options_.degrade.enabled && degrade_step()) ++degraded_iterations_;
   return IterationStart::kProceed;
+}
+
+std::string MultiDeviceBackend::fault_report() const {
+  char line[256];
+  std::string out;
+  if (failovers_ > 0 || retries_ > 0) {
+    std::snprintf(line, sizeof(line),
+                  "fault recovery: %d failover(s), %d message retr%s, %zu/%zu "
+                  "devices alive, %.2e simulated recovery seconds\n",
+                  failovers_, retries_, retries_ == 1 ? "y" : "ies",
+                  alive_devices(), num_devices(), sim_recovery_);
+    out += line;
+  }
+  if (degraded_iterations_ > 0) {
+    std::snprintf(line, sizeof(line),
+                  "degraded mode: %d degraded iteration(s), %d quarantine(s), "
+                  "%d readmission(s), %.2e simulated degrade seconds\n",
+                  degraded_iterations_, quarantines_, readmissions_,
+                  sim_degrade_);
+    out += line;
+  }
+  return out;
 }
 
 void MultiDeviceBackend::report_simulated_timing(

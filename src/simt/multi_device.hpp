@@ -1,5 +1,6 @@
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "runtime/comm_model.hpp"
@@ -119,6 +120,10 @@ class MultiDeviceBackend final : public dopf::core::ExecutionBackend {
   const dopf::runtime::DeviceHealth& device_health(std::size_t d) const {
     return health_[d];
   }
+  /// The counters above as the tools print them: a "fault recovery:" line
+  /// when a failover or retry happened, a "degraded mode:" line when an
+  /// iteration ran degraded; empty for a clean run.
+  std::string fault_report() const;
 
  private:
   /// Recompute the partition over the live devices (aggregator = lowest).

@@ -63,7 +63,9 @@ StreamResult StreamDriver::run() {
   dopf::core::SolveModel model(base_problem, options_.admm.projector);
   dopf::core::ScenarioBinding binding(model);
   dopf::core::SolveSession session(binding, options_.admm);
-  if (options_.make_backend) session.set_backend(options_.make_backend());
+  if (options_.make_backend) {
+    session.set_backend(options_.make_backend(session.solver().packed()));
+  }
 
   dopf::robust::PreflightOptions popt;
   const bool preflight_on = options_.preflight != "off";
@@ -190,7 +192,9 @@ StreamResult StreamDriver::run() {
       // factorizations, fresh iterate state — the cold baseline a warm
       // step is measured against.
       dopf::core::SolveSession cold(binding, options_.admm);
-      if (options_.make_backend) cold.set_backend(options_.make_backend());
+      if (options_.make_backend) {
+        cold.set_backend(options_.make_backend(cold.solver().packed()));
+      }
       const auto cold_res = cold.solve();
       if (cold_res.status == dopf::core::AdmmStatus::kCancelled) {
         finish_cancelled();

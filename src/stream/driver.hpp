@@ -121,10 +121,12 @@ struct StreamOptions {
   /// to the uninterrupted run from there (model/scenario fingerprints are
   /// validated before any state is touched).
   std::string resume_path;
-  /// Execution backend factory (empty = serial); called once for the main
-  /// session and once per cold comparison so every solve sees an
-  /// equivalent backend.
-  std::function<std::unique_ptr<dopf::core::ExecutionBackend>()> make_backend;
+  /// Execution backend factory (empty = serial); called with the session's
+  /// pack once for the main session and once per cold comparison, so every
+  /// solve sees an equivalent backend (multigpu partitions that pack).
+  std::function<std::unique_ptr<dopf::core::ExecutionBackend>(
+      const dopf::core::PackedLocalSolvers&)>
+      make_backend;
 };
 
 /// The full stream outcome: per-step records plus lifetime session
@@ -157,9 +159,9 @@ struct StreamResult {
 /// the step network, routes it through ScenarioBinding::rebind (load-only
 /// steps touch no factorization; a switching event refreshes exactly the
 /// touched components), and warm-starts ADMM from the previous consensus
-/// state. Deterministic by construction: fixed step clock, serial (or
-/// deterministic threaded) backend, no wall-time dependence in any
-/// recorded field — the backtest-replay shape.
+/// state. Deterministic by construction: fixed step clock, any execution
+/// backend (all four give byte-identical iterates), no wall-time dependence
+/// in any recorded field — the backtest-replay shape.
 class StreamDriver {
  public:
   /// `base` and `profile` must outlive the driver.

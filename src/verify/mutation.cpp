@@ -44,6 +44,17 @@ class MutantBackend final : public ExecutionBackend {
     return inner_->residual_sums(pack, state);
   }
 
+  // The per-iteration hooks pass through, so a wrapped multigpu backend
+  // keeps its fault processing, rewinds and simulated timing.
+  dopf::core::IterationStart begin_iteration(int t) override {
+    return inner_->begin_iteration(t);
+  }
+  bool can_rewind() const override { return inner_->can_rewind(); }
+  void report_simulated_timing(
+      dopf::core::TimingBreakdown& timing) const override {
+    inner_->report_simulated_timing(timing);
+  }
+
  private:
   std::unique_ptr<ExecutionBackend> inner_;
   MutationSpec spec_;

@@ -262,6 +262,54 @@ TEST(FailpointGrammarTest, SeededMutationsThrowTypedOrRoundTrip) {
   EXPECT_GT(total.crash, 100);
 }
 
+template <class Plan>
+void expect_rejected(const std::string& spec, const std::string& key) {
+  try {
+    const std::string printed = Plan::parse(spec).to_string();
+    ADD_FAILURE() << "'" << spec << "' accepted as '" << printed << "'";
+  } catch (const FaultError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(key), std::string::npos) << what;
+    EXPECT_NE(what.find(spec), std::string::npos) << what;
+  }
+}
+
+TEST(FailpointGrammarTest, KeysAKindDoesNotReadAreRejected) {
+  // Each kind accepts only the keys it reads, so to_string() never drops
+  // one: these used to parse and print without the key.
+  expect_rejected<FaultPlan>("drop:device=1,iter=4,until=9,count=2", "until");
+  expect_rejected<FaultPlan>("corrupt:device=0,iter=5,until=9", "until");
+  expect_rejected<FaultPlan>("kill:device=0,iter=5,until=9", "until");
+  expect_rejected<FaultPlan>("kill:device=0,iter=5,count=2", "count");
+  expect_rejected<FaultPlan>("kill:device=0,iter=5,factor=2", "factor");
+  expect_rejected<FaultPlan>("kill:device=2,from=4", "from");
+  expect_rejected<FaultPlan>("drop:device=0,iter=5,scale=2", "scale");
+  expect_rejected<FaultPlan>("corrupt:device=0,iter=5,count=2", "count");
+  expect_rejected<FaultPlan>("straggle:device=0,iter=5,count=3", "count");
+  expect_rejected<FsFaultPlan>("enospc:op=1,bytes=5", "bytes");
+  expect_rejected<FsFaultPlan>("rename:op=1,bytes=5", "bytes");
+  expect_rejected<FsFaultPlan>("corrupt-read:op=1,bytes=5", "bytes");
+  expect_rejected<ServeFaultPlan>("drop:op=1,ms=5", "ms");
+  expect_rejected<ServeFaultPlan>("corrupt:op=1,bytes=5", "bytes");
+  expect_rejected<ServeFaultPlan>("truncate:op=1,ms=5", "ms");
+  expect_rejected<ServeFaultPlan>("delay:op=1,bytes=3", "bytes");
+
+  // The keys a kind does read still parse, aliases included.
+  EXPECT_EQ(FaultPlan::parse("drop:device=1,from=4,until=9,count=2")
+                .to_string(),
+            "drop:device=1,from=4,count=2,until=9");
+  EXPECT_EQ(FaultPlan::parse("corrupt:device=1,from=3,until=9,factor=2")
+                .to_string(),
+            "corrupt:device=1,from=3,scale=2,until=9");
+  EXPECT_EQ(FaultPlan::parse("straggle:device=1,iter=3,until=9,scale=2")
+                .to_string(),
+            "straggle:device=1,iter=3,until=9,factor=2");
+  EXPECT_EQ(FsFaultPlan::parse("short:op=2,bytes=32,path=a").to_string(),
+            "short:op=2,bytes=32,path=a");
+  EXPECT_EQ(ServeFaultPlan::parse("delay:op=5,ms=80,frame=pong").to_string(),
+            "delay:op=5,ms=80,frame=pong");
+}
+
 TEST(FailpointGrammarTest, WhitespaceAroundTokensIsTrimmed) {
   EXPECT_EQ(ServeFaultPlan::parse(" drop : op = 2 ; ").to_string(),
             "drop:op=2");

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "core/admm.hpp"
+#include "core/scenario_binding.hpp"
+#include "core/solve_model.hpp"
+#include "core/solve_session.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/instances.hpp"
 #include "multi_device_solve.hpp"
@@ -127,6 +131,48 @@ TEST(SimulatedTimingTest, MultiDeviceIeee13KillFailover) {
                 {0x1.4f3084eef69fp-7, 0x1.1f68fe3aee7b7p-4,
                  0x1.3d45eda6b2baap-7, 0.0, 0x1.24aca177f924bp-15, 0.0,
                  2356});
+}
+
+/// Two identical cold solves through one SolveSession on one backend: the
+/// second must report its own simulated seconds, not the backend's totals
+/// since construction.
+void expect_per_solve_timing(
+    const std::function<std::unique_ptr<dopf::core::ExecutionBackend>(
+        const dopf::core::PackedLocalSolvers&)>& make) {
+  dopf::core::SolveModel model(problem("ieee13"), profile().projector);
+  dopf::core::ScenarioBinding binding(model);
+  dopf::core::SolveSession session(binding, profile());
+  session.set_backend(make(session.solver().packed()));
+  const TimingBreakdown first = session.solve_cold().timing;
+  const TimingBreakdown second = session.solve_cold().timing;
+  ASSERT_EQ(first.iterations, 2320);
+  ASSERT_EQ(second.iterations, first.iterations);
+  // The second solve's seconds are a difference of ledger totals, so they
+  // may differ from the first in the last bits.
+  auto expect_same = [](double got, double want) {
+    EXPECT_NEAR(got, want, 1e-12 * want) << "second solve vs first";
+  };
+  expect_same(second.global_update, first.global_update);
+  expect_same(second.local_update, first.local_update);
+  expect_same(second.dual_update, first.dual_update);
+  expect_same(second.residuals, first.residuals);
+  EXPECT_EQ(second.recovery, first.recovery);
+  EXPECT_EQ(second.degrade, first.degrade);
+  EXPECT_EQ(second.degraded_iterations, first.degraded_iterations);
+}
+
+TEST(PerSolveTimingTest, SimtRepeatedColdSolvesReportTheSameSeconds) {
+  expect_per_solve_timing([](const dopf::core::PackedLocalSolvers&) {
+    return std::make_unique<SimtBackend>();
+  });
+}
+
+TEST(PerSolveTimingTest, MultiDeviceRepeatedColdSolvesReportTheSameSeconds) {
+  expect_per_solve_timing([](const dopf::core::PackedLocalSolvers& pack) {
+    MultiGpuOptions mo;
+    mo.num_devices = 3;
+    return std::make_unique<MultiDeviceBackend>(pack, mo);
+  });
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 #include "core/backend.hpp"
 #include "feeders/ieee13.hpp"
 #include "opf/decompose.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/threaded_backend.hpp"
+#include "simt/multi_device.hpp"
 #include "verify/invariants.hpp"
 #include "verify/mutation.hpp"
 #include "verify/trace.hpp"
@@ -85,6 +87,44 @@ TEST(MutationTest, MutantWrapsAnyBackendAndReportsItsName) {
   const auto threaded =
       make_mutant_backend(dopf::runtime::make_threaded_backend(2), spec);
   EXPECT_STREQ(threaded->name(), "mutant(threaded)");
+}
+
+TEST(MutationTest, WrappedMultiDeviceBackendKeepsFaultsRewindsAndTiming) {
+  // The wrapper forwards begin_iteration, can_rewind and the simulated
+  // timing: a wrapped multigpu run that never strikes fails over at the
+  // kill, rewinds, and reports the same simulated seconds as the bare one.
+  const auto net = dopf::feeders::ieee13();
+  const auto problem = dopf::opf::decompose(net);
+  const AdmmOptions opt = fixed_trajectory(200);
+  dopf::simt::MultiGpuOptions mo;
+  mo.num_devices = 3;
+  mo.faults = dopf::runtime::FaultPlan::parse("kill:device=1,iter=137");
+
+  auto run = [&](bool wrap) {
+    SolverFreeAdmm admm(problem, opt);
+    std::unique_ptr<dopf::core::ExecutionBackend> backend =
+        std::make_unique<dopf::simt::MultiDeviceBackend>(admm.packed(), mo);
+    if (wrap) {
+      MutationSpec never;
+      never.local_update_call = 1000000;
+      backend = make_mutant_backend(std::move(backend), never);
+    }
+    EXPECT_TRUE(backend->can_rewind());
+    admm.set_backend(std::move(backend));
+    admm.set_checkpoint_hook(50, {});
+    return admm.solve();
+  };
+  const dopf::core::AdmmResult bare = run(false);
+  const dopf::core::AdmmResult wrapped = run(true);
+  EXPECT_GT(bare.timing.recovery, 0.0);
+  EXPECT_EQ(wrapped.timing.recovery, bare.timing.recovery);
+  EXPECT_EQ(wrapped.timing.local_update, bare.timing.local_update);
+  EXPECT_EQ(wrapped.timing.iterations, bare.timing.iterations);
+  const TraceDiff diff =
+      compare_traces(Trace::from_result(bare, opt, "ieee13", "multigpu"),
+                     Trace::from_result(wrapped, opt, "ieee13", "multigpu"),
+                     0.0);
+  EXPECT_TRUE(diff.identical) << diff.message;
 }
 
 TEST(MutationTest, FinalStateMutationCaughtByInvariantChecker) {

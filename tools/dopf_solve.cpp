@@ -47,14 +47,17 @@
 //                         FILE (see src/runtime/scenario.hpp for the format)
 //                         is rebound in place and warm-started from the
 //                         previous solution. Requires --algorithm
-//                         solver-free with --backend serial or threaded.
+//                         solver-free; runs on every --backend (simulated
+//                         seconds are reported per solve)
 //   --stream FILE         receding-horizon streaming replay: drive one
 //                         long-lived SolveSession through the time-series
 //                         profile in FILE (see src/stream/profile.hpp for
 //                         the format), warm-starting every step from the
 //                         previous consensus and refactorizing only
-//                         switched components. Same algorithm/backend
-//                         requirements as --scenarios. With --stream,
+//                         switched components. Requires --algorithm
+//                         solver-free; runs on every --backend, and a
+//                         multigpu --faults plan applies to the session's
+//                         backend (DESIGN.md section 7). With --stream,
 //                         --checkpoint FILE + --checkpoint-at-step K
 //                         capture a stream checkpoint after step K, and
 //                         --resume FILE fast-forwards to the checkpoint
@@ -107,6 +110,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -125,10 +129,9 @@
 #include "robust/preflight.hpp"
 #include "runtime/scenario.hpp"
 #include "runtime/signals.hpp"
-#include "runtime/threaded_backend.hpp"
 #include "verify/codec.hpp"
+#include "simt/backend_builder.hpp"
 #include "simt/multi_device.hpp"
-#include "simt/simt_backend.hpp"
 #include "solver/reference.hpp"
 #include "stream/driver.hpp"
 #include "stream/profile.hpp"
@@ -174,15 +177,17 @@ double parse_double(const char* arg, const char* what) {
   return v;
 }
 
-int parse_int(const char* arg, const char* what) {
-  char* end = nullptr;
-  const long v = std::strtol(arg, &end, 10);
-  if (end == arg || *end != '\0') {
-    std::fprintf(stderr, "%s: bad integer value '%s' for %s\n", g_argv0, arg,
-                 what);
+/// A decimal integer in [lo, hi] (the fault grammar's reader); anything
+/// else, out-of-range values included, is a usage error.
+int parse_int(const char* arg, const char* what, int lo = 0,
+              int hi = 2147483647) {
+  const std::optional<int> v = dopf::runtime::read_integer(arg, lo, hi);
+  if (!v) {
+    std::fprintf(stderr, "%s: bad integer value '%s' for %s (want [%d, %d])\n",
+                 g_argv0, arg, what, lo, hi);
     usage(g_argv0);
   }
-  return static_cast<int>(v);
+  return *v;
 }
 
 /// Fault specs are parsed where their flag is read: a malformed one exits 1
@@ -197,34 +202,6 @@ Plan parse_plan(const char* spec) {
   }
 }
 
-/// The execution backend --backend names, built as dopf_verify builds it:
-/// nullptr selects the solver's built-in serial backend. `label`, when
-/// given, receives the backend as the reports print it. multigpu partitions
-/// the components of `pack` over the devices of `multi`; the sweep and
-/// stream paths, which accept only serial and threaded, pass neither.
-std::unique_ptr<dopf::core::ExecutionBackend> make_backend(
-    const std::string& name, int threads, std::string* label = nullptr,
-    const dopf::core::PackedLocalSolvers* pack = nullptr,
-    const dopf::simt::MultiGpuOptions& multi = {}) {
-  std::string described = name;
-  std::unique_ptr<dopf::core::ExecutionBackend> backend;
-  if (name == "threaded") {
-    auto tb = std::make_unique<dopf::runtime::ThreadedBackend>(threads);
-    described = "threaded(" + std::to_string(tb->threads()) + " threads)";
-    backend = std::move(tb);
-  } else if (name == "simt") {
-    backend = std::make_unique<dopf::simt::SimtBackend>();
-  } else if (name == "multigpu" && pack) {
-    described = "multigpu(" + std::to_string(multi.num_devices) + ")";
-    backend = std::make_unique<dopf::simt::MultiDeviceBackend>(*pack, multi);
-  } else if (name != "serial") {
-    std::fprintf(stderr, "unknown backend '%s'\n", name.c_str());
-    std::exit(1);
-  }
-  if (label) *label = described;
-  return backend;
-}
-
 /// One row of the scenario sweep, for the text table and --json.
 struct SweepRow {
   std::string name;
@@ -234,12 +211,17 @@ struct SweepRow {
   int cold_iterations = -1;  ///< -1 = --cold-compare off
 };
 
-int exit_code_for(const dopf::core::AdmmResult& res) {
+/// The pinned exit code of a solve that ended with `status`.
+int exit_code_for(dopf::core::AdmmStatus status) {
   using dopf::core::AdmmStatus;
-  if (res.converged) return 0;
-  if (res.status == AdmmStatus::kDiverged) return 3;
-  if (res.status == AdmmStatus::kStalled) return 4;
-  if (res.status == AdmmStatus::kCancelled) return 6;
+  switch (status) {
+    case AdmmStatus::kConverged: return 0;
+    case AdmmStatus::kDiverged: return 3;
+    case AdmmStatus::kStalled: return 4;
+    case AdmmStatus::kCancelled: return 6;
+    case AdmmStatus::kIterationLimit:
+    case AdmmStatus::kTimeLimit: break;
+  }
   return 2;
 }
 
@@ -287,7 +269,7 @@ int run_scenario_sweep(const dopf::network::Network& net,
                        const std::string& scenario_file,
                        const std::string& preflight_mode,
                        const dopf::opf::DecomposeOptions& dec,
-                       const std::string& backend, int threads,
+                       const dopf::simt::BackendSpec& backend,
                        bool cold_compare, bool json) {
   const auto scenarios = dopf::runtime::load_scenarios(scenario_file);
   std::printf("scenario sweep: %zu scenario(s) from %s\n", scenarios.size(),
@@ -297,13 +279,14 @@ int run_scenario_sweep(const dopf::network::Network& net,
   dopf::core::ScenarioBinding binding(solve_model);
   dopf::core::SolveSession session(binding, opt);
   std::string backend_label;
-  session.set_backend(make_backend(backend, threads, &backend_label));
+  session.set_backend(dopf::simt::make_backend(
+      backend, session.solver().packed(), &backend_label));
 
   // Cold comparisons run through a second session on the same binding:
   // same pack, same factorizations, fresh iterate state every solve.
   auto solve_cold_copy = [&]() {
     dopf::core::SolveSession cold(binding, opt);
-    cold.set_backend(make_backend(backend, threads));
+    cold.set_backend(dopf::simt::make_backend(backend, cold.solver().packed()));
     return cold.solve();
   };
 
@@ -317,7 +300,7 @@ int run_scenario_sweep(const dopf::network::Network& net,
       "precompute %.2fs\n",
       dopf::core::to_string(base.result.status), base.result.iterations,
       base.result.objective, base.result.timing.precompute);
-  int code = exit_code_for(base.result);
+  int code = exit_code_for(base.result.status);
   rows.push_back(std::move(base));
 
   for (const auto& sc : scenarios) {
@@ -356,7 +339,7 @@ int run_scenario_sweep(const dopf::network::Network& net,
             : "",
         row.result.objective, row.rebind.refactorizations,
         row.rebind.rhs_rebinds, row.rebind.unchanged);
-    code = std::max(code, exit_code_for(row.result));
+    code = std::max(code, exit_code_for(row.result.status));
     rows.push_back(std::move(row));
   }
 
@@ -397,15 +380,6 @@ int run_scenario_sweep(const dopf::network::Network& net,
   return code;
 }
 
-int exit_code_for_step(const dopf::stream::StreamStepRecord& rec) {
-  using dopf::core::AdmmStatus;
-  if (rec.converged) return 0;
-  if (rec.status == AdmmStatus::kDiverged) return 3;
-  if (rec.status == AdmmStatus::kStalled) return 4;
-  if (rec.status == AdmmStatus::kCancelled) return 6;
-  return 2;
-}
-
 /// Streaming replay: one long-lived SolveSession consumes the profile step
 /// by step; load-only steps rebind without refactorizing, switching events
 /// refresh exactly the touched components, every step warm-starts from the
@@ -415,7 +389,7 @@ int run_stream(const dopf::network::Network& net, const std::string& label,
                const std::string& profile_file,
                const std::string& preflight_mode,
                const dopf::opf::DecomposeOptions& dec,
-               const std::string& backend, int threads, bool cold_compare,
+               const dopf::simt::BackendSpec& backend, bool cold_compare,
                bool reset_on_switch, int checkpoint_at_step,
                int checkpoint_every_steps, const std::string& checkpoint_file,
                const std::string& resume_file, const std::string& record_file,
@@ -438,9 +412,8 @@ int run_stream(const dopf::network::Network& net, const std::string& label,
   sopt.cancel = &g_cancel;
   sopt.durable = durable;
   std::string backend_label;
-  make_backend(backend, threads, &backend_label);
-  sopt.make_backend = [backend, threads]() {
-    return make_backend(backend, threads);
+  sopt.make_backend = [&](const dopf::core::PackedLocalSolvers& pack) {
+    return dopf::simt::make_backend(backend, pack, &backend_label);
   };
 
   dopf::stream::StreamResult result;
@@ -475,7 +448,7 @@ int run_stream(const dopf::network::Network& net, const std::string& label,
             : "",
         rec.switched ? " [switched]" : "", rec.rebind.refactorizations,
         rec.rebind.rhs_rebinds, rec.rebind.unchanged);
-    code = std::max(code, exit_code_for_step(rec));
+    code = std::max(code, exit_code_for(rec.status));
     if (rec.warm_started) {
       warm_iters += rec.iterations;
       ++warm_steps;
@@ -564,14 +537,10 @@ int run_stream(const dopf::network::Network& net, const std::string& label,
 int main(int argc, char** argv) {
   g_argv0 = argv[0];
   std::string input, algorithm = "solver-free", residual_file, output_file;
-  std::string backend = "serial";
+  dopf::simt::BackendSpec backend;
   std::string checkpoint_file, resume_file;
-  dopf::runtime::FaultPlan faults;
-  int threads = 0;  // 0 = hardware concurrency
-  int devices = 2;
   int checkpoint_every = 0;
-  int staleness_bound = -1;  // -1 = policy default
-  bool report = false, no_recovery = false, degrade = false;
+  bool report = false;
   std::string preflight_mode = "warn";
   bool preflight_only = false;
   std::string scenario_file;
@@ -597,12 +566,23 @@ int main(int argc, char** argv) {
     };
     if (arg == "--algorithm") {
       algorithm = next();
+      if (algorithm != "solver-free" && algorithm != "benchmark" &&
+          algorithm != "reference") {
+        std::fprintf(stderr, "%s: unknown algorithm '%s'\n", argv[0],
+                     algorithm.c_str());
+        usage(argv[0]);
+      }
     } else if (arg == "--backend") {
-      backend = next();
+      backend.name = next();
+      if (!dopf::simt::is_backend_name(backend.name)) {
+        std::fprintf(stderr, "%s: unknown backend '%s'\n", argv[0],
+                     backend.name.c_str());
+        usage(argv[0]);
+      }
     } else if (arg == "--threads") {
-      threads = parse_int(next(), "--threads");
+      backend.threads = parse_int(next(), "--threads", 0, 1024);
     } else if (arg == "--devices") {
-      devices = parse_int(next(), "--devices");
+      backend.devices = parse_int(next(), "--devices", 1, 1024);
     } else if (arg == "--rho") {
       opt.rho = parse_double(next(), "--rho");
     } else if (arg == "--eps") {
@@ -612,14 +592,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--relaxation") {
       opt.relaxation = parse_double(next(), "--relaxation");
     } else if (arg == "--faults") {
-      faults = parse_plan<dopf::runtime::FaultPlan>(next());
+      backend.faults = parse_plan<dopf::runtime::FaultPlan>(next());
     } else if (arg == "--no-recovery") {
-      no_recovery = true;
+      backend.recovery = false;
     } else if (arg == "--degrade") {
-      degrade = true;
+      backend.degrade = true;
     } else if (arg == "--staleness-bound") {
-      staleness_bound = parse_int(next(), "--staleness-bound");
-      degrade = true;
+      backend.staleness_bound = parse_int(next(), "--staleness-bound");
+      backend.degrade = true;
     } else if (arg == "--watchdog") {
       opt.watchdog = true;
     } else if (arg == "--checkpoint-every") {
@@ -675,38 +655,31 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: missing feeder input\n", argv[0]);
     usage(argv[0]);
   }
-  if (!faults.empty() && backend != "multigpu") {
-    std::fprintf(stderr, "%s: --faults requires --backend multigpu\n",
-                 argv[0]);
-    return 1;
-  }
-  if (backend != "serial" && algorithm != "solver-free") {
-    std::fprintf(stderr, "%s: --backend %s requires --algorithm solver-free\n",
-                 argv[0], backend.c_str());
-    return 1;
-  }
-  if (degrade && backend != "multigpu") {
+  const bool multigpu = backend.name == "multigpu";
+  if (!multigpu &&
+      (!backend.faults.empty() || !backend.recovery || backend.degrade)) {
     std::fprintf(stderr,
-                 "%s: --degrade/--staleness-bound require --backend multigpu\n",
+                 "%s: --faults/--no-recovery/--degrade/--staleness-bound "
+                 "require --backend multigpu\n",
                  argv[0]);
     return 1;
   }
-  if (checkpoint_every > 0 && checkpoint_file.empty() &&
-      backend != "multigpu") {
+  if (algorithm != "solver-free" && (backend.name != "serial" ||
+                                     !scenario_file.empty() ||
+                                     !stream_file.empty())) {
+    std::fprintf(stderr,
+                 "%s: --backend/--scenarios/--stream require --algorithm "
+                 "solver-free\n",
+                 argv[0]);
+    return 1;
+  }
+  if (checkpoint_every > 0 && checkpoint_file.empty() && !multigpu) {
     // multigpu keeps an in-memory restart point; other backends need a file.
     std::fprintf(stderr, "%s: --checkpoint-every needs --checkpoint FILE\n",
                  argv[0]);
     return 1;
   }
   if (!scenario_file.empty()) {
-    if (algorithm != "solver-free" ||
-        (backend != "serial" && backend != "threaded")) {
-      std::fprintf(stderr,
-                   "%s: --scenarios requires --algorithm solver-free with "
-                   "--backend serial or threaded\n",
-                   argv[0]);
-      return 1;
-    }
     if (!resume_file.empty() || checkpoint_every > 0) {
       std::fprintf(stderr,
                    "%s: --scenarios is incompatible with checkpointing "
@@ -721,14 +694,6 @@ int main(int argc, char** argv) {
     }
   }
   if (!stream_file.empty()) {
-    if (algorithm != "solver-free" ||
-        (backend != "serial" && backend != "threaded")) {
-      std::fprintf(stderr,
-                   "%s: --stream requires --algorithm solver-free with "
-                   "--backend serial or threaded\n",
-                   argv[0]);
-      return 1;
-    }
     if (checkpoint_every > 0) {
       std::fprintf(stderr,
                    "%s: --stream uses --checkpoint-at-step, not "
@@ -820,7 +785,7 @@ int main(int argc, char** argv) {
       dopf::opf::DecomposeOptions dec;
       dec.equilibrate_rows = preflight_equilibrated;
       return run_stream(net, input, opt, stream_file, preflight_mode, dec,
-                        backend, threads, cold_compare, reset_on_switch,
+                        backend, cold_compare, reset_on_switch,
                         checkpoint_at_step, checkpoint_every_steps,
                         checkpoint_file, resume_file, stream_record_file,
                         durable, json);
@@ -837,12 +802,11 @@ int main(int argc, char** argv) {
       dec.equilibrate_rows = preflight_equilibrated;
       return run_scenario_sweep(net, input, std::move(problem), opt,
                                 scenario_file, preflight_mode, dec, backend,
-                                threads, cold_compare, json);
+                                cold_compare, json);
     }
 
     std::vector<double> x;
-    bool ok = false;
-    int fail_code = 2;  // iteration/time limit; 3 = diverged, 4 = stalled
+    int code = 2;
     std::vector<dopf::core::IterationRecord> history;
 
     if (algorithm == "reference") {
@@ -851,36 +815,25 @@ int main(int argc, char** argv) {
                   dopf::solver::to_string(sol.status), sol.objective,
                   sol.iterations);
       x = sol.x;
-      ok = sol.status == dopf::solver::LpStatus::kOptimal;
+      if (sol.status == dopf::solver::LpStatus::kOptimal) code = 0;
     } else {
       const auto problem = have_preflighted
                                ? std::move(preflighted)
                                : dopf::opf::decompose(net, model);
       std::printf("decomposition: %zu components\n",
                   problem.num_components());
-      std::string backend_label = backend;
+      std::string backend_label = backend.name;
       dopf::core::AdmmResult res;
       dopf::runtime::IoStats run_io;  // durable checkpoint traffic (--json)
       if (algorithm == "benchmark") {
         dopf::baseline::BenchmarkAdmm admm(problem, opt);
         res = admm.solve();
-      } else if (algorithm == "solver-free") {
+      } else {
         // One driver for every backend: options, statuses, checkpoints and
         // resume behave the same whichever backend executes the kernels.
         dopf::core::SolverFreeAdmm admm(problem, opt);
-        dopf::simt::MultiGpuOptions mo;
-        mo.num_devices = static_cast<std::size_t>(std::max(1, devices));
-        mo.faults = faults;
-        if (no_recovery) {
-          mo.recovery.failover = false;
-          mo.recovery.verify_messages = false;
-        }
-        mo.degrade.enabled = degrade;
-        if (staleness_bound >= 0) {
-          mo.degrade.staleness_bound = staleness_bound;
-        }
-        admm.set_backend(make_backend(backend, threads, &backend_label,
-                                      &admm.packed(), mo));
+        admm.set_backend(
+            dopf::simt::make_backend(backend, admm.packed(), &backend_label));
         const auto* multi =
             dynamic_cast<const dopf::simt::MultiDeviceBackend*>(
                 &admm.backend());
@@ -918,29 +871,10 @@ int main(int argc, char** argv) {
           std::printf("final durable checkpoint written to %s (iteration %d)\n",
                       checkpoint_file.c_str(), res.iterations);
         }
-        if (multi && (multi->failovers() > 0 || multi->message_retries() > 0)) {
-          std::printf(
-              "fault recovery: %d failover(s), %d message retr%s, %zu/%zu "
-              "devices alive, %.2e simulated recovery seconds\n",
-              multi->failovers(), multi->message_retries(),
-              multi->message_retries() == 1 ? "y" : "ies",
-              multi->alive_devices(), multi->num_devices(),
-              multi->recovery_seconds());
-        }
-        if (multi && multi->degraded_iterations() > 0) {
-          std::printf(
-              "degraded mode: %d degraded iteration(s), %d quarantine(s), "
-              "%d readmission(s), %.2e simulated degrade seconds\n",
-              multi->degraded_iterations(), multi->quarantines(),
-              multi->readmissions(), multi->degrade_seconds());
-        }
-      } else {
-        std::fprintf(stderr, "unknown algorithm '%s'\n", algorithm.c_str());
-        return 1;
+        if (multi) std::printf("%s", multi->fault_report().c_str());
       }
       // SIMT and multigpu report cost-model seconds, not host wall time.
-      const bool simulated = algorithm == "solver-free" &&
-                             (backend == "simt" || backend == "multigpu");
+      const bool simulated = backend.name == "simt" || multigpu;
       std::printf(
           "%s ADMM [backend: %s]: %s in %d iterations, objective %.8f\n"
           "residuals: primal %.3e dual %.3e; %s %.2fs "
@@ -959,16 +893,13 @@ int main(int argc, char** argv) {
             res.watchdog.oscillation_detected ? " (oscillating)" : "",
             res.watchdog.rho_nudges, res.watchdog.restarts);
       }
-      if (res.status == dopf::core::AdmmStatus::kDiverged) fail_code = 3;
-      if (res.status == dopf::core::AdmmStatus::kStalled) fail_code = 4;
       if (res.status == dopf::core::AdmmStatus::kCancelled) {
         std::printf("cancelled (%s) after %d iteration(s)\n",
                     g_cancel.reason(), res.iterations);
-        fail_code = 6;
       }
       if (json) print_result_json(res, algorithm, backend_label, run_io);
       x = res.x;
-      ok = res.converged;
+      code = exit_code_for(res.status);
       history = res.history;
     }
 
@@ -996,7 +927,7 @@ int main(int argc, char** argv) {
       const dopf::opf::SolutionView view(net, model, x);
       std::printf("\n%s", view.report().c_str());
     }
-    return ok ? 0 : fail_code;
+    return code;
   } catch (const dopf::runtime::SimulatedCrash& e) {
     // The crash failpoint models an abrupt process death after the temp
     // file is durable but before the rename: no cleanup, no final output,

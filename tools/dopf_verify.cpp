@@ -71,6 +71,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <sys/stat.h>
 
@@ -83,9 +84,8 @@
 #include "runtime/checkpoint.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/instances.hpp"
-#include "runtime/threaded_backend.hpp"
+#include "simt/backend_builder.hpp"
 #include "simt/multi_device.hpp"
-#include "simt/simt_backend.hpp"
 #include "robust/preflight.hpp"
 #include "solver/reference.hpp"
 #include "verify/adversarial.hpp"
@@ -115,17 +115,18 @@ const char* g_argv0 = "dopf_verify";
   std::exit(1);
 }
 
-/// Strict numeric parsing: reject trailing junk ("1abc") with a pointed
-/// diagnostic plus the usage text, exit 1.
-int parse_int(const char* arg, const char* what) {
-  char* end = nullptr;
-  const long v = std::strtol(arg, &end, 10);
-  if (end == arg || *end != '\0') {
-    std::fprintf(stderr, "%s: bad integer value '%s' for %s\n", g_argv0, arg,
-                 what);
+/// Strict numeric parsing: a decimal integer in [lo, hi] (the fault
+/// grammar's reader); trailing junk ("1abc") and out-of-range values get a
+/// pointed diagnostic plus the usage text, exit 1.
+int parse_int(const char* arg, const char* what, int lo = 0,
+              int hi = 2147483647) {
+  const std::optional<int> v = dopf::runtime::read_integer(arg, lo, hi);
+  if (!v) {
+    std::fprintf(stderr, "%s: bad integer value '%s' for %s (want [%d, %d])\n",
+                 g_argv0, arg, what, lo, hi);
     usage(g_argv0);
   }
-  return static_cast<int>(v);
+  return *v;
 }
 
 double parse_double(const char* arg, const char* what) {
@@ -177,15 +178,6 @@ std::string default_golden_dir() {
   return "tests/golden";
 }
 
-std::unique_ptr<dopf::core::ExecutionBackend> make_backend(
-    const std::string& name, int threads) {
-  if (name == "serial") return nullptr;  // SolverFreeAdmm's built-in default
-  if (name == "threaded") return dopf::runtime::make_threaded_backend(threads);
-  if (name == "simt") return std::make_unique<dopf::simt::SimtBackend>();
-  std::fprintf(stderr, "unknown backend '%s'\n", name.c_str());
-  std::exit(1);
-}
-
 /// Fault specs are parsed where their flag is read: a malformed one exits 1
 /// before any input is loaded.
 dopf::runtime::FaultPlan parse_fault_plan(const char* spec) {
@@ -201,17 +193,15 @@ dopf::runtime::FaultPlan parse_fault_plan(const char* spec) {
 
 int main(int argc, char** argv) {
   g_argv0 = argv[0];
-  std::string network = "ieee13", backend = "serial";
+  std::string network = "ieee13";
+  dopf::simt::BackendSpec backend;
+  backend.threads = 4;
+  backend.devices = 3;
   std::string golden_file, golden_dir;
   std::string resume_file;
-  dopf::runtime::FaultPlan faults;
-  int threads = 4;
-  int devices = 3;
   int checkpoint_every = 0;
   int record_checkpoint_at = 0;
-  int staleness_bound = -1;  // -1 = policy default
-  bool record = false, reference = false, mutate = false, no_recovery = false;
-  bool degrade = false, watchdog = false;
+  bool record = false, reference = false, mutate = false, watchdog = false;
   int fuzz_cases = 0;
   int adversarial_cases = 0;
   std::uint64_t seed = 20250807;
@@ -232,20 +222,25 @@ int main(int argc, char** argv) {
     if (arg == "--network") {
       network = next();
     } else if (arg == "--backend") {
-      backend = next();
+      backend.name = next();
+      if (!dopf::simt::is_backend_name(backend.name)) {
+        std::fprintf(stderr, "%s: unknown backend '%s'\n", argv[0],
+                     backend.name.c_str());
+        usage(argv[0]);
+      }
     } else if (arg == "--threads") {
-      threads = parse_int(next(), "--threads");
+      backend.threads = parse_int(next(), "--threads", 0, 1024);
     } else if (arg == "--devices") {
-      devices = parse_int(next(), "--devices");
+      backend.devices = parse_int(next(), "--devices", 1, 1024);
     } else if (arg == "--faults") {
-      faults = parse_fault_plan(next());
+      backend.faults = parse_fault_plan(next());
     } else if (arg == "--no-recovery") {
-      no_recovery = true;
+      backend.recovery = false;
     } else if (arg == "--degrade") {
-      degrade = true;
+      backend.degrade = true;
     } else if (arg == "--staleness-bound") {
-      staleness_bound = parse_int(next(), "--staleness-bound");
-      degrade = true;
+      backend.staleness_bound = parse_int(next(), "--staleness-bound");
+      backend.degrade = true;
     } else if (arg == "--watchdog") {
       watchdog = true;
     } else if (arg == "--checkpoint-every") {
@@ -284,25 +279,13 @@ int main(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (!faults.empty() && backend != "multigpu") {
-    std::fprintf(stderr, "%s: --faults requires --backend multigpu\n",
-                 argv[0]);
-    return 1;
-  }
-  if (mutate && backend == "multigpu") {
-    std::fprintf(stderr, "%s: --mutate is not supported with multigpu\n",
-                 argv[0]);
-    return 1;
-  }
-  if (degrade && backend != "multigpu") {
+  if (backend.name != "multigpu" &&
+      (!backend.faults.empty() || !backend.recovery || backend.degrade)) {
     std::fprintf(stderr,
-                 "%s: --degrade/--staleness-bound require --backend multigpu\n",
+                 "%s: --faults/--no-recovery/--degrade/--staleness-bound "
+                 "require --backend multigpu\n",
                  argv[0]);
     return 1;
-  }
-  if (record_checkpoint_at < 0 || checkpoint_every < 0 || devices < 1) {
-    std::fprintf(stderr, "%s: negative/zero count argument\n", argv[0]);
-    usage(argv[0]);
   }
   if (session && !resume_file.empty()) {
     std::fprintf(stderr, "%s: --session is not supported with --resume\n",
@@ -315,7 +298,7 @@ int main(int argc, char** argv) {
       dopf::verify::FuzzOptions options;
       options.num_cases = fuzz_cases;
       options.base_seed = seed;
-      options.threads = threads;
+      options.threads = backend.threads;
       const dopf::verify::FuzzReport report = dopf::verify::run_fuzz(options);
       std::printf("%s", report.summary().c_str());
       return report.ok() ? 0 : 2;
@@ -409,61 +392,31 @@ int main(int argc, char** argv) {
     // directly or under a SolveSession) over the requested backend.
     dopf::core::AdmmResult result;
     std::vector<double> final_x, final_z;
-    std::string backend_label = backend;
+    std::string backend_label;
     dopf::core::AdmmOptions run_profile = profile;
     run_profile.watchdog = watchdog;
-    dopf::simt::MultiGpuOptions mo;
-    mo.num_devices = static_cast<std::size_t>(devices);
-    mo.faults = faults;
-    if (no_recovery) {
-      mo.recovery.failover = false;
-      mo.recovery.verify_messages = false;
-    }
-    mo.degrade.enabled = degrade;
-    if (staleness_bound >= 0) mo.degrade.staleness_bound = staleness_bound;
     // The restart point a device failover rewinds to is refreshed at the
     // checkpoint cadence (kept in memory only).
-    if (checkpoint_every == 0 && !mo.faults.empty()) checkpoint_every = 50;
-    dopf::simt::MultiDeviceBackend* multi = nullptr;
+    if (checkpoint_every == 0 && !backend.faults.empty()) checkpoint_every = 50;
+    const dopf::simt::MultiDeviceBackend* multi = nullptr;
     auto attach_backend = [&](dopf::core::SolverFreeAdmm& admm) {
-      std::unique_ptr<dopf::core::ExecutionBackend> exec;
-      if (backend == "multigpu") {
-        auto mb = std::make_unique<dopf::simt::MultiDeviceBackend>(
-            admm.packed(), mo);
-        multi = mb.get();
-        exec = std::move(mb);
-        backend_label = "multigpu(" + std::to_string(mo.num_devices) + ")";
-      } else {
-        exec = make_backend(backend, threads);
-      }
+      auto exec = dopf::simt::make_backend(backend, admm.packed(),
+                                           &backend_label);
+      multi = dynamic_cast<const dopf::simt::MultiDeviceBackend*>(exec.get());
       if (mutate) {
-        if (!exec) exec = dopf::core::make_serial_backend();
         exec = dopf::verify::make_mutant_backend(std::move(exec));
-        backend_label = "mutant(" + backend + ")";
+        backend_label = "mutant(" + backend_label + ")";
       }
-      if (exec) admm.set_backend(std::move(exec));
+      admm.set_backend(std::move(exec));
       if (checkpoint_every > 0) admm.set_checkpoint_hook(checkpoint_every, {});
     };
     // Fault/degrade counters, printed while the backend is still alive.
     auto report_multi = [&]() {
-      if (multi && !faults.empty()) {
-        std::printf(
-            "faults injected: %s\n"
-            "recovery: %d failover(s), %d message retr%s, %zu/%zu devices "
-            "alive, %.2e simulated recovery seconds\n",
-            mo.faults.to_string().c_str(), multi->failovers(),
-            multi->message_retries(),
-            multi->message_retries() == 1 ? "y" : "ies",
-            multi->alive_devices(), multi->num_devices(),
-            multi->recovery_seconds());
+      if (!backend.faults.empty()) {
+        std::printf("faults injected: %s\n",
+                    backend.faults.to_string().c_str());
       }
-      if (multi && degrade) {
-        std::printf(
-            "degraded mode: %d degraded iteration(s), %d quarantine(s), "
-            "%d readmission(s), %.2e simulated degrade seconds\n",
-            multi->degraded_iterations(), multi->quarantines(),
-            multi->readmissions(), multi->degrade_seconds());
-      }
+      if (multi) std::printf("%s", multi->fault_report().c_str());
     };
     if (session) {
       // Explicit session layers: the packed image the session binds must be
@@ -503,7 +456,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "refusing to record a mutated golden trace\n");
         return 1;
       }
-      if (!faults.empty() || resume_from > 0) {
+      if (!backend.faults.empty() || resume_from > 0) {
         std::fprintf(stderr,
                      "refusing to record a faulted or resumed golden trace\n");
         return 1;
@@ -523,7 +476,7 @@ int main(int argc, char** argv) {
     //    trajectory legitimately diverge bitwise, so only the solution it
     //    converges to is held against the golden anchor, within --tol.
     dopf::verify::Trace golden = dopf::verify::load_trace(golden_file);
-    if (degrade) {
+    if (backend.degrade) {
       if (!result.converged) {
         std::fprintf(stderr, "DEGRADED RUN DID NOT CONVERGE: status %s\n",
                      dopf::core::to_string(result.status));

@@ -84,6 +84,19 @@ expect 1 "fault spec and backend checked before the algorithm runs" \
   "$solve" builtin:ieee13 --algorithm reference --backend multigpu \
     --faults "explode:device=0,iter=1"
 
+# Algorithm and backend names are checked where their flag is read: a typo
+# exits 1 before anything reaches stdout.
+for flag in --algorithm --backend; do
+  out=$("$solve" builtin:ieee13 "$flag" bogus 2>/dev/null)
+  got=$?
+  if [ "$got" -ne 1 ] || [ -n "$out" ]; then
+    echo "FAIL: $flag bogus: expected exit 1 and no stdout, got $got" >&2
+    failures=$((failures + 1))
+  else
+    echo "ok: $flag bogus -> 1 before any output"
+  fi
+done
+
 # --- cancellation (6) and durable I/O failure (7) ------------------------
 
 # A deadline that cannot be met (tight eps on ieee123) must exit 6 and still
@@ -100,7 +113,10 @@ fi
 
 # SIGINT mid-stream: the handler requests cooperative cancellation, the
 # driver finishes the in-flight step boundary, durably checkpoints the last
-# completed step into the A/B pair, and exits 6.
+# completed step into the A/B pair, and exits 6. The signal goes out once
+# the first A/B slot exists, so the check does not depend on how fast the
+# build solves a step; the 300 s cap only bounds a run that never writes
+# one, which the slot check below then reports.
 profile="$tmpdir/sigint.profile"
 {
   echo "profile sigint"
@@ -112,7 +128,12 @@ profile="$tmpdir/sigint.profile"
   --checkpoint "$tmpdir/sigint.ckpt" --checkpoint-every-steps 1 \
   builtin:ieee13 >/dev/null 2>&1 &
 pid=$!
-sleep 1
+polls=0
+until [ -f "$tmpdir/sigint.ckpt.a" ] || [ -f "$tmpdir/sigint.ckpt.b" ] ||
+      [ "$polls" -ge 3000 ] || ! kill -0 "$pid" 2>/dev/null; do
+  sleep 0.1
+  polls=$((polls + 1))
+done
 kill -INT "$pid" 2>/dev/null
 wait "$pid"
 got=$?

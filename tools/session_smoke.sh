@@ -1,8 +1,10 @@
 #!/bin/sh
 # Session-reuse smoke: a 3-scenario sweep on ieee13 through one SolveSession
 # must (a) perform exactly one full topology precompute, (b) need zero
-# refactorizations for load/cost-only scenarios, and (c) converge warm in
-# fewer total iterations than the same scenarios solved cold.
+# refactorizations for load/cost-only scenarios, (c) converge warm in
+# fewer total iterations than the same scenarios solved cold, and (d) give
+# the same per-scenario status, iterations and objective on the simt and
+# multigpu backends as on serial.
 #
 # Usage: session_smoke.sh <dopf_solve-binary> <scratch-dir>
 set -eu
@@ -55,3 +57,20 @@ awk '
       exit 1
     }
   }' "$OUT"
+
+# Every backend runs the sweep through the same driver: the per-scenario
+# rows of --json (status, iterations, objective, rebind counters) must be
+# serial's.
+rows() {
+  "$SOLVE" --scenarios "$SCEN" --json "$@" builtin:ieee13 | tail -n 1 |
+    sed -n 's/.*"scenarios":\(\[.*"name":"pricey".*\]\),"session".*/\1/p'
+}
+serial_rows=$(rows)
+[ -n "$serial_rows" ] || { echo "FAIL: no --json scenario rows" >&2; exit 1; }
+for backend in simt multigpu; do
+  [ "$(rows --backend $backend)" = "$serial_rows" ] || {
+    echo "FAIL: --scenarios on $backend differs from serial" >&2
+    exit 1
+  }
+done
+echo "session smoke: simt and multigpu sweeps match serial per scenario"
