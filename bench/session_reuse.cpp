@@ -1,6 +1,8 @@
 /// Deterministic session-reuse replay: a 10-scenario load-only sweep on
-/// ieee123 through ONE SolveSession. The point under measurement is the
-/// session architecture's contract:
+/// ieee123 through ONE SolveSession, run by the stream driver as the
+/// sweep's profile (stream::profile_from_scenarios: step 0 is the base,
+/// step k scenario k) with cold comparisons on. The point under
+/// measurement is the session architecture's contract:
 ///   - exactly one full topology precompute for the whole sweep
 ///     (counter-verified: every scenario solve is a precompute reuse),
 ///   - zero refactorizations (constant-power load scaling is rhs-only and
@@ -17,27 +19,16 @@
 #include <string>
 #include <vector>
 
-#include "core/admm.hpp"
-#include "core/scenario_binding.hpp"
-#include "core/solve_model.hpp"
-#include "core/solve_session.hpp"
-#include "opf/decompose.hpp"
-#include "opf/model.hpp"
 #include "runtime/instances.hpp"
 #include "runtime/scenario.hpp"
+#include "stream/driver.hpp"
+#include "stream/profile.hpp"
 
 namespace {
 
-struct Row {
-  std::string name;
-  double factor = 1.0;
-  int warm_iterations = 0;
-  int cold_iterations = 0;
-  double objective = 0.0;
-  dopf::core::RebindStats rebind;
-};
-
 constexpr int kNumScenarios = 10;
+
+double load_factor(int k) { return 0.90 + 0.02 * k; }
 
 }  // namespace
 
@@ -46,60 +37,41 @@ int main(int argc, char** argv) {
       argc > 1 ? argv[1] : "BENCH_session_reuse.json";
 
   const auto net = dopf::runtime::make_instance("ieee123").net;
-  const auto model = dopf::opf::build_model(net);
-  const auto problem = dopf::opf::decompose(net, model);
+  std::vector<dopf::runtime::Scenario> scenarios;
+  for (int k = 0; k < kNumScenarios; ++k) {
+    scenarios.push_back(
+        {"sweep" + std::to_string(k),
+         {{dopf::runtime::ScenarioOverride::Kind::kLoadScale, "constant",
+           load_factor(k)}}});
+  }
+  const auto profile = dopf::stream::profile_from_scenarios(scenarios);
 
-  dopf::core::AdmmOptions opt;
-  opt.check_every = 10;
+  dopf::stream::StreamOptions sopt;
+  sopt.admm.check_every = 10;
+  sopt.preflight = "off";
+  sopt.cold_compare = true;
+  const auto result = dopf::stream::StreamDriver(net, profile, sopt).run();
 
-  dopf::core::SolveModel solve_model(problem, opt.projector);
-  dopf::core::ScenarioBinding binding(solve_model);
-  dopf::core::SolveSession session(binding, opt);
-
-  const auto base = session.solve();
+  const auto& base = result.steps[0];
   std::printf("base: %s in %d iterations, objective %.8f\n",
               dopf::core::to_string(base.status), base.iterations,
               base.objective);
-  bool ok = base.converged;
-
-  std::vector<Row> rows;
-  long long warm_total = 0, cold_total = 0;
+  // all_converged covers the base, every warm solve and every cold one.
+  bool ok = result.all_converged;
   for (int k = 0; k < kNumScenarios; ++k) {
-    Row row;
-    row.factor = 0.90 + 0.02 * k;
-    row.name = "sweep" + std::to_string(k);
-    const dopf::runtime::Scenario sc{
-        row.name,
-        {{dopf::runtime::ScenarioOverride::Kind::kLoadScale, "constant",
-          row.factor}}};
-    const auto net_s = dopf::runtime::apply_scenario(net, sc);
-    const auto problem_s = dopf::opf::decompose(net_s);
-
-    row.rebind = session.rebind(problem_s);
-    const auto warm = session.solve();
-    row.warm_iterations = warm.iterations;
-    row.objective = warm.objective;
-    ok = ok && warm.converged && warm.warm_started;
-
-    // Cold baseline: a throwaway session on the SAME binding — identical
-    // pack and factorizations, fresh iterate state.
-    dopf::core::SolveSession cold_session(binding, opt);
-    const auto cold = cold_session.solve();
-    row.cold_iterations = cold.iterations;
-    ok = ok && cold.converged;
-
-    warm_total += row.warm_iterations;
-    cold_total += row.cold_iterations;
+    const auto& rec = result.steps[k + 1];
+    ok = ok && rec.warm_started;
     std::printf(
         "%s (x%.2f): warm %d vs cold %d iterations, objective %.8f "
         "[%d refactorization(s), %d rhs rebind(s)]\n",
-        row.name.c_str(), row.factor, row.warm_iterations,
-        row.cold_iterations, row.objective, row.rebind.refactorizations,
-        row.rebind.rhs_rebinds);
-    rows.push_back(row);
+        scenarios[k].name.c_str(), load_factor(k), rec.iterations,
+        rec.cold_iterations, rec.objective, rec.rebind.refactorizations,
+        rec.rebind.rhs_rebinds);
   }
 
-  const auto& st = session.stats();
+  const auto& st = result.session;
+  const long long warm_total = result.warm_iterations;
+  const long long cold_total = result.cold_iterations;
   std::printf(
       "session: %d solve(s), %d precompute reuse(s), %d refactorization(s), "
       "%d rhs rebind(s); warm %lld vs cold %lld total iterations\n",
@@ -114,7 +86,7 @@ int main(int argc, char** argv) {
                  st.precompute_reuses, kNumScenarios);
     ok = false;
   }
-  if (st.refactorizations != 0 || solve_model.refactorizations() != 0) {
+  if (st.refactorizations != 0 || result.refactorizations != 0) {
     std::fprintf(stderr, "FAIL: load-only sweep refactorized (%d)\n",
                  st.refactorizations);
     ok = false;
@@ -138,16 +110,16 @@ int main(int argc, char** argv) {
                "  \"num_scenarios\": %d,\n"
                "  \"base_iterations\": %d,\n  \"scenarios\": [\n",
                kNumScenarios, base.iterations);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
+  for (int k = 0; k < kNumScenarios; ++k) {
+    const auto& r = result.steps[k + 1];
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"load_factor\": %.2f, "
                  "\"warm_iterations\": %d, \"cold_iterations\": %d, "
                  "\"objective\": %.12g, \"refactorizations\": %d, "
                  "\"rhs_rebinds\": %d}%s\n",
-                 r.name.c_str(), r.factor, r.warm_iterations,
+                 scenarios[k].name.c_str(), load_factor(k), r.iterations,
                  r.cold_iterations, r.objective, r.rebind.refactorizations,
-                 r.rebind.rhs_rebinds, i + 1 < rows.size() ? "," : "");
+                 r.rebind.rhs_rebinds, k + 1 < kNumScenarios ? "," : "");
   }
   std::fprintf(out,
                "  ],\n  \"totals\": {\"warm_iterations\": %lld, "

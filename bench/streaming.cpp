@@ -81,16 +81,13 @@ int main(int argc, char** argv) {
   dopf::stream::StreamDriver driver(net, profile, sopt);
   const auto result = driver.run();
 
-  // Warm-vs-cold over the warm steps only (step 0 is the cold start and
-  // has no warm counterpart).
-  long long warm_total = 0, cold_total = 0;
+  // The driver totals warm and cold iterations over the warm-started steps
+  // only (step 0 is the cold start and gets no cold comparison).
+  const long long warm_total = result.warm_iterations;
+  const long long cold_total = result.cold_iterations;
   int switched_steps = 0;
   bool ok = result.all_converged;
   for (const auto& rec : result.steps) {
-    if (rec.warm_started) {
-      warm_total += rec.iterations;
-      cold_total += rec.cold_iterations;
-    }
     if (rec.switched) {
       ++switched_steps;
       std::printf(

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <span>
+#include <string>
 
 #include "core/packed_solvers.hpp"
 
@@ -134,6 +135,11 @@ class ExecutionBackend {
   /// and reports the difference, so every solve of a session gets its own
   /// seconds. The default keeps the driver's wall-clock values.
   virtual void report_simulated_timing(TimingBreakdown& /*timing*/) const {}
+  /// What the backend's fault handling did since construction, as the
+  /// tools print it (the multi-device backend's failover, retry and
+  /// degraded-mode lines); empty for a clean run and for backends without
+  /// fault handling.
+  virtual std::string fault_report() const { return {}; }
 };
 
 /// The serial reference backend (the paper's single-CPU path).

@@ -57,49 +57,4 @@ LocalUpdatePhase VirtualCluster::price_local_update(
       component_payload_vars);
 }
 
-LocalUpdatePhase VirtualCluster::price_local_update(
-    const Partition& partition, std::span<const double> component_seconds,
-    std::span<const std::size_t> component_payload_vars,
-    const FaultInjector& faults, int iteration,
-    const RecoveryPolicy& recovery) const {
-  LocalUpdatePhase phase =
-      price_local_update(partition, component_seconds, component_payload_vars);
-
-  // Straggle: the makespan is re-derived with each rank's compute scaled by
-  // its injected slowdown.
-  double compute = 0.0;
-  for (std::size_t r = 0; r < partition.size(); ++r) {
-    double rank_compute = 0.0;
-    std::size_t vars = 0;
-    for (std::size_t s : partition[r]) {
-      rank_compute += component_seconds[s];
-      vars += component_payload_vars[s];
-    }
-    rank_compute *= faults.straggle_factor(r, iteration);
-    compute = std::max(compute, rank_compute);
-
-    // Drops / detected corruption on the rank -> aggregator upload: the
-    // aggregator times out and the rank re-sends, with backoff.
-    const std::size_t up_bytes = 2 * vars * sizeof(double);
-    const int drops = faults.message_drops(r, iteration);
-    if (drops > 0) {
-      if (drops > recovery.max_retries) {
-        throw FaultError("rank " + std::to_string(r) + " lost at iteration " +
-                         std::to_string(iteration) + ": " +
-                         std::to_string(drops) + " drops exceed the retry "
-                         "budget");
-      }
-      phase.communication_seconds +=
-          retry_cost_seconds(recovery, comm_, up_bytes, drops);
-    }
-    if (recovery.verify_messages &&
-        faults.corruption(r, iteration) != nullptr) {
-      phase.communication_seconds +=
-          retry_cost_seconds(recovery, comm_, up_bytes, 1);
-    }
-  }
-  phase.compute_seconds = compute;
-  return phase;
-}
-
 }  // namespace dopf::runtime

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "runtime/comm_model.hpp"
-#include "runtime/fault.hpp"
 #include "runtime/partition.hpp"
 
 namespace dopf::runtime {
@@ -46,18 +45,6 @@ class VirtualCluster {
   LocalUpdatePhase price_local_update(
       std::span<const double> component_seconds,
       std::span<const std::size_t> component_payload_vars) const;
-
-  /// Fault-aware pricing: ranks hit by a straggle fault at `iteration` have
-  /// their compute scaled by the injected factor, and dropped or corrupted
-  /// rank uploads add the retry cost (detection timeouts + re-sends) of the
-  /// recovery policy to the communication total. The functional result of
-  /// the iteration is unchanged — only its simulated price moves.
-  LocalUpdatePhase price_local_update(
-      const Partition& partition,
-      std::span<const double> component_seconds,
-      std::span<const std::size_t> component_payload_vars,
-      const FaultInjector& faults, int iteration,
-      const RecoveryPolicy& recovery) const;
 
  private:
   std::size_t ranks_;

@@ -110,6 +110,16 @@ std::optional<int> read_integer(std::string_view text, int lo, int hi) {
   return static_cast<int>(value);
 }
 
+std::optional<std::uint64_t> read_unsigned(std::string_view text) {
+  std::uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 int SpecEntry::integer(std::string_view key, int fallback, int lo,
                        int hi) const {
   const std::string* v = find(key);

@@ -36,6 +36,11 @@ class FaultError : public std::runtime_error {
 /// reader behind SpecEntry::integer and the tools' integer flags.
 std::optional<int> read_integer(std::string_view text, int lo, int hi);
 
+/// `text` as a plain decimal integer in [0, 2^64 - 1], or nullopt: any
+/// sign, fraction, exponent, surrounding text or overflow is rejected (a
+/// minus sign never wraps). The tools' reader for 64-bit seeds.
+std::optional<std::uint64_t> read_unsigned(std::string_view text);
+
 /// One kind of a plane: its name and the keys it reads. Any other key is
 /// rejected, so a plan's to_string() never drops a key it was given.
 struct SpecKind {

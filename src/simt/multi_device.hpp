@@ -123,7 +123,7 @@ class MultiDeviceBackend final : public dopf::core::ExecutionBackend {
   /// The counters above as the tools print them: a "fault recovery:" line
   /// when a failover or retry happened, a "degraded mode:" line when an
   /// iteration ran degraded; empty for a clean run.
-  std::string fault_report() const;
+  std::string fault_report() const override;
 
  private:
   /// Recompute the partition over the live devices (aggregator = lowest).

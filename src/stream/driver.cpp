@@ -178,6 +178,7 @@ StreamResult StreamDriver::run() {
     rec.converged = res.converged;
     rec.warm_started = res.warm_started;
     rec.iterations = res.iterations;
+    rec.precompute_reuse_count = res.timing.precompute_reuse_count;
     rec.watchdog_stalls = res.watchdog.stalls;
     rec.objective = res.objective;
     rec.primal_residual = res.primal_residual;
@@ -187,10 +188,10 @@ StreamResult StreamDriver::run() {
     result.all_converged = result.all_converged && res.converged;
     if (res.warm_started) result.warm_iterations += res.iterations;
 
-    if (options_.cold_compare) {
+    if (options_.cold_compare && res.warm_started) {
       // Throwaway session on the SAME binding: identical pack and
       // factorizations, fresh iterate state — the cold baseline a warm
-      // step is measured against.
+      // step is measured against. A step solved cold already is its own.
       dopf::core::SolveSession cold(binding, options_.admm);
       if (options_.make_backend) {
         cold.set_backend(options_.make_backend(cold.solver().packed()));
@@ -202,6 +203,7 @@ StreamResult StreamDriver::run() {
       }
       rec.cold_iterations = cold_res.iterations;
       result.cold_iterations += rec.cold_iterations;
+      result.all_converged = result.all_converged && cold_res.converged;
     }
 
     if (durable_checkpoints) {
@@ -224,6 +226,9 @@ StreamResult StreamDriver::run() {
 
   result.session = session.stats();
   result.refactorizations = model.refactorizations();
+  result.precompute_seconds =
+      model.precompute_seconds() + binding.bind_seconds();
+  result.fault_report = session.solver().backend().fault_report();
   return result;
 }
 

@@ -63,7 +63,12 @@ struct StreamStepRecord {
   /// (a switching event reached the packed pool).
   bool switched = false;
   int iterations = 0;
-  int cold_iterations = -1;  ///< -1 = cold comparison off
+  /// Iterations of the same step solved cold; -1 when cold comparison is
+  /// off or the step was itself solved cold (step 0, a reset step).
+  int cold_iterations = -1;
+  /// The step solve's TimingBreakdown::precompute_reuse_count (not part of
+  /// record_line).
+  int precompute_reuse_count = 0;
   dopf::core::RebindStats rebind;
   /// Per-step delta preflight: components skipped because their equality
   /// block was unchanged (0 when preflight is off).
@@ -84,8 +89,9 @@ struct StreamOptions {
   /// "strict" (robust::run_scenario_preflight). A rejection raises
   /// StreamPreflightError with step provenance.
   std::string preflight = "warn";
-  /// Also solve every step cold (fresh iterate state on the same binding)
-  /// and record cold_iterations.
+  /// Also solve every warm-started step cold (fresh iterate state on the
+  /// same binding) and record cold_iterations. A step solved cold in the
+  /// first place gets no second cold solve.
   bool cold_compare = false;
   /// Warm-start reset policy: when true, a step whose rebind refactorized
   /// any component (a topology switch) drops the retained consensus state
@@ -140,8 +146,16 @@ struct StreamResult {
   int refactorizations = 0;
   int first_step = 0;  ///< 0, or checkpoint step + 1 on a resumed run
   long long warm_iterations = 0;  ///< total over warm-started steps
-  long long cold_iterations = 0;  ///< total cold_compare iterations (-1s skipped)
+  /// Total cold_compare iterations over the same warm-started steps.
+  long long cold_iterations = 0;
+  /// Every solve converged, cold comparisons included.
   bool all_converged = true;
+  /// Wall seconds of the one full topology precompute plus the initial
+  /// bind (not part of the replay record).
+  double precompute_seconds = 0.0;
+  /// The main session backend's fault_report() after the last step (empty
+  /// for a clean run).
+  std::string fault_report;
   /// Cooperative cancellation outcome: the stream stopped early after
   /// `steps.back().step` (no partial step is recorded).
   bool cancelled = false;

@@ -182,6 +182,20 @@ StreamProfile load_profile(const std::string& path) {
   return parse_profile(in);
 }
 
+StreamProfile profile_from_scenarios(
+    const std::vector<dopf::runtime::Scenario>& scenarios) {
+  StreamProfile profile;
+  profile.name = "sweep";
+  profile.num_steps = static_cast<int>(scenarios.size()) + 1;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    ProfileBlock block;
+    block.step = static_cast<int>(i) + 1;
+    block.overrides = scenarios[i].overrides;
+    profile.blocks.push_back(std::move(block));
+  }
+  return profile;
+}
+
 Network network_at_step(const Network& base, const StreamProfile& profile,
                         int step) {
   if (step < 0 || step >= profile.num_steps) {

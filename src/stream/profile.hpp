@@ -92,6 +92,13 @@ struct StreamProfile {
 StreamProfile parse_profile(std::istream& in);
 StreamProfile load_profile(const std::string& path);
 
+/// A scenario sweep as a profile (named "sweep"): step 0 has no block and
+/// solves the base network, step k (k >= 1) holds scenario k-1's overrides
+/// and no switch events. Both are absolute against base, so step k's
+/// network is exactly `runtime::apply_scenario(base, scenarios[k - 1])`.
+StreamProfile profile_from_scenarios(
+    const std::vector<dopf::runtime::Scenario>& scenarios);
+
 /// The network in effect at `step`: the active block's overrides and
 /// switch events applied to a copy of `base` (absolute, non-compounding).
 /// Unknown load/gen/line targets raise ProfileError with step provenance.

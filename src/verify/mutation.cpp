@@ -54,6 +54,7 @@ class MutantBackend final : public ExecutionBackend {
       dopf::core::TimingBreakdown& timing) const override {
     inner_->report_simulated_timing(timing);
   }
+  std::string fault_report() const override { return inner_->fault_report(); }
 
  private:
   std::unique_ptr<ExecutionBackend> inner_;

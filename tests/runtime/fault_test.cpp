@@ -1,5 +1,4 @@
-/// Fault-plan parsing, injector semantics, retry pricing, and the
-/// fault-aware VirtualCluster overload.
+/// Fault-plan parsing, injector semantics and retry pricing.
 
 #include "runtime/fault.hpp"
 
@@ -7,9 +6,6 @@
 
 #include <string>
 #include <utility>
-
-#include "runtime/cluster.hpp"
-#include "runtime/partition.hpp"
 
 namespace dopf::runtime {
 namespace {
@@ -197,70 +193,6 @@ TEST(RetryCostTest, BackoffSeriesPlusResends) {
       7e-4 + 3.0 * comm.message_seconds(bytes);
   EXPECT_NEAR(retry_cost_seconds(policy, comm, bytes, 3), expect, 1e-12);
   EXPECT_EQ(retry_cost_seconds(policy, comm, bytes, 0), 0.0);
-}
-
-class FaultClusterTest : public ::testing::Test {
- protected:
-  // 6 equal components over 3 ranks: 2 per rank.
-  std::vector<double> seconds_ = std::vector<double>(6, 1e-3);
-  std::vector<std::size_t> payload_ = std::vector<std::size_t>(6, 10);
-  Partition partition_ = block_partition(6, 3);
-  VirtualCluster cluster_{3, CommModel{}};
-  RecoveryPolicy recovery_;
-};
-
-TEST_F(FaultClusterTest, NoFaultsMatchesBaseline) {
-  const FaultInjector none;
-  const auto base = cluster_.price_local_update(partition_, seconds_, payload_);
-  const auto faulted = cluster_.price_local_update(
-      partition_, seconds_, payload_, none, 1, recovery_);
-  EXPECT_EQ(faulted.compute_seconds, base.compute_seconds);
-  EXPECT_EQ(faulted.communication_seconds, base.communication_seconds);
-}
-
-TEST_F(FaultClusterTest, StraggleStretchesMakespanOnly) {
-  const FaultInjector inj(
-      FaultPlan::parse("straggle:device=1,iter=5,factor=4"));
-  const auto base = cluster_.price_local_update(partition_, seconds_, payload_);
-  const auto in_window = cluster_.price_local_update(
-      partition_, seconds_, payload_, inj, 5, recovery_);
-  const auto outside = cluster_.price_local_update(
-      partition_, seconds_, payload_, inj, 6, recovery_);
-  EXPECT_NEAR(in_window.compute_seconds, 4.0 * base.compute_seconds, 1e-15);
-  EXPECT_EQ(in_window.communication_seconds, base.communication_seconds);
-  EXPECT_EQ(outside.compute_seconds, base.compute_seconds);
-}
-
-TEST_F(FaultClusterTest, DropsPriceRetries) {
-  const FaultInjector inj(FaultPlan::parse("drop:device=2,iter=3,count=2"));
-  const auto base = cluster_.price_local_update(partition_, seconds_, payload_);
-  const auto faulted = cluster_.price_local_update(
-      partition_, seconds_, payload_, inj, 3, recovery_);
-  const std::size_t up_bytes = 2 * 20 * sizeof(double);  // rank 2: 2 comps
-  EXPECT_NEAR(faulted.communication_seconds - base.communication_seconds,
-              retry_cost_seconds(recovery_, CommModel{}, up_bytes, 2), 1e-15);
-}
-
-TEST_F(FaultClusterTest, DropsBeyondRetryBudgetThrow) {
-  recovery_.max_retries = 2;
-  const FaultInjector inj(FaultPlan::parse("drop:device=0,iter=3,count=3"));
-  EXPECT_THROW(cluster_.price_local_update(partition_, seconds_, payload_,
-                                           inj, 3, recovery_),
-               FaultError);
-}
-
-TEST_F(FaultClusterTest, DetectedCorruptionPricesOneResend) {
-  const FaultInjector inj(FaultPlan::parse("corrupt:device=1,iter=3"));
-  const auto base = cluster_.price_local_update(partition_, seconds_, payload_);
-  const auto verified = cluster_.price_local_update(
-      partition_, seconds_, payload_, inj, 3, recovery_);
-  EXPECT_GT(verified.communication_seconds, base.communication_seconds);
-
-  recovery_.verify_messages = false;
-  const auto unverified = cluster_.price_local_update(
-      partition_, seconds_, payload_, inj, 3, recovery_);
-  // Undetected corruption costs nothing — that is exactly the danger.
-  EXPECT_EQ(unverified.communication_seconds, base.communication_seconds);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "feeders/ieee13.hpp"
 #include "network/phase.hpp"
@@ -216,6 +217,43 @@ TEST(StreamNetworkAtStepTest, UnknownTargetsCarryStepProvenance) {
   EXPECT_THROW(network_at_step(net, p_load, 2), ProfileError);
   EXPECT_THROW(network_at_step(net, p_line, 7), ProfileError);   // range
   EXPECT_THROW(network_at_step(net, p_line, -1), ProfileError);  // range
+}
+
+TEST(StreamProfileFromScenariosTest, StepZeroIsBaseAndStepKIsScenarioK) {
+  using dopf::runtime::ScenarioOverride;
+  const auto net = dopf::feeders::ieee13();
+  // The empty middle scenario must solve the base network again, not hold
+  // the previous scenario's block.
+  const std::vector<dopf::runtime::Scenario> scenarios = {
+      {"light", {{ScenarioOverride::Kind::kLoadScale, "*", 0.9}}},
+      {"empty", {}},
+      {"heavy", {{ScenarioOverride::Kind::kLoadScale, "*", 1.2}}}};
+  const StreamProfile p = profile_from_scenarios(scenarios);
+  EXPECT_EQ(p.name, "sweep");
+  ASSERT_EQ(p.num_steps, 4);
+  EXPECT_EQ(p.block_for(0), nullptr);
+
+  for (int k = 0; k < p.num_steps; ++k) {
+    if (k > 0) {
+      ASSERT_NE(p.block_for(k), nullptr);
+      EXPECT_EQ(p.block_for(k)->step, k);
+      EXPECT_TRUE(p.block_for(k)->switches.empty());
+    }
+    const auto at_k = network_at_step(net, p, k);
+    const auto expect =
+        k == 0 ? net : dopf::runtime::apply_scenario(net, scenarios[k - 1]);
+    for (std::size_t i = 0; i < net.num_loads(); ++i) {
+      for (auto ph : {dopf::network::Phase::kA, dopf::network::Phase::kB,
+                      dopf::network::Phase::kC}) {
+        EXPECT_EQ(at_k.load(static_cast<int>(i)).p_ref[ph],
+                  expect.load(static_cast<int>(i)).p_ref[ph])
+            << "step " << k;
+        EXPECT_EQ(at_k.load(static_cast<int>(i)).q_ref[ph],
+                  expect.load(static_cast<int>(i)).q_ref[ph])
+            << "step " << k;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -42,13 +42,13 @@
 //   --strict              shorthand for --preflight strict
 //   --preflight-only      run preflight, print the report, and exit without
 //                         solving (0 accepted, 5 rejected)
-//   --scenarios FILE      solve a scenario sweep through one SolveSession:
-//                         the feeder is precomputed once, each scenario in
-//                         FILE (see src/runtime/scenario.hpp for the format)
-//                         is rebound in place and warm-started from the
-//                         previous solution. Requires --algorithm
-//                         solver-free; runs on every --backend (simulated
-//                         seconds are reported per solve)
+//   --scenarios FILE      solve a scenario sweep through the stream driver
+//                         (one SolveSession; the base is step 0, scenario k
+//                         step k): the feeder is precomputed once, each
+//                         scenario in FILE (see src/runtime/scenario.hpp for
+//                         the format) is rebound in place and warm-started
+//                         from the previous solution. Requires --algorithm
+//                         solver-free; runs on every --backend
 //   --stream FILE         receding-horizon streaming replay: drive one
 //                         long-lived SolveSession through the time-series
 //                         profile in FILE (see src/stream/profile.hpp for
@@ -89,8 +89,8 @@
 //   --reset-on-switch     with --stream, drop warm state on steps whose
 //                         rebind refactorized a component
 //   --cold-compare        with --scenarios/--stream, also solve every
-//                         scenario/step cold (fresh iterate state) and
-//                         report both counts
+//                         warm-started scenario/step cold (fresh iterate
+//                         state) and report both counts
 //   --json                print a machine-readable JSON summary (single
 //                         solve, scenario sweep, or stream) on stdout
 //   --report              print the full dispatch/voltage report
@@ -117,9 +117,6 @@
 #include "baseline/benchmark_admm.hpp"
 #include "core/admm.hpp"
 #include "core/cancel.hpp"
-#include "core/scenario_binding.hpp"
-#include "core/solve_model.hpp"
-#include "core/solve_session.hpp"
 #include "feeders/feeder_io.hpp"
 #include "opf/solution.hpp"
 #include "runtime/checkpoint.hpp"
@@ -131,7 +128,6 @@
 #include "runtime/signals.hpp"
 #include "verify/codec.hpp"
 #include "simt/backend_builder.hpp"
-#include "simt/multi_device.hpp"
 #include "solver/reference.hpp"
 #include "stream/driver.hpp"
 #include "stream/profile.hpp"
@@ -202,15 +198,6 @@ Plan parse_plan(const char* spec) {
   }
 }
 
-/// One row of the scenario sweep, for the text table and --json.
-struct SweepRow {
-  std::string name;
-  dopf::core::AdmmResult result;
-  dopf::core::RebindStats rebind;
-  std::size_t components_reused = 0;
-  int cold_iterations = -1;  ///< -1 = --cold-compare off
-};
-
 /// The pinned exit code of a solve that ended with `status`.
 int exit_code_for(dopf::core::AdmmStatus status) {
   using dopf::core::AdmmStatus;
@@ -259,12 +246,40 @@ void print_result_json(const dopf::core::AdmmResult& res,
       res.timing.precompute_reuse_count, res.timing.refactorizations);
 }
 
-/// Scenario sweep: one SolveModel/ScenarioBinding/SolveSession drives every
-/// scenario; topology precompute happens exactly once, each scenario is
-/// rebound in place and warm-started from the previous solution.
+/// The stream driver options --stream and --scenarios share; the session
+/// backend's label lands in `backend_label`.
+dopf::stream::StreamOptions driver_options(
+    const dopf::core::AdmmOptions& opt, const std::string& preflight_mode,
+    const dopf::opf::DecomposeOptions& dec,
+    const dopf::simt::BackendSpec& backend, bool cold_compare,
+    std::string* backend_label) {
+  dopf::stream::StreamOptions sopt;
+  sopt.admm = opt;
+  sopt.decompose = dec;
+  sopt.preflight = preflight_mode;
+  sopt.cold_compare = cold_compare;
+  sopt.cancel = &g_cancel;
+  sopt.make_backend = [&backend, backend_label](
+                          const dopf::core::PackedLocalSolvers& pack) {
+    return dopf::simt::make_backend(backend, pack, backend_label);
+  };
+  return sopt;
+}
+
+/// " vs C cold" for a step with a cold comparison, else "".
+std::string cold_suffix(const dopf::stream::StreamStepRecord& rec) {
+  return rec.cold_iterations >= 0
+             ? " vs " + std::to_string(rec.cold_iterations) + " cold"
+             : "";
+}
+
+/// Scenario sweep: the scenarios run through the stream driver as a profile
+/// (stream::profile_from_scenarios: step 0 is the base network, step k is
+/// scenario k), so the topology precompute happens exactly once and each
+/// scenario is rebound in place and warm-started from the previous
+/// solution. Only the sweep's printing lives here.
 int run_scenario_sweep(const dopf::network::Network& net,
                        const std::string& label,
-                       dopf::opf::DistributedProblem problem,
                        const dopf::core::AdmmOptions& opt,
                        const std::string& scenario_file,
                        const std::string& preflight_mode,
@@ -274,108 +289,84 @@ int run_scenario_sweep(const dopf::network::Network& net,
   const auto scenarios = dopf::runtime::load_scenarios(scenario_file);
   std::printf("scenario sweep: %zu scenario(s) from %s\n", scenarios.size(),
               scenario_file.c_str());
-
-  dopf::core::SolveModel solve_model(problem, opt.projector);
-  dopf::core::ScenarioBinding binding(solve_model);
-  dopf::core::SolveSession session(binding, opt);
-  std::string backend_label;
-  session.set_backend(dopf::simt::make_backend(
-      backend, session.solver().packed(), &backend_label));
-
-  // Cold comparisons run through a second session on the same binding:
-  // same pack, same factorizations, fresh iterate state every solve.
-  auto solve_cold_copy = [&]() {
-    dopf::core::SolveSession cold(binding, opt);
-    cold.set_backend(dopf::simt::make_backend(backend, cold.solver().packed()));
-    return cold.solve();
+  // A scenario naming an unknown component exits 1 before any solve.
+  for (const auto& sc : scenarios) dopf::runtime::apply_scenario(net, sc);
+  auto name_of = [&](int step) {
+    return step == 0 ? std::string("base") : scenarios[step - 1].name;
   };
 
-  std::vector<SweepRow> rows;
-  SweepRow base;
-  base.name = "base";
-  base.result = session.solve();
-  base.components_reused = problem.num_components();
-  std::printf(
-      "  base: %s in %d iterations (cold), objective %.8f, "
-      "precompute %.2fs\n",
-      dopf::core::to_string(base.result.status), base.result.iterations,
-      base.result.objective, base.result.timing.precompute);
-  int code = exit_code_for(base.result.status);
-  rows.push_back(std::move(base));
-
-  for (const auto& sc : scenarios) {
-    const auto net_s = dopf::runtime::apply_scenario(net, sc);
-    const auto model_s = dopf::opf::build_model(net_s);
-    auto problem_s = dopf::opf::decompose(net_s, model_s, dec);
-
-    SweepRow row;
-    row.name = sc.name;
-    if (preflight_mode != "off") {
-      dopf::robust::PreflightOptions popt;
-      popt.policy = dopf::robust::parse_policy(preflight_mode);
-      popt.decompose = dec;
-      const auto pre = dopf::robust::run_scenario_preflight(
-          solve_model.problem(), problem_s, popt);
-      if (!pre.accepted) {
-        std::fprintf(stderr, "scenario '%s' rejected by preflight: %s\n",
-                     sc.name.c_str(), pre.rejection.c_str());
-        return 5;
-      }
-      row.components_reused = pre.scenario_components_reused;
-    }
-
-    row.rebind = session.rebind(problem_s);
-    row.result = session.solve();
-    if (cold_compare) {
-      row.cold_iterations = solve_cold_copy().iterations;
-    }
-    std::printf(
-        "  %s: %s in %d iterations (%s)%s, objective %.8f "
-        "[%d refactorization(s), %d rhs rebind(s), %d unchanged]\n",
-        row.name.c_str(), dopf::core::to_string(row.result.status),
-        row.result.iterations, row.result.warm_started ? "warm" : "cold",
-        row.cold_iterations >= 0
-            ? (" vs " + std::to_string(row.cold_iterations) + " cold").c_str()
-            : "",
-        row.result.objective, row.rebind.refactorizations,
-        row.rebind.rhs_rebinds, row.rebind.unchanged);
-    code = std::max(code, exit_code_for(row.result.status));
-    rows.push_back(std::move(row));
+  std::string backend_label;
+  const auto profile = dopf::stream::profile_from_scenarios(scenarios);
+  dopf::stream::StreamResult result;
+  try {
+    result = dopf::stream::StreamDriver(
+                 net, profile,
+                 driver_options(opt, preflight_mode, dec, backend,
+                                cold_compare, &backend_label))
+                 .run();
+  } catch (const dopf::stream::StreamPreflightError& e) {
+    std::fprintf(stderr, "scenario '%s' rejected by preflight at %s\n",
+                 name_of(e.step()).c_str(), e.what());
+    return 5;
   }
 
-  const auto& st = session.stats();
+  int code = 0;
+  for (const auto& rec : result.steps) {
+    if (rec.step == 0) {
+      std::printf(
+          "  base: %s in %d iterations (cold), objective %.8f, "
+          "precompute %.2fs\n",
+          dopf::core::to_string(rec.status), rec.iterations, rec.objective,
+          result.precompute_seconds);
+    } else {
+      std::printf(
+          "  %s: %s in %d iterations (%s)%s, objective %.8f "
+          "[%d refactorization(s), %d rhs rebind(s), %d unchanged]\n",
+          name_of(rec.step).c_str(), dopf::core::to_string(rec.status),
+          rec.iterations, rec.warm_started ? "warm" : "cold",
+          cold_suffix(rec).c_str(), rec.objective,
+          rec.rebind.refactorizations, rec.rebind.rhs_rebinds,
+          rec.rebind.unchanged);
+    }
+    code = std::max(code, exit_code_for(rec.status));
+  }
+  std::printf("%s", result.fault_report.c_str());
+  const auto& st = result.session;
   std::printf(
       "session: %d solve(s) (%d cold, %d warm), 1 full precompute, "
       "%d precompute reuse(s), %d refactorization(s), %d rhs rebind(s)\n",
       st.solves, st.cold_solves, st.warm_solves, st.precompute_reuses,
       st.refactorizations, st.rhs_rebinds);
+  if (result.cancelled) {
+    code = 6;
+    std::printf("scenario sweep cancelled (%s): %zu of %d row(s) completed\n",
+                result.cancel_reason.c_str(), result.steps.size(),
+                profile.num_steps);
+  }
 
   if (json) {
     std::printf("{\"feeder\":\"%s\",\"backend\":\"%s\",\"scenarios\":[",
                 label.c_str(), backend_label.c_str());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& r = rows[i];
+    for (std::size_t i = 0; i < result.steps.size(); ++i) {
+      const auto& r = result.steps[i];
       std::printf(
           "%s{\"name\":\"%s\",\"status\":\"%s\",\"converged\":%s,"
           "\"warm_started\":%s,\"iterations\":%d,\"cold_iterations\":%d,"
           "\"objective\":%.17g,\"refactorizations\":%d,\"rhs_rebinds\":%d,"
           "\"components_unchanged\":%d,\"components_reused\":%zu,"
           "\"precompute_reuse_count\":%d}",
-          i == 0 ? "" : ",", r.name.c_str(),
-          dopf::core::to_string(r.result.status),
-          r.result.converged ? "true" : "false",
-          r.result.warm_started ? "true" : "false", r.result.iterations,
-          r.cold_iterations, r.result.objective, r.rebind.refactorizations,
-          r.rebind.rhs_rebinds, r.rebind.unchanged, r.components_reused,
-          r.result.timing.precompute_reuse_count);
+          i == 0 ? "" : ",", name_of(r.step).c_str(),
+          dopf::core::to_string(r.status), r.converged ? "true" : "false",
+          r.warm_started ? "true" : "false", r.iterations, r.cold_iterations,
+          r.objective, r.rebind.refactorizations, r.rebind.rhs_rebinds,
+          r.rebind.unchanged, r.preflight_reused, r.precompute_reuse_count);
     }
     std::printf(
         "],\"session\":{\"solves\":%d,\"cold_solves\":%d,\"warm_solves\":%d,"
         "\"precompute_reuses\":%d,\"refactorizations\":%d,"
         "\"rhs_rebinds\":%d,\"precompute_seconds\":%.6f}}\n",
         st.solves, st.cold_solves, st.warm_solves, st.precompute_reuses,
-        st.refactorizations, st.rhs_rebinds,
-        solve_model.precompute_seconds() + binding.bind_seconds());
+        st.refactorizations, st.rhs_rebinds, result.precompute_seconds);
   }
   return code;
 }
@@ -399,22 +390,15 @@ int run_stream(const dopf::network::Network& net, const std::string& label,
               profile.name.c_str(), profile.num_steps, profile.dt_seconds,
               profile.blocks.size());
 
-  dopf::stream::StreamOptions sopt;
-  sopt.admm = opt;
-  sopt.decompose = dec;
-  sopt.preflight = preflight_mode;
-  sopt.cold_compare = cold_compare;
+  std::string backend_label;
+  dopf::stream::StreamOptions sopt = driver_options(
+      opt, preflight_mode, dec, backend, cold_compare, &backend_label);
   sopt.reset_on_switch = reset_on_switch;
   sopt.checkpoint_at_step = checkpoint_at_step;
   sopt.checkpoint_every_steps = checkpoint_every_steps;
   sopt.checkpoint_path = checkpoint_file;
   sopt.resume_path = resume_file;
-  sopt.cancel = &g_cancel;
   sopt.durable = durable;
-  std::string backend_label;
-  sopt.make_backend = [&](const dopf::core::PackedLocalSolvers& pack) {
-    return dopf::simt::make_backend(backend, pack, &backend_label);
-  };
 
   dopf::stream::StreamResult result;
   try {
@@ -442,10 +426,7 @@ int run_stream(const dopf::network::Network& net, const std::string& label,
         "  step %d: %s in %d iterations (%s)%s%s "
         "[%d refactorization(s), %d rhs rebind(s), %d unchanged]\n",
         rec.step, dopf::core::to_string(rec.status), rec.iterations,
-        rec.warm_started ? "warm" : "cold",
-        rec.cold_iterations >= 0
-            ? (" vs " + std::to_string(rec.cold_iterations) + " cold").c_str()
-            : "",
+        rec.warm_started ? "warm" : "cold", cold_suffix(rec).c_str(),
         rec.switched ? " [switched]" : "", rec.rebind.refactorizations,
         rec.rebind.rhs_rebinds, rec.rebind.unchanged);
     code = std::max(code, exit_code_for(rec.status));
@@ -454,6 +435,7 @@ int run_stream(const dopf::network::Network& net, const std::string& label,
       ++warm_steps;
     }
   }
+  std::printf("%s", result.fault_report.c_str());
   const auto& st = result.session;
   std::printf(
       "stream: %zu step(s) from step %d (%lld warm), "
@@ -778,31 +760,23 @@ int main(int argc, char** argv) {
     }
     if (preflight_only) return 0;
 
-    if (!stream_file.empty()) {
+    if (!stream_file.empty() || !scenario_file.empty()) {
       // The stream driver builds its own base decomposition so checkpoint
       // fingerprints stay self-consistent; the preflighted projector
-      // options and row-equilibration choice carry over through opt/dec.
+      // options and row-equilibration choice carry over through opt/dec,
+      // so every step's re-decomposition diffs against the bound model.
       dopf::opf::DecomposeOptions dec;
       dec.equilibrate_rows = preflight_equilibrated;
+      if (!scenario_file.empty()) {
+        return run_scenario_sweep(net, input, opt, scenario_file,
+                                  preflight_mode, dec, backend, cold_compare,
+                                  json);
+      }
       return run_stream(net, input, opt, stream_file, preflight_mode, dec,
                         backend, cold_compare, reset_on_switch,
                         checkpoint_at_step, checkpoint_every_steps,
                         checkpoint_file, resume_file, stream_record_file,
                         durable, json);
-    }
-
-    if (!scenario_file.empty()) {
-      auto problem = have_preflighted ? std::move(preflighted)
-                                      : dopf::opf::decompose(net, model);
-      std::printf("decomposition: %zu components\n",
-                  problem.num_components());
-      // Scenario re-decompositions must use the same profile as the base so
-      // a load-only edit diffs as rhs-only against the bound model.
-      dopf::opf::DecomposeOptions dec;
-      dec.equilibrate_rows = preflight_equilibrated;
-      return run_scenario_sweep(net, input, std::move(problem), opt,
-                                scenario_file, preflight_mode, dec, backend,
-                                cold_compare, json);
     }
 
     std::vector<double> x;
@@ -834,9 +808,6 @@ int main(int argc, char** argv) {
         dopf::core::SolverFreeAdmm admm(problem, opt);
         admm.set_backend(
             dopf::simt::make_backend(backend, admm.packed(), &backend_label));
-        const auto* multi =
-            dynamic_cast<const dopf::simt::MultiDeviceBackend*>(
-                &admm.backend());
         if (!resume_file.empty()) {
           const auto ck = dopf::runtime::load_checkpoint(resume_file, durable);
           ck.restore(&admm);
@@ -871,7 +842,7 @@ int main(int argc, char** argv) {
           std::printf("final durable checkpoint written to %s (iteration %d)\n",
                       checkpoint_file.c_str(), res.iterations);
         }
-        if (multi) std::printf("%s", multi->fault_report().c_str());
+        std::printf("%s", admm.backend().fault_report().c_str());
       }
       // SIMT and multigpu report cost-model seconds, not host wall time.
       const bool simulated = backend.name == "simt" || multigpu;

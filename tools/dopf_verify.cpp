@@ -85,7 +85,6 @@
 #include "runtime/fault.hpp"
 #include "runtime/instances.hpp"
 #include "simt/backend_builder.hpp"
-#include "simt/multi_device.hpp"
 #include "robust/preflight.hpp"
 #include "solver/reference.hpp"
 #include "verify/adversarial.hpp"
@@ -140,15 +139,16 @@ double parse_double(const char* arg, const char* what) {
   return v;
 }
 
+/// An unsigned 64-bit decimal (runtime::read_unsigned): a sign, an
+/// overflow or trailing text is a usage error, never a wrapped value.
 std::uint64_t parse_u64(const char* arg, const char* what) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(arg, &end, 10);
-  if (end == arg || *end != '\0') {
-    std::fprintf(stderr, "%s: bad integer value '%s' for %s\n", g_argv0, arg,
-                 what);
+  const std::optional<std::uint64_t> v = dopf::runtime::read_unsigned(arg);
+  if (!v) {
+    std::fprintf(stderr, "%s: bad unsigned integer value '%s' for %s\n",
+                 g_argv0, arg, what);
     usage(g_argv0);
   }
-  return v;
+  return *v;
 }
 
 bool file_exists(const std::string& path) {
@@ -398,11 +398,9 @@ int main(int argc, char** argv) {
     // The restart point a device failover rewinds to is refreshed at the
     // checkpoint cadence (kept in memory only).
     if (checkpoint_every == 0 && !backend.faults.empty()) checkpoint_every = 50;
-    const dopf::simt::MultiDeviceBackend* multi = nullptr;
     auto attach_backend = [&](dopf::core::SolverFreeAdmm& admm) {
       auto exec = dopf::simt::make_backend(backend, admm.packed(),
                                            &backend_label);
-      multi = dynamic_cast<const dopf::simt::MultiDeviceBackend*>(exec.get());
       if (mutate) {
         exec = dopf::verify::make_mutant_backend(std::move(exec));
         backend_label = "mutant(" + backend_label + ")";
@@ -411,12 +409,12 @@ int main(int argc, char** argv) {
       if (checkpoint_every > 0) admm.set_checkpoint_hook(checkpoint_every, {});
     };
     // Fault/degrade counters, printed while the backend is still alive.
-    auto report_multi = [&]() {
+    auto report_faults = [&](const dopf::core::SolverFreeAdmm& admm) {
       if (!backend.faults.empty()) {
         std::printf("faults injected: %s\n",
                     backend.faults.to_string().c_str());
       }
-      if (multi) std::printf("%s", multi->fault_report().c_str());
+      std::printf("%s", admm.backend().fault_report().c_str());
     };
     if (session) {
       // Explicit session layers: the packed image the session binds must be
@@ -428,7 +426,7 @@ int main(int argc, char** argv) {
       attach_backend(sess.solver());
       backend_label += "+session";
       result = sess.solve();
-      report_multi();
+      report_faults(sess.solver());
       final_x.assign(sess.solver().x().begin(), sess.solver().x().end());
       final_z.assign(sess.solver().z().begin(), sess.solver().z().end());
     } else {
@@ -436,7 +434,7 @@ int main(int argc, char** argv) {
       attach_backend(admm);
       if (!resume_file.empty()) resume_ck.restore(&admm);
       result = admm.solve();
-      report_multi();
+      report_faults(admm);
       final_x.assign(admm.x().begin(), admm.x().end());
       final_z.assign(admm.z().begin(), admm.z().end());
     }

@@ -84,6 +84,24 @@ expect 1 "fault spec and backend checked before the algorithm runs" \
   "$solve" builtin:ieee13 --algorithm reference --backend multigpu \
     --faults "explode:device=0,iter=1"
 
+# Scenario sweeps keep the contract: an unknown override target is an
+# input error, a scenario the delta preflight refuses exits 5, and a
+# deadline stops the sweep at a scenario boundary with 6.
+sweep="$tmpdir/sweep.scenarios"
+printf 'scenario light\n  load constant scale 0.9\nend\n' > "$sweep"
+typo="$tmpdir/typo.scenarios"
+printf 'scenario typo\n  load nosuch scale 1.1\nend\n' > "$typo"
+overflow="$tmpdir/overflow.scenarios"
+printf 'scenario boom\n  gen * cost-scale 1e308\n  gen * cost-scale 1e308\nend\n' \
+  > "$overflow"
+expect 1 "sweep: unknown scenario target" \
+  "$solve" --scenarios "$typo" builtin:ieee13
+expect 5 "sweep: scenario rejected by preflight" \
+  "$solve" --scenarios "$overflow" builtin:ieee13
+expect 6 "sweep: deadline cancellation" \
+  "$solve" --scenarios "$sweep" builtin:ieee123 --eps 1e-12 \
+    --max-iters 100000000 --deadline 0.05
+
 # Algorithm and backend names are checked where their flag is read: a typo
 # exits 1 before anything reaches stdout.
 for flag in --algorithm --backend; do

@@ -5,7 +5,8 @@
 # event -> one refactorization), (c) converge warm in fewer total iterations
 # than the same steps solved cold, (d) write a replay record that is
 # byte-identical across two runs, and (e) write that same record on the
-# simt backend and on multigpu, also when a device dies mid-solve.
+# simt backend and on multigpu, also when a device dies mid-solve (which
+# the stream then reports as one failover).
 #
 # Usage: stream_smoke.sh <dopf_solve-binary> <scratch-dir>
 set -eu
@@ -73,14 +74,19 @@ echo "stream smoke: replay record byte-identical across runs"
 
 # Every backend runs the stream through the same driver, so the replay
 # record must be serial's byte for byte; a device kill fails over and
-# replays from the restart point, so it must not show either.
+# replays from the restart point, so it must not show either, and the
+# stream reports the one failover.
 for run in "simt" "multigpu --devices 3" \
            "multigpu --devices 3 --faults kill:device=1,iter=137"; do
   "$SOLVE" --stream "$PROFILE" --cold-compare --stream-record "$REC2" \
-    --backend $run builtin:ieee13 > /dev/null
+    --backend $run builtin:ieee13 > "$OUT"
   cmp "$REC1" "$REC2" || {
     echo "FAIL: stream replay record differs from serial on $run" >&2
     exit 1
   }
 done
+grep -q "fault recovery: 1 failover(s)" "$OUT" || {
+  echo "FAIL: the device kill left no fault recovery report" >&2
+  exit 1
+}
 echo "stream smoke: simt and multigpu records match serial"
