@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   const std::string out_path =
       argc > 1 ? argv[1] : "BENCH_session_reuse.json";
 
-  const auto net = dopf::runtime::make_instance("ieee123").net;
+  const auto net = dopf::runtime::make_network("ieee123");
   std::vector<dopf::runtime::Scenario> scenarios;
   for (int k = 0; k < kNumScenarios; ++k) {
     scenarios.push_back(

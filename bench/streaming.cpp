@@ -69,7 +69,7 @@ std::string make_profile_text() {
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_streaming.json";
 
-  const auto net = dopf::runtime::make_instance("ieee123").net;
+  const auto net = dopf::runtime::make_network("ieee123");
   std::istringstream profile_text(make_profile_text());
   const auto profile = dopf::stream::parse_profile(profile_text);
   std::printf("profile '%s': %d steps, %zu blocks\n", profile.name.c_str(),

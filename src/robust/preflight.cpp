@@ -24,6 +24,16 @@ PreflightPolicy parse_policy(const std::string& text) {
                               "' (expected warn, auto, or strict)");
 }
 
+PreflightMode parse_mode(const std::string& text) {
+  if (text == "off") return std::nullopt;
+  try {
+    return parse_policy(text);
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument("unknown preflight mode '" + text +
+                                "' (expected off, warn, auto, or strict)");
+  }
+}
+
 std::size_t PreflightReport::count_health(BlockHealth health) const {
   std::size_t n = 0;
   for (const BlockConditioning& b : blocks) {
@@ -85,6 +95,107 @@ std::string PreflightReport::summary() const {
   return out;
 }
 
+namespace {
+
+bool same_block(const dopf::linalg::Matrix& a, const dopf::linalg::Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  const std::span<const double> da = a.data();
+  const std::span<const double> db = b.data();
+  return std::equal(da.begin(), da.end(), db.begin());
+}
+
+/// Emit kNonFiniteData errors for every NaN/inf entry of `v` (objective,
+/// initial point, and right-hand sides must be finite; bounds may be
+/// infinite and are checked separately).
+void check_finite(std::span<const double> v, const std::string& site,
+                  std::vector<Issue>* issues) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (!std::isfinite(v[i])) {
+      issues->push_back(Issue{IssueCode::kNonFiniteData, Severity::kError,
+                              site + "[" + std::to_string(i) + "]",
+                              "non-finite value in scenario data"});
+    }
+  }
+}
+
+/// File the findings of one analyzed block into `report`. `scenario` marks
+/// a block a scenario edit changed (run_scenario_preflight).
+void judge_block(const BlockConditioning& block,
+                 const PreflightOptions& options, bool scenario,
+                 PreflightReport* report) {
+  const char* after = scenario ? " after the scenario edit" : "";
+  char msg[192];
+  if (std::isinf(block.cond)) {
+    // The exact projector does not exist. Under remediation a probed
+    // ridge (if any) rescues it; otherwise this is fatal in every
+    // policy — proceeding would only defer to a ConditioningError.
+    if (options.policy == PreflightPolicy::kRemediate && block.ridge > 0.0) {
+      std::snprintf(msg, sizeof(msg),
+                    "Gram matrix not SPD; remediated with Tikhonov "
+                    "ridge %.3e (solution perturbed accordingly)",
+                    block.ridge);
+      report->issues.push_back(Issue{IssueCode::kRegularized,
+                                     Severity::kWarning, block.component,
+                                     msg});
+      report->max_ridge = std::max(report->max_ridge, block.ridge);
+    } else {
+      if (scenario) {
+        std::snprintf(msg, sizeof(msg),
+                      "scenario edit makes the Gram matrix non-SPD: the "
+                      "closed-form projector (15) does not exist");
+      } else {
+        std::snprintf(msg, sizeof(msg),
+                      "Gram matrix not SPD within tolerance: the "
+                      "closed-form projector (15) does not exist "
+                      "(%zu rows kept of %zu)",
+                      block.rows, block.rows_before_reduction);
+      }
+      report->issues.push_back(Issue{IssueCode::kRankDeficient,
+                                     Severity::kError, block.component, msg});
+    }
+  } else if (block.health == BlockHealth::kDegenerate) {
+    std::snprintf(msg, sizeof(msg),
+                  "cond(A_s A_s') ~ %.3e exceeds the degenerate "
+                  "threshold %.1e%s",
+                  block.cond, options.conditioning.cond_degenerate, after);
+    report->issues.push_back(Issue{IssueCode::kIllConditioned,
+                                   options.policy == PreflightPolicy::kStrict
+                                       ? Severity::kError
+                                       : Severity::kWarning,
+                                   block.component, msg});
+  } else if (block.health == BlockHealth::kMarginal) {
+    std::snprintf(msg, sizeof(msg), "cond(A_s A_s') ~ %.3e is marginal%s",
+                  block.cond, after);
+    report->issues.push_back(Issue{IssueCode::kIllConditioned,
+                                   Severity::kInfo, block.component, msg});
+  }
+}
+
+/// The verdict: errors reject under every policy, the first one names it.
+void decide(PreflightReport* report) {
+  for (const Issue& issue : report->issues) {
+    if (issue.severity == Severity::kError) {
+      report->accepted = false;
+      report->rejection = issue.to_string();
+      return;
+    }
+  }
+}
+
+/// The delta preflight of prepare_scenario; nullopt under off.
+std::optional<PreflightReport> check_scenario(
+    const dopf::opf::DistributedProblem& scenario, PreflightMode mode,
+    const dopf::opf::DistributedProblem& bound) {
+  if (!mode) return std::nullopt;
+  PreflightOptions popt;
+  popt.policy = *mode;
+  PreflightReport report = run_scenario_preflight(bound, scenario, popt);
+  if (!report.accepted) throw PreflightError(std::move(report));
+  return report;
+}
+
+}  // namespace
+
 PreflightReport run_preflight(const dopf::network::Network& net,
                               const dopf::opf::OpfModel& model,
                               dopf::opf::DistributedProblem* problem_out,
@@ -143,92 +254,20 @@ PreflightReport run_preflight(const dopf::network::Network& net,
     ConditioningOptions cond = options.conditioning;
     report.blocks = analyze_conditioning(problem, cond);
     for (const BlockConditioning& block : report.blocks) {
-      char msg[192];
-      if (std::isinf(block.cond)) {
-        // The exact projector does not exist. Under remediation a probed
-        // ridge (if any) rescues it; otherwise this is fatal in every
-        // policy — proceeding would only defer to a ConditioningError.
-        if (options.policy == PreflightPolicy::kRemediate &&
-            block.ridge > 0.0) {
-          std::snprintf(msg, sizeof(msg),
-                        "Gram matrix not SPD; remediated with Tikhonov "
-                        "ridge %.3e (solution perturbed accordingly)",
-                        block.ridge);
-          report.issues.push_back(Issue{IssueCode::kRegularized,
-                                        Severity::kWarning, block.component,
-                                        msg});
-          report.max_ridge = std::max(report.max_ridge, block.ridge);
-        } else {
-          std::snprintf(msg, sizeof(msg),
-                        "Gram matrix not SPD within tolerance: the "
-                        "closed-form projector (15) does not exist "
-                        "(%zu rows kept of %zu)",
-                        block.rows, block.rows_before_reduction);
-          report.issues.push_back(Issue{IssueCode::kRankDeficient,
-                                        Severity::kError, block.component,
-                                        msg});
-        }
-      } else if (block.health == BlockHealth::kDegenerate) {
-        std::snprintf(msg, sizeof(msg),
-                      "cond(A_s A_s') ~ %.3e exceeds the degenerate "
-                      "threshold %.1e",
-                      block.cond, options.conditioning.cond_degenerate);
-        report.issues.push_back(
-            Issue{IssueCode::kIllConditioned,
-                  options.policy == PreflightPolicy::kStrict
-                      ? Severity::kError
-                      : Severity::kWarning,
-                  block.component, msg});
-      } else if (block.health == BlockHealth::kMarginal) {
-        std::snprintf(msg, sizeof(msg), "cond(A_s A_s') ~ %.3e is marginal",
-                      block.cond);
-        report.issues.push_back(Issue{IssueCode::kIllConditioned,
-                                      Severity::kInfo, block.component, msg});
-      }
+      judge_block(block, options, /*scenario=*/false, &report);
     }
   }
 
-  // 4. Verdict. Errors reject under every policy; strict additionally
-  //    refuses any block that is not healthy-or-marginal (handled above by
-  //    upgrading degenerate conditioning to an error).
-  for (const Issue& issue : report.issues) {
-    if (issue.severity == Severity::kError) {
-      report.accepted = false;
-      report.rejection = issue.to_string();
-      break;
-    }
-  }
+  // 4. Verdict. Strict additionally refuses any block that is not
+  //    healthy-or-marginal (judge_block upgrades degenerate conditioning
+  //    to an error).
+  decide(&report);
 
   if (report.accepted && problem_out != nullptr) {
     *problem_out = std::move(problem);
   }
   return report;
 }
-
-namespace {
-
-bool same_block(const dopf::linalg::Matrix& a, const dopf::linalg::Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  const std::span<const double> da = a.data();
-  const std::span<const double> db = b.data();
-  return std::equal(da.begin(), da.end(), db.begin());
-}
-
-/// Emit kNonFiniteData errors for every NaN/inf entry of `v` (objective,
-/// initial point, and right-hand sides must be finite; bounds may be
-/// infinite and are checked separately).
-void check_finite(std::span<const double> v, const std::string& site,
-                  std::vector<Issue>* issues) {
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (!std::isfinite(v[i])) {
-      issues->push_back(Issue{IssueCode::kNonFiniteData, Severity::kError,
-                              site + "[" + std::to_string(i) + "]",
-                              "non-finite value in scenario data"});
-    }
-  }
-}
-
-}  // namespace
 
 PreflightReport run_scenario_preflight(
     const dopf::opf::DistributedProblem& base,
@@ -300,54 +339,50 @@ PreflightReport run_scenario_preflight(
     const BlockConditioning block =
         analyze_component(sc, options.conditioning);
     report.blocks.push_back(block);
-    char msg[192];
-    if (std::isinf(block.cond)) {
-      if (options.policy == PreflightPolicy::kRemediate && block.ridge > 0.0) {
-        std::snprintf(msg, sizeof(msg),
-                      "Gram matrix not SPD; remediated with Tikhonov "
-                      "ridge %.3e (solution perturbed accordingly)",
-                      block.ridge);
-        report.issues.push_back(Issue{IssueCode::kRegularized,
-                                      Severity::kWarning, block.component,
-                                      msg});
-        report.max_ridge = std::max(report.max_ridge, block.ridge);
-      } else {
-        std::snprintf(msg, sizeof(msg),
-                      "scenario edit makes the Gram matrix non-SPD: the "
-                      "closed-form projector (15) does not exist");
-        report.issues.push_back(Issue{IssueCode::kRankDeficient,
-                                      Severity::kError, block.component,
-                                      msg});
-      }
-    } else if (block.health == BlockHealth::kDegenerate) {
-      std::snprintf(msg, sizeof(msg),
-                    "cond(A_s A_s') ~ %.3e exceeds the degenerate "
-                    "threshold %.1e after the scenario edit",
-                    block.cond, options.conditioning.cond_degenerate);
-      report.issues.push_back(Issue{IssueCode::kIllConditioned,
-                                    options.policy == PreflightPolicy::kStrict
-                                        ? Severity::kError
-                                        : Severity::kWarning,
-                                    block.component, msg});
-    } else if (block.health == BlockHealth::kMarginal) {
-      std::snprintf(msg, sizeof(msg),
-                    "cond(A_s A_s') ~ %.3e is marginal after the scenario "
-                    "edit",
-                    block.cond);
-      report.issues.push_back(Issue{IssueCode::kIllConditioned,
-                                    Severity::kInfo, block.component, msg});
-    }
+    judge_block(block, options, /*scenario=*/true, &report);
   }
 
   // 4. Verdict: same rule as the full preflight.
-  for (const Issue& issue : report.issues) {
-    if (issue.severity == Severity::kError) {
-      report.accepted = false;
-      report.rejection = issue.to_string();
-      break;
-    }
-  }
+  decide(&report);
   return report;
+}
+
+PreparedProblem prepare(const dopf::network::Network& net, PreflightMode mode,
+                        const dopf::opf::DecomposeOptions& decompose) {
+  PreparedProblem out{mode, dopf::opf::build_model(net), {}, decompose, {},
+                      std::nullopt};
+  if (!mode) {
+    out.problem = dopf::opf::decompose(net, out.model, decompose);
+    return out;
+  }
+  PreflightOptions popt;
+  popt.policy = *mode;
+  popt.decompose = decompose;
+  PreflightReport report = run_preflight(net, out.model, &out.problem, popt);
+  if (!report.accepted) throw PreflightError(std::move(report));
+  out.decompose.equilibrate_rows = report.equilibrated;
+  out.projector = report.projector_options();
+  out.report = std::move(report);
+  return out;
+}
+
+PreparedScenario prepare_scenario(const dopf::network::Network& scenario,
+                                  PreflightMode mode,
+                                  const dopf::opf::DecomposeOptions& decompose,
+                                  const dopf::opf::DistributedProblem& bound) {
+  PreparedScenario out;
+  out.built = dopf::opf::decompose(scenario, dopf::opf::build_model(scenario),
+                                   decompose);
+  out.report = check_scenario(*out.built, mode, bound);
+  return out;
+}
+
+PreparedScenario prepare_scenario(const PreparedProblem& base,
+                                  const dopf::opf::DistributedProblem& bound) {
+  PreparedScenario out;
+  out.base = &base.problem;
+  out.report = check_scenario(base.problem, base.mode, bound);
+  return out;
 }
 
 }  // namespace dopf::robust

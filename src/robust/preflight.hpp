@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -31,8 +32,13 @@ enum class PreflightPolicy { kWarn, kRemediate, kStrict };
 
 const char* to_string(PreflightPolicy policy);
 /// Parse "warn" / "auto" / "remediate" / "strict". Throws
-/// std::invalid_argument otherwise ("off" is handled by callers).
+/// std::invalid_argument otherwise.
 PreflightPolicy parse_policy(const std::string& text);
+
+/// What an entry point runs before solving: a policy, or nullopt for "off".
+using PreflightMode = std::optional<PreflightPolicy>;
+/// Parse "off" or a policy name. Throws std::invalid_argument otherwise.
+PreflightMode parse_mode(const std::string& text);
 
 struct PreflightOptions {
   PreflightPolicy policy = PreflightPolicy::kWarn;
@@ -122,5 +128,54 @@ PreflightReport run_scenario_preflight(
     const dopf::opf::DistributedProblem& base,
     const dopf::opf::DistributedProblem& scenario,
     const PreflightOptions& options = {});
+
+/// A network made ready to bind: its model (7), the decomposition (9) a
+/// SolveModel is built from, and the options every later re-decomposition
+/// and projector build must use so scenarios diff against the same blocks.
+struct PreparedProblem {
+  PreflightMode mode;
+  dopf::opf::OpfModel model;
+  dopf::opf::DistributedProblem problem;
+  dopf::opf::DecomposeOptions decompose;
+  dopf::linalg::ProjectorOptions projector;
+  /// The full preflight report; empty when mode is off.
+  std::optional<PreflightReport> report;
+};
+
+/// The one network -> decomposition step of every entry point: build the
+/// model, then run_preflight under `mode` (a plain decompose when off).
+/// Under off, warn and strict the problem is bitwise a plain decompose and
+/// the projector exact; under kRemediate rows are equilibrated and the
+/// Tikhonov-ridge fallback armed. Throws PreflightError on rejection.
+PreparedProblem prepare(const dopf::network::Network& net, PreflightMode mode,
+                        const dopf::opf::DecomposeOptions& decompose = {});
+
+/// One scenario's problem, checked against a bound base.
+struct PreparedScenario {
+  /// The scenario's decomposition; empty when it is the base network.
+  std::optional<dopf::opf::DistributedProblem> built;
+  const dopf::opf::DistributedProblem* base = nullptr;  ///< base.problem
+  /// The delta preflight report; empty when the mode is off.
+  std::optional<PreflightReport> report;
+
+  /// The problem to rebind: `built`, else the base's.
+  const dopf::opf::DistributedProblem& problem() const {
+    return built ? *built : *base;
+  }
+};
+
+/// The per-step / per-request counterpart of prepare: build and decompose
+/// `scenario` under `decompose`, the options its base was prepared with,
+/// then run_scenario_preflight under `mode` against `bound`, the problem
+/// the SolveModel holds. Throws PreflightError on rejection.
+PreparedScenario prepare_scenario(const dopf::network::Network& scenario,
+                                  PreflightMode mode,
+                                  const dopf::opf::DecomposeOptions& decompose,
+                                  const dopf::opf::DistributedProblem& bound);
+
+/// The same for a scenario that is the base network itself: nothing is
+/// built, `base.problem` is checked against `bound` and rebound.
+PreparedScenario prepare_scenario(const PreparedProblem& base,
+                                  const dopf::opf::DistributedProblem& bound);
 
 }  // namespace dopf::robust

@@ -20,11 +20,18 @@ struct Instance {
   dopf::opf::DistributedProblem problem;
 };
 
-/// Build one of the paper's instances (or the quick stand-in):
+/// The feeder of one of the paper's instances (or the quick stand-in):
 /// "ieee13", "ieee123", "ieee8500", "ieee8500_mini". "ieee13_overload" is
 /// ieee13 with loads scaled 50x past capacity — deliberately infeasible,
 /// for stall/watchdog testing. Throws std::invalid_argument for unknown
 /// names.
+dopf::network::Network make_network(const std::string& name);
+
+/// The feeder a command line or request names: "builtin:NAME"
+/// (make_network) or a feeder file path (feeders::load_feeder).
+dopf::network::Network load_network(const std::string& reference);
+
+/// make_network(name) plus its model and decomposition.
 Instance make_instance(const std::string& name,
                        const dopf::opf::DecomposeOptions& options = {});
 

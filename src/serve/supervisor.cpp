@@ -20,7 +20,6 @@
 
 #include "core/admm.hpp"
 #include "feeders/feeder_io.hpp"
-#include "opf/model.hpp"
 #include "robust/preflight.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/instances.hpp"
@@ -286,12 +285,10 @@ void validate_request(const SolveRequest& req) {
     throw BadRequestError("max_iterations must be >= 1");
   }
   if (req.check_every < 1) throw BadRequestError("check_every must be >= 1");
-  if (req.preflight != "off") {
-    try {
-      (void)dopf::robust::parse_policy(req.preflight);
-    } catch (const std::invalid_argument& e) {
-      throw BadRequestError(std::string("bad preflight policy: ") + e.what());
-    }
+  try {
+    (void)dopf::robust::parse_mode(req.preflight);
+  } catch (const std::invalid_argument& e) {
+    throw BadRequestError(std::string("bad preflight policy: ") + e.what());
   }
 }
 
@@ -356,31 +353,16 @@ class RequestProcessor {
 
 std::shared_ptr<CachedModel> RequestProcessor::build_entry(
     const SolveRequest& req, const std::string& key) {
-  // Mirrors the dopf_solve cold path exactly (preflight -> projector
-  // options -> equilibrated decompose -> SolveModel) so worker solves are
-  // byte-identical to solo solves of the same request.
   auto entry = std::make_shared<CachedModel>();
   entry->key = key;
-  if (req.feeder.rfind("builtin:", 0) == 0) {
-    entry->net = dopf::runtime::make_instance(req.feeder.substr(8)).net;
-  } else {
-    entry->net = dopf::feeders::load_feeder(req.feeder);
-  }
-  const auto model = dopf::opf::build_model(entry->net);
-  dopf::opf::DistributedProblem problem;
-  if (req.preflight != "off") {
-    dopf::robust::PreflightOptions popt;
-    popt.policy = dopf::robust::parse_policy(req.preflight);
-    const auto pre =
-        dopf::robust::run_preflight(entry->net, model, &problem, popt);
-    if (!pre.accepted) throw dopf::robust::PreflightError(pre);
-    entry->projector = pre.projector_options();
-    entry->decompose.equilibrate_rows = pre.equilibrated;
-  } else {
-    problem = dopf::opf::decompose(entry->net, model);
-  }
+  entry->net = dopf::runtime::load_network(req.feeder);
+  const auto prepared =
+      dopf::robust::prepare(entry->net, dopf::robust::parse_mode(req.preflight));
+  entry->decompose = prepared.decompose;
+  entry->projector = prepared.projector;
   entry->model =
-      std::make_unique<dopf::core::SolveModel>(problem, entry->projector);
+      std::make_unique<dopf::core::SolveModel>(prepared.problem,
+                                               entry->projector);
   entry->binding =
       std::make_unique<dopf::core::ScenarioBinding>(*entry->model);
   entry->model_fp = entry->binding->model_fingerprint();
@@ -425,20 +407,10 @@ std::pair<Op, std::string> RequestProcessor::process(const SolveRequest& req) {
 
     std::lock_guard<std::mutex> model_lock(entry->mu);
 
-    const auto net_s = dopf::runtime::apply_scenario(entry->net, sc);
-    const auto model_s = dopf::opf::build_model(net_s);
-    const auto problem_s =
-        dopf::opf::decompose(net_s, model_s, entry->decompose);
-    if (req.preflight != "off") {
-      dopf::robust::PreflightOptions popt;
-      popt.policy = dopf::robust::parse_policy(req.preflight);
-      popt.decompose = entry->decompose;
-      const auto pre = dopf::robust::run_scenario_preflight(
-          entry->model->problem(), problem_s, popt);
-      if (!pre.accepted) {
-        return reject(RejectCode::kPreflight, 0, pre.rejection);
-      }
-    }
+    const auto scenario = dopf::robust::prepare_scenario(
+        dopf::runtime::apply_scenario(entry->net, sc),
+        dopf::robust::parse_mode(req.preflight), entry->decompose,
+        entry->model->problem());
 
     dopf::core::AdmmOptions opt;
     opt.rho = req.rho;
@@ -455,7 +427,7 @@ std::pair<Op, std::string> RequestProcessor::process(const SolveRequest& req) {
     // not in iterate state, so a crashed request's retry on a fresh worker
     // is byte-identical too.
     dopf::core::SolveSession session(*entry->binding, opt);
-    session.rebind(problem_s);
+    session.rebind(scenario.problem());
 
     if (req.resume && !cfg_.checkpoint_dir.empty()) {
       dopf::runtime::CheckpointStore store(checkpoint_path(req), durable_);

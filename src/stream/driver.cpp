@@ -8,8 +8,6 @@
 
 #include "core/scenario_binding.hpp"
 #include "core/solve_model.hpp"
-#include "opf/model.hpp"
-#include "robust/preflight.hpp"
 #include "runtime/checkpoint.hpp"
 #include "verify/codec.hpp"
 
@@ -28,7 +26,21 @@ std::string hex_u64(std::uint64_t v) {
 StreamDriver::StreamDriver(const dopf::network::Network& base,
                            const StreamProfile& profile,
                            StreamOptions options)
-    : base_(&base), profile_(&profile), options_(std::move(options)) {
+    : StreamDriver(base,
+                   dopf::robust::prepare(
+                       base, dopf::robust::parse_mode(options.preflight),
+                       options.decompose),
+                   profile, options) {}
+
+StreamDriver::StreamDriver(const dopf::network::Network& base,
+                           dopf::robust::PreparedProblem prepared,
+                           const StreamProfile& profile,
+                           StreamOptions options)
+    : base_(&base),
+      profile_(&profile),
+      options_(std::move(options)),
+      prepared_(std::move(prepared)) {
+  options_.admm.projector = prepared_.projector;
   if (profile.num_steps <= 0) {
     throw StreamError(0, "profile has no steps");
   }
@@ -49,10 +61,6 @@ StreamDriver::StreamDriver(const dopf::network::Network& base,
 }
 
 StreamResult StreamDriver::run() {
-  const auto base_model = dopf::opf::build_model(*base_);
-  auto base_problem =
-      dopf::opf::decompose(*base_, base_model, options_.decompose);
-
   // Thread the step-boundary token into the per-step solves too, so a
   // cancellation raised mid-solve stops within one check cadence instead
   // of waiting for the step to finish.
@@ -60,19 +68,35 @@ StreamResult StreamDriver::run() {
     options_.admm.cancel = options_.cancel;
   }
 
-  dopf::core::SolveModel model(base_problem, options_.admm.projector);
+  dopf::core::SolveModel model(prepared_.problem, options_.admm.projector);
   dopf::core::ScenarioBinding binding(model);
   dopf::core::SolveSession session(binding, options_.admm);
   if (options_.make_backend) {
     session.set_backend(options_.make_backend(session.solver().packed()));
   }
 
-  dopf::robust::PreflightOptions popt;
-  const bool preflight_on = options_.preflight != "off";
-  if (preflight_on) {
-    popt.policy = dopf::robust::parse_policy(options_.preflight);
-    popt.decompose = options_.decompose;
-  }
+  // Rebind step k and record what the delta preflight and the rebind did.
+  // A step no block applies to is the base network itself: nothing is
+  // built, the base problem is rebound.
+  auto rebind_step = [&](int k, StreamStepRecord* rec) {
+    try {
+      const auto step =
+          profile_->block_for(k) != nullptr
+              ? dopf::robust::prepare_scenario(
+                    network_at_step(*base_, *profile_, k), prepared_.mode,
+                    prepared_.decompose, model.problem())
+              : dopf::robust::prepare_scenario(prepared_, model.problem());
+      rec->preflight_ran = step.report.has_value();
+      rec->preflight_reused =
+          step.report ? step.report->scenario_components_reused : 0;
+      rec->rebind = session.rebind(step.problem());
+    } catch (const dopf::robust::PreflightError& e) {
+      throw StreamPreflightError(k, e.what());
+    } catch (const std::invalid_argument& e) {
+      throw StreamError(k, std::string("layout change rejected: ") +
+                               e.what());
+    }
+  };
 
   StreamResult result;
   if (!options_.resume_path.empty()) {
@@ -97,16 +121,10 @@ StreamResult StreamDriver::run() {
       throw StreamError(k, "checkpoint taken at the final step; "
                            "nothing to resume");
     }
-    const auto net_k = network_at_step(*base_, *profile_, k);
-    auto problem_k =
-        dopf::opf::decompose(net_k, dopf::opf::build_model(net_k),
-                             options_.decompose);
+    StreamStepRecord fast_forward;
+    rebind_step(k, &fast_forward);
     try {
-      session.rebind(problem_k);
       ck.validate_for(session.solver(), profile_->name);
-    } catch (const std::invalid_argument& e) {
-      throw StreamError(k, std::string("layout change rejected: ") +
-                               e.what());
     } catch (const dopf::runtime::CheckpointError& e) {
       throw StreamError(k, e.what());
     }
@@ -142,27 +160,9 @@ StreamResult StreamDriver::run() {
       finish_cancelled();
       break;
     }
-    const auto net_k = network_at_step(*base_, *profile_, k);
-    const auto model_k = dopf::opf::build_model(net_k);
-    auto problem_k = dopf::opf::decompose(net_k, model_k, options_.decompose);
-
     StreamStepRecord rec;
     rec.step = k;
-
-    if (preflight_on) {
-      const auto pre = dopf::robust::run_scenario_preflight(
-          model.problem(), problem_k, popt);
-      rec.preflight_ran = true;
-      rec.preflight_reused = pre.scenario_components_reused;
-      if (!pre.accepted) throw StreamPreflightError(k, pre.rejection);
-    }
-
-    try {
-      rec.rebind = session.rebind(problem_k);
-    } catch (const std::invalid_argument& e) {
-      throw StreamError(k, std::string("layout change rejected: ") +
-                               e.what());
-    }
+    rebind_step(k, &rec);
     rec.switched = rec.rebind.refactorizations > 0;
     if (options_.reset_on_switch && rec.switched) session.reset();
 

@@ -10,6 +10,7 @@
 #include "core/cancel.hpp"
 #include "core/solve_session.hpp"
 #include "opf/decompose.hpp"
+#include "robust/preflight.hpp"
 #include "runtime/durable.hpp"
 #include "stream/profile.hpp"
 
@@ -83,11 +84,13 @@ struct StreamStepRecord {
 };
 
 struct StreamOptions {
+  /// Solve options; `admm.projector` is replaced by the prepared base's.
   dopf::core::AdmmOptions admm;
+  /// Decomposition options the base is prepared from (robust::prepare).
   dopf::opf::DecomposeOptions decompose;
-  /// Per-step scenario-delta preflight policy: "off", "warn", "auto",
-  /// "strict" (robust::run_scenario_preflight). A rejection raises
-  /// StreamPreflightError with step provenance.
+  /// Preflight mode (robust::parse_mode): the full preflight for the base
+  /// (robust::prepare), the delta one for every step (prepare_scenario); a
+  /// step rejection raises StreamPreflightError with step provenance.
   std::string preflight = "warn";
   /// Also solve every warm-started step cold (fresh iterate state on the
   /// same binding) and record cold_iterations. A step solved cold in the
@@ -169,8 +172,10 @@ struct StreamResult {
 };
 
 /// Receding-horizon streaming driver: one long-lived SolveSession per
-/// feeder consumes a StreamProfile step by step. Every step re-decomposes
-/// the step network, routes it through ScenarioBinding::rebind (load-only
+/// feeder consumes a StreamProfile step by step. The base network is
+/// prepared once, at construction. Every step a block applies to
+/// re-decomposes its network (a step no block applies to rebinds the base
+/// problem as it is), routes it through ScenarioBinding::rebind (load-only
 /// steps touch no factorization; a switching event refreshes exactly the
 /// touched components), and warm-starts ADMM from the previous consensus
 /// state. Deterministic by construction: fixed step clock, any execution
@@ -178,8 +183,16 @@ struct StreamResult {
 /// in any recorded field — the backtest-replay shape.
 class StreamDriver {
  public:
-  /// `base` and `profile` must outlive the driver.
+  /// `base` and `profile` must outlive the driver. Prepares the base under
+  /// options.preflight (robust::prepare): throws robust::PreflightError on
+  /// a rejection, std::invalid_argument on a bad mode.
   StreamDriver(const dopf::network::Network& base,
+               const StreamProfile& profile, StreamOptions options);
+
+  /// Drive `base` as already prepared (robust::prepare); its mode and
+  /// decompose options replace options.preflight and options.decompose.
+  StreamDriver(const dopf::network::Network& base,
+               dopf::robust::PreparedProblem prepared,
                const StreamProfile& profile, StreamOptions options);
 
   /// Drive the whole stream (or the tail after a checkpoint resume).
@@ -189,6 +202,7 @@ class StreamDriver {
   const dopf::network::Network* base_;
   const StreamProfile* profile_;
   StreamOptions options_;
+  dopf::robust::PreparedProblem prepared_;
 };
 
 /// Serialize one step record as a single deterministic line (hex-float

@@ -117,7 +117,6 @@
 #include "baseline/benchmark_admm.hpp"
 #include "core/admm.hpp"
 #include "core/cancel.hpp"
-#include "feeders/feeder_io.hpp"
 #include "opf/solution.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/durable.hpp"
@@ -186,6 +185,16 @@ int parse_int(const char* arg, const char* what, int lo = 0,
   return *v;
 }
 
+/// --preflight is checked where it is read: a bad mode is a usage error.
+dopf::robust::PreflightMode parse_preflight(const char* text) {
+  try {
+    return dopf::robust::parse_mode(text);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", g_argv0, e.what());
+    usage(g_argv0);
+  }
+}
+
 /// Fault specs are parsed where their flag is read: a malformed one exits 1
 /// before any input is loaded, whichever algorithm would have run.
 template <class Plan>
@@ -246,26 +255,6 @@ void print_result_json(const dopf::core::AdmmResult& res,
       res.timing.precompute_reuse_count, res.timing.refactorizations);
 }
 
-/// The stream driver options --stream and --scenarios share; the session
-/// backend's label lands in `backend_label`.
-dopf::stream::StreamOptions driver_options(
-    const dopf::core::AdmmOptions& opt, const std::string& preflight_mode,
-    const dopf::opf::DecomposeOptions& dec,
-    const dopf::simt::BackendSpec& backend, bool cold_compare,
-    std::string* backend_label) {
-  dopf::stream::StreamOptions sopt;
-  sopt.admm = opt;
-  sopt.decompose = dec;
-  sopt.preflight = preflight_mode;
-  sopt.cold_compare = cold_compare;
-  sopt.cancel = &g_cancel;
-  sopt.make_backend = [&backend, backend_label](
-                          const dopf::core::PackedLocalSolvers& pack) {
-    return dopf::simt::make_backend(backend, pack, backend_label);
-  };
-  return sopt;
-}
-
 /// " vs C cold" for a step with a cold comparison, else "".
 std::string cold_suffix(const dopf::stream::StreamStepRecord& rec) {
   return rec.cold_iterations >= 0
@@ -275,17 +264,15 @@ std::string cold_suffix(const dopf::stream::StreamStepRecord& rec) {
 
 /// Scenario sweep: the scenarios run through the stream driver as a profile
 /// (stream::profile_from_scenarios: step 0 is the base network, step k is
-/// scenario k), so the topology precompute happens exactly once and each
-/// scenario is rebound in place and warm-started from the previous
-/// solution. Only the sweep's printing lives here.
+/// scenario k), so the base, prepared once by main, is precomputed exactly
+/// once and each scenario is rebound in place and warm-started from the
+/// previous solution. Only the sweep's printing lives here.
 int run_scenario_sweep(const dopf::network::Network& net,
+                       dopf::robust::PreparedProblem base,
                        const std::string& label,
-                       const dopf::core::AdmmOptions& opt,
                        const std::string& scenario_file,
-                       const std::string& preflight_mode,
-                       const dopf::opf::DecomposeOptions& dec,
-                       const dopf::simt::BackendSpec& backend,
-                       bool cold_compare, bool json) {
+                       const dopf::stream::StreamOptions& sopt,
+                       const std::string& backend_label, bool json) {
   const auto scenarios = dopf::runtime::load_scenarios(scenario_file);
   std::printf("scenario sweep: %zu scenario(s) from %s\n", scenarios.size(),
               scenario_file.c_str());
@@ -295,15 +282,11 @@ int run_scenario_sweep(const dopf::network::Network& net,
     return step == 0 ? std::string("base") : scenarios[step - 1].name;
   };
 
-  std::string backend_label;
   const auto profile = dopf::stream::profile_from_scenarios(scenarios);
   dopf::stream::StreamResult result;
   try {
-    result = dopf::stream::StreamDriver(
-                 net, profile,
-                 driver_options(opt, preflight_mode, dec, backend,
-                                cold_compare, &backend_label))
-                 .run();
+    result =
+        dopf::stream::StreamDriver(net, std::move(base), profile, sopt).run();
   } catch (const dopf::stream::StreamPreflightError& e) {
     std::fprintf(stderr, "scenario '%s' rejected by preflight at %s\n",
                  name_of(e.step()).c_str(), e.what());
@@ -375,36 +358,23 @@ int run_scenario_sweep(const dopf::network::Network& net,
 /// by step; load-only steps rebind without refactorizing, switching events
 /// refresh exactly the touched components, every step warm-starts from the
 /// previous consensus.
-int run_stream(const dopf::network::Network& net, const std::string& label,
-               const dopf::core::AdmmOptions& opt,
+int run_stream(const dopf::network::Network& net,
+               dopf::robust::PreparedProblem base, const std::string& label,
                const std::string& profile_file,
-               const std::string& preflight_mode,
-               const dopf::opf::DecomposeOptions& dec,
-               const dopf::simt::BackendSpec& backend, bool cold_compare,
-               bool reset_on_switch, int checkpoint_at_step,
-               int checkpoint_every_steps, const std::string& checkpoint_file,
-               const std::string& resume_file, const std::string& record_file,
-               const dopf::runtime::DurableOptions& durable, bool json) {
+               const dopf::stream::StreamOptions& sopt,
+               const std::string& backend_label,
+               const std::string& record_file, bool json) {
   const auto profile = dopf::stream::load_profile(profile_file);
   std::printf("stream: profile '%s', %d step(s), dt %.0fs, %zu block(s)\n",
               profile.name.c_str(), profile.num_steps, profile.dt_seconds,
               profile.blocks.size());
-
-  std::string backend_label;
-  dopf::stream::StreamOptions sopt = driver_options(
-      opt, preflight_mode, dec, backend, cold_compare, &backend_label);
-  sopt.reset_on_switch = reset_on_switch;
-  sopt.checkpoint_at_step = checkpoint_at_step;
-  sopt.checkpoint_every_steps = checkpoint_every_steps;
-  sopt.checkpoint_path = checkpoint_file;
-  sopt.resume_path = resume_file;
-  sopt.durable = durable;
+  const std::string& checkpoint_file = sopt.checkpoint_path;
 
   dopf::stream::StreamResult result;
   try {
-    dopf::stream::StreamDriver driver(net, profile, sopt);
-    if (!resume_file.empty()) {
-      std::printf("resuming stream from %s\n", resume_file.c_str());
+    dopf::stream::StreamDriver driver(net, std::move(base), profile, sopt);
+    if (!sopt.resume_path.empty()) {
+      std::printf("resuming stream from %s\n", sopt.resume_path.c_str());
     }
     result = driver.run();
   } catch (const dopf::stream::StreamPreflightError& e) {
@@ -420,7 +390,7 @@ int run_stream(const dopf::network::Network& net, const std::string& label,
   }
 
   int code = 0;
-  long long warm_iters = 0, warm_steps = 0;
+  long long warm_steps = 0;
   for (const auto& rec : result.steps) {
     std::printf(
         "  step %d: %s in %d iterations (%s)%s%s "
@@ -430,10 +400,7 @@ int run_stream(const dopf::network::Network& net, const std::string& label,
         rec.switched ? " [switched]" : "", rec.rebind.refactorizations,
         rec.rebind.rhs_rebinds, rec.rebind.unchanged);
     code = std::max(code, exit_code_for(rec.status));
-    if (rec.warm_started) {
-      warm_iters += rec.iterations;
-      ++warm_steps;
-    }
+    if (rec.warm_started) ++warm_steps;
   }
   std::printf("%s", result.fault_report.c_str());
   const auto& st = result.session;
@@ -445,7 +412,7 @@ int run_stream(const dopf::network::Network& net, const std::string& label,
       result.steps.size(), result.first_step, warm_steps,
       result.refactorizations, st.solves, st.cold_solves, st.warm_solves,
       st.precompute_reuses, st.refactorizations, st.rhs_rebinds);
-  if (cold_compare && result.cold_iterations > 0) {
+  if (sopt.cold_compare && result.cold_iterations > 0) {
     std::printf("warm/cold iteration ratio: %lld/%lld = %.3f\n",
                 result.warm_iterations, result.cold_iterations,
                 static_cast<double>(result.warm_iterations) /
@@ -460,10 +427,10 @@ int run_stream(const dopf::network::Network& net, const std::string& label,
                   checkpoint_file.c_str(), result.steps.back().step);
     }
   }
-  if (checkpoint_at_step >= 0 && checkpoint_at_step >= result.first_step &&
-      !result.cancelled) {
+  // first_step >= 0, so this also means a checkpoint step was set.
+  if (sopt.checkpoint_at_step >= result.first_step && !result.cancelled) {
     std::printf("stream checkpoint written to %s (step %d)\n",
-                checkpoint_file.c_str(), checkpoint_at_step);
+                checkpoint_file.c_str(), sopt.checkpoint_at_step);
   }
   if (result.io.writes > 0 || result.io.retries > 0) {
     std::printf(
@@ -477,7 +444,7 @@ int run_stream(const dopf::network::Network& net, const std::string& label,
     // record file.
     std::ostringstream out;
     dopf::stream::write_records(result, profile, out);
-    dopf::runtime::durable_write_file(record_file, out.str(), durable);
+    dopf::runtime::durable_write_file(record_file, out.str(), sopt.durable);
     std::printf("stream record written to %s\n", record_file.c_str());
   }
 
@@ -523,7 +490,8 @@ int main(int argc, char** argv) {
   std::string checkpoint_file, resume_file;
   int checkpoint_every = 0;
   bool report = false;
-  std::string preflight_mode = "warn";
+  dopf::robust::PreflightMode preflight =
+      dopf::robust::PreflightPolicy::kWarn;
   bool preflight_only = false;
   std::string scenario_file;
   std::string stream_file, stream_record_file;
@@ -591,9 +559,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--resume") {
       resume_file = next();
     } else if (arg == "--preflight") {
-      preflight_mode = next();
+      preflight = parse_preflight(next());
     } else if (arg == "--strict") {
-      preflight_mode = "strict";
+      preflight = dopf::robust::PreflightPolicy::kStrict;
     } else if (arg == "--preflight-only") {
       preflight_only = true;
     } else if (arg == "--scenarios") {
@@ -727,57 +695,53 @@ int main(int argc, char** argv) {
   if (!io_faults.empty()) durable.faults = &io_faults;
 
   try {
-    dopf::network::Network net;
-    if (input.rfind("builtin:", 0) == 0) {
-      net = dopf::runtime::make_instance(input.substr(8)).net;
-    } else {
-      net = dopf::feeders::load_feeder(input);
-    }
+    const dopf::network::Network net = dopf::runtime::load_network(input);
     std::printf("%s\n", net.summary().c_str());
-    const auto model = dopf::opf::build_model(net);
-    std::printf("model: %zu equations, %zu variables\n",
-                model.num_equations(), model.num_vars());
 
-    // Preflight: sanitize + analyze conditioning before any solve work.
-    // On acceptance the preflighted decomposition is reused below (under
-    // warn/strict it is identical to a plain decompose, so traces stay
-    // byte-for-byte); on rejection the report is the output and the exit
-    // code is the pinned 5.
-    dopf::opf::DistributedProblem preflighted;
-    bool have_preflighted = false;
-    bool preflight_equilibrated = false;
-    if (preflight_only && preflight_mode == "off") preflight_mode = "warn";
-    if (preflight_mode != "off") {
-      dopf::robust::PreflightOptions popt;
-      popt.policy = dopf::robust::parse_policy(preflight_mode);
-      const dopf::robust::PreflightReport pre =
-          dopf::robust::run_preflight(net, model, &preflighted, popt);
-      std::printf("%s", pre.summary().c_str());
-      if (!pre.accepted) return 5;
-      have_preflighted = true;
-      preflight_equilibrated = pre.equilibrated;
-      opt.projector = pre.projector_options();
+    // The base is prepared once, for every path (model, preflight,
+    // decomposition); a rejection is the preflight report on stdout and the
+    // pinned exit 5. The reference IPM reads only the model, so with
+    // preflight off nothing is decomposed for it.
+    if (preflight_only && !preflight) {
+      preflight = dopf::robust::PreflightPolicy::kWarn;
     }
+    auto prepared = algorithm == "reference" && !preflight
+                        ? dopf::robust::PreparedProblem{
+                              preflight, dopf::opf::build_model(net), {}, {},
+                              {}, std::nullopt}
+                        : dopf::robust::prepare(net, preflight);
+    std::printf("model: %zu equations, %zu variables\n",
+                prepared.model.num_equations(), prepared.model.num_vars());
+    if (prepared.report) std::printf("%s", prepared.report->summary().c_str());
     if (preflight_only) return 0;
 
-    if (!stream_file.empty() || !scenario_file.empty()) {
-      // The stream driver builds its own base decomposition so checkpoint
-      // fingerprints stay self-consistent; the preflighted projector
-      // options and row-equilibration choice carry over through opt/dec,
-      // so every step's re-decomposition diffs against the bound model.
-      dopf::opf::DecomposeOptions dec;
-      dec.equilibrate_rows = preflight_equilibrated;
+    if (!scenario_file.empty() || !stream_file.empty()) {
+      // One stream driver, bound to the prepared base, for both; the
+      // session backend's label lands in backend_label when it is built.
+      std::string backend_label;
+      dopf::stream::StreamOptions sopt;
+      sopt.admm = opt;
+      sopt.cold_compare = cold_compare;
+      sopt.cancel = &g_cancel;
+      sopt.make_backend = [&](const dopf::core::PackedLocalSolvers& pack) {
+        return dopf::simt::make_backend(backend, pack, &backend_label);
+      };
       if (!scenario_file.empty()) {
-        return run_scenario_sweep(net, input, opt, scenario_file,
-                                  preflight_mode, dec, backend, cold_compare,
-                                  json);
+        return run_scenario_sweep(net, std::move(prepared), input,
+                                  scenario_file, sopt, backend_label, json);
       }
-      return run_stream(net, input, opt, stream_file, preflight_mode, dec,
-                        backend, cold_compare, reset_on_switch,
-                        checkpoint_at_step, checkpoint_every_steps,
-                        checkpoint_file, resume_file, stream_record_file,
-                        durable, json);
+      sopt.reset_on_switch = reset_on_switch;
+      sopt.checkpoint_at_step = checkpoint_at_step;
+      sopt.checkpoint_every_steps = checkpoint_every_steps;
+      sopt.checkpoint_path = checkpoint_file;
+      sopt.resume_path = resume_file;
+      sopt.durable = durable;
+      return run_stream(net, std::move(prepared), input, stream_file, sopt,
+                        backend_label, stream_record_file, json);
     }
+
+    const dopf::opf::OpfModel& model = prepared.model;
+    opt.projector = prepared.projector;
 
     std::vector<double> x;
     int code = 2;
@@ -791,9 +755,7 @@ int main(int argc, char** argv) {
       x = sol.x;
       if (sol.status == dopf::solver::LpStatus::kOptimal) code = 0;
     } else {
-      const auto problem = have_preflighted
-                               ? std::move(preflighted)
-                               : dopf::opf::decompose(net, model);
+      const dopf::opf::DistributedProblem& problem = prepared.problem;
       std::printf("decomposition: %zu components\n",
                   problem.num_components());
       std::string backend_label = backend.name;
@@ -899,6 +861,9 @@ int main(int argc, char** argv) {
       std::printf("\n%s", view.report().c_str());
     }
     return code;
+  } catch (const dopf::robust::PreflightError& e) {
+    std::printf("%s", e.report().summary().c_str());
+    return 5;
   } catch (const dopf::runtime::SimulatedCrash& e) {
     // The crash failpoint models an abrupt process death after the temp
     // file is durable but before the rename: no cleanup, no final output,

@@ -79,7 +79,6 @@
 #include "core/scenario_binding.hpp"
 #include "core/solve_model.hpp"
 #include "core/solve_session.hpp"
-#include "feeders/feeder_io.hpp"
 #include "opf/validate.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/fault.hpp"
@@ -137,6 +136,16 @@ double parse_double(const char* arg, const char* what) {
     usage(g_argv0);
   }
   return v;
+}
+
+/// --preflight is checked where it is read: a bad mode is a usage error.
+dopf::robust::PreflightMode parse_preflight(const char* text) {
+  try {
+    return dopf::robust::parse_mode(text);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", g_argv0, e.what());
+    usage(g_argv0);
+  }
 }
 
 /// An unsigned 64-bit decimal (runtime::read_unsigned): a sign, an
@@ -206,7 +215,8 @@ int main(int argc, char** argv) {
   int adversarial_cases = 0;
   std::uint64_t seed = 20250807;
   bool seed_set = false;
-  std::string preflight_mode = "warn";
+  dopf::robust::PreflightMode preflight =
+      dopf::robust::PreflightPolicy::kWarn;
   bool session = false;
   double tol = 5e-2;
 
@@ -266,7 +276,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--adversarial") {
       adversarial_cases = parse_int(next(), "--adversarial");
     } else if (arg == "--preflight") {
-      preflight_mode = next();
+      preflight = parse_preflight(next());
     } else if (arg == "--session") {
       session = true;
     } else if (arg == "--seed") {
@@ -315,40 +325,28 @@ int main(int argc, char** argv) {
     }
 
     // --- Golden-trace mode.
-    dopf::network::Network net;
-    std::string label = network;
-    if (is_builtin(network)) {
-      net = dopf::runtime::make_instance(network).net;
-    } else {
-      net = dopf::feeders::load_feeder(network);
-      const std::size_t slash = network.find_last_of('/');
-      label = slash == std::string::npos ? network : network.substr(slash + 1);
-    }
-    const dopf::opf::OpfModel model = dopf::opf::build_model(net);
+    // A builtin name, or a feeder file labelled by its base name.
+    const bool builtin = is_builtin(network);
+    const dopf::network::Network net = dopf::runtime::load_network(
+        builtin ? "builtin:" + network : network);
+    const std::string label =
+        builtin ? network : network.substr(network.find_last_of('/') + 1);
 
     // Preflight gate (default warn): an input failing sanitation or — under
     // strict — conditioning never reaches the golden comparison; that is an
     // input error, not a verification failure. Under warn/strict the
-    // accepted decomposition is identical to a plain decompose(), so golden
-    // traces stay byte-for-byte.
-    dopf::opf::DistributedProblem problem;
-    if (preflight_mode != "off") {
-      dopf::robust::PreflightOptions popt;
-      popt.policy = dopf::robust::parse_policy(preflight_mode);
-      const dopf::robust::PreflightReport pre =
-          dopf::robust::run_preflight(net, model, &problem, popt);
-      if (!pre.accepted) {
-        std::fprintf(stderr, "%s", pre.summary().c_str());
-        return 1;
-      }
-    } else {
-      problem = dopf::opf::decompose(net, model);
-    }
+    // prepared decomposition is identical to a plain decompose(), so golden
+    // traces stay byte-for-byte; under auto the run also gets the remediated
+    // projector options, as in dopf_solve.
+    const auto prepared = dopf::robust::prepare(net, preflight);
+    const dopf::opf::OpfModel& model = prepared.model;
+    const dopf::opf::DistributedProblem& problem = prepared.problem;
 
     if (golden_dir.empty()) golden_dir = default_golden_dir();
     if (golden_file.empty()) golden_file = golden_dir + "/" + label + ".trace";
 
-    const dopf::core::AdmmOptions profile = dopf::verify::golden_profile();
+    dopf::core::AdmmOptions profile = dopf::verify::golden_profile();
+    profile.projector = prepared.projector;
 
     // --record-checkpoint K: capture the serial golden-profile state after
     // exactly iteration K and write the refresh-able committed checkpoint.
@@ -580,6 +578,10 @@ int main(int argc, char** argv) {
                   backend_label.c_str(), label.c_str());
     }
     return verdict;
+  } catch (const dopf::robust::PreflightError& e) {
+    // A rejected golden input is an input error, reported in full.
+    std::fprintf(stderr, "%s", e.report().summary().c_str());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -102,17 +102,46 @@ expect 6 "sweep: deadline cancellation" \
   "$solve" --scenarios "$sweep" builtin:ieee123 --eps 1e-12 \
     --max-iters 100000000 --deadline 0.05
 
-# Algorithm and backend names are checked where their flag is read: a typo
-# exits 1 before anything reaches stdout.
-for flag in --algorithm --backend; do
-  out=$("$solve" builtin:ieee13 "$flag" bogus 2>/dev/null)
+# expect_out CODE REGEX LABEL CMD...: exit CODE with stdout matching REGEX
+# (an empty REGEX wants empty stdout).
+expect_out() {
+  want="$1"; regex="$2"; label="$3"; shift 3
+  out=$("$@" 2>/dev/null)
   got=$?
-  if [ "$got" -ne 1 ] || [ -n "$out" ]; then
-    echo "FAIL: $flag bogus: expected exit 1 and no stdout, got $got" >&2
+  if [ "$got" -ne "$want" ] || { [ -z "$regex" ] && [ -n "$out" ]; } ||
+     { [ -n "$regex" ] && ! printf '%s\n' "$out" | grep -q "$regex"; }; then
+    echo "FAIL: $label: expected exit $want and stdout '$regex', got $got" >&2
     failures=$((failures + 1))
   else
-    echo "ok: $flag bogus -> 1 before any output"
+    echo "ok: $label -> $got"
   fi
+}
+
+# A base the strict preflight refuses is refused on the sweep and stream
+# paths too: exit 5 with the verdict on stdout, before any step is solved.
+printf 'scenario light\n  load * scale 0.9\nend\n' > "$tmpdir/base.scenarios"
+printf 'profile base\nsteps 2\nstep 1\n  load * scale 0.9\n' \
+  > "$tmpdir/base.profile"
+expect_out 5 '^verdict: REJECTED' "sweep: strict base rejection" \
+  "$solve" "$degenerate" --strict --scenarios "$tmpdir/base.scenarios"
+expect_out 5 '^verdict: REJECTED' "stream: strict base rejection" \
+  "$solve" "$degenerate" --strict --stream "$tmpdir/base.profile"
+# The base is prepared before the sweep and stream inputs are checked, so a
+# refused base wins over an unknown scenario target or an out-of-range
+# checkpoint step, each of which exits 1 on a base that is accepted.
+expect 1 "stream: checkpoint step out of range" \
+  "$solve" builtin:ieee13 --stream "$tmpdir/base.profile" \
+    --checkpoint "$tmpdir/base.ckpt" --checkpoint-at-step 9
+expect_out 5 '^verdict: REJECTED' "sweep: base rejection before target check" \
+  "$solve" "$degenerate" --strict --scenarios "$typo"
+expect_out 5 '^verdict: REJECTED' "stream: base rejection before step check" \
+  "$solve" "$degenerate" --strict --stream "$tmpdir/base.profile" \
+    --checkpoint "$tmpdir/base.ckpt" --checkpoint-at-step 9
+
+# Algorithm, backend and preflight names are checked where their flag is
+# read: a typo exits 1 before anything reaches stdout.
+for flag in --algorithm --backend --preflight; do
+  expect_out 1 '' "$flag bogus" "$solve" builtin:ieee13 "$flag" bogus
 done
 
 # --- cancellation (6) and durable I/O failure (7) ------------------------
