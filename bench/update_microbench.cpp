@@ -25,8 +25,19 @@ const dopf::runtime::Instance& instance123() {
   return inst;
 }
 
+const dopf::runtime::Instance& instance8500() {
+  // Full 8500-bus instance (S = 25001): the local update is milliseconds of
+  // work per call, so pool wakeup overhead is negligible and the threaded
+  // rows reflect genuine scaling.
+  static const auto inst = dopf::runtime::make_instance("ieee8500");
+  return inst;
+}
+
+/// Arg 0 = ieee13, 1 = ieee123, 2 = ieee8500.
 const dopf::runtime::Instance& pick(int which) {
-  return which == 0 ? instance13() : instance123();
+  return which == 0   ? instance13()
+         : which == 1 ? instance123()
+                      : instance8500();
 }
 
 void BM_SolverFreeLocalUpdate(benchmark::State& state) {
@@ -39,7 +50,7 @@ void BM_SolverFreeLocalUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           inst.problem.num_components());
 }
-BENCHMARK(BM_SolverFreeLocalUpdate)->Arg(0)->Arg(1);
+BENCHMARK(BM_SolverFreeLocalUpdate)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_BenchmarkQpLocalUpdate(benchmark::State& state) {
   const auto& inst = pick(static_cast<int>(state.range(0)));
@@ -60,7 +71,7 @@ void BM_GlobalUpdate(benchmark::State& state) {
     admm.global_update();
   }
 }
-BENCHMARK(BM_GlobalUpdate)->Arg(0)->Arg(1);
+BENCHMARK(BM_GlobalUpdate)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_DualUpdate(benchmark::State& state) {
   const auto& inst = pick(static_cast<int>(state.range(0)));
@@ -71,7 +82,7 @@ void BM_DualUpdate(benchmark::State& state) {
     admm.dual_update();
   }
 }
-BENCHMARK(BM_DualUpdate)->Arg(0)->Arg(1);
+BENCHMARK(BM_DualUpdate)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_Residuals(benchmark::State& state) {
   const auto& inst = pick(static_cast<int>(state.range(0)));
@@ -84,14 +95,6 @@ void BM_Residuals(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Residuals)->Arg(0)->Arg(1);
-
-const dopf::runtime::Instance& instance8500() {
-  // Full 8500-bus instance (S = 25001): the local update is milliseconds of
-  // work per call, so pool wakeup overhead is negligible and the threaded
-  // rows reflect genuine scaling.
-  static const auto inst = dopf::runtime::make_instance("ieee8500");
-  return inst;
-}
 
 // Backend comparison on the largest local-update workload: serial packed
 // backend (Arg = 0) vs the threaded backend with Arg worker threads. On a
@@ -115,13 +118,18 @@ void BM_BackendLocalUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_BackendLocalUpdate)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// One full check iteration through SolverFreeAdmm on the serial backend:
-// global update, local update, then the fused dual+residual pass.
+// One full iteration through SolverFreeAdmm on the serial backend: global
+// update, local update, then the fused dual+residual pass of a check
+// iteration (BM_Iteration) or the plain dual update that the other nine
+// iterations in ten run (BM_IterationNoCheck).
+const dopf::runtime::Instance& named(const char* name) {
+  return pick(std::string_view(name) == "ieee13"    ? 0
+              : std::string_view(name) == "ieee123" ? 1
+                                                    : 2);
+}
+
 void BM_Iteration(benchmark::State& state, const char* name) {
-  const auto& inst = std::string_view(name) == "ieee13"    ? instance13()
-                     : std::string_view(name) == "ieee123" ? instance123()
-                                                           : instance8500();
-  dopf::core::SolverFreeAdmm admm(inst.problem, {});
+  dopf::core::SolverFreeAdmm admm(named(name).problem, {});
   int t = 0;
   for (auto _ : state) {
     admm.global_update();
@@ -132,6 +140,18 @@ void BM_Iteration(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_Iteration, ieee13, "ieee13");
 BENCHMARK_CAPTURE(BM_Iteration, ieee123, "ieee123");
 BENCHMARK_CAPTURE(BM_Iteration, ieee8500, "ieee8500");
+
+void BM_IterationNoCheck(benchmark::State& state, const char* name) {
+  dopf::core::SolverFreeAdmm admm(named(name).problem, {});
+  for (auto _ : state) {
+    admm.global_update();
+    admm.local_update();
+    admm.dual_update();
+  }
+}
+BENCHMARK_CAPTURE(BM_IterationNoCheck, ieee13, "ieee13");
+BENCHMARK_CAPTURE(BM_IterationNoCheck, ieee123, "ieee123");
+BENCHMARK_CAPTURE(BM_IterationNoCheck, ieee8500, "ieee8500");
 
 // Pre-refactor reference path: one AffineProjector object per component,
 // staging buffers allocated per call. The packed serial backend

@@ -17,8 +17,12 @@ using Clock = std::chrono::steady_clock;
 using dopf::opf::DistributedProblem;
 
 namespace {
+double seconds_between(Clock::time_point start, Clock::time_point end) {
+  return std::chrono::duration<double>(end - start).count();
+}
+
 double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+  return seconds_between(start, Clock::now());
 }
 }  // namespace
 
@@ -277,25 +281,26 @@ AdmmResult SolverFreeAdmm::solve() {
       t = restart.iteration;  // the loop increment resumes after it
       continue;
     }
-    auto tic = Clock::now();
+    // One clock read between phases: each ends the phase before it and
+    // starts the next.
+    const auto t0 = Clock::now();
     global_update();
-    timing_.global_update += seconds_since(tic);
-
-    tic = Clock::now();
+    const auto t1 = Clock::now();
+    timing_.global_update += seconds_between(t0, t1);
     local_update();
-    timing_.local_update += seconds_since(tic);
+    const auto t2 = Clock::now();
+    timing_.local_update += seconds_between(t1, t2);
 
     // A check iteration fuses the residual sums into the dual pass; that
     // pass is booked as dual-update time.
     const bool check = t % options_.check_every == 0;
     IterationRecord rec;
-    tic = Clock::now();
     if (check) {
       rec = dual_update_and_residuals(t);
     } else {
       dual_update();
     }
-    timing_.dual_update += seconds_since(tic);
+    timing_.dual_update += seconds_since(t2);
     ++timing_.iterations;
 
     result.iterations = t;

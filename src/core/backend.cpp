@@ -126,6 +126,21 @@ void dual_residual_chunks(const PackedLocalSolvers& pack,
   }
 }
 
+void local_slice(const PackedLocalSolvers& pack, const PackedState& state,
+                 std::size_t begin, std::size_t end) {
+  if (state.component_seconds.empty()) {
+    kernels::local_range(pack, state, begin, end);
+    return;
+  }
+  using Clock = std::chrono::steady_clock;
+  for (std::size_t k = begin; k < end; ++k) {
+    const auto start = Clock::now();
+    kernels::local_range(pack, state, k, k + 1);
+    state.component_seconds[static_cast<std::size_t>(pack.local_order[k])] +=
+        std::chrono::duration<double>(Clock::now() - start).count();
+  }
+}
+
 ResidualSums combine_residual_chunks(std::span<ResidualSums> partials) {
   std::size_t n = partials.size();
   if (n == 0) return {};
@@ -151,8 +166,6 @@ ResidualSums combine_residual_chunks(std::span<ResidualSums> partials) {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 class SerialBackend final : public ExecutionBackend {
  public:
   const char* name() const override { return "serial"; }
@@ -165,17 +178,7 @@ class SerialBackend final : public ExecutionBackend {
 
   void local_update(const PackedLocalSolvers& pack,
                     PackedState& state) override {
-    const std::size_t S = pack.num_components();
-    const bool timed = !state.component_seconds.empty();
-    for (std::size_t s = 0; s < S; ++s) {
-      const auto start = timed ? Clock::now() : Clock::time_point{};
-      kernels::stage_component(pack, state, s);
-      kernels::project_component(pack, s, state.y.data(), state.z.data());
-      if (timed) {
-        state.component_seconds[s] +=
-            std::chrono::duration<double>(Clock::now() - start).count();
-      }
-    }
+    local_slice(pack, state, 0, pack.num_components());
   }
 
   void dual_update(const PackedLocalSolvers& pack,

@@ -65,6 +65,13 @@ void dual_residual_chunks(const PackedLocalSolvers& pack,
                           const PackedState& state, std::size_t begin,
                           std::size_t end, ResidualSums* partials);
 
+/// Local update (15) over the schedule positions local_order[begin, end)
+/// (kernels::local_range). When state.component_seconds is non-empty the
+/// blocks run one at a time through the same kernels, each timed into its
+/// component's slot. Any split of [0, S) gives the same bits.
+void local_slice(const PackedLocalSolvers& pack, const PackedState& state,
+                 std::size_t begin, std::size_t end);
+
 /// Fixed pairwise-tree combination of chunk partials (destroys `partials`).
 ResidualSums combine_residual_chunks(std::span<ResidualSums> partials);
 

@@ -1,6 +1,7 @@
 #include "core/packed_solvers.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 namespace dopf::core {
@@ -28,7 +29,7 @@ LocalSolvers LocalSolvers::precompute(
   return solvers;
 }
 
-std::size_t PackedLocalSolvers::bytes() const {
+std::size_t PackedLocalSolvers::image_bytes() const {
   return sizeof(std::int64_t) * (comp_offset.size() + abar_offset.size() +
                                  gather_ptr.size() + gather_pos.size()) +
          sizeof(int) * (comp_nvars.size() + global_idx.size() +
@@ -36,6 +37,32 @@ std::size_t PackedLocalSolvers::bytes() const {
          sizeof(std::size_t) * bucket_end.size() +
          sizeof(double) * (abar.size() + bbar.size() + c.size() + lb.size() +
                            ub.size() + x0.size());
+}
+
+std::size_t PackedLocalSolvers::bytes() const {
+  return image_bytes() +
+         sizeof(int) * (bucket_pos.size() + local_order.size()) +
+         sizeof(std::size_t) * local_group_end.size() +
+         sizeof(double) * (sched_c.size() + sched_lb.size() + sched_ub.size());
+}
+
+namespace {
+
+void permute(const std::vector<double>& from, const std::vector<int>& order,
+             std::vector<double>& to) {
+  to.resize(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) to[k] = from[order[k]];
+}
+
+}  // namespace
+
+void PackedLocalSolvers::schedule_objective() {
+  permute(c, global_order, sched_c);
+}
+
+void PackedLocalSolvers::schedule_bounds() {
+  permute(lb, global_order, sched_lb);
+  permute(ub, global_order, sched_ub);
 }
 
 void PackedLocalSolvers::set_abar(std::size_t s,
@@ -55,7 +82,6 @@ PackedLocalSolvers PackedLocalSolvers::build(const DistributedProblem& problem,
   PackedLocalSolvers pack;
   const std::size_t S = problem.components.size();
   pack.comp_offset.reserve(S);
-  pack.abar_offset.reserve(S);
   pack.comp_nvars.reserve(S);
 
   std::size_t abar_total = 0, local_total = 0;
@@ -63,26 +89,46 @@ PackedLocalSolvers PackedLocalSolvers::build(const DistributedProblem& problem,
     local_total += comp.num_vars();
     abar_total += panel_size(comp.num_vars());
   }
-  // Zero fill: the padding rows of each last panel stay zero.
-  pack.abar.assign(abar_total, 0.0);
   pack.bbar.reserve(local_total);
   pack.global_idx.reserve(local_total);
 
-  std::int64_t zoff = 0, aoff = 0;
+  std::int64_t zoff = 0;
   for (std::size_t s = 0; s < S; ++s) {
     const Component& comp = problem.components[s];
     const auto& proj = solvers.projectors[s];
-    const std::size_t ns = comp.num_vars();
     pack.comp_offset.push_back(zoff);
-    pack.abar_offset.push_back(aoff);
-    pack.comp_nvars.push_back(static_cast<int>(ns));
-
-    pack.set_abar(s, proj.abar().data());
+    pack.comp_nvars.push_back(static_cast<int>(comp.num_vars()));
     pack.bbar.insert(pack.bbar.end(), proj.bbar().begin(), proj.bbar().end());
     pack.global_idx.insert(pack.global_idx.end(), comp.global.begin(),
                            comp.global.end());
-    zoff += static_cast<std::int64_t>(ns);
-    aoff += static_cast<std::int64_t>(panel_size(ns));
+    zoff += static_cast<std::int64_t>(comp.num_vars());
+  }
+
+  // Local schedule: a stable sort by n_s, so same-size blocks run through
+  // the same fixed-size kernel. The panel store follows it, so a group's
+  // blocks are adjacent in memory.
+  pack.local_order.resize(S);
+  std::iota(pack.local_order.begin(), pack.local_order.end(), 0);
+  std::stable_sort(pack.local_order.begin(), pack.local_order.end(),
+                   [&](int a, int b) {
+                     return pack.comp_nvars[a] < pack.comp_nvars[b];
+                   });
+  for (std::size_t k = 1; k <= S; ++k) {
+    if (k == S || pack.comp_nvars[pack.local_order[k]] !=
+                      pack.comp_nvars[pack.local_order[k - 1]]) {
+      pack.local_group_end.push_back(k);
+    }
+  }
+  // Zero fill: the padding rows of each last panel stay zero.
+  pack.abar.assign(abar_total, 0.0);
+  pack.abar_offset.assign(S, 0);
+  std::int64_t aoff = 0;
+  for (int s : pack.local_order) {
+    pack.abar_offset[s] = aoff;
+    aoff += static_cast<std::int64_t>(panel_size(pack.comp_nvars[s]));
+  }
+  for (std::size_t s = 0; s < S; ++s) {
+    pack.set_abar(s, solvers.projectors[s].abar().data());
   }
 
   const std::size_t n = problem.num_vars;
@@ -105,14 +151,20 @@ PackedLocalSolvers PackedLocalSolvers::build(const DistributedProblem& problem,
         static_cast<std::int64_t>(pos);
   }
   // Global-update schedule: a stable partition of the variables by copy
-  // count, so each fixed-degree bucket runs a fixed-trip gather.
+  // count, so each fixed-degree bucket runs a fixed-trip gather over
+  // contiguous positions and contiguous c/lb/ub.
   auto degree = [&](std::size_t i) {
     return pack.gather_ptr[i + 1] - pack.gather_ptr[i];
   };
   pack.global_order.reserve(n);
   for (int d = 1; d <= kMaxBucketDegree; ++d) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (degree(i) == d) pack.global_order.push_back(static_cast<int>(i));
+      if (degree(i) != d) continue;
+      pack.global_order.push_back(static_cast<int>(i));
+      for (std::int64_t k = pack.gather_ptr[i]; k < pack.gather_ptr[i + 1];
+           ++k) {
+        pack.bucket_pos.push_back(static_cast<int>(pack.gather_pos[k]));
+      }
     }
     pack.bucket_end[d - 1] = pack.global_order.size();
   }
@@ -121,6 +173,8 @@ PackedLocalSolvers PackedLocalSolvers::build(const DistributedProblem& problem,
       pack.global_order.push_back(static_cast<int>(i));
     }
   }
+  pack.schedule_objective();
+  pack.schedule_bounds();
   return pack;
 }
 

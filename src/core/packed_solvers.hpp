@@ -48,7 +48,11 @@ inline constexpr std::size_t kPanelRows = 4;
 ///     `gather_ptr`/`gather_pos` that turns the B' scatter of the global
 ///     update (18) into independent per-variable gathers;
 ///   - the degree-bucketed global-update schedule `global_order` /
-///     `bucket_end`, built once per topology;
+///     `bucket_end`, with each bucket's copy positions (`bucket_pos`) and
+///     c/lb/ub (`sched_c`, `sched_lb`, `sched_ub`) stored in schedule
+///     order, built once per topology;
+///   - the local schedule `local_order` / `local_group_end`: the components
+///     grouped by n_s, which is also the order of the panel store;
 ///   - the global objective/bounds (c, lb, ub).
 ///
 /// Gather lists store z positions in ascending order, so per-variable sums
@@ -75,15 +79,30 @@ struct PackedLocalSolvers {
   /// bucket_end[kMaxBucketDegree-1]; ascending within a group.
   std::vector<int> global_order;
   std::array<std::size_t, kMaxBucketDegree> bucket_end{};
+  /// Bucket-major copy positions: the gather_pos list of global_order[k]
+  /// for every k in the degree-d bucket, at stride d, bucket after bucket.
+  std::vector<int> bucket_pos;
+  /// c, lb and ub permuted into global_order order (sched_c[k] is
+  /// c[global_order[k]]); schedule_objective/schedule_bounds refresh them.
+  std::vector<double> sched_c, sched_lb, sched_ub;
+  /// Every component once, grouped by n_s: ascending n_s, ascending s
+  /// inside a group; group g ends at local_group_end[g]. The panel store
+  /// holds the blocks in this order.
+  std::vector<int> local_order;
+  std::vector<std::size_t> local_group_end;
   std::vector<double> c, lb, ub;
   std::vector<double> x0;  ///< global initial iterate (scenario data)
 
   std::size_t num_components() const { return comp_nvars.size(); }
   std::size_t num_global() const { return c.size(); }
   std::size_t total_local() const { return global_idx.size(); }
-  /// Packed footprint in bytes, panel padding and schedule included
-  /// (diagnostics; the SIMT upload charge; the model cache budget).
+  /// Packed footprint in bytes, panel padding and both schedules included
+  /// (diagnostics; the model cache budget).
   std::size_t bytes() const;
+  /// The part of bytes() a simulated device uploads: everything but
+  /// bucket_pos, the sched_* copies and the local schedule, which only the
+  /// serial and threaded backends walk.
+  std::size_t image_bytes() const;
 
   /// Panel-store size of one n x n block (rows rounded up to kPanelRows).
   static std::size_t panel_size(std::size_t n) {
@@ -98,6 +117,11 @@ struct PackedLocalSolvers {
                 i / kPanelRows * kPanelRows * n + j * kPanelRows +
                 i % kPanelRows];
   }
+
+  /// Refresh sched_c from c (resp. sched_lb/sched_ub from lb/ub) after an
+  /// in-place edit of the objective (bounds).
+  void schedule_objective();
+  void schedule_bounds();
 
   /// Pack the precomputed projectors once; the projector objects are not
   /// needed afterwards.

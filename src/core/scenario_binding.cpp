@@ -71,6 +71,7 @@ void ScenarioBinding::refresh_component(std::size_t s, const Component& comp) {
 
 void ScenarioBinding::set_objective(std::span<const double> c) {
   copy_span(c, pack_.c, "objective");
+  pack_.schedule_objective();
   lifetime_.objective_changed = true;
 }
 
@@ -78,6 +79,7 @@ void ScenarioBinding::set_bounds(std::span<const double> lb,
                                  std::span<const double> ub) {
   copy_span(lb, pack_.lb, "lower bound");
   copy_span(ub, pack_.ub, "upper bound");
+  pack_.schedule_bounds();
   lifetime_.bounds_changed = true;
 }
 

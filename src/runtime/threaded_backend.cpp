@@ -1,7 +1,5 @@
 #include "runtime/threaded_backend.hpp"
 
-#include <chrono>
-
 #include "core/packed_kernels.hpp"
 
 namespace dopf::runtime {
@@ -26,20 +24,11 @@ void ThreadedBackend::global_update(const PackedLocalSolvers& pack,
 
 void ThreadedBackend::local_update(const PackedLocalSolvers& pack,
                                    PackedState& state) {
-  using Clock = std::chrono::steady_clock;
-  const bool timed = !state.component_seconds.empty();
-  pool_.parallel_for(
-      pack.num_components(), [&](int, std::size_t begin, std::size_t end) {
-        for (std::size_t s = begin; s < end; ++s) {
-          const auto start = timed ? Clock::now() : Clock::time_point{};
-          kernels::stage_component(pack, state, s);
-          kernels::project_component(pack, s, state.y.data(), state.z.data());
-          if (timed) {
-            state.component_seconds[s] +=
-                std::chrono::duration<double>(Clock::now() - start).count();
-          }
-        }
-      });
+  // Slices of the local schedule; each block has one writer.
+  pool_.parallel_for(pack.num_components(),
+                     [&](int, std::size_t begin, std::size_t end) {
+                       dopf::core::local_slice(pack, state, begin, end);
+                     });
 }
 
 void ThreadedBackend::dual_update(const PackedLocalSolvers& pack,

@@ -21,7 +21,7 @@ MultiDeviceBackend::MultiDeviceBackend(const PackedLocalSolvers& pack,
                                        MultiGpuOptions options)
     : options_(std::move(options)),
       comp_nvars_(pack.comp_nvars.begin(), pack.comp_nvars.end()),
-      image_bytes_(pack.bytes()),
+      image_bytes_(pack.image_bytes()),
       // What a rank ships to recover a peer: the four iterate vectors plus
       // rho and the iteration (runtime::checkpoint_bytes).
       restart_bytes_(sizeof(double) *

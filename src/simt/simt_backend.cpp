@@ -105,7 +105,7 @@ void SimtBackend::upload_once(const PackedLocalSolvers& pack) {
   uploaded_ = true;
   // The problem image plus the x, z and lambda iterates, copied h2d once
   // before the ADMM loop.
-  device_.record_transfer(pack.bytes() +
+  device_.record_transfer(pack.image_bytes() +
                           sizeof(double) *
                               (pack.num_global() + 2 * pack.total_local()));
 }

@@ -1,15 +1,19 @@
 // The packed kernel image (panel-interleaved Abar, degree-bucketed global
-// schedule, fused dual+residual pass) against the scalar row-major kernels
-// it replaced. Those kernels live only here, as the reference: every
-// backend must reproduce their x, z, lambda and residual sums bit for bit.
+// schedule, shape-scheduled local update, fused dual+residual pass)
+// against the scalar row-major kernels it replaced. Those kernels live only
+// here, as the reference: every backend must reproduce their x, z, lambda
+// and residual sums bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "opf/decompose.hpp"
 #include "runtime/instances.hpp"
 #include "runtime/threaded_backend.hpp"
+#include "simt/multi_device.hpp"
 #include "simt/simt_backend.hpp"
 
 namespace dopf::core {
@@ -282,8 +287,10 @@ TEST(KernelImageTest, PanelStoreHoldsRowMajorBlocksAndZeroPadding) {
   ScenarioBinding binding(model);
   const PackedLocalSolvers& pack = binding.pack();
   const RowMajorReference ref(p, 1.0);
+  // The blocks sit in local-schedule order, back to back.
   std::size_t total = 0;
-  for (std::size_t s = 0; s < pack.num_components(); ++s) {
+  for (int comp : pack.local_order) {
+    const auto s = static_cast<std::size_t>(comp);
     const std::size_t ns = ref.nvars()[s];
     ASSERT_EQ(pack.abar_offset[s], static_cast<std::int64_t>(total));
     for (std::size_t i = 0; i < ns; ++i) {
@@ -351,19 +358,27 @@ TEST(KernelImageTest, RefreshedComponentMatchesReference) {
   }
 }
 
+/// Makes a backend for the pack of the solver that will run it.
+using BackendFactory =
+    std::function<std::unique_ptr<ExecutionBackend>(const PackedLocalSolvers&)>;
+
 /// SolverFreeAdmm::solve over a backend against the reference, with the
 /// termination check every third iteration (the fused pass runs only
-/// there), component timers on, and over-relaxation `alpha`.
+/// there) and over-relaxation `alpha`. Component timers on run the local
+/// schedule one block at a time, and the serial and threaded backends must
+/// book time on every component; off, the schedule in slices.
 void check_solve(const DistributedProblem& p, double alpha,
-                 std::unique_ptr<ExecutionBackend> backend) {
+                 const BackendFactory& make, bool timers) {
   AdmmOptions opt;
   opt.rho = kRho;
   opt.max_iterations = kIterations;
   opt.check_every = 3;
   opt.eps_rel = 0.0;  // never terminate: fixed-length trajectories
-  opt.record_component_times = true;
+  opt.record_component_times = timers;
   opt.relaxation = alpha;
   SolverFreeAdmm admm(p, opt);
+  auto backend = make(admm.packed());
+  const std::string name = backend->name();
   admm.set_backend(std::move(backend));
   const AdmmResult res = admm.solve();
 
@@ -389,26 +404,33 @@ void check_solve(const DistributedProblem& p, double alpha,
                                             admm.lambda().end())))
       << "lambda";
   EXPECT_EQ(res.component_seconds.size(), p.components.size());
+  if (timers && (name == "serial" || name == "threaded")) {
+    for (std::size_t s = 0; s < res.component_seconds.size(); ++s) {
+      EXPECT_GT(res.component_seconds[s], 0.0) << "component " << s;
+    }
+  }
 }
 
-TEST(KernelImageTest, SolveWithSparseChecksAndTimersMatchesReference) {
+void check_solve_all_backends(const DistributedProblem& p, double alpha) {
   const std::size_t count = all_backends().size();
   for (std::size_t k = 0; k < count; ++k) {
     auto backends = all_backends();
     SCOPED_TRACE(backends[k]->name());
-    check_solve(problem("synthetic"), 1.0, std::move(backends[k]));
+    check_solve(
+        p, alpha,
+        [&](const PackedLocalSolvers&) { return std::move(backends[k]); },
+        true);
   }
+}
+
+TEST(KernelImageTest, SolveWithSparseChecksAndTimersMatchesReference) {
+  check_solve_all_backends(problem("synthetic"), 1.0);
 }
 
 TEST(KernelImageTest, RelaxedSolveMatchesReference) {
   // Over-relaxation runs in the shared kernels, so every backend must
   // reproduce the reference's relaxed trajectory bit for bit.
-  const std::size_t count = all_backends().size();
-  for (std::size_t k = 0; k < count; ++k) {
-    auto backends = all_backends();
-    SCOPED_TRACE(backends[k]->name());
-    check_solve(problem("synthetic"), 1.6, std::move(backends[k]));
-  }
+  check_solve_all_backends(problem("synthetic"), 1.6);
 }
 
 TEST(KernelImageTest, UnrelaxedKernelsKeepBxItself) {
@@ -444,6 +466,229 @@ TEST(KernelImageTest, Ieee13FingerprintMatchesCommittedCheckpoint) {
   SolveModel model(problem("ieee13"), {});
   ScenarioBinding binding(model);
   EXPECT_EQ(binding.model_fingerprint(), 0x4fa556f60c2d954aull);
+}
+
+/// One block of every n_s from 1 to 40, plus two more of each size with a
+/// fixed-size kernel (so lockstep pairs and odd tails both run), in a
+/// shuffled component order: the size groups interleave. Each block's
+/// variables are drawn from a shared pool, so copy counts range from 1 past
+/// kMaxBucketDegree. A_s is dense random with about n_s / 3 rows.
+DistributedProblem every_size_problem() {
+  std::vector<int> sizes(40);
+  std::iota(sizes.begin(), sizes.end(), 1);
+  for (int n : {4, 6, 8, 9, 10, 12, 18}) sizes.insert(sizes.end(), {n, n});
+  std::mt19937 rng(20251019);
+  std::shuffle(sizes.begin(), sizes.end(), rng);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+
+  constexpr int kPool = 360;
+  std::vector<int> pool(kPool);
+  std::iota(pool.begin(), pool.end(), 0);
+  std::vector<int> relabel(kPool, -1);
+  DistributedProblem p;
+  for (int n : sizes) {
+    std::shuffle(pool.begin(), pool.end(), rng);
+    dopf::opf::Component comp;
+    comp.name = "block" + std::to_string(p.components.size());
+    for (int j = 0; j < n; ++j) {
+      int& g = relabel[pool[j]];
+      if (g < 0) g = static_cast<int>(p.num_vars++);
+      comp.global.push_back(g);
+    }
+    const std::size_t m = static_cast<std::size_t>((n + 2) / 3);
+    comp.a = dopf::linalg::Matrix(m, static_cast<std::size_t>(n));
+    for (std::size_t r = 0; r < m; ++r) {
+      for (int j = 0; j < n; ++j) comp.a(r, j) = unit(rng);
+      comp.b.push_back(unit(rng));
+    }
+    p.components.push_back(std::move(comp));
+  }
+  p.copy_count.assign(p.num_vars, 0);
+  for (const auto& comp : p.components) {
+    for (int g : comp.global) ++p.copy_count[g];
+  }
+  for (std::size_t i = 0; i < p.num_vars; ++i) {
+    p.c.push_back(unit(rng));
+    p.lb.push_back(-1.5 + 0.5 * unit(rng));
+    p.ub.push_back(1.5 + 0.5 * unit(rng));
+    p.x0.push_back(0.5 * unit(rng));
+  }
+  return p;
+}
+
+const DistributedProblem& every_size() {
+  static const DistributedProblem p = every_size_problem();
+  return p;
+}
+
+TEST(KernelScheduleTest, EverySizeMatchesRowMajorReference) {
+  const std::vector<std::pair<std::string, BackendFactory>> backends = {
+      {"serial",
+       [](const PackedLocalSolvers&) { return make_serial_backend(); }},
+      {"threaded(1)",
+       [](const PackedLocalSolvers&) {
+         return dopf::runtime::make_threaded_backend(1);
+       }},
+      {"threaded(2)",
+       [](const PackedLocalSolvers&) {
+         return dopf::runtime::make_threaded_backend(2);
+       }},
+      {"threaded(3)",
+       [](const PackedLocalSolvers&) {
+         return dopf::runtime::make_threaded_backend(3);
+       }},
+      {"simt",
+       [](const PackedLocalSolvers&) {
+         return std::make_unique<dopf::simt::SimtBackend>();
+       }},
+      {"multigpu(3)",
+       [](const PackedLocalSolvers& pack) {
+         dopf::simt::MultiGpuOptions options;
+         options.num_devices = 3;
+         return std::make_unique<dopf::simt::MultiDeviceBackend>(pack,
+                                                                 options);
+       }},
+  };
+  for (double alpha : {1.0, 1.6}) {
+    for (bool timers : {false, true}) {
+      for (const auto& [name, make] : backends) {
+        SCOPED_TRACE(name + " alpha=" + std::to_string(alpha) +
+                     (timers ? " timers" : ""));
+        check_solve(every_size(), alpha, make, timers);
+      }
+    }
+  }
+}
+
+/// The local schedule lists every component once, grouped by n_s with
+/// ascending s inside a group, and the panel store follows it.
+void expect_local_schedule(const PackedLocalSolvers& pack) {
+  const std::size_t S = pack.num_components();
+  ASSERT_EQ(pack.local_order.size(), S);
+  std::vector<int> seen(S, 0);
+  for (int s : pack.local_order) ++seen[s];
+  for (int v : seen) EXPECT_EQ(v, 1);
+  ASSERT_FALSE(pack.local_group_end.empty());
+  EXPECT_EQ(pack.local_group_end.back(), S);
+  std::size_t first = 0;
+  std::int64_t offset = 0;
+  for (std::size_t group_end : pack.local_group_end) {
+    ASSERT_LT(first, group_end);
+    const int n = pack.comp_nvars[pack.local_order[first]];
+    if (first > 0) {
+      EXPECT_LT(pack.comp_nvars[pack.local_order[first - 1]], n);
+    }
+    for (std::size_t k = first; k < group_end; ++k) {
+      const int s = pack.local_order[k];
+      EXPECT_EQ(pack.comp_nvars[s], n);
+      if (k > first) {
+        EXPECT_LT(pack.local_order[k - 1], s);
+      }
+      EXPECT_EQ(pack.abar_offset[s], offset) << "block " << s;
+      offset += static_cast<std::int64_t>(
+          PackedLocalSolvers::panel_size(static_cast<std::size_t>(n)));
+    }
+    first = group_end;
+  }
+  EXPECT_EQ(static_cast<std::size_t>(offset), pack.abar.size());
+}
+
+/// Bucket d's positions are the gather_pos lists of its variables at
+/// stride d, and sched_c/lb/ub are c/lb/ub in schedule order.
+void expect_bucket_major(const PackedLocalSolvers& pack) {
+  std::size_t k = 0, at = 0;
+  for (int d = 1; d <= PackedLocalSolvers::kMaxBucketDegree; ++d) {
+    for (; k < pack.bucket_end[d - 1]; ++k) {
+      const int i = pack.global_order[k];
+      ASSERT_EQ(pack.gather_ptr[i + 1] - pack.gather_ptr[i], d);
+      for (int e = 0; e < d; ++e) {
+        ASSERT_LT(at, pack.bucket_pos.size());
+        EXPECT_EQ(pack.bucket_pos[at++],
+                  pack.gather_pos[pack.gather_ptr[i] + e])
+            << "variable " << i;
+      }
+    }
+  }
+  EXPECT_EQ(at, pack.bucket_pos.size());
+  std::vector<double> c, lb, ub;
+  for (int i : pack.global_order) {
+    c.push_back(pack.c[i]);
+    lb.push_back(pack.lb[i]);
+    ub.push_back(pack.ub[i]);
+  }
+  EXPECT_TRUE(same_bits(c, pack.sched_c)) << "sched_c";
+  EXPECT_TRUE(same_bits(lb, pack.sched_lb)) << "sched_lb";
+  EXPECT_TRUE(same_bits(ub, pack.sched_ub)) << "sched_ub";
+}
+
+TEST(KernelScheduleTest, SchedulesCoverEveryBlockAndCopyOnce) {
+  for (const DistributedProblem* p : {&every_size(), &problem("ieee123")}) {
+    const PackedLocalSolvers pack = SolveModel(*p, {}).make_pack();
+    expect_local_schedule(pack);
+    expect_bucket_major(pack);
+  }
+  // The generator's sizes interleave in component order and every degree
+  // bucket, plus the CSR tail, is populated.
+  const PackedLocalSolvers pack = SolveModel(every_size(), {}).make_pack();
+  EXPECT_EQ(pack.local_group_end.size(), 40u);
+  EXPECT_FALSE(std::is_sorted(pack.comp_nvars.begin(), pack.comp_nvars.end()));
+  std::size_t first = 0;
+  for (std::size_t end : pack.bucket_end) {
+    EXPECT_LT(first, end);
+    first = end;
+  }
+  EXPECT_LT(first, pack.num_global());
+}
+
+TEST(KernelScheduleTest, RebindInsideAGroupMatchesColdBind) {
+  const DistributedProblem& base = every_size();
+  // The middle block of a three-block fixed-size group, and a generic one.
+  std::vector<std::size_t> targets;
+  for (int n : {6, 18, 23}) {
+    std::vector<std::size_t> group;
+    for (std::size_t s = 0; s < base.components.size(); ++s) {
+      if (base.components[s].num_vars() == static_cast<std::size_t>(n)) {
+        group.push_back(s);
+      }
+    }
+    targets.push_back(group[group.size() / 2]);
+  }
+  DistributedProblem edited = base;
+  for (std::size_t s : targets) {
+    edited.components[s].a(0, 0) += 0.5;
+    edited.components[s].b[0] -= 0.25;
+  }
+  for (std::size_t i = 0; i < edited.num_vars; i += 3) {
+    edited.c[i] *= -2.0;
+    edited.lb[i] -= 0.5;
+    edited.ub[i] += 0.25;
+  }
+
+  SolveModel model(base, {});
+  ScenarioBinding binding(model);
+  const RebindStats st = binding.rebind(edited);
+  EXPECT_EQ(st.refactorizations, static_cast<int>(targets.size()));
+  EXPECT_TRUE(st.objective_changed);
+  EXPECT_TRUE(st.bounds_changed);
+
+  const PackedLocalSolvers cold = SolveModel(edited, {}).make_pack();
+  const PackedLocalSolvers& warm = binding.pack();
+  EXPECT_TRUE(same_bits(cold.abar, warm.abar)) << "abar";
+  EXPECT_TRUE(same_bits(cold.bbar, warm.bbar)) << "bbar";
+  EXPECT_TRUE(same_bits(cold.c, warm.c)) << "c";
+  EXPECT_TRUE(same_bits(cold.sched_c, warm.sched_c)) << "sched_c";
+  EXPECT_TRUE(same_bits(cold.sched_lb, warm.sched_lb)) << "sched_lb";
+  EXPECT_TRUE(same_bits(cold.sched_ub, warm.sched_ub)) << "sched_ub";
+  EXPECT_EQ(cold.local_order, warm.local_order);
+  EXPECT_EQ(cold.abar_offset, warm.abar_offset);
+  EXPECT_EQ(cold.bucket_pos, warm.bucket_pos);
+  expect_bucket_major(warm);
+
+  const Trajectory want = reference_run(edited);
+  for (const auto& backend : all_backends()) {
+    SCOPED_TRACE(backend->name());
+    expect_identical(want, backend_run(warm, *backend));
+  }
 }
 
 }  // namespace

@@ -134,11 +134,18 @@ TEST(EstimateModelBytesTest, PackBytesPlusOneUnpaddedFactorBlock) {
   const auto& pack = binding.pack();
   std::size_t logical = 0;  // sum n_s^2: Abar without panel padding
   for (int ns : pack.comp_nvars) logical += static_cast<std::size_t>(ns) * ns;
-  // The pack's own count includes the panel padding and the global-update
-  // schedule, so it is the one definition the budget builds on.
+  // The pack's own count includes the panel padding, the global-update
+  // schedule and the shape schedules of the serial and threaded kernels, so
+  // it is the one definition the budget builds on.
   EXPECT_GT(pack.abar.size(), logical);
-  EXPECT_GE(pack.bytes(), sizeof(double) * pack.abar.size() +
-                              sizeof(int) * pack.global_order.size());
+  EXPECT_GE(pack.image_bytes(), sizeof(double) * pack.abar.size() +
+                                    sizeof(int) * pack.global_order.size());
+  EXPECT_EQ(pack.bytes(),
+            pack.image_bytes() +
+                sizeof(int) *
+                    (pack.bucket_pos.size() + pack.local_order.size()) +
+                sizeof(std::size_t) * pack.local_group_end.size() +
+                sizeof(double) * 3 * pack.num_global());
   EXPECT_EQ(estimate_model_bytes(binding),
             pack.bytes() + sizeof(double) * logical);
 }

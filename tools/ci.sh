@@ -92,7 +92,7 @@ if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
   cmake --build build-v3 -j "${JOBS}" --target dopf_verify core_test
   echo "=== test build-v3 (golden traces, kernel image) ==="
   ctest --test-dir build-v3 --output-on-failure -j "${JOBS}" \
-    -R 'verify_golden|verify_session_golden|verify_resume|verify_fault_failover|KernelImageTest'
+    -R 'verify_golden|verify_session_golden|verify_resume|verify_fault_failover|KernelImageTest|KernelScheduleTest'
 else
   echo "=== skip build-v3: host lacks avx2/fma ==="
 fi
