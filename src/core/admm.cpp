@@ -26,6 +26,10 @@ double seconds_since(Clock::time_point start) {
 }
 }  // namespace
 
+bool admissible_parameter(double value) {
+  return std::isfinite(value) && value > 0.0;
+}
+
 const char* to_string(AdmmStatus status) {
   switch (status) {
     case AdmmStatus::kConverged:

@@ -81,6 +81,10 @@ struct AdmmOptions {
   dopf::linalg::ProjectorOptions projector;
 };
 
+/// True when `value` is an admissible rho or eps_rel: finite and > 0. The
+/// one rule behind serve's request validation and the tools' --rho/--eps.
+bool admissible_parameter(double value);
+
 /// One sampled point of the residual trajectories (Fig. 2).
 struct IterationRecord {
   int iteration = 0;

@@ -1,5 +1,7 @@
 #include "runtime/instances.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "feeders/feeder_io.hpp"
@@ -8,15 +10,29 @@
 
 namespace dopf::runtime {
 
+namespace {
+constexpr std::string_view kBuiltins[] = {
+    "ieee13", "ieee123", "ieee8500", "ieee8500_mini", "ieee13_overload"};
+}  // namespace
+
+bool is_builtin(std::string_view name) {
+  return std::find(std::begin(kBuiltins), std::end(kBuiltins), name) !=
+         std::end(kBuiltins);
+}
+
 dopf::network::Network make_network(const std::string& name) {
   using namespace dopf::feeders;
+  if (!is_builtin(name)) {
+    std::string expected;
+    for (std::string_view b : kBuiltins) {
+      expected += (expected.empty() ? "" : ", ") + std::string(b);
+    }
+    throw std::invalid_argument("unknown builtin '" + name + "' (expected " +
+                                expected + ")");
+  }
   if (name == "ieee123") return synthetic_feeder(ieee123_spec());
   if (name == "ieee8500") return synthetic_feeder(ieee8500_spec());
   if (name == "ieee8500_mini") return synthetic_feeder(ieee8500_mini_spec());
-  if (name != "ieee13" && name != "ieee13_overload") {
-    throw std::invalid_argument("make_instance: unknown instance '" + name +
-                                "'");
-  }
   dopf::network::Network net = ieee13();
   if (name == "ieee13_overload") {
     // ieee13 with every load scaled far past the generation and flow

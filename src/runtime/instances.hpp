@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "network/network.hpp"
@@ -20,11 +21,15 @@ struct Instance {
   dopf::opf::DistributedProblem problem;
 };
 
-/// The feeder of one of the paper's instances (or the quick stand-in):
-/// "ieee13", "ieee123", "ieee8500", "ieee8500_mini". "ieee13_overload" is
-/// ieee13 with loads scaled 50x past capacity — deliberately infeasible,
-/// for stall/watchdog testing. Throws std::invalid_argument for unknown
-/// names.
+/// True when `name` is a builtin feeder: one of the paper's instances
+/// "ieee13", "ieee123", "ieee8500", the quick stand-in "ieee8500_mini", or
+/// "ieee13_overload", ieee13 with loads scaled 50x past capacity —
+/// deliberately infeasible, for stall/watchdog testing.
+bool is_builtin(std::string_view name);
+
+/// The builtin feeder `name`. Throws std::invalid_argument "unknown
+/// builtin '<name>' (expected ...)", listing the builtins, for any other
+/// name.
 dopf::network::Network make_network(const std::string& name);
 
 /// The feeder a command line or request names: "builtin:NAME"

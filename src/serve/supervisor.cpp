@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -275,10 +274,10 @@ WorkerStatsMsg WorkerStatsMsg::decode(std::string_view payload) {
 
 void validate_request(const SolveRequest& req) {
   if (req.feeder.empty()) throw BadRequestError("empty feeder reference");
-  if (!(req.rho > 0.0) || !std::isfinite(req.rho)) {
+  if (!dopf::core::admissible_parameter(req.rho)) {
     throw BadRequestError("rho must be finite and > 0");
   }
-  if (!(req.eps_rel > 0.0) || !std::isfinite(req.eps_rel)) {
+  if (!dopf::core::admissible_parameter(req.eps_rel)) {
     throw BadRequestError("eps_rel must be finite and > 0");
   }
   if (req.max_iterations < 1) {

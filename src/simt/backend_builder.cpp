@@ -14,6 +14,11 @@ bool is_backend_name(std::string_view name) {
          name == "multigpu";
 }
 
+bool breaks_multigpu_only(const BackendSpec& spec) {
+  return spec.name != "multigpu" &&
+         (!spec.faults.empty() || !spec.recovery || spec.degrade);
+}
+
 std::unique_ptr<dopf::core::ExecutionBackend> make_backend(
     const BackendSpec& spec, const dopf::core::PackedLocalSolvers& pack,
     std::string* label) {

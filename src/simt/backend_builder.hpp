@@ -29,6 +29,16 @@ struct BackendSpec {
 /// where `--backend` is read.
 bool is_backend_name(std::string_view name);
 
+/// The rule every tool checks on the spec it read: faults, disabled
+/// recovery and degradation act only on multigpu.
+inline constexpr const char kMultigpuOnly[] =
+    "--faults/--no-recovery/--degrade/--staleness-bound require --backend "
+    "multigpu";
+
+/// True when `spec` sets a multigpu-only field on another backend, which
+/// kMultigpuOnly refuses.
+bool breaks_multigpu_only(const BackendSpec& spec);
+
 /// The backend `spec` names, for solves over `pack` (multigpu partitions
 /// the pack's components over its devices; the others ignore it). Never
 /// null. `label`, when given, receives the backend as reports print it:

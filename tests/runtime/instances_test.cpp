@@ -29,6 +29,18 @@ TEST(InstancesTest, Ieee123MatchesPaperTable3) {
 
 TEST(InstancesTest, UnknownNameThrows) {
   EXPECT_THROW(make_instance("ieee999"), std::invalid_argument);
+  EXPECT_TRUE(is_builtin("ieee13_overload"));
+  EXPECT_FALSE(is_builtin("builtin:ieee13"));
+  // Reached from load_network too, so the text names the builtins, not
+  // make_instance.
+  try {
+    (void)load_network("builtin:nosuch");
+    FAIL() << "unknown builtin accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown builtin 'nosuch' (expected ieee13, ieee123, "
+                 "ieee8500, ieee8500_mini, ieee13_overload)");
+  }
 }
 
 TEST(InstancesTest, PaperListHasThreeInstances) {

@@ -41,53 +41,25 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli.hpp"
 #include "core/admm.hpp"
 #include "serve/client.hpp"
 #include "verify/codec.hpp"
 
 namespace {
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --socket PATH (--ping | --feeder F [--override L]... |\n"
-      "  --requests FILE) [--repeat N] [--concurrency C] [--id N]\n"
-      "  [--deadline-ms N] [--resume] [--rho R] [--eps E] [--max-iters N]\n"
-      "  [--check-every N] [--preflight MODE] [--retries N]\n"
-      "  [--backoff-ms N] [--timeout-ms N] [--seed S]\n",
-      argv0);
-  std::exit(1);
-}
-
-long parse_long(const char* arg, const char* what, const char* argv0) {
-  char* end = nullptr;
-  const long v = std::strtol(arg, &end, 10);
-  if (end == arg || *end != '\0') {
-    std::fprintf(stderr, "%s: bad integer value '%s' for %s\n", argv0, arg,
-                 what);
-    usage(argv0);
-  }
-  return v;
-}
-
-double parse_double(const char* arg, const char* what, const char* argv0) {
-  char* end = nullptr;
-  const double v = std::strtod(arg, &end);
-  if (end == arg || *end != '\0') {
-    std::fprintf(stderr, "%s: bad numeric value '%s' for %s\n", argv0, arg,
-                 what);
-    usage(argv0);
-  }
-  return v;
-}
+constexpr char kUsage[] =
+    " --socket PATH (--ping | --feeder F [--override L]... |\n"
+    "  --requests FILE) [--repeat N] [--concurrency C] [--id N]\n"
+    "  [--deadline-ms N] [--resume] [--rho R] [--eps E] [--max-iters N]\n"
+    "  [--check-every N] [--preflight MODE] [--retries N]\n"
+    "  [--backoff-ms N] [--timeout-ms N] [--seed S]\n";
 
 /// Parse one --requests line: "feeder|ovr1;ovr2|deadline_ms|resume".
 /// Empty trailing fields are optional; ';' in the scenario field becomes a
@@ -107,9 +79,9 @@ dopf::serve::SolveRequest parse_request_line(
   }
   fields.push_back(cur);
   dopf::serve::SolveRequest req = defaults;
+  const std::string where = "requests file line " + std::to_string(line_no);
   if (fields.empty() || fields[0].empty()) {
-    throw std::runtime_error("requests file line " + std::to_string(line_no) +
-                             ": empty feeder field");
+    throw std::runtime_error(where + ": empty feeder field");
   }
   req.feeder = fields[0];
   if (fields.size() > 1) {
@@ -118,15 +90,19 @@ dopf::serve::SolveRequest parse_request_line(
     req.scenario = sc;
   }
   if (fields.size() > 2 && !fields[2].empty()) {
-    req.deadline_ms = static_cast<std::uint32_t>(
-        std::strtoul(fields[2].c_str(), nullptr, 10));
+    req.deadline_ms = dopf::cli::integer<std::uint32_t>(
+        fields[2], "the deadline_ms field of " + where, 0);
   }
   if (fields.size() > 3 && !fields[3].empty()) {
-    req.resume = fields[3] == "1" || fields[3] == "true";
+    const std::string& r = fields[3];
+    if (r != "0" && r != "1" && r != "false" && r != "true") {
+      throw std::runtime_error(where + ": resume field '" + r +
+                               "' is not 0, 1, true or false");
+    }
+    req.resume = r == "1" || r == "true";
   }
   if (fields.size() > 4) {
-    throw std::runtime_error("requests file line " + std::to_string(line_no) +
-                             ": too many '|' fields");
+    throw std::runtime_error(where + ": too many '|' fields");
   }
   return req;
 }
@@ -174,7 +150,7 @@ int outcome_exit_code(const dopf::serve::Outcome& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string socket_path, requests_file;
+  std::string requests_file;
   dopf::serve::SolveRequest base;
   std::vector<std::string> overrides;
   dopf::serve::ClientOptions copts;
@@ -182,73 +158,59 @@ int main(int argc, char** argv) {
   int repeat = 1, concurrency = 1;
   std::uint64_t base_id = 1;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n", argv[0], arg.c_str());
-        usage(argv[0]);
+  try {
+    dopf::cli::Args args(argc, argv);
+    while (args.next()) {
+      const std::string& arg = args.flag();
+      if (arg == "--socket") {
+        copts.socket_path = args.value();
+      } else if (arg == "--ping") {
+        ping = true;
+      } else if (arg == "--feeder") {
+        base.feeder = args.value();
+      } else if (arg == "--override") {
+        overrides.push_back(args.value());
+      } else if (arg == "--requests") {
+        requests_file = args.value();
+      } else if (arg == "--repeat") {
+        repeat = args.integer(1);
+      } else if (arg == "--concurrency") {
+        concurrency = args.integer(1);
+      } else if (arg == "--id") {
+        base_id = args.integer<std::uint64_t>(0);
+      } else if (arg == "--deadline-ms") {
+        base.deadline_ms = args.integer<std::uint32_t>(0);
+      } else if (arg == "--resume") {
+        base.resume = true;
+      } else if (arg == "--rho") {
+        base.rho = args.real(dopf::core::admissible_parameter, "> 0");
+      } else if (arg == "--eps") {
+        base.eps_rel = args.real(dopf::core::admissible_parameter, "> 0");
+      } else if (arg == "--max-iters") {
+        base.max_iterations = args.integer<std::uint32_t>(0);
+      } else if (arg == "--check-every") {
+        base.check_every = args.integer<std::uint32_t>(0);
+      } else if (arg == "--preflight") {
+        base.preflight = args.value();
+      } else if (arg == "--retries") {
+        copts.retries = args.integer(0);
+      } else if (arg == "--backoff-ms") {
+        copts.backoff_base_ms = args.integer(0);
+      } else if (arg == "--timeout-ms") {
+        copts.response_timeout_ms = args.integer(0);
+      } else if (arg == "--seed") {
+        copts.seed = args.integer<std::uint64_t>(0);
+      } else {
+        args.unknown();
       }
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      socket_path = next();
-    } else if (arg == "--ping") {
-      ping = true;
-    } else if (arg == "--feeder") {
-      base.feeder = next();
-    } else if (arg == "--override") {
-      overrides.push_back(next());
-    } else if (arg == "--requests") {
-      requests_file = next();
-    } else if (arg == "--repeat") {
-      repeat = static_cast<int>(parse_long(next(), "--repeat", argv[0]));
-    } else if (arg == "--concurrency") {
-      concurrency =
-          static_cast<int>(parse_long(next(), "--concurrency", argv[0]));
-    } else if (arg == "--id") {
-      base_id = static_cast<std::uint64_t>(parse_long(next(), "--id", argv[0]));
-    } else if (arg == "--deadline-ms") {
-      base.deadline_ms = static_cast<std::uint32_t>(
-          parse_long(next(), "--deadline-ms", argv[0]));
-    } else if (arg == "--resume") {
-      base.resume = true;
-    } else if (arg == "--rho") {
-      base.rho = parse_double(next(), "--rho", argv[0]);
-    } else if (arg == "--eps") {
-      base.eps_rel = parse_double(next(), "--eps", argv[0]);
-    } else if (arg == "--max-iters") {
-      base.max_iterations = static_cast<std::uint32_t>(
-          parse_long(next(), "--max-iters", argv[0]));
-    } else if (arg == "--check-every") {
-      base.check_every = static_cast<std::uint32_t>(
-          parse_long(next(), "--check-every", argv[0]));
-    } else if (arg == "--preflight") {
-      base.preflight = next();
-    } else if (arg == "--retries") {
-      copts.retries = static_cast<int>(parse_long(next(), "--retries", argv[0]));
-    } else if (arg == "--backoff-ms") {
-      copts.backoff_base_ms =
-          static_cast<int>(parse_long(next(), "--backoff-ms", argv[0]));
-    } else if (arg == "--timeout-ms") {
-      copts.response_timeout_ms =
-          static_cast<int>(parse_long(next(), "--timeout-ms", argv[0]));
-    } else if (arg == "--seed") {
-      copts.seed = static_cast<std::uint64_t>(
-          parse_long(next(), "--seed", argv[0]));
-    } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], arg.c_str());
-      usage(argv[0]);
     }
-  }
-  if (socket_path.empty()) {
-    std::fprintf(stderr, "%s: --socket PATH is required\n", argv[0]);
-    usage(argv[0]);
-  }
-  copts.socket_path = socket_path;
-  if (repeat < 1 || concurrency < 1) {
-    std::fprintf(stderr, "%s: --repeat/--concurrency must be >= 1\n", argv[0]);
-    return 1;
+    dopf::cli::check({
+        {copts.socket_path.empty(), "--socket PATH is required"},
+        {!ping && base.feeder.empty() && requests_file.empty(),
+         "need --ping, --feeder or --requests"},
+    });
+  } catch (const dopf::cli::UsageError& e) {
+    return dopf::cli::refuse(argv[0], e, kUsage);
   }
 
   if (ping) {
@@ -258,7 +220,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     std::fprintf(stderr, "%s: no pong from %s\n", argv[0],
-                 socket_path.c_str());
+                 copts.socket_path.c_str());
     return 8;
   }
 
@@ -281,7 +243,7 @@ int main(int argc, char** argv) {
         if (trimmed.empty() || trimmed[0] == '#') continue;
         jobs.push_back(parse_request_line(base, trimmed, line_no));
       }
-    } else if (!base.feeder.empty()) {
+    } else {
       dopf::serve::SolveRequest req = base;
       std::string sc;
       for (const auto& ovr : overrides) {
@@ -290,10 +252,6 @@ int main(int argc, char** argv) {
       }
       req.scenario = sc;
       jobs.push_back(req);
-    } else {
-      std::fprintf(stderr, "%s: need --ping, --feeder or --requests\n",
-                   argv[0]);
-      usage(argv[0]);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());

@@ -51,12 +51,13 @@
 // checkpoints written (resubmit those requests with resume), 7 durable
 // I/O failure while checkpointing (in any worker).
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "core/cancel.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/signals.hpp"
@@ -66,187 +67,99 @@
 
 namespace {
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --socket PATH [--workers N] [--queue-depth N]\n"
-               "  [--max-conns N] [--cache-budget-mb M] [--checkpoint-dir "
-               "DIR]\n"
-               "  [--serve-faults SPEC] [--crash-faults SPEC] [--io-faults "
-               "SPEC]\n"
-               "  [--restart-budget N] [--hang-timeout-ms N]\n"
-               "  [--quarantine-ttl-ms N] [--no-fsync] [--metrics-json]\n",
-               argv0);
-  std::exit(1);
-}
+constexpr char kUsage[] =
+    " --socket PATH [--workers N] [--queue-depth N]\n"
+    "  [--max-conns N] [--cache-budget-mb M] [--checkpoint-dir DIR]\n"
+    "  [--serve-faults SPEC] [--crash-faults SPEC] [--io-faults SPEC]\n"
+    "  [--restart-budget N] [--hang-timeout-ms N]\n"
+    "  [--quarantine-ttl-ms N] [--no-fsync] [--metrics-json]\n";
+
+/// The largest --cache-budget-mb whose byte count fits a size_t.
+constexpr std::size_t kMaxCacheBudgetMb = SIZE_MAX >> 20;
 
 dopf::core::CancelToken g_drain;
-
-long parse_long(const char* arg, const char* what, const char* argv0) {
-  char* end = nullptr;
-  const long v = std::strtol(arg, &end, 10);
-  if (end == arg || *end != '\0') {
-    std::fprintf(stderr, "%s: bad integer value '%s' for %s\n", argv0, arg,
-                 what);
-    usage(argv0);
-  }
-  return v;
-}
 
 /// Worker mode: everything after "--worker" configures one subprocess that
 /// serves solve requests over the inherited socketpair fd.
 int worker_mode(int argc, char** argv) {
   dopf::serve::WorkerConfig cfg;
   int fd = -1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n", argv[0], arg.c_str());
-        std::exit(1);
-      }
-      return argv[++i];
-    };
+  dopf::cli::Args args(argc, argv, 2);
+  while (args.next()) {
+    const std::string& arg = args.flag();
     if (arg == "--worker-fd") {
-      fd = static_cast<int>(parse_long(next(), "--worker-fd", argv[0]));
+      fd = args.integer(0);
     } else if (arg == "--cache-budget-mb") {
-      cfg.cache_budget_bytes =
-          static_cast<std::size_t>(
-              parse_long(next(), "--cache-budget-mb", argv[0]))
-          << 20;
+      cfg.cache_budget_bytes = args.integer<std::size_t>(1, kMaxCacheBudgetMb)
+                               << 20;
     } else if (arg == "--checkpoint-dir") {
-      cfg.checkpoint_dir = next();
+      cfg.checkpoint_dir = args.value();
     } else if (arg == "--io-faults") {
-      try {
-        cfg.fs_faults = dopf::runtime::FsFaultPlan::parse(next());
-      } catch (const dopf::runtime::FaultError& e) {
-        std::fprintf(stderr, "%s (worker): %s\n", argv[0], e.what());
-        return 1;
-      }
+      cfg.fs_faults = args.plan<dopf::runtime::FsFaultPlan>();
     } else if (arg == "--no-fsync") {
       cfg.durable.fsync = false;
     } else {
-      std::fprintf(stderr, "%s (worker): unknown option '%s'\n", argv[0],
-                   arg.c_str());
-      return 1;
+      args.unknown();
     }
   }
-  if (fd < 0) {
-    std::fprintf(stderr, "%s (worker): --worker-fd is required\n", argv[0]);
-    return 1;
-  }
+  dopf::cli::check({{fd < 0, "--worker-fd is required"}});
   return dopf::serve::worker_main(fd, cfg);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--worker") == 0) {
-    return worker_mode(argc, argv);
-  }
-
   dopf::serve::ServeOptions opts;
   opts.drain = &g_drain;
   bool metrics_json = false;
-  long cache_budget_mb = 256;
+  std::size_t cache_budget_mb = 256;
   std::string io_faults_spec;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n", argv[0], arg.c_str());
-        usage(argv[0]);
-      }
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      opts.socket_path = next();
-    } else if (arg == "--workers") {
-      opts.workers = static_cast<int>(parse_long(next(), "--workers", argv[0]));
-    } else if (arg == "--queue-depth") {
-      const long v = parse_long(next(), "--queue-depth", argv[0]);
-      if (v < 1) {
-        std::fprintf(stderr, "%s: --queue-depth must be >= 1\n", argv[0]);
-        return 1;
-      }
-      opts.queue_depth = static_cast<std::size_t>(v);
-    } else if (arg == "--max-conns") {
-      const long v = parse_long(next(), "--max-conns", argv[0]);
-      if (v < 1) {
-        std::fprintf(stderr, "%s: --max-conns must be >= 1\n", argv[0]);
-        return 1;
-      }
-      opts.max_connections = static_cast<int>(v);
-    } else if (arg == "--cache-budget-mb") {
-      cache_budget_mb = parse_long(next(), "--cache-budget-mb", argv[0]);
-      if (cache_budget_mb < 1) {
-        std::fprintf(stderr, "%s: --cache-budget-mb must be >= 1\n", argv[0]);
-        return 1;
-      }
-      opts.cache_budget_bytes = static_cast<std::size_t>(cache_budget_mb)
-                                << 20;
-    } else if (arg == "--checkpoint-dir") {
-      opts.checkpoint_dir = next();
-    } else if (arg == "--serve-faults") {
-      try {
-        opts.faults = dopf::serve::ServeFaultPlan::parse(next());
-      } catch (const dopf::runtime::FaultError& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 1;
-      }
-    } else if (arg == "--crash-faults") {
-      try {
-        opts.crash_faults = dopf::serve::CrashFaultPlan::parse(next());
-      } catch (const dopf::runtime::FaultError& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 1;
-      }
-    } else if (arg == "--io-faults") {
-      io_faults_spec = next();
-      try {
-        (void)dopf::runtime::FsFaultPlan::parse(io_faults_spec);
-      } catch (const dopf::runtime::FaultError& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 1;
-      }
-    } else if (arg == "--restart-budget") {
-      const long v = parse_long(next(), "--restart-budget", argv[0]);
-      if (v < 0) {
-        std::fprintf(stderr, "%s: --restart-budget must be >= 0\n", argv[0]);
-        return 1;
-      }
-      opts.restart_budget = static_cast<int>(v);
-    } else if (arg == "--hang-timeout-ms") {
-      const long v = parse_long(next(), "--hang-timeout-ms", argv[0]);
-      if (v < 0) {
-        std::fprintf(stderr, "%s: --hang-timeout-ms must be >= 0\n", argv[0]);
-        return 1;
-      }
-      opts.hang_timeout_ms = static_cast<int>(v);
-    } else if (arg == "--quarantine-ttl-ms") {
-      const long v = parse_long(next(), "--quarantine-ttl-ms", argv[0]);
-      if (v < 1) {
-        std::fprintf(stderr, "%s: --quarantine-ttl-ms must be >= 1\n",
-                     argv[0]);
-        return 1;
-      }
-      opts.quarantine_ttl_ms = static_cast<int>(v);
-    } else if (arg == "--no-fsync") {
-      opts.durable.fsync = false;
-    } else if (arg == "--metrics-json") {
-      metrics_json = true;
-    } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], arg.c_str());
-      usage(argv[0]);
+  try {
+    if (argc > 1 && std::strcmp(argv[1], "--worker") == 0) {
+      return worker_mode(argc, argv);
     }
-  }
-  if (opts.socket_path.empty()) {
-    std::fprintf(stderr, "%s: --socket PATH is required\n", argv[0]);
-    usage(argv[0]);
-  }
-  if (opts.workers < 1) {
-    std::fprintf(stderr, "%s: --workers must be >= 1\n", argv[0]);
-    return 1;
+    dopf::cli::Args args(argc, argv);
+    while (args.next()) {
+      const std::string& arg = args.flag();
+      if (arg == "--socket") {
+        opts.socket_path = args.value();
+      } else if (arg == "--workers") {
+        opts.workers = args.integer(1);
+      } else if (arg == "--queue-depth") {
+        opts.queue_depth = args.integer<std::size_t>(1);
+      } else if (arg == "--max-conns") {
+        opts.max_connections = args.integer(1);
+      } else if (arg == "--cache-budget-mb") {
+        cache_budget_mb = args.integer<std::size_t>(1, kMaxCacheBudgetMb);
+        opts.cache_budget_bytes = cache_budget_mb << 20;
+      } else if (arg == "--checkpoint-dir") {
+        opts.checkpoint_dir = args.value();
+      } else if (arg == "--serve-faults") {
+        opts.faults = args.plan<dopf::serve::ServeFaultPlan>();
+      } else if (arg == "--crash-faults") {
+        opts.crash_faults = args.plan<dopf::serve::CrashFaultPlan>();
+      } else if (arg == "--io-faults") {
+        // Checked here, forwarded verbatim to every worker.
+        io_faults_spec = args.value();
+        (void)args.plan<dopf::runtime::FsFaultPlan>();
+      } else if (arg == "--restart-budget") {
+        opts.restart_budget = args.integer(0);
+      } else if (arg == "--hang-timeout-ms") {
+        opts.hang_timeout_ms = args.integer(0);
+      } else if (arg == "--quarantine-ttl-ms") {
+        opts.quarantine_ttl_ms = args.integer(1);
+      } else if (arg == "--no-fsync") {
+        opts.durable.fsync = false;
+      } else if (arg == "--metrics-json") {
+        metrics_json = true;
+      } else {
+        args.unknown();
+      }
+    }
+    dopf::cli::check({{opts.socket_path.empty(), "--socket PATH is required"}});
+  } catch (const dopf::cli::UsageError& e) {
+    return dopf::cli::refuse(argv[0], e, kUsage);
   }
 
   // The worker re-exec command: /proc/self/exe survives $PATH games and

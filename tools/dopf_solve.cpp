@@ -10,11 +10,11 @@
 //   --threads N           worker threads for --backend threaded
 //                         (default: hardware concurrency)
 //   --devices N           simulated devices for --backend multigpu (default 2)
-//   --rho R               ADMM penalty (default 100)
-//   --eps E               relative tolerance (default 1e-3)
+//   --rho R               ADMM penalty, finite and > 0 (default 100)
+//   --eps E               relative tolerance, finite and > 0 (default 1e-3)
 //   --max-iters N         iteration cap (default 200000)
-//   --relaxation A        over-relaxation factor (default 1.0; every
-//                         solver-free backend)
+//   --relaxation A        over-relaxation factor in (0, 2) (default 1.0;
+//                         every solver-free backend)
 //   --faults SPEC         deterministic fault schedule (multigpu only), e.g.
 //                         "kill:device=1,iter=137;straggle:device=2,iter=5,
 //                         until=20,factor=4" (see runtime/fault.hpp)
@@ -26,7 +26,9 @@
 //   --staleness-bound S   iterations a degraded device may stay stale
 //                         before quarantine (default 8; implies --degrade)
 //   --watchdog            enable the convergence watchdog (stall detection,
-//                         rho nudge, restart-from-best, kStalled)
+//                         rho nudge, restart-from-best, kStalled).
+//                         --watchdog and the three checkpoint flags below
+//                         require --algorithm solver-free
 //   --checkpoint-every N  capture a restart checkpoint every N iterations
 //                         (multigpu refreshes its in-memory failover
 //                         restart point at this cadence even without FILE)
@@ -74,9 +76,10 @@
 //                         and falls back to the previous one when the
 //                         newest is torn
 //   --deadline S          cooperative deadline: cancel the solve/stream S
-//                         seconds after start (exit code 6; with --stream
-//                         and --checkpoint, a final durable checkpoint of
-//                         the last completed step is written first).
+//                         seconds after start (S finite and >= 0; 0 = none;
+//                         exit code 6; with --stream and --checkpoint, a
+//                         final durable checkpoint of the last completed
+//                         step is written first).
 //                         SIGINT/SIGTERM trigger the same path
 //   --io-faults SPEC      deterministic filesystem failpoints applied to
 //                         every durable write/read, e.g.
@@ -106,8 +109,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -115,6 +116,7 @@
 #include <string>
 
 #include "baseline/benchmark_admm.hpp"
+#include "cli.hpp"
 #include "core/admm.hpp"
 #include "core/cancel.hpp"
 #include "opf/solution.hpp"
@@ -133,79 +135,24 @@
 
 namespace {
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options] <feeder-file | builtin:NAME>\n"
-      "  --algorithm solver-free|benchmark|reference\n"
-      "  --backend serial|threaded|simt|multigpu  --threads N  --devices N\n"
-      "  --rho R  --eps E  --max-iters N  --relaxation A\n"
-      "  --faults SPEC  --no-recovery\n"
-      "  --degrade  --staleness-bound S  --watchdog\n"
-      "  --checkpoint-every N  --checkpoint FILE  --resume FILE\n"
-      "  --preflight off|warn|auto|strict  --strict  --preflight-only\n"
-      "  --scenarios FILE  --cold-compare  --json\n"
-      "  --stream FILE  --stream-record FILE  --checkpoint-at-step K\n"
-      "  --checkpoint-every-steps N  --reset-on-switch\n"
-      "  --deadline S  --io-faults SPEC  --no-fsync\n"
-      "  --report  --residuals FILE  --output FILE\n",
-      argv0);
-  std::exit(1);
-}
+constexpr char kUsage[] =
+    " [options] <feeder-file | builtin:NAME>\n"
+    "  --algorithm solver-free|benchmark|reference\n"
+    "  --backend serial|threaded|simt|multigpu  --threads N  --devices N\n"
+    "  --rho R  --eps E  --max-iters N  --relaxation A\n"
+    "  --faults SPEC  --no-recovery\n"
+    "  --degrade  --staleness-bound S  --watchdog\n"
+    "  --checkpoint-every N  --checkpoint FILE  --resume FILE\n"
+    "  --preflight off|warn|auto|strict  --strict  --preflight-only\n"
+    "  --scenarios FILE  --cold-compare  --json\n"
+    "  --stream FILE  --stream-record FILE  --checkpoint-at-step K\n"
+    "  --checkpoint-every-steps N  --reset-on-switch\n"
+    "  --deadline S  --io-faults SPEC  --no-fsync\n"
+    "  --report  --residuals FILE  --output FILE\n";
 
 /// Process-wide cancellation token: SIGINT/SIGTERM and --deadline feed it,
 /// every solver loop and stream step boundary polls it.
 dopf::core::CancelToken g_cancel;
-
-/// Strict numeric parsing: the whole token must be a number, otherwise the
-/// tool prints a pointed diagnostic plus the usage text and exits 1.
-const char* g_argv0 = "dopf_solve";
-
-double parse_double(const char* arg, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(arg, &end);
-  if (end == arg || *end != '\0') {
-    std::fprintf(stderr, "%s: bad numeric value '%s' for %s\n", g_argv0, arg,
-                 what);
-    usage(g_argv0);
-  }
-  return v;
-}
-
-/// A decimal integer in [lo, hi] (the fault grammar's reader); anything
-/// else, out-of-range values included, is a usage error.
-int parse_int(const char* arg, const char* what, int lo = 0,
-              int hi = 2147483647) {
-  const std::optional<int> v = dopf::runtime::read_integer(arg, lo, hi);
-  if (!v) {
-    std::fprintf(stderr, "%s: bad integer value '%s' for %s (want [%d, %d])\n",
-                 g_argv0, arg, what, lo, hi);
-    usage(g_argv0);
-  }
-  return *v;
-}
-
-/// --preflight is checked where it is read: a bad mode is a usage error.
-dopf::robust::PreflightMode parse_preflight(const char* text) {
-  try {
-    return dopf::robust::parse_mode(text);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s: %s\n", g_argv0, e.what());
-    usage(g_argv0);
-  }
-}
-
-/// Fault specs are parsed where their flag is read: a malformed one exits 1
-/// before any input is loaded, whichever algorithm would have run.
-template <class Plan>
-Plan parse_plan(const char* spec) {
-  try {
-    return Plan::parse(spec);
-  } catch (const dopf::runtime::FaultError& e) {
-    std::fprintf(stderr, "%s: %s\n", g_argv0, e.what());
-    std::exit(1);
-  }
-}
 
 /// The pinned exit code of a solve that ended with `status`.
 int exit_code_for(dopf::core::AdmmStatus status) {
@@ -484,7 +431,6 @@ int run_stream(const dopf::network::Network& net,
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_argv0 = argv[0];
   std::string input, algorithm = "solver-free", residual_file, output_file;
   dopf::simt::BackendSpec backend;
   std::string checkpoint_file, resume_file;
@@ -505,180 +451,131 @@ int main(int argc, char** argv) {
   dopf::core::AdmmOptions opt;
   opt.check_every = 10;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s expects a value\n", argv[0], arg.c_str());
-        usage(argv[0]);
+  try {
+    dopf::cli::Args args(argc, argv);
+    while (args.next()) {
+      const std::string& arg = args.flag();
+      if (arg == "--algorithm") {
+        algorithm = args.value();
+        if (algorithm != "solver-free" && algorithm != "benchmark" &&
+            algorithm != "reference") {
+          throw dopf::cli::UsageError("unknown algorithm '" + algorithm + "'");
+        }
+      } else if (arg == "--backend") {
+        backend.name = args.value();
+        if (!dopf::simt::is_backend_name(backend.name)) {
+          throw dopf::cli::UsageError("unknown backend '" + backend.name +
+                                      "'");
+        }
+      } else if (arg == "--threads") {
+        backend.threads = args.integer(0, 1024);
+      } else if (arg == "--devices") {
+        backend.devices = args.integer(1, 1024);
+      } else if (arg == "--rho") {
+        opt.rho = args.real(dopf::core::admissible_parameter, "> 0");
+      } else if (arg == "--eps") {
+        opt.eps_rel = args.real(dopf::core::admissible_parameter, "> 0");
+      } else if (arg == "--max-iters") {
+        opt.max_iterations = args.integer(0);
+      } else if (arg == "--relaxation") {
+        opt.relaxation = args.real(
+            [](double a) { return a > 0.0 && a < 2.0; }, "in (0, 2)");
+      } else if (arg == "--faults") {
+        backend.faults = args.plan<dopf::runtime::FaultPlan>();
+      } else if (arg == "--no-recovery") {
+        backend.recovery = false;
+      } else if (arg == "--degrade") {
+        backend.degrade = true;
+      } else if (arg == "--staleness-bound") {
+        backend.staleness_bound = args.integer(0);
+        backend.degrade = true;
+      } else if (arg == "--watchdog") {
+        opt.watchdog = true;
+      } else if (arg == "--checkpoint-every") {
+        checkpoint_every = args.integer(0);
+      } else if (arg == "--checkpoint") {
+        checkpoint_file = args.value();
+      } else if (arg == "--resume") {
+        resume_file = args.value();
+      } else if (arg == "--preflight") {
+        preflight = args.preflight();
+      } else if (arg == "--strict") {
+        preflight = dopf::robust::PreflightPolicy::kStrict;
+      } else if (arg == "--preflight-only") {
+        preflight_only = true;
+      } else if (arg == "--scenarios") {
+        scenario_file = args.value();
+      } else if (arg == "--stream") {
+        stream_file = args.value();
+      } else if (arg == "--stream-record") {
+        stream_record_file = args.value();
+      } else if (arg == "--checkpoint-at-step") {
+        checkpoint_at_step = args.integer(0);
+      } else if (arg == "--checkpoint-every-steps") {
+        checkpoint_every_steps = args.integer(0);
+      } else if (arg == "--deadline") {
+        deadline_seconds =
+            args.real([](double s) { return s >= 0.0; }, ">= 0");
+      } else if (arg == "--io-faults") {
+        io_fault_plan = args.plan<dopf::runtime::FsFaultPlan>();
+      } else if (arg == "--no-fsync") {
+        no_fsync = true;
+      } else if (arg == "--reset-on-switch") {
+        reset_on_switch = true;
+      } else if (arg == "--cold-compare") {
+        cold_compare = true;
+      } else if (arg == "--json") {
+        json = true;
+      } else if (arg == "--report") {
+        report = true;
+      } else if (arg == "--residuals") {
+        residual_file = args.value();
+      } else if (arg == "--output") {
+        output_file = args.value();
+      } else if (!arg.empty() && arg[0] == '-') {
+        args.unknown();
+      } else {
+        input = arg;
       }
-      return argv[++i];
-    };
-    if (arg == "--algorithm") {
-      algorithm = next();
-      if (algorithm != "solver-free" && algorithm != "benchmark" &&
-          algorithm != "reference") {
-        std::fprintf(stderr, "%s: unknown algorithm '%s'\n", argv[0],
-                     algorithm.c_str());
-        usage(argv[0]);
-      }
-    } else if (arg == "--backend") {
-      backend.name = next();
-      if (!dopf::simt::is_backend_name(backend.name)) {
-        std::fprintf(stderr, "%s: unknown backend '%s'\n", argv[0],
-                     backend.name.c_str());
-        usage(argv[0]);
-      }
-    } else if (arg == "--threads") {
-      backend.threads = parse_int(next(), "--threads", 0, 1024);
-    } else if (arg == "--devices") {
-      backend.devices = parse_int(next(), "--devices", 1, 1024);
-    } else if (arg == "--rho") {
-      opt.rho = parse_double(next(), "--rho");
-    } else if (arg == "--eps") {
-      opt.eps_rel = parse_double(next(), "--eps");
-    } else if (arg == "--max-iters") {
-      opt.max_iterations = parse_int(next(), "--max-iters");
-    } else if (arg == "--relaxation") {
-      opt.relaxation = parse_double(next(), "--relaxation");
-    } else if (arg == "--faults") {
-      backend.faults = parse_plan<dopf::runtime::FaultPlan>(next());
-    } else if (arg == "--no-recovery") {
-      backend.recovery = false;
-    } else if (arg == "--degrade") {
-      backend.degrade = true;
-    } else if (arg == "--staleness-bound") {
-      backend.staleness_bound = parse_int(next(), "--staleness-bound");
-      backend.degrade = true;
-    } else if (arg == "--watchdog") {
-      opt.watchdog = true;
-    } else if (arg == "--checkpoint-every") {
-      checkpoint_every = parse_int(next(), "--checkpoint-every");
-    } else if (arg == "--checkpoint") {
-      checkpoint_file = next();
-    } else if (arg == "--resume") {
-      resume_file = next();
-    } else if (arg == "--preflight") {
-      preflight = parse_preflight(next());
-    } else if (arg == "--strict") {
-      preflight = dopf::robust::PreflightPolicy::kStrict;
-    } else if (arg == "--preflight-only") {
-      preflight_only = true;
-    } else if (arg == "--scenarios") {
-      scenario_file = next();
-    } else if (arg == "--stream") {
-      stream_file = next();
-    } else if (arg == "--stream-record") {
-      stream_record_file = next();
-    } else if (arg == "--checkpoint-at-step") {
-      checkpoint_at_step = parse_int(next(), "--checkpoint-at-step");
-    } else if (arg == "--checkpoint-every-steps") {
-      checkpoint_every_steps = parse_int(next(), "--checkpoint-every-steps");
-    } else if (arg == "--deadline") {
-      deadline_seconds = parse_double(next(), "--deadline");
-    } else if (arg == "--io-faults") {
-      io_fault_plan = parse_plan<dopf::runtime::FsFaultPlan>(next());
-    } else if (arg == "--no-fsync") {
-      no_fsync = true;
-    } else if (arg == "--reset-on-switch") {
-      reset_on_switch = true;
-    } else if (arg == "--cold-compare") {
-      cold_compare = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--report") {
-      report = true;
-    } else if (arg == "--residuals") {
-      residual_file = next();
-    } else if (arg == "--output") {
-      output_file = next();
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "%s: unknown option %s\n", argv[0], arg.c_str());
-      usage(argv[0]);
-    } else {
-      input = arg;
     }
-  }
-  if (input.empty()) {
-    std::fprintf(stderr, "%s: missing feeder input\n", argv[0]);
-    usage(argv[0]);
+    const bool solver_free = algorithm == "solver-free";
+    const bool sweep = !scenario_file.empty(), stream = !stream_file.empty();
+    const bool checkpointing = !resume_file.empty() ||
+                               !checkpoint_file.empty() ||
+                               checkpoint_every > 0;
+    dopf::cli::check({
+        {input.empty(), "missing feeder input"},
+        {dopf::simt::breaks_multigpu_only(backend), dopf::simt::kMultigpuOnly},
+        {!solver_free && (backend.name != "serial" || sweep || stream),
+         "--backend/--scenarios/--stream require --algorithm solver-free"},
+        {!solver_free && (checkpointing || opt.watchdog),
+         "--resume/--checkpoint/--checkpoint-every/--watchdog require "
+         "--algorithm solver-free"},
+        // multigpu keeps an in-memory restart point; other backends need a
+        // file.
+        {checkpoint_every > 0 && checkpoint_file.empty() &&
+             backend.name != "multigpu",
+         "--checkpoint-every needs --checkpoint FILE"},
+        {sweep && checkpointing,
+         "--scenarios is incompatible with checkpointing options"},
+        {sweep && stream, "--scenarios and --stream are exclusive"},
+        {stream && checkpoint_every > 0,
+         "--stream uses --checkpoint-at-step, not --checkpoint-every"},
+        {!stream && (checkpoint_at_step >= 0 || checkpoint_every_steps > 0 ||
+                     !stream_record_file.empty() || reset_on_switch),
+         "--checkpoint-at-step/--checkpoint-every-steps/--stream-record/"
+         "--reset-on-switch require --stream FILE"},
+        {checkpoint_at_step >= 0 && checkpoint_file.empty(),
+         "--checkpoint-at-step needs --checkpoint FILE"},
+        {checkpoint_every_steps > 0 && checkpoint_file.empty(),
+         "--checkpoint-every-steps needs --checkpoint FILE"},
+        {cold_compare && !sweep && !stream,
+         "--cold-compare requires --scenarios or --stream"},
+    });
+  } catch (const dopf::cli::UsageError& e) {
+    return dopf::cli::refuse(argv[0], e, kUsage);
   }
   const bool multigpu = backend.name == "multigpu";
-  if (!multigpu &&
-      (!backend.faults.empty() || !backend.recovery || backend.degrade)) {
-    std::fprintf(stderr,
-                 "%s: --faults/--no-recovery/--degrade/--staleness-bound "
-                 "require --backend multigpu\n",
-                 argv[0]);
-    return 1;
-  }
-  if (algorithm != "solver-free" && (backend.name != "serial" ||
-                                     !scenario_file.empty() ||
-                                     !stream_file.empty())) {
-    std::fprintf(stderr,
-                 "%s: --backend/--scenarios/--stream require --algorithm "
-                 "solver-free\n",
-                 argv[0]);
-    return 1;
-  }
-  if (checkpoint_every > 0 && checkpoint_file.empty() && !multigpu) {
-    // multigpu keeps an in-memory restart point; other backends need a file.
-    std::fprintf(stderr, "%s: --checkpoint-every needs --checkpoint FILE\n",
-                 argv[0]);
-    return 1;
-  }
-  if (!scenario_file.empty()) {
-    if (!resume_file.empty() || checkpoint_every > 0) {
-      std::fprintf(stderr,
-                   "%s: --scenarios is incompatible with checkpointing "
-                   "options\n",
-                   argv[0]);
-      return 1;
-    }
-    if (!stream_file.empty()) {
-      std::fprintf(stderr, "%s: --scenarios and --stream are exclusive\n",
-                   argv[0]);
-      return 1;
-    }
-  }
-  if (!stream_file.empty()) {
-    if (checkpoint_every > 0) {
-      std::fprintf(stderr,
-                   "%s: --stream uses --checkpoint-at-step, not "
-                   "--checkpoint-every\n",
-                   argv[0]);
-      return 1;
-    }
-    if (checkpoint_at_step >= 0 && checkpoint_file.empty()) {
-      std::fprintf(stderr,
-                   "%s: --checkpoint-at-step needs --checkpoint FILE\n",
-                   argv[0]);
-      return 1;
-    }
-    if (checkpoint_every_steps > 0 && checkpoint_file.empty()) {
-      std::fprintf(stderr,
-                   "%s: --checkpoint-every-steps needs --checkpoint FILE\n",
-                   argv[0]);
-      return 1;
-    }
-  } else {
-    if (checkpoint_at_step >= 0 || checkpoint_every_steps > 0 ||
-        !stream_record_file.empty() || reset_on_switch) {
-      std::fprintf(stderr,
-                   "%s: --checkpoint-at-step/--checkpoint-every-steps/"
-                   "--stream-record/--reset-on-switch require --stream FILE\n",
-                   argv[0]);
-      return 1;
-    }
-  }
-  if (cold_compare && scenario_file.empty() && stream_file.empty()) {
-    std::fprintf(stderr,
-                 "%s: --cold-compare requires --scenarios or --stream\n",
-                 argv[0]);
-    return 1;
-  }
 
   // Cooperative shutdown: a signal (or the deadline) flips the token; the
   // solver loops notice at their next termination check, checkpoint

@@ -25,8 +25,9 @@
 //
 // Usage:
 //   dopf_verify [options]
-//   --network NAME|FILE   builtin (ieee13, ieee123, ieee8500_mini, ieee8500)
-//                         or a feeder file (default ieee13)
+//   --network NAME|FILE   builtin (runtime::is_builtin) or a feeder file
+//                         (default ieee13); a bare name that is no file is
+//                         read as a builtin
 //   --backend B           serial (default) | threaded | simt | multigpu
 //   --threads N           worker threads for --backend threaded
 //   --devices N           simulated devices for --backend multigpu (default 3)
@@ -50,7 +51,8 @@
 //   --record              write the golden trace for this run and exit
 //   --reference           also check KKT stationarity / objective gap
 //                         against the interior-point reference
-//   --tol T               tolerance for --reference checks (default 5e-2)
+//   --tol T               tolerance for --reference checks, finite and > 0
+//                         (default 5e-2)
 //   --mutate              inject the kernel perturbation self-test
 //   --fuzz N --seed S     run N fuzz cases starting at seed S
 //   --adversarial N       run N adversarial mutants starting at seed S
@@ -71,10 +73,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
 #include <sys/stat.h>
 
+#include "cli.hpp"
 #include "core/admm.hpp"
 #include "core/scenario_binding.hpp"
 #include "core/solve_model.hpp"
@@ -94,83 +96,21 @@
 
 namespace {
 
-const char* g_argv0 = "dopf_verify";
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options]\n"
-      "  --network NAME|FILE  --backend serial|threaded|simt|multigpu\n"
-      "  --threads N  --devices N\n"
-      "  --faults SPEC  --no-recovery  --checkpoint-every N\n"
-      "  --degrade  --staleness-bound S  --watchdog\n"
-      "  --resume FILE  --record-checkpoint K\n"
-      "  --golden FILE | --golden-dir DIR  --record\n"
-      "  --reference  --tol T  --mutate\n"
-      "  --fuzz N  --adversarial N  --seed S\n"
-      "  --preflight off|warn|auto|strict  --session\n",
-      argv0);
-  std::exit(1);
-}
-
-/// Strict numeric parsing: a decimal integer in [lo, hi] (the fault
-/// grammar's reader); trailing junk ("1abc") and out-of-range values get a
-/// pointed diagnostic plus the usage text, exit 1.
-int parse_int(const char* arg, const char* what, int lo = 0,
-              int hi = 2147483647) {
-  const std::optional<int> v = dopf::runtime::read_integer(arg, lo, hi);
-  if (!v) {
-    std::fprintf(stderr, "%s: bad integer value '%s' for %s (want [%d, %d])\n",
-                 g_argv0, arg, what, lo, hi);
-    usage(g_argv0);
-  }
-  return *v;
-}
-
-double parse_double(const char* arg, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(arg, &end);
-  if (end == arg || *end != '\0') {
-    std::fprintf(stderr, "%s: bad numeric value '%s' for %s\n", g_argv0, arg,
-                 what);
-    usage(g_argv0);
-  }
-  return v;
-}
-
-/// --preflight is checked where it is read: a bad mode is a usage error.
-dopf::robust::PreflightMode parse_preflight(const char* text) {
-  try {
-    return dopf::robust::parse_mode(text);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s: %s\n", g_argv0, e.what());
-    usage(g_argv0);
-  }
-}
-
-/// An unsigned 64-bit decimal (runtime::read_unsigned): a sign, an
-/// overflow or trailing text is a usage error, never a wrapped value.
-std::uint64_t parse_u64(const char* arg, const char* what) {
-  const std::optional<std::uint64_t> v = dopf::runtime::read_unsigned(arg);
-  if (!v) {
-    std::fprintf(stderr, "%s: bad unsigned integer value '%s' for %s\n",
-                 g_argv0, arg, what);
-    usage(g_argv0);
-  }
-  return *v;
-}
+constexpr char kUsage[] =
+    " [options]\n"
+    "  --network NAME|FILE  --backend serial|threaded|simt|multigpu\n"
+    "  --threads N  --devices N\n"
+    "  --faults SPEC  --no-recovery  --checkpoint-every N\n"
+    "  --degrade  --staleness-bound S  --watchdog\n"
+    "  --resume FILE  --record-checkpoint K\n"
+    "  --golden FILE | --golden-dir DIR  --record\n"
+    "  --reference  --tol T  --mutate\n"
+    "  --fuzz N  --adversarial N  --seed S\n"
+    "  --preflight off|warn|auto|strict  --session\n";
 
 bool file_exists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0;
-}
-
-bool is_builtin(const std::string& name) {
-  for (const char* b : {"ieee13", "ieee123", "ieee8500", "ieee8500_mini",
-                        "ieee13_overload"}) {
-    if (name == b) return true;
-  }
-  return false;
 }
 
 /// Default golden directory: $DOPF_GOLDEN_DIR, else tests/golden searched
@@ -187,21 +127,9 @@ std::string default_golden_dir() {
   return "tests/golden";
 }
 
-/// Fault specs are parsed where their flag is read: a malformed one exits 1
-/// before any input is loaded.
-dopf::runtime::FaultPlan parse_fault_plan(const char* spec) {
-  try {
-    return dopf::runtime::FaultPlan::parse(spec);
-  } catch (const dopf::runtime::FaultError& e) {
-    std::fprintf(stderr, "%s: %s\n", g_argv0, e.what());
-    std::exit(1);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_argv0 = argv[0];
   std::string network = "ieee13";
   dopf::simt::BackendSpec backend;
   backend.threads = 4;
@@ -220,87 +148,73 @@ int main(int argc, char** argv) {
   bool session = false;
   double tol = 5e-2;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s expects a value\n", argv[0], arg.c_str());
-        usage(argv[0]);
+  try {
+    dopf::cli::Args args(argc, argv);
+    while (args.next()) {
+      const std::string& arg = args.flag();
+      if (arg == "--network") {
+        network = args.value();
+      } else if (arg == "--backend") {
+        backend.name = args.value();
+        if (!dopf::simt::is_backend_name(backend.name)) {
+          throw dopf::cli::UsageError("unknown backend '" + backend.name +
+                                      "'");
+        }
+      } else if (arg == "--threads") {
+        backend.threads = args.integer(0, 1024);
+      } else if (arg == "--devices") {
+        backend.devices = args.integer(1, 1024);
+      } else if (arg == "--faults") {
+        backend.faults = args.plan<dopf::runtime::FaultPlan>();
+      } else if (arg == "--no-recovery") {
+        backend.recovery = false;
+      } else if (arg == "--degrade") {
+        backend.degrade = true;
+      } else if (arg == "--staleness-bound") {
+        backend.staleness_bound = args.integer(0);
+        backend.degrade = true;
+      } else if (arg == "--watchdog") {
+        watchdog = true;
+      } else if (arg == "--checkpoint-every") {
+        checkpoint_every = args.integer(0);
+      } else if (arg == "--resume") {
+        resume_file = args.value();
+      } else if (arg == "--record-checkpoint") {
+        record_checkpoint_at = args.integer(0);
+      } else if (arg == "--golden") {
+        golden_file = args.value();
+      } else if (arg == "--golden-dir") {
+        golden_dir = args.value();
+      } else if (arg == "--record") {
+        record = true;
+      } else if (arg == "--reference") {
+        reference = true;
+      } else if (arg == "--tol") {
+        tol = args.real([](double t) { return t > 0.0; }, "> 0");
+      } else if (arg == "--mutate") {
+        mutate = true;
+      } else if (arg == "--fuzz") {
+        fuzz_cases = args.integer(0);
+      } else if (arg == "--adversarial") {
+        adversarial_cases = args.integer(0);
+      } else if (arg == "--preflight") {
+        preflight = args.preflight();
+      } else if (arg == "--session") {
+        session = true;
+      } else if (arg == "--seed") {
+        seed = args.integer<std::uint64_t>(0);
+        seed_set = true;
+      } else {
+        args.unknown();
       }
-      return argv[++i];
-    };
-    if (arg == "--network") {
-      network = next();
-    } else if (arg == "--backend") {
-      backend.name = next();
-      if (!dopf::simt::is_backend_name(backend.name)) {
-        std::fprintf(stderr, "%s: unknown backend '%s'\n", argv[0],
-                     backend.name.c_str());
-        usage(argv[0]);
-      }
-    } else if (arg == "--threads") {
-      backend.threads = parse_int(next(), "--threads", 0, 1024);
-    } else if (arg == "--devices") {
-      backend.devices = parse_int(next(), "--devices", 1, 1024);
-    } else if (arg == "--faults") {
-      backend.faults = parse_fault_plan(next());
-    } else if (arg == "--no-recovery") {
-      backend.recovery = false;
-    } else if (arg == "--degrade") {
-      backend.degrade = true;
-    } else if (arg == "--staleness-bound") {
-      backend.staleness_bound = parse_int(next(), "--staleness-bound");
-      backend.degrade = true;
-    } else if (arg == "--watchdog") {
-      watchdog = true;
-    } else if (arg == "--checkpoint-every") {
-      checkpoint_every = parse_int(next(), "--checkpoint-every");
-    } else if (arg == "--resume") {
-      resume_file = next();
-    } else if (arg == "--record-checkpoint") {
-      record_checkpoint_at = parse_int(next(), "--record-checkpoint");
-    } else if (arg == "--golden") {
-      golden_file = next();
-    } else if (arg == "--golden-dir") {
-      golden_dir = next();
-    } else if (arg == "--record") {
-      record = true;
-    } else if (arg == "--reference") {
-      reference = true;
-    } else if (arg == "--tol") {
-      tol = parse_double(next(), "--tol");
-    } else if (arg == "--mutate") {
-      mutate = true;
-    } else if (arg == "--fuzz") {
-      fuzz_cases = parse_int(next(), "--fuzz");
-    } else if (arg == "--adversarial") {
-      adversarial_cases = parse_int(next(), "--adversarial");
-    } else if (arg == "--preflight") {
-      preflight = parse_preflight(next());
-    } else if (arg == "--session") {
-      session = true;
-    } else if (arg == "--seed") {
-      seed = parse_u64(next(), "--seed");
-      seed_set = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-    } else {
-      std::fprintf(stderr, "%s: unknown option %s\n", argv[0], arg.c_str());
-      usage(argv[0]);
     }
-  }
-  if (backend.name != "multigpu" &&
-      (!backend.faults.empty() || !backend.recovery || backend.degrade)) {
-    std::fprintf(stderr,
-                 "%s: --faults/--no-recovery/--degrade/--staleness-bound "
-                 "require --backend multigpu\n",
-                 argv[0]);
-    return 1;
-  }
-  if (session && !resume_file.empty()) {
-    std::fprintf(stderr, "%s: --session is not supported with --resume\n",
-                 argv[0]);
-    return 1;
+    dopf::cli::check({
+        {dopf::simt::breaks_multigpu_only(backend), dopf::simt::kMultigpuOnly},
+        {session && !resume_file.empty(),
+         "--session is not supported with --resume"},
+    });
+  } catch (const dopf::cli::UsageError& e) {
+    return dopf::cli::refuse(argv[0], e, kUsage);
   }
 
   try {
@@ -325,12 +239,15 @@ int main(int argc, char** argv) {
     }
 
     // --- Golden-trace mode.
-    // A builtin name, or a feeder file labelled by its base name.
-    const bool builtin = is_builtin(network);
+    // A builtin name, or a feeder file labelled by its base name. A bare
+    // name that is no file is taken as a builtin, so make_network names
+    // the builtins when it is unknown.
+    const bool builtin =
+        dopf::runtime::is_builtin(network) ||
+        (network.find('/') == std::string::npos && !file_exists(network));
     const dopf::network::Network net = dopf::runtime::load_network(
         builtin ? "builtin:" + network : network);
-    const std::string label =
-        builtin ? network : network.substr(network.find_last_of('/') + 1);
+    const std::string label = network.substr(network.find_last_of('/') + 1);
 
     // Preflight gate (default warn): an input failing sanitation or — under
     // strict — conditioning never reaches the golden comparison; that is an

@@ -144,6 +144,30 @@ for flag in --algorithm --backend --preflight; do
   expect_out 1 '' "$flag bogus" "$solve" builtin:ieee13 "$flag" bogus
 done
 
+# Solve parameters outside their domain are refused where they are read:
+# rho and eps finite and > 0 (1e308 stays the divergence pinned above),
+# the relaxation in (0, 2), the deadline finite and >= 0.
+for bad in "--rho nan" "--rho -5" "--rho 0" "--eps nan" "--eps 0" \
+    "--relaxation 7" "--relaxation 2" "--relaxation 0" "--deadline nan" \
+    "--deadline -3"; do
+  # $bad is a flag and its value: split on purpose.
+  expect_out 1 '' "$bad" "$solve" builtin:ieee13 $bad
+done
+
+# A flag the run would ignore is refused: a sweep writes no checkpoint, and
+# only the solver-free ADMM resumes, checkpoints or runs the watchdog.
+expect_out 1 '' "--scenarios with --checkpoint" \
+  "$solve" builtin:ieee13 --scenarios "$sweep" --checkpoint "$tmpdir/sw.ckpt"
+for alg in benchmark reference; do
+  for flags in "--resume $tmpdir/none.ckpt" "--checkpoint $tmpdir/x.ckpt" \
+      "--checkpoint-every 5 --checkpoint $tmpdir/x.ckpt" "--watchdog" \
+      "--resume /nonexistent.ckpt --checkpoint-every 5 --checkpoint $tmpdir/X"
+  do
+    expect_out 1 '' "--algorithm $alg $flags" \
+      "$solve" builtin:ieee13 --algorithm "$alg" $flags
+  done
+done
+
 # --- cancellation (6) and durable I/O failure (7) ------------------------
 
 # A deadline that cannot be met (tight eps on ieee123) must exit 6 and still

@@ -93,13 +93,16 @@ rc=0
 grep -q '^reject id=1 code=deadline ' "$work/deadline.out" \
   || fail "expected a typed deadline rejection: $(cat "$work/deadline.out")"
 
-# Malformed request: an unknown builtin is a bad-request rejection (4) —
-# the connection survives it, which the next request proves.
+# Malformed request: an unknown builtin is a bad-request rejection (4)
+# that names the builtins — the connection survives it, which the next
+# request proves.
 rc=0
 "$CLIENT" --socket "$SOCK" --feeder builtin:frobnicate \
   > "$work/bad.out" 2> /dev/null || rc=$?
 [ "$rc" = 4 ] || fail "bad-request exited $rc (want 4)"
-grep -q '^reject id=1 code=bad-request ' "$work/bad.out" \
+want="^reject id=1 code=bad-request msg=unknown builtin 'frobnicate'"
+want="$want (expected ieee13, ieee123, ieee8500, ieee8500_mini, ieee13_overload)\$"
+grep -q "$want" "$work/bad.out" \
   || fail "expected a typed bad-request rejection: $(cat "$work/bad.out")"
 "$CLIENT" --socket "$SOCK" --ping > /dev/null 2>&1 \
   || fail "server unreachable after a bad request"
