@@ -10,6 +10,8 @@
 
 #include "baseline/benchmark_admm.hpp"
 #include "core/admm.hpp"
+#include "robust/conditioning.hpp"
+#include "robust/preflight.hpp"
 #include "runtime/instances.hpp"
 #include "runtime/threaded_backend.hpp"
 
@@ -190,7 +192,27 @@ void BM_Precompute(benchmark::State& state) {
         dopf::core::LocalSolvers::precompute(inst.problem));
   }
 }
-BENCHMARK(BM_Precompute)->Arg(0)->Arg(1);
+BENCHMARK(BM_Precompute)->Arg(0)->Arg(1)->Arg(2);
+
+// The preflight of every dopf_solve run and stream set-up (sanitation,
+// decomposition, conditioning analysis) under the default warn policy, and
+// its conditioning analysis alone.
+void BM_Preflight(benchmark::State& state) {
+  const auto& inst = pick(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        dopf::robust::run_preflight(inst.net, inst.model, nullptr, {}));
+  }
+}
+BENCHMARK(BM_Preflight)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_Conditioning(benchmark::State& state) {
+  const auto& inst = pick(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dopf::robust::analyze_conditioning(inst.problem));
+  }
+}
+BENCHMARK(BM_Conditioning)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_ModelBuild(benchmark::State& state) {
   const auto& inst = pick(static_cast<int>(state.range(0)));

@@ -1,8 +1,10 @@
 #include "core/packed_solvers.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <optional>
 #include <utility>
+
+#include "linalg/lanes.hpp"
 
 namespace dopf::core {
 
@@ -12,19 +14,52 @@ using dopf::opf::DistributedProblem;
 LocalSolvers LocalSolvers::precompute(
     const DistributedProblem& problem,
     const dopf::linalg::ProjectorOptions& options) {
-  LocalSolvers solvers;
-  solvers.projectors.reserve(problem.components.size());
-  for (const Component& comp : problem.components) {
-    dopf::linalg::ProjectorStatus status;
-    std::optional<dopf::linalg::AffineProjector> proj =
-        dopf::linalg::AffineProjector::try_build(comp.a, comp.b, options,
-                                                 &status);
-    if (!proj) {
-      throw dopf::opf::ConditioningError(comp.name, status.pivot_index,
-                                         status.pivot_value);
+  // Same-shape blocks are built in lockstep (linalg/lanes.hpp): grouped by
+  // (m_s, n_s), ascending, and by s inside a group. Each projector is
+  // bit-identical to its block built alone.
+  const std::size_t S = problem.components.size();
+  std::vector<std::pair<std::size_t, std::size_t>> shapes(S);
+  for (std::size_t s = 0; s < S; ++s) {
+    const Component& comp = problem.components[s];
+    shapes[s] = {comp.a.rows(), comp.a.cols()};
+  }
+  std::vector<std::size_t> ends;
+  const std::vector<std::size_t> order =
+      dopf::linalg::lanes::group_by(shapes, &ends);
+  std::vector<std::optional<dopf::linalg::AffineProjector>> built(S);
+  std::vector<dopf::linalg::ProjectorStatus> status(S);
+  std::vector<const dopf::linalg::Matrix*> a;
+  std::vector<std::span<const double>> b;
+  std::vector<dopf::linalg::ProjectorStatus> group_status;
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    a.clear();
+    b.clear();
+    for (std::size_t k = begin; k < end; ++k) {
+      const Component& comp = problem.components[order[k]];
+      a.push_back(&comp.a);
+      b.push_back(comp.b);
     }
-    solvers.max_ridge = std::max(solvers.max_ridge, status.ridge);
-    solvers.projectors.push_back(std::move(*proj));
+    group_status.resize(a.size());
+    auto group = dopf::linalg::AffineProjector::try_build_group(
+        a, b, options, group_status);
+    for (std::size_t k = begin; k < end; ++k) {
+      built[order[k]] = std::move(group[k - begin]);
+      status[order[k]] = group_status[k - begin];
+    }
+    begin = end;
+  }
+
+  LocalSolvers solvers;
+  solvers.projectors.reserve(S);
+  for (std::size_t s = 0; s < S; ++s) {
+    if (!built[s]) {
+      throw dopf::opf::ConditioningError(problem.components[s].name,
+                                         status[s].pivot_index,
+                                         status[s].pivot_value);
+    }
+    solvers.max_ridge = std::max(solvers.max_ridge, status[s].ridge);
+    solvers.projectors.push_back(std::move(*built[s]));
   }
   return solvers;
 }
@@ -107,18 +142,9 @@ PackedLocalSolvers PackedLocalSolvers::build(const DistributedProblem& problem,
   // Local schedule: a stable sort by n_s, so same-size blocks run through
   // the same fixed-size kernel. The panel store follows it, so a group's
   // blocks are adjacent in memory.
-  pack.local_order.resize(S);
-  std::iota(pack.local_order.begin(), pack.local_order.end(), 0);
-  std::stable_sort(pack.local_order.begin(), pack.local_order.end(),
-                   [&](int a, int b) {
-                     return pack.comp_nvars[a] < pack.comp_nvars[b];
-                   });
-  for (std::size_t k = 1; k <= S; ++k) {
-    if (k == S || pack.comp_nvars[pack.local_order[k]] !=
-                      pack.comp_nvars[pack.local_order[k - 1]]) {
-      pack.local_group_end.push_back(k);
-    }
-  }
+  const std::vector<std::size_t> local_order =
+      dopf::linalg::lanes::group_by(pack.comp_nvars, &pack.local_group_end);
+  pack.local_order.assign(local_order.begin(), local_order.end());
   // Zero fill: the padding rows of each last panel stay zero.
   pack.abar.assign(abar_total, 0.0);
   pack.abar_offset.assign(S, 0);

@@ -1,101 +1,205 @@
 #include "linalg/affine_projector.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
-#include "linalg/cholesky.hpp"
+#include "linalg/lanes.hpp"
 
 namespace dopf::linalg {
 
-void AffineProjector::assemble(const Matrix& a, std::span<const double> b,
-                               const Cholesky& gram) {
-  const std::size_t n = a.cols();
-  // Abar = A^T (A A^T)^{-1} A - I, built column-block-wise:
-  // solve (A A^T) Y = A  (Y is m x n), then Abar = A^T Y - I.
-  Matrix y(m_, n);
-  std::vector<double> col(m_);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < m_; ++i) col[i] = a(i, j);
-    gram.solve_in_place(col);
-    for (std::size_t i = 0; i < m_; ++i) y(i, j) = col[i];
-  }
-  abar_ = multiply_atb(a, y);
-  for (std::size_t i = 0; i < n; ++i) abar_(i, i) -= 1.0;
+/// The lane build behind try_build_group: Gram product, Cholesky factor
+/// (with the ridge fallback per lane) and assembly of up to W blocks at
+/// once, each lane the scalar build of its block.
+struct ProjectorLanes {
+  template <int W>
+  struct Workspace {
+    lanes::Buffer<W> a, b, g, ridged, l, trial, col, y, abar, bbar;
+  };
+  using Workspaces =
+      std::tuple<Workspace<1>, Workspace<2>, Workspace<4>, Workspace<8>>;
 
-  // bbar = A^T (A A^T)^{-1} b.
-  const std::vector<double> gb = gram.solve(b);
-  bbar_ = multiply_transpose(a, gb);
-}
-
-AffineProjector::AffineProjector(const Matrix& a, std::span<const double> b)
-    : m_(a.rows()) {
-  if (a.rows() != b.size()) {
-    throw std::invalid_argument("AffineProjector: b size must match rows");
+  /// The Tikhonov-ridge fallback for the lanes `ok` leaves out: ridge
+  /// sigma = ridge_rel * max(1, max diag G), doubled up to
+  /// max_ridge_doublings times until the ridged Gram matrix factors. A
+  /// lane that factors joins `ok` with its factor in ws.l and its sigma in
+  /// `ridge`; one that never does keeps the pivot of its last attempt.
+  template <int W>
+  static void regularize(std::size_t m, const ProjectorOptions& options,
+                         Workspace<W>& ws, lanes::Mask<W>& ok,
+                         lanes::Vec<W>& ridge, lanes::Pivot* pivots) {
+    using V = lanes::Vec<W>;
+    using M = lanes::Mask<W>;
+    V trying{};
+    for (int k = 0; k < W; ++k) {
+      double max_diag = 1.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        max_diag = std::max(max_diag, std::abs(lanes::get(ws.g[i * m + i], k)));
+      }
+      lanes::set(trying, k, options.ridge_rel * max_diag);
+    }
+    M pending = ok == M{};
+    for (int attempt = 0;
+         attempt <= options.max_ridge_doublings && lanes::any(pending);
+         ++attempt) {
+      ws.ridged = ws.g;
+      for (std::size_t i = 0; i < m; ++i) ws.ridged[i * m + i] += trying;
+      ws.trial.assign(m * m, V{});
+      M factored;
+      lanes::Pivot trial_pivots[W];
+      lanes::cholesky<W>(ws.ridged.data(), m, options.chol_tol,
+                         ws.trial.data(), factored, trial_pivots);
+      const M passed = pending & factored;
+      for (std::size_t e = 0; e < m * m; ++e) {
+        ws.l[e] = lanes::select(passed, ws.trial[e], ws.l[e]);
+      }
+      ridge = lanes::select(passed, trying, ridge);
+      pending = pending & (passed == M{});
+      for (int k = 0; k < W; ++k) {
+        if (lanes::get(pending, k) != 0) pivots[k] = trial_pivots[k];
+      }
+      ok = ok | passed;
+      trying = lanes::select(pending, trying * 2.0, trying);
+    }
   }
-  // Gram matrix A A^T is SPD iff A has full row rank.
-  const Cholesky gram(gram_aat(a));
-  assemble(a, b, gram);
+
+  template <int W>
+  static void build(const Matrix* const* a, const std::span<const double>* b,
+                    std::size_t count, const ProjectorOptions& options,
+                    Workspace<W>& ws, std::optional<AffineProjector>* out,
+                    ProjectorStatus* status) {
+    using V = lanes::Vec<W>;
+    using M = lanes::Mask<W>;
+    const std::size_t m = a[0]->rows();
+    const std::size_t n = a[0]->cols();
+    lanes::gather<W>(
+        count, m, n,
+        [&](std::size_t k, std::size_t i, std::size_t j) {
+          return (*a[k])(i, j);
+        },
+        ws.a);
+    lanes::gather<W>(
+        count, m, 1,
+        [&](std::size_t k, std::size_t i, std::size_t) { return b[k][i]; },
+        ws.b);
+    ws.g.resize(m * m);
+    lanes::gram<W>(ws.a.data(), m, n, ws.g.data());
+    ws.l.assign(m * m, V{});
+    lanes::Pivot pivots[W];
+    M ok;
+    lanes::cholesky<W>(ws.g.data(), m, options.chol_tol, ws.l.data(), ok,
+                       pivots);
+
+    V ridge{};
+    if (!lanes::all(ok) && options.auto_regularize) {
+      regularize<W>(m, options, ws, ok, ridge, pivots);
+    }
+
+    if (lanes::any(ok)) {
+      ws.col.resize(m);
+      ws.y.resize(m * n);
+      ws.abar.resize(n * n);
+      ws.bbar.resize(n);
+      lanes::projector_matrix<W>(ws.a.data(), ws.l.data(), m, n, ws.col.data(),
+                                 ws.y.data(), ws.abar.data());
+      lanes::projector_rhs<W>(ws.a.data(), ws.l.data(), ws.b.data(), m, n,
+                              ws.col.data(), ws.bbar.data());
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      const int lane = static_cast<int>(k);
+      status[k] = ProjectorStatus{};
+      if (lanes::get(ok, lane) == 0) {
+        status[k].pivot_index = pivots[k].index;
+        status[k].pivot_value = pivots[k].value;
+        continue;
+      }
+      AffineProjector proj;
+      proj.m_ = m;
+      proj.ridge_ = lanes::get(ridge, lane);
+      proj.abar_ = Matrix(n, n);
+      for (std::size_t e = 0; e < n * n; ++e) {
+        proj.abar_.data()[e] = lanes::get(ws.abar[e], lane);
+      }
+      proj.bbar_.resize(n);
+      for (std::size_t e = 0; e < n; ++e) {
+        proj.bbar_[e] = lanes::get(ws.bbar[e], lane);
+      }
+      if (options.keep_factorization) {
+        Matrix factor(m, m);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j <= i; ++j) {
+            factor(i, j) = lanes::get(ws.l[i * m + j], lane);
+          }
+        }
+        proj.factor_ = std::move(factor);
+        proj.a_ = *a[k];
+      }
+      status[k].ok = true;
+      status[k].ridge = proj.ridge_;
+      out[k] = std::move(proj);
+    }
+  }
+};
+
+std::vector<std::optional<AffineProjector>> AffineProjector::try_build_group(
+    std::span<const Matrix* const> a,
+    std::span<const std::span<const double>> b,
+    const ProjectorOptions& options, std::span<ProjectorStatus> status) {
+  if (b.size() != a.size() || status.size() != a.size()) {
+    throw std::invalid_argument(
+        "AffineProjector::try_build_group: group sizes differ");
+  }
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (a[k]->rows() != a[0]->rows() || a[k]->cols() != a[0]->cols()) {
+      throw std::invalid_argument(
+          "AffineProjector::try_build_group: blocks differ in shape");
+    }
+    if (a[k]->rows() != b[k].size()) {
+      throw std::invalid_argument("AffineProjector: b size must match rows");
+    }
+  }
+  std::vector<std::optional<AffineProjector>> out(a.size());
+  if (a.empty()) return out;
+  ProjectorLanes::Workspaces ws;
+  lanes::for_each_chunk(
+      a[0]->rows(), a.size(), [&]<int W>(std::size_t first, std::size_t count) {
+        ProjectorLanes::build<W>(
+            a.data() + first, b.data() + first, count, options,
+            std::get<ProjectorLanes::Workspace<W>>(ws), out.data() + first,
+            status.data() + first);
+      });
+  return out;
 }
 
 std::optional<AffineProjector> AffineProjector::try_build(
     const Matrix& a, std::span<const double> b,
     const ProjectorOptions& options, ProjectorStatus* status) {
-  if (a.rows() != b.size()) {
-    throw std::invalid_argument("AffineProjector: b size must match rows");
-  }
+  const Matrix* blocks[] = {&a};
+  const std::span<const double> rhs[] = {b};
   ProjectorStatus local;
-  ProjectorStatus& st = status != nullptr ? *status : local;
-  st = ProjectorStatus{};
+  auto built = try_build_group(blocks, rhs, options,
+                               std::span<ProjectorStatus>(
+                                   status != nullptr ? status : &local, 1));
+  return std::move(built[0]);
+}
 
-  Matrix gram = gram_aat(a);
-  CholeskyStatus chol_status;
-  std::optional<Cholesky> chol =
-      Cholesky::try_factor(gram, options.chol_tol, &chol_status);
-
-  double ridge = 0.0;
-  if (!chol && options.auto_regularize) {
-    // Ridge scale relative to the Gram diagonal: deterministic, and
-    // reported so callers can surface the perturbation they accepted.
-    double max_diag = 1.0;
-    for (std::size_t i = 0; i < gram.rows(); ++i) {
-      max_diag = std::max(max_diag, std::abs(gram(i, i)));
-    }
-    ridge = options.ridge_rel * max_diag;
-    for (int attempt = 0; attempt <= options.max_ridge_doublings && !chol;
-         ++attempt) {
-      Matrix ridged = gram;
-      for (std::size_t i = 0; i < ridged.rows(); ++i) {
-        ridged(i, i) += ridge;
-      }
-      chol = Cholesky::try_factor(ridged, options.chol_tol, &chol_status);
-      if (!chol) ridge *= 2.0;
-    }
+AffineProjector::AffineProjector(const Matrix& a, std::span<const double> b) {
+  ProjectorStatus status;
+  std::optional<AffineProjector> built = try_build(a, b, {}, &status);
+  if (!built) {
+    // Gram matrix A A^T is SPD iff A has full row rank.
+    throw SingularMatrixError(
+        "Cholesky: matrix is not positive definite (pivot " +
+        std::to_string(status.pivot_value) + " at " +
+        std::to_string(status.pivot_index) + ")");
   }
-
-  if (!chol) {
-    st.ok = false;
-    st.ridge = 0.0;
-    st.pivot_index = chol_status.pivot_index;
-    st.pivot_value = chol_status.pivot_value;
-    return std::nullopt;
-  }
-
-  AffineProjector proj;
-  proj.m_ = a.rows();
-  proj.ridge_ = ridge;
-  proj.assemble(a, b, *chol);
-  if (options.keep_factorization) {
-    proj.gram_ = std::move(*chol);
-    proj.a_ = a;
-  }
-  st.ok = true;
-  st.ridge = ridge;
-  return proj;
+  *this = std::move(*built);
 }
 
 void AffineProjector::rebind_rhs(std::span<const double> b) {
-  if (!gram_.has_value()) {
+  if (!factor_.has_value()) {
     throw std::logic_error(
         "AffineProjector::rebind_rhs: projector was built without "
         "keep_factorization");
@@ -103,10 +207,11 @@ void AffineProjector::rebind_rhs(std::span<const double> b) {
   if (b.size() != m_) {
     throw std::invalid_argument("AffineProjector::rebind_rhs: b size mismatch");
   }
-  // Exactly the bbar lines of assemble(), replayed through the retained
-  // factor: bit-identical to a cold build with the same A and this b.
-  const std::vector<double> gb = gram_->solve(b);
-  bbar_ = multiply_transpose(a_, gb);
+  // The bbar kernel of the build, replayed through the retained factor:
+  // bit-identical to a cold build with the same A and this b.
+  std::vector<double> scratch(m_);
+  lanes::projector_rhs<1>(a_.data().data(), factor_->data().data(), b.data(),
+                          m_, dim(), scratch.data(), bbar_.data());
 }
 
 std::vector<double> AffineProjector::apply_paper_form(

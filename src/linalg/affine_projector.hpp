@@ -67,6 +67,16 @@ class AffineProjector {
       const Matrix& a, std::span<const double> b,
       const ProjectorOptions& options = {}, ProjectorStatus* status = nullptr);
 
+  /// try_build for a group of blocks of one shape (equal rows, equal
+  /// columns), built up to eight at a time in vector lanes
+  /// (linalg/lanes.hpp). Entry k is bit-identical to
+  /// try_build(*a[k], b[k], options, &status[k]); try_build is this with a
+  /// group of one.
+  static std::vector<std::optional<AffineProjector>> try_build_group(
+      std::span<const Matrix* const> a,
+      std::span<const std::span<const double>> b,
+      const ProjectorOptions& options, std::span<ProjectorStatus> status);
+
   std::size_t dim() const noexcept { return abar_.rows(); }
   std::size_t num_constraints() const noexcept { return m_; }
 
@@ -75,7 +85,7 @@ class AffineProjector {
 
   /// True when the factorization was retained (keep_factorization), i.e.
   /// rebind_rhs() is available.
-  bool can_rebind_rhs() const noexcept { return gram_.has_value(); }
+  bool can_rebind_rhs() const noexcept { return factor_.has_value(); }
 
   /// Recompute bbar (15c) for a new right-hand side through the retained
   /// factorization: bit-identical to a cold build with the same A and the
@@ -102,19 +112,16 @@ class AffineProjector {
   std::span<const double> bbar() const noexcept { return bbar_; }
 
  private:
-  AffineProjector() = default;  // for try_build
-
-  /// Build Abar/bbar from `a`, `b` and the already-factored (possibly
-  /// ridged) Gram matrix.
-  void assemble(const Matrix& a, std::span<const double> b,
-                const Cholesky& gram);
+  friend struct ProjectorLanes;  // the lane build behind try_build_group
+  AffineProjector() = default;
 
   std::size_t m_ = 0;
   double ridge_ = 0.0;
   Matrix abar_;                // (15b), n x n
   std::vector<double> bbar_;   // (15c), n
-  // Retained only under keep_factorization (scenario rebinding).
-  std::optional<Cholesky> gram_;
+  // Retained only under keep_factorization (scenario rebinding): the
+  // lower Cholesky factor of the (possibly ridged) Gram matrix, and A.
+  std::optional<Matrix> factor_;
   Matrix a_;
 };
 

@@ -1,8 +1,9 @@
 #include "linalg/cholesky.hpp"
 
-#include <cmath>
 #include <string>
 #include <utility>
+
+#include "linalg/lanes.hpp"
 
 namespace dopf::linalg {
 
@@ -11,28 +12,18 @@ bool Cholesky::factor(const Matrix& a, double tol, CholeskyStatus* status) {
     throw std::invalid_argument("Cholesky: matrix must be square");
   }
   l_ = Matrix(a.rows(), a.cols());
-  const std::size_t n = a.rows();
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l_(j, k) * l_(j, k);
-    if (!(diag > tol)) {  // catches NaN pivots too
-      if (status != nullptr) {
-        status->ok = false;
-        status->pivot_index = j;
-        status->pivot_value = diag;
-      }
-      return false;
-    }
-    const double ljj = std::sqrt(diag);
-    l_(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double sum = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) sum -= l_(i, k) * l_(j, k);
-      l_(i, j) = sum / ljj;
+  bool ok = false;
+  lanes::Pivot pivot;
+  lanes::cholesky<1>(a.data().data(), a.rows(), tol, l_.data().data(), ok,
+                     &pivot);
+  if (status != nullptr) {
+    status->ok = ok;
+    if (!ok) {
+      status->pivot_index = pivot.index;
+      status->pivot_value = pivot.value;
     }
   }
-  if (status != nullptr) status->ok = true;
-  return true;
+  return ok;
 }
 
 Cholesky::Cholesky(const Matrix& a, double tol) {
@@ -62,22 +53,10 @@ std::vector<double> Cholesky::solve(std::span<const double> b) const {
 }
 
 void Cholesky::solve_in_place(std::span<double> x) const {
-  const std::size_t n = dim();
-  if (x.size() != n) {
+  if (x.size() != dim()) {
     throw std::invalid_argument("Cholesky::solve: size mismatch");
   }
-  // Forward substitution L y = b.
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = x[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= l_(i, k) * x[k];
-    x[i] = sum / l_(i, i);
-  }
-  // Back substitution L^T x = y.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double sum = x[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) sum -= l_(k, ii) * x[k];
-    x[ii] = sum / l_(ii, ii);
-  }
+  lanes::cholesky_solve<1>(l_.data().data(), dim(), x.data());
 }
 
 Matrix Cholesky::inverse() const {

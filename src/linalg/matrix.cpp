@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "linalg/lanes.hpp"
+
 namespace dopf::linalg {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols)
@@ -110,7 +112,11 @@ Matrix multiply_atb(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix gram_aat(const Matrix& a) { return multiply_abt(a, a); }
+Matrix gram_aat(const Matrix& a) {
+  Matrix g(a.rows(), a.rows());
+  lanes::gram<1>(a.data().data(), a.rows(), a.cols(), g.data().data());
+  return g;
+}
 
 std::vector<double> multiply(const Matrix& a, std::span<const double> x) {
   check(a.cols() == x.size(), "multiply: vector length disagrees");

@@ -1,13 +1,15 @@
 #include "robust/conditioning.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <tuple>
 
-#include "linalg/cholesky.hpp"
+#include "linalg/lanes.hpp"
 
 namespace dopf::robust {
 
-using dopf::linalg::Cholesky;
 using dopf::linalg::Matrix;
 
 const char* to_string(BlockHealth health) {
@@ -21,70 +23,133 @@ const char* to_string(BlockHealth health) {
 
 namespace {
 
-/// Largest eigenvalue of the SPD(ish) matrix `g` by power iteration with a
-/// fixed deterministic start vector. Good to a few percent after ~50
-/// steps — plenty for an order-of-magnitude conditioning verdict.
-double lambda_max(const Matrix& g, int iterations) {
-  const std::size_t m = g.rows();
-  if (m == 0) return 0.0;
-  std::vector<double> v(m);
-  // Deterministic, not axis-aligned (an eigenvector-orthogonal start would
-  // stall); mild index-dependent ramp breaks symmetry.
+using dopf::linalg::lanes::Vec;
+using dopf::linalg::lanes::Mask;
+
+template <int W>
+struct Workspace {
+  dopf::linalg::lanes::Buffer<W> a, g, l, v, w;
+};
+using Workspaces =
+    std::tuple<Workspace<1>, Workspace<2>, Workspace<4>, Workspace<8>>;
+
+/// Power iteration of up to W m x m operators in lockstep, from a fixed
+/// deterministic start vector: 1 + 0.25 (i % period), not axis-aligned (an
+/// eigenvector-orthogonal start would stall), with a mild index-dependent
+/// ramp that breaks symmetry. `step(v, w)` writes each operator's image of
+/// v into w. Returns per lane ||op v|| for the last unit v, which converges
+/// to the largest eigenvalue; good to a few percent after ~50 steps, plenty
+/// for an order-of-magnitude verdict. A lane whose norm turns zero or
+/// non-finite stops there with 0.0.
+template <int W, class Step>
+void power_norm(std::size_t m, int iterations, int period, Step&& step,
+                Workspace<W>& ws, Vec<W>& result) {
+  namespace lanes = dopf::linalg::lanes;
+  ws.v.resize(m);
+  ws.w.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
-    v[i] = 1.0 + 0.25 * static_cast<double>(i % 7);
+    ws.v[i] = lanes::splat<W>(1.0 + 0.25 * static_cast<double>(i % period));
   }
-  double lambda = 0.0;
+  const Vec<W> one = lanes::splat<W>(1.0);
+  const Vec<W> inf = lanes::splat<W>(std::numeric_limits<double>::infinity());
+  Mask<W> alive = lanes::all_lanes<W>();
+  result = Vec<W>{};
   for (int it = 0; it < iterations; ++it) {
-    std::vector<double> w = multiply(g, v);
-    double norm = 0.0;
-    for (double x : w) norm += x * x;
-    norm = std::sqrt(norm);
-    if (!(norm > 0.0) || !std::isfinite(norm)) return 0.0;
-    for (double& x : w) x /= norm;
-    lambda = norm;  // ||G v|| with ||v|| = 1 converges to lambda_max
-    v = std::move(w);
+    step(ws.v.data(), ws.w.data());
+    Vec<W> norm{};
+    for (std::size_t i = 0; i < m; ++i) norm += ws.w[i] * ws.w[i];
+    norm = lanes::sqrt(norm);
+    alive = alive & (norm > Vec<W>{}) & (norm < inf);
+    result = lanes::select(alive, norm, Vec<W>{});
+    if (!lanes::any(alive)) break;
+    const Vec<W> divisor = lanes::select(alive, norm, one);
+    for (std::size_t i = 0; i < m; ++i) ws.w[i] /= divisor;
+    std::swap(ws.v, ws.w);
   }
-  return lambda;
 }
 
-/// Smallest eigenvalue of G via inverse power iteration through an
-/// existing Cholesky factorization: lambda_min(G) = 1 / lambda_max(G^-1).
-double lambda_min(const Cholesky& chol, int iterations) {
-  const std::size_t m = chol.dim();
-  if (m == 0) return 0.0;
-  std::vector<double> v(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    v[i] = 1.0 + 0.25 * static_cast<double>(i % 5);
+/// cond(A A^T) of up to W blocks of m rows: the largest eigenvalue by power
+/// iteration, the smallest by inverse iteration through the Cholesky
+/// factor (lambda_min(G) = 1 / lambda_max(G^-1)); +inf where the factor
+/// fails or the estimate is not positive. Blocks narrower than the widest
+/// are zero-padded on the right, which leaves their Gram bits unchanged.
+template <int W>
+void estimate_chunk(const Matrix* const* blocks, std::size_t count,
+                    const ConditioningOptions& options, Workspace<W>& ws,
+                    double* cond) {
+  namespace lanes = dopf::linalg::lanes;
+  const std::size_t m = blocks[0]->rows();
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < count; ++k) n = std::max(n, blocks[k]->cols());
+  lanes::gather<W>(
+      count, m, n,
+      [&](std::size_t k, std::size_t i, std::size_t j) {
+        return j < blocks[k]->cols() ? (*blocks[k])(i, j) : 0.0;
+      },
+      ws.a);
+  ws.g.resize(m * m);
+  lanes::gram<W>(ws.a.data(), m, n, ws.g.data());
+  const Vec<W>* g = ws.g.data();
+  Vec<W> lmax;
+  power_norm<W>(
+      m, options.power_iterations, 7,
+      [&](const Vec<W>* v, Vec<W>* w) {
+        for (std::size_t i = 0; i < m; ++i) {
+          Vec<W> sum{};
+          for (std::size_t j = 0; j < m; ++j) sum += g[i * m + j] * v[j];
+          w[i] = sum;
+        }
+      },
+      ws, lmax);
+
+  ws.l.assign(m * m, Vec<W>{});
+  Mask<W> factored;
+  lanes::Pivot pivots[W];
+  lanes::cholesky<W>(g, m, options.projector.chol_tol, ws.l.data(), factored,
+                     pivots);
+  Vec<W> lmin{};
+  if (lanes::any(factored)) {
+    const Vec<W>* l = ws.l.data();
+    Vec<W> inv;
+    power_norm<W>(
+        m, options.power_iterations, 5,
+        [&](const Vec<W>* v, Vec<W>* w) {
+          std::copy(v, v + m, w);
+          lanes::cholesky_solve<W>(l, m, w);
+        },
+        ws, inv);
+    lmin = lanes::select(inv > Vec<W>{}, lanes::splat<W>(1.0) / inv, Vec<W>{});
   }
-  double inv_lambda = 0.0;
-  for (int it = 0; it < iterations; ++it) {
-    std::vector<double> w = chol.solve(v);
-    double norm = 0.0;
-    for (double x : w) norm += x * x;
-    norm = std::sqrt(norm);
-    if (!(norm > 0.0) || !std::isfinite(norm)) return 0.0;
-    for (double& x : w) x /= norm;
-    inv_lambda = norm;
-    v = std::move(w);
+  for (std::size_t k = 0; k < count; ++k) {
+    const int lane = static_cast<int>(k);
+    const double lo = lanes::get(lmin, lane);
+    cond[k] = lanes::get(factored, lane) == 0 || !(lo > 0.0)
+                  ? std::numeric_limits<double>::infinity()
+                  : lanes::get(lmax, lane) / lo;
   }
-  return inv_lambda > 0.0 ? 1.0 / inv_lambda : 0.0;
 }
 
-}  // namespace
-
-double estimate_gram_cond(const Matrix& a, const ConditioningOptions& options) {
-  if (a.rows() == 0) return 1.0;
-  const Matrix g = dopf::linalg::gram_aat(a);
-  const double lmax = lambda_max(g, options.power_iterations);
-  const auto chol = Cholesky::try_factor(g, options.projector.chol_tol);
-  if (!chol) return std::numeric_limits<double>::infinity();
-  const double lmin = lambda_min(*chol, options.power_iterations);
-  if (!(lmin > 0.0)) return std::numeric_limits<double>::infinity();
-  return lmax / lmin;
+/// estimate_gram_cond of every block of `blocks`, which share one row
+/// count, in lane chunks.
+void estimate_group(std::span<const Matrix* const> blocks,
+                    const ConditioningOptions& options, Workspaces& ws,
+                    double* cond) {
+  if (blocks.empty()) return;
+  const std::size_t m = blocks[0]->rows();
+  if (m == 0) {
+    std::fill(cond, cond + blocks.size(), 1.0);
+    return;
+  }
+  dopf::linalg::lanes::for_each_chunk(
+      m, blocks.size(), [&]<int W>(std::size_t first, std::size_t count) {
+        estimate_chunk<W>(blocks.data() + first, count, options,
+                          std::get<Workspace<W>>(ws), cond + first);
+      });
 }
 
-BlockConditioning analyze_component(const dopf::opf::Component& comp,
-                                    const ConditioningOptions& options) {
+/// The verdict on one block from its cond estimate.
+BlockConditioning judge(const dopf::opf::Component& comp, double cond,
+                        const ConditioningOptions& options) {
   BlockConditioning block;
   block.component = comp.name;
   block.rows = comp.num_rows();
@@ -97,7 +162,7 @@ BlockConditioning analyze_component(const dopf::opf::Component& comp,
     return block;
   }
 
-  block.cond = estimate_gram_cond(comp.a, options);
+  block.cond = cond;
   if (std::isinf(block.cond)) {
     // Exact factorization failed: the projector does not exist as-is.
     // Probe what the remediation path would do so the report can state the
@@ -122,15 +187,64 @@ BlockConditioning analyze_component(const dopf::opf::Component& comp,
   return block;
 }
 
+/// Analyze `comps` in lockstep: grouped by row count (ascending, then in
+/// the given order), each group run in lane chunks.
+std::vector<BlockConditioning> analyze_components(
+    std::span<const dopf::opf::Component* const> comps,
+    const ConditioningOptions& options) {
+  std::vector<std::size_t> rows(comps.size());
+  for (std::size_t k = 0; k < comps.size(); ++k) rows[k] = comps[k]->a.rows();
+  std::vector<std::size_t> ends;
+  const std::vector<std::size_t> order =
+      dopf::linalg::lanes::group_by(rows, &ends);
+  std::vector<const Matrix*> group;
+  std::vector<double> group_cond;
+  std::vector<double> cond(comps.size());
+  Workspaces ws;
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    group.clear();
+    for (std::size_t k = begin; k < end; ++k) {
+      group.push_back(&comps[order[k]]->a);
+    }
+    group_cond.resize(group.size());
+    estimate_group(group, options, ws, group_cond.data());
+    for (std::size_t k = begin; k < end; ++k) {
+      cond[order[k]] = group_cond[k - begin];
+    }
+    begin = end;
+  }
+  std::vector<BlockConditioning> blocks;
+  blocks.reserve(comps.size());
+  for (std::size_t k = 0; k < comps.size(); ++k) {
+    blocks.push_back(judge(*comps[k], cond[k], options));
+  }
+  return blocks;
+}
+
+}  // namespace
+
+double estimate_gram_cond(const Matrix& a, const ConditioningOptions& options) {
+  const Matrix* blocks[] = {&a};
+  double cond = 1.0;
+  Workspaces ws;
+  estimate_group(blocks, options, ws, &cond);
+  return cond;
+}
+
+BlockConditioning analyze_component(const dopf::opf::Component& comp,
+                                    const ConditioningOptions& options) {
+  const dopf::opf::Component* comps[] = {&comp};
+  return analyze_components(comps, options).front();
+}
+
 std::vector<BlockConditioning> analyze_conditioning(
     const dopf::opf::DistributedProblem& problem,
     const ConditioningOptions& options) {
-  std::vector<BlockConditioning> blocks;
-  blocks.reserve(problem.components.size());
-  for (const auto& comp : problem.components) {
-    blocks.push_back(analyze_component(comp, options));
-  }
-  return blocks;
+  std::vector<const dopf::opf::Component*> comps;
+  comps.reserve(problem.components.size());
+  for (const auto& comp : problem.components) comps.push_back(&comp);
+  return analyze_components(comps, options);
 }
 
 }  // namespace dopf::robust

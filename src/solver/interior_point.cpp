@@ -23,6 +23,8 @@ const char* to_string(LpStatus status) {
       return "max-iterations";
     case LpStatus::kNumericalFailure:
       return "numerical-failure";
+    case LpStatus::kCancelled:
+      return "cancelled";
   }
   return "?";
 }
@@ -216,6 +218,10 @@ LpSolution solve_lp(const LpProblem& problem, const LpOptions& options) {
         sol.dual_infeasibility < options.tolerance &&
         sol.gap < options.gap_tolerance) {
       sol.status = LpStatus::kOptimal;
+      return sol;
+    }
+    if (options.cancel != nullptr && options.cancel->cancelled()) {
+      sol.status = LpStatus::kCancelled;
       return sol;
     }
 

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cancel.hpp"
 #include "sparse/csr.hpp"
 
 namespace dopf::solver {
@@ -19,7 +20,7 @@ struct LpProblem {
   std::vector<double> ub;
 };
 
-enum class LpStatus { kOptimal, kMaxIterations, kNumericalFailure };
+enum class LpStatus { kOptimal, kMaxIterations, kNumericalFailure, kCancelled };
 
 struct LpOptions {
   int max_iterations = 250;
@@ -32,6 +33,10 @@ struct LpOptions {
   double reg_primal = 1e-9;      ///< Theta shift (also handles free vars)
   double reg_dual = 1e-9;        ///< normal-equations diagonal shift
   bool verbose = false;
+  /// Polled once per iteration, after the convergence test: once it
+  /// reports cancelled (a signal or a deadline), the solve stops with
+  /// kCancelled and the last iterate. Not owned; null = never cancelled.
+  const dopf::core::CancelToken* cancel = nullptr;
 };
 
 struct LpSolution {

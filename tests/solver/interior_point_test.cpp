@@ -167,6 +167,35 @@ TEST(ReferenceTest, Ieee13ReferenceIsOptimalAndFeasible) {
   EXPECT_GT(s.objective, 0.0);  // serving load costs generation
 }
 
+TEST(ReferenceTest, PreCancelledTokenStopsBeforeTheFirstStep) {
+  const auto net = dopf::feeders::ieee13();
+  const auto model = dopf::opf::build_model(net);
+  dopf::core::CancelToken cancel;
+  cancel.request("test");
+  ReferenceOptions options;
+  options.lp.cancel = &cancel;
+  const LpSolution s = reference_solve(model, options);
+  EXPECT_EQ(s.status, LpStatus::kCancelled);
+  EXPECT_STREQ(to_string(s.status), "cancelled");
+  EXPECT_EQ(s.iterations, 0);
+  // The returned iterate is the starting point, sized to the problem.
+  EXPECT_EQ(s.x.size(), reference_problem(model).c.size());
+}
+
+TEST(ReferenceTest, UncancelledTokenChangesNothing) {
+  const auto net = dopf::feeders::ieee13();
+  const auto model = dopf::opf::build_model(net);
+  dopf::core::CancelToken cancel;
+  ReferenceOptions options;
+  options.lp.cancel = &cancel;
+  const LpSolution with = reference_solve(model, options);
+  const LpSolution without = reference_solve(model);
+  ASSERT_EQ(with.status, LpStatus::kOptimal);
+  EXPECT_EQ(with.iterations, without.iterations);
+  EXPECT_EQ(with.objective, without.objective);
+  EXPECT_EQ(with.x, without.x);
+}
+
 TEST(ReferenceTest, WidensPinnedVoltageBoxes) {
   const auto net = dopf::feeders::ieee13();
   const auto model = dopf::opf::build_model(net);

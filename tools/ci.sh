@@ -80,19 +80,21 @@ sh tools/serve_smoke.sh ./build/tools/dopf_serve ./build/tools/dopf_client \
 # Wide-ISA lane: on hosts with AVX2+FMA, rebuild Release for x86-64-v3 and
 # replay the golden traces, the checkpoint resumes and the failover rewind,
 # and run the kernel-image tests (every backend against the scalar
-# reference, plain and over-relaxed). The SIMD kernels must stay
-# bit-identical when the compiler may use 256-bit registers and FMA
-# instructions (the build pins -ffp-contract=off; DESIGN.md §11). Only
-# dopf_verify and core_test are built.
+# reference, plain and over-relaxed) and the lane-precompute tests (every
+# conditioning estimate and projector against the scalar one-block build).
+# The SIMD kernels must stay bit-identical when the compiler may use
+# 256-bit registers and FMA instructions (the build pins -ffp-contract=off;
+# DESIGN.md §11). Only dopf_verify, core_test and robust_test are built.
 if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
   echo "=== configure build-v3 (-march=x86-64-v3) ==="
   cmake -B build-v3 -S . -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_CXX_FLAGS=-march=x86-64-v3 -DDOPF_BUILD_BENCH=OFF \
     -DDOPF_BUILD_EXAMPLES=OFF
-  cmake --build build-v3 -j "${JOBS}" --target dopf_verify core_test
-  echo "=== test build-v3 (golden traces, kernel image) ==="
+  cmake --build build-v3 -j "${JOBS}" --target dopf_verify core_test \
+    robust_test
+  echo "=== test build-v3 (golden traces, kernel image, lane precompute) ==="
   ctest --test-dir build-v3 --output-on-failure -j "${JOBS}" \
-    -R 'verify_golden|verify_session_golden|verify_resume|verify_fault_failover|KernelImageTest|KernelScheduleTest'
+    -R 'verify_golden|verify_session_golden|verify_resume|verify_fault_failover|KernelImageTest|KernelScheduleTest|ConditioningLanes|ProjectorLanes'
 else
   echo "=== skip build-v3: host lacks avx2/fma ==="
 fi

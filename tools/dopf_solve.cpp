@@ -8,8 +8,10 @@
 //   --backend B           serial (default) | threaded | simt | multigpu
 //                         (solver-free only)
 //   --threads N           worker threads for --backend threaded
-//                         (default: hardware concurrency)
-//   --devices N           simulated devices for --backend multigpu (default 2)
+//                         (default: hardware concurrency; refused with
+//                         any other backend)
+//   --devices N           simulated devices for --backend multigpu (default
+//                         2; refused with any other backend)
 //   --rho R               ADMM penalty, finite and > 0 (default 100)
 //   --eps E               relative tolerance, finite and > 0 (default 1e-3)
 //   --max-iters N         iteration cap (default 200000)
@@ -79,8 +81,9 @@
 //                         seconds after start (S finite and >= 0; 0 = none;
 //                         exit code 6; with --stream and --checkpoint, a
 //                         final durable checkpoint of the last completed
-//                         step is written first).
-//                         SIGINT/SIGTERM trigger the same path
+//                         step is written first). The reference IPM
+//                         (--algorithm reference) polls it once per
+//                         iteration. SIGINT/SIGTERM trigger the same path
 //   --io-faults SPEC      deterministic filesystem failpoints applied to
 //                         every durable write/read, e.g.
 //                         "enospc:op=3,times=2,path=day.ckpt;crash:op=5"
@@ -99,6 +102,8 @@
 //   --report              print the full dispatch/voltage report
 //   --residuals FILE      dump residual history as CSV
 //   --output FILE         dump the solution (per-variable CSV)
+//                         (these three apply to a single solve and are
+//                         refused with --scenarios or --stream)
 //
 // Exit codes (scriptable): 0 converged/optimal, 1 usage or input errors,
 // 2 iteration/time limit, 3 diverged, 4 stalled (watchdog gave up),
@@ -433,6 +438,9 @@ int run_stream(const dopf::network::Network& net,
 int main(int argc, char** argv) {
   std::string input, algorithm = "solver-free", residual_file, output_file;
   dopf::simt::BackendSpec backend;
+  // As given: unset leaves the backend's default, and a value for a
+  // backend that would ignore it is refused.
+  std::optional<int> threads, devices;
   std::string checkpoint_file, resume_file;
   int checkpoint_every = 0;
   bool report = false;
@@ -468,9 +476,9 @@ int main(int argc, char** argv) {
                                       "'");
         }
       } else if (arg == "--threads") {
-        backend.threads = args.integer(0, 1024);
+        threads = args.integer(0, 1024);
       } else if (arg == "--devices") {
-        backend.devices = args.integer(1, 1024);
+        devices = args.integer(1, 1024);
       } else if (arg == "--rho") {
         opt.rho = args.real(dopf::core::admissible_parameter, "> 0");
       } else if (arg == "--eps") {
@@ -571,7 +579,17 @@ int main(int argc, char** argv) {
          "--checkpoint-every-steps needs --checkpoint FILE"},
         {cold_compare && !sweep && !stream,
          "--cold-compare requires --scenarios or --stream"},
+        {(sweep || stream) &&
+             (!residual_file.empty() || !output_file.empty() || report),
+         "--residuals/--output/--report apply to a single solve, not "
+         "--scenarios or --stream"},
+        {threads && backend.name != "threaded",
+         "--threads requires --backend threaded"},
+        {devices && backend.name != "multigpu",
+         "--devices requires --backend multigpu"},
     });
+    if (threads) backend.threads = *threads;
+    if (devices) backend.devices = *devices;
   } catch (const dopf::cli::UsageError& e) {
     return dopf::cli::refuse(argv[0], e, kUsage);
   }
@@ -645,12 +663,19 @@ int main(int argc, char** argv) {
     std::vector<dopf::core::IterationRecord> history;
 
     if (algorithm == "reference") {
-      const auto sol = dopf::solver::reference_solve(model);
+      dopf::solver::ReferenceOptions ref;
+      ref.lp.cancel = &g_cancel;
+      const auto sol = dopf::solver::reference_solve(model, ref);
       std::printf("reference IPM: %s, objective %.8f, %d iterations\n",
                   dopf::solver::to_string(sol.status), sol.objective,
                   sol.iterations);
       x = sol.x;
       if (sol.status == dopf::solver::LpStatus::kOptimal) code = 0;
+      if (sol.status == dopf::solver::LpStatus::kCancelled) {
+        std::printf("cancelled (%s) after %d iteration(s)\n",
+                    g_cancel.reason(), sol.iterations);
+        code = 6;
+      }
     } else {
       const dopf::opf::DistributedProblem& problem = prepared.problem;
       std::printf("decomposition: %zu components\n",

@@ -168,7 +168,28 @@ for alg in benchmark reference; do
   done
 done
 
+# Flags only a single solve reads are refused on the sweep and stream paths,
+# which would drop them; --threads and --devices are refused on a backend
+# that would ignore them.
+for flags in "--residuals $tmpdir/r.csv" "--output $tmpdir/o.csv" "--report"; do
+  expect_out 1 '' "--scenarios with $flags" \
+    "$solve" builtin:ieee13 --scenarios "$sweep" $flags
+  expect_out 1 '' "--stream with $flags" \
+    "$solve" builtin:ieee13 --stream "$tmpdir/base.profile" $flags
+done
+for flags in "--threads 8" "--threads 8 --backend serial" \
+    "--threads 4 --backend multigpu" "--devices 5" \
+    "--devices 3 --backend simt" "--devices 2 --backend threaded"; do
+  expect_out 1 '' "$flags" "$solve" builtin:ieee13 --eps 1e-2 $flags
+done
+
 # --- cancellation (6) and durable I/O failure (7) ------------------------
+
+# The reference IPM polls the cancel token once per iteration: a deadline
+# that has passed before its first iteration (1 ns, armed before the feeder
+# is even built) cancels it with 6.
+expect 6 "reference IPM: expired deadline" \
+  "$solve" builtin:ieee13 --algorithm reference --deadline 1e-9
 
 # A deadline that cannot be met (tight eps on ieee123) must exit 6 and still
 # write a valid final checkpoint.
