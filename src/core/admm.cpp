@@ -63,17 +63,6 @@ SolverFreeAdmm::SolverFreeAdmm(const DistributedProblem& problem,
   init_storage();
 }
 
-SolverFreeAdmm::SolverFreeAdmm(const DistributedProblem& problem,
-                               AdmmOptions options, LocalSolvers solvers)
-    : options_(options), backend_(make_serial_backend()), rho_(options.rho) {
-  owned_model_ = std::make_unique<SolveModel>(problem, options.projector,
-                                              std::move(solvers));
-  owned_binding_ = std::make_unique<ScenarioBinding>(*owned_model_);
-  problem_ = &owned_model_->problem();
-  pack_ = &owned_binding_->pack();
-  init_storage();
-}
-
 SolverFreeAdmm::SolverFreeAdmm(ScenarioBinding& binding, AdmmOptions options)
     : problem_(&binding.model().problem()),
       options_(options),

@@ -216,14 +216,11 @@ struct AdmmResult {
 /// harness can drive one step at a time.
 class SolverFreeAdmm {
  public:
-  /// Single-shot entry points: thin wrappers that build an owned
+  /// Single-shot entry point: a thin wrapper that builds an owned
   /// SolveModel + ScenarioBinding internally (model+bind+solve in one
   /// call) — byte-identical to the historical fused precompute.
-  /// Precomputes the local solvers unless a precomputed set is supplied.
   SolverFreeAdmm(const dopf::opf::DistributedProblem& problem,
                  AdmmOptions options);
-  SolverFreeAdmm(const dopf::opf::DistributedProblem& problem,
-                 AdmmOptions options, LocalSolvers solvers);
   /// Session entry point: iterate over an externally owned binding's pack
   /// (zero precompute here; the model already paid it). `binding` must
   /// outlive the solver; its in-place scenario rebinds are picked up by
@@ -318,7 +315,7 @@ class SolverFreeAdmm {
 
   const dopf::opf::DistributedProblem* problem_ = nullptr;
   AdmmOptions options_;
-  // Owned only on the single-shot wrapper paths; the session path borrows
+  // Owned only on the single-shot wrapper path; the session path borrows
   // an external binding. Either way the iteration loop sees one pack.
   std::unique_ptr<SolveModel> owned_model_;
   std::unique_ptr<ScenarioBinding> owned_binding_;

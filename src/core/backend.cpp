@@ -53,7 +53,7 @@ ResidualSums to_sums(const Sums<double>& s) {
   return ResidualSums{s.pres2, s.bx2, s.z2, s.dz2, s.l2};
 }
 
-Sums<double> lane(const Sums<kernels::Vec2>& s, int i) {
+Sums<double> lane(const Sums<dopf::linalg::lanes::Vec2>& s, int i) {
   return Sums<double>{s.pres2[i], s.bx2[i], s.z2[i], s.dz2[i], s.l2[i]};
 }
 
@@ -64,7 +64,7 @@ Sums<double> lane(const Sums<kernels::Vec2>& s, int i) {
 template <bool kDual, bool kRelaxed>
 void chunk_pair(const PackedLocalSolvers& pack, const PackedState& state,
                 std::size_t k, ResidualSums* out) {
-  using kernels::Vec2;
+  using dopf::linalg::lanes::Vec2;
   const std::size_t b0 = k * kResidualChunk;
   const std::size_t b1 = b0 + kResidualChunk;
   const std::size_t n1 =

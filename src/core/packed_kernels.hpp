@@ -7,6 +7,7 @@
 
 #include "core/backend.hpp"
 #include "core/packed_solvers.hpp"
+#include "linalg/lanes.hpp"
 
 /// The per-entry update expressions of Algorithm 1 over the packed SoA
 /// storage. Every execution backend (serial, threaded, SIMT single- and
@@ -22,10 +23,9 @@
 /// order, so the vector kernels are bit-identical to scalar loops.
 namespace dopf::core::kernels {
 
-/// Two double lanes in one native vector register (SSE2 on x86-64, NEON on
-/// AArch64); two of them span one kPanelRows panel. A compiler vector
-/// extension rather than intrinsics, so there is one kernel for every ISA.
-using Vec2 = double __attribute__((vector_size(2 * sizeof(double))));
+/// The two-lane register of linalg/lanes.hpp; two of them span one
+/// kPanelRows panel.
+using dopf::linalg::lanes::Vec2;
 
 inline Vec2 load2(const double* p) {
   Vec2 v;

@@ -45,6 +45,15 @@ ScenarioBinding::ScenarioBinding(SolveModel& model) : model_(&model) {
   bind_seconds_ = seconds_since(start);
 }
 
+std::size_t ScenarioBinding::bytes() const {
+  std::size_t n = sizeof(*this) + pack_.bytes() +
+                  bound_b_.capacity() * sizeof(std::vector<double>);
+  for (const std::vector<double>& b : bound_b_) {
+    n += b.capacity() * sizeof(double);
+  }
+  return n;
+}
+
 std::span<double> ScenarioBinding::bbar_slice(std::size_t s) {
   return std::span<double>(pack_.bbar)
       .subspan(static_cast<std::size_t>(pack_.comp_offset[s]),
@@ -113,15 +122,8 @@ RebindStats ScenarioBinding::rebind(const DistributedProblem& scenario) {
       refresh_component(s, sc);
       ++st.refactorizations;
     } else if (sc.b != bound_b_[s]) {
-      if (model_->can_rebind_rhs(s)) {
-        set_rhs(s, sc.b);
-        ++st.rhs_rebinds;
-      } else {
-        // Adopted legacy solvers without retained factors: fall back to a
-        // full (counted) re-derivation.
-        refresh_component(s, sc);
-        ++st.refactorizations;
-      }
+      set_rhs(s, sc.b);
+      ++st.rhs_rebinds;
     } else {
       ++st.unchanged;
     }

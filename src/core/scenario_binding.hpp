@@ -53,8 +53,13 @@ class ScenarioBinding {
   const PackedLocalSolvers& pack() const { return pack_; }
 
   /// Wall seconds spent packing the base scenario (the non-factorization
-  /// part of the legacy precompute).
+  /// part of the precompute).
   double bind_seconds() const { return bind_seconds_; }
+
+  /// Resident bytes: this object, the pack (PackedLocalSolvers::bytes) and
+  /// the bound right-hand sides, counted by container capacity. The model
+  /// is counted by SolveModel::bytes.
+  std::size_t bytes() const;
 
   /// Rebind component s to a new right-hand side b_s through the cached
   /// factorization (no refactorization).

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace dopf::core {
 
@@ -33,6 +35,16 @@ void fnv_vec(std::uint64_t& h, const std::vector<T>& v) {
   fnv_bytes(h, v.data(), v.size() * sizeof(T));
 }
 
+template <typename T>
+std::size_t heap_bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+std::size_t heap_bytes(const std::string& s) {
+  // Heap storage only once the string outgrows its inline buffer.
+  return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
+}
+
 }  // namespace
 
 SolveModel::SolveModel(const dopf::opf::DistributedProblem& problem,
@@ -46,15 +58,20 @@ SolveModel::SolveModel(const dopf::opf::DistributedProblem& problem,
   precompute_seconds_ = seconds_since(start);
 }
 
-SolveModel::SolveModel(const dopf::opf::DistributedProblem& problem,
-                       dopf::linalg::ProjectorOptions options,
-                       LocalSolvers solvers)
-    : problem_(problem), options_(options), solvers_(std::move(solvers)) {
-  options_.keep_factorization = true;
-  if (solvers_.projectors.size() != problem_.components.size()) {
-    throw std::invalid_argument(
-        "SolveModel: solver count does not match component count");
+std::size_t SolveModel::bytes() const {
+  std::size_t n = sizeof(*this) + heap_bytes(problem_.c) +
+                  heap_bytes(problem_.lb) + heap_bytes(problem_.ub) +
+                  heap_bytes(problem_.x0) + heap_bytes(problem_.copy_count) +
+                  heap_bytes(problem_.components);
+  for (const dopf::opf::Component& comp : problem_.components) {
+    n += heap_bytes(comp.name) + comp.a.data().size() * sizeof(double) +
+         heap_bytes(comp.b) + heap_bytes(comp.global);
   }
+  n += heap_bytes(solvers_.projectors);
+  for (const dopf::linalg::AffineProjector& proj : solvers_.projectors) {
+    n += proj.heap_bytes();
+  }
+  return n;
 }
 
 std::vector<double> SolveModel::rebind_rhs(std::size_t s,

@@ -29,12 +29,6 @@ class SolveModel {
   explicit SolveModel(const dopf::opf::DistributedProblem& problem,
                       dopf::linalg::ProjectorOptions options = {});
 
-  /// Adopt already-precomputed solvers (legacy injection path). Projectors
-  /// built without keep_factorization cannot rebind_rhs; rebinds against
-  /// such a model fall back to full component refreshes.
-  SolveModel(const dopf::opf::DistributedProblem& problem,
-             dopf::linalg::ProjectorOptions options, LocalSolvers solvers);
-
   /// The base problem this model was built from (owned copy; topology rows
   /// track refresh_component edits).
   const dopf::opf::DistributedProblem& problem() const { return problem_; }
@@ -42,8 +36,7 @@ class SolveModel {
   std::size_t num_components() const { return solvers_.projectors.size(); }
   std::size_t num_vars() const { return problem_.num_vars; }
 
-  /// Wall seconds spent in the initial factorization pass (0 for adopted
-  /// solvers).
+  /// Wall seconds spent in the initial factorization pass.
   double precompute_seconds() const { return precompute_seconds_; }
   /// Largest Tikhonov ridge any projector needed (0 = all exact).
   double max_ridge() const { return solvers_.max_ridge; }
@@ -51,16 +44,16 @@ class SolveModel {
   /// refresh_component (the initial full precompute is not counted).
   int refactorizations() const { return refactorizations_; }
 
+  /// Resident bytes: this object, its copy of the problem and every
+  /// projector, counted by container capacity (allocator overhead aside).
+  std::size_t bytes() const;
+
   const dopf::linalg::AffineProjector& projector(std::size_t s) const {
     return solvers_.projectors[s];
   }
-  bool can_rebind_rhs(std::size_t s) const {
-    return solvers_.projectors[s].can_rebind_rhs();
-  }
 
   /// Pack topology + base-scenario data into the flat SoA pool consumed by
-  /// every execution backend. Byte-identical to the legacy
-  /// precompute-then-build path.
+  /// every execution backend.
   PackedLocalSolvers make_pack() const {
     return PackedLocalSolvers::build(problem_, solvers_);
   }

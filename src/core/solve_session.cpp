@@ -48,9 +48,4 @@ AdmmResult SolveSession::solve() {
   return result;
 }
 
-AdmmResult SolveSession::solve_cold() {
-  reset();
-  return solve();
-}
-
 }  // namespace dopf::core

@@ -58,9 +58,6 @@ class SolveSession {
   /// reset()), warm-started from the previous solution afterwards.
   AdmmResult solve();
 
-  /// Drop the warm state and solve from the paper's initial point.
-  AdmmResult solve_cold();
-
   /// Forget the retained iterate state; the next solve() starts cold.
   void reset() { warm_ = false; }
 

@@ -214,17 +214,11 @@ void AffineProjector::rebind_rhs(std::span<const double> b) {
                           m_, dim(), scratch.data(), bbar_.data());
 }
 
-std::vector<double> AffineProjector::apply_paper_form(
-    std::span<const double> d, double rho) const {
-  std::vector<double> x = multiply(abar_, d);
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] = x[i] / rho + bbar_[i];
-  return x;
-}
-
-std::vector<double> AffineProjector::project(std::span<const double> y) const {
-  std::vector<double> out(dim());
-  project_into(y, out);
-  return out;
+std::size_t AffineProjector::heap_bytes() const {
+  std::size_t doubles = abar_.data().size() + bbar_.capacity() +
+                        a_.data().size();
+  if (factor_) doubles += factor_->data().size();
+  return doubles * sizeof(double);
 }
 
 void AffineProjector::project_into(std::span<const double> y,

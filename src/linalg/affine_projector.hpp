@@ -51,8 +51,8 @@ struct ProjectorStatus {
 /// (1/rho)*Abar*(-rho*y) + bbar = -Abar*y + bbar = (I - A^T(AA^T)^{-1}A) y + bbar.
 ///
 /// Construction is O(m^2 n + m^3) and happens once per component (the
-/// "Precomputation" step, lines 2-3 of Algorithm 1); apply() is a dense
-/// matvec, the entirety of the per-iteration local update.
+/// "Precomputation" step, lines 2-3 of Algorithm 1); project_into() is a
+/// dense matvec, the entirety of the per-iteration local update.
 class AffineProjector {
  public:
   /// `a` must have full row rank (run row_reduce() first if unsure).
@@ -83,10 +83,6 @@ class AffineProjector {
   /// Tikhonov ridge baked into this projector (0 for an exact projector).
   double ridge() const noexcept { return ridge_; }
 
-  /// True when the factorization was retained (keep_factorization), i.e.
-  /// rebind_rhs() is available.
-  bool can_rebind_rhs() const noexcept { return factor_.has_value(); }
-
   /// Recompute bbar (15c) for a new right-hand side through the retained
   /// factorization: bit-identical to a cold build with the same A and the
   /// new b, at the cost of one triangular solve instead of a full
@@ -95,14 +91,8 @@ class AffineProjector {
   /// mismatch.
   void rebind_rhs(std::span<const double> b);
 
-  /// The paper's (15a): x = (1/rho) * Abar * d + bbar.
-  std::vector<double> apply_paper_form(std::span<const double> d,
-                                       double rho) const;
-
-  /// Equivalent projection form: returns argmin_{Ax=b} ||x - y||_2.
-  std::vector<double> project(std::span<const double> y) const;
-
-  /// project() writing into `out` (no allocation; hot path).
+  /// The projection form of (15a): out = argmin_{Ax=b} ||x - y||_2
+  /// = -Abar y + bbar.
   void project_into(std::span<const double> y, std::span<double> out) const;
 
   /// Abar from (15b); exposed for the SIMT kernels, which index its rows
@@ -110,6 +100,10 @@ class AffineProjector {
   const Matrix& abar() const noexcept { return abar_; }
   /// bbar from (15c).
   std::span<const double> bbar() const noexcept { return bbar_; }
+
+  /// Heap bytes this projector holds: Abar, bbar and, when retained, the
+  /// factor and A.
+  std::size_t heap_bytes() const;
 
  private:
   friend struct ProjectorLanes;  // the lane build behind try_build_group

@@ -1,49 +1,25 @@
 #include "linalg/cholesky.hpp"
 
 #include <string>
-#include <utility>
 
 #include "linalg/lanes.hpp"
 
 namespace dopf::linalg {
 
-bool Cholesky::factor(const Matrix& a, double tol, CholeskyStatus* status) {
+Cholesky::Cholesky(const Matrix& a, double tol) : l_(a.rows(), a.cols()) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("Cholesky: matrix must be square");
   }
-  l_ = Matrix(a.rows(), a.cols());
   bool ok = false;
   lanes::Pivot pivot;
   lanes::cholesky<1>(a.data().data(), a.rows(), tol, l_.data().data(), ok,
                      &pivot);
-  if (status != nullptr) {
-    status->ok = ok;
-    if (!ok) {
-      status->pivot_index = pivot.index;
-      status->pivot_value = pivot.value;
-    }
-  }
-  return ok;
-}
-
-Cholesky::Cholesky(const Matrix& a, double tol) {
-  CholeskyStatus status;
-  if (!factor(a, tol, &status)) {
+  if (!ok) {
     throw SingularMatrixError(
         "Cholesky: matrix is not positive definite (pivot " +
-        std::to_string(status.pivot_value) + " at " +
-        std::to_string(status.pivot_index) + ")");
+        std::to_string(pivot.value) + " at " + std::to_string(pivot.index) +
+        ")");
   }
-}
-
-std::optional<Cholesky> Cholesky::try_factor(const Matrix& a, double tol,
-                                             CholeskyStatus* status) {
-  Cholesky chol;
-  CholeskyStatus local;
-  if (!chol.factor(a, tol, status != nullptr ? status : &local)) {
-    return std::nullopt;
-  }
-  return chol;
 }
 
 std::vector<double> Cholesky::solve(std::span<const double> b) const {
@@ -57,19 +33,6 @@ void Cholesky::solve_in_place(std::span<double> x) const {
     throw std::invalid_argument("Cholesky::solve: size mismatch");
   }
   lanes::cholesky_solve<1>(l_.data().data(), dim(), x.data());
-}
-
-Matrix Cholesky::inverse() const {
-  const std::size_t n = dim();
-  Matrix inv(n, n);
-  std::vector<double> e(n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    e.assign(n, 0.0);
-    e[j] = 1.0;
-    solve_in_place(e);
-    for (std::size_t i = 0; i < n; ++i) inv(i, j) = e[i];
-  }
-  return inv;
 }
 
 }  // namespace dopf::linalg

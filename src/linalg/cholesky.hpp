@@ -1,6 +1,5 @@
 #pragma once
 
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -18,34 +17,17 @@ class SingularMatrixError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Outcome of a non-throwing factorization attempt (try_factor). When a
-/// pivot fell at or below tolerance, `pivot_index`/`pivot_value` name the
-/// offending column so callers can report row-level provenance instead of
-/// surfacing a NaN much later.
-struct CholeskyStatus {
-  bool ok = false;
-  std::size_t pivot_index = 0;
-  double pivot_value = 0.0;
-};
-
 /// Dense Cholesky factorization of a symmetric positive definite matrix.
 ///
-/// Used for the per-component Gram matrices `A_s A_s^T` in the local-update
-/// precomputation (15b)-(15c); those are small (Table IV), so an O(m^3)
-/// dense factorization is negligible and done once.
+/// The one-block form of the lane factorization (linalg/lanes.hpp, W = 1)
+/// that the precompute (15b)-(15c) runs on the Gram matrices `A_s A_s^T`;
+/// the box-QP local solver of the benchmark ADMM baseline uses it for its
+/// Newton steps.
 class Cholesky {
  public:
   /// Factor the SPD matrix `a` (only the lower triangle is read).
   /// Throws SingularMatrixError if a pivot falls below `tol`.
   explicit Cholesky(const Matrix& a, double tol = 1e-12);
-
-  /// Status-returning factorization: returns nullopt (and fills `status`,
-  /// if given) instead of throwing when `a` is not SPD within `tol`. This
-  /// is the failure channel the preflight conditioning analyzer and the
-  /// regularized-projector fallback are built on.
-  static std::optional<Cholesky> try_factor(const Matrix& a,
-                                            double tol = 1e-12,
-                                            CholeskyStatus* status = nullptr);
 
   std::size_t dim() const noexcept { return l_.rows(); }
 
@@ -55,18 +37,9 @@ class Cholesky {
   /// Solve in place.
   void solve_in_place(std::span<double> x) const;
 
-  /// Explicit inverse (tests / diagnostics only; prefer solve()).
-  Matrix inverse() const;
-
   const Matrix& lower() const noexcept { return l_; }
 
  private:
-  Cholesky() = default;  // for try_factor
-
-  /// Shared factorization core; returns false (filling `status`) on a
-  /// non-positive pivot instead of throwing.
-  bool factor(const Matrix& a, double tol, CholeskyStatus* status);
-
   Matrix l_;
 };
 

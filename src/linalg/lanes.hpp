@@ -25,7 +25,9 @@
 namespace dopf::linalg::lanes {
 
 /// Two double lanes in one native vector register (SSE2 on x86-64, NEON on
-/// AArch64), as core::kernels::Vec2, and the mask a comparison yields.
+/// AArch64), and the mask a comparison yields. A compiler vector extension
+/// rather than intrinsics, so there is one kernel for every ISA; the packed
+/// iteration kernels (core/packed_kernels.hpp) use the same type.
 using Vec2 = double __attribute__((vector_size(2 * sizeof(double))));
 using Mask2 = decltype(Vec2{} < Vec2{});
 

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <initializer_list>
 #include <span>
-#include <string>
 #include <vector>
 
 /// Dense linear algebra used throughout the library.
@@ -22,13 +20,6 @@ class Matrix {
 
   /// Zero-initialized rows x cols matrix.
   Matrix(std::size_t rows, std::size_t cols);
-
-  /// Build from nested initializer lists; all rows must have equal length.
-  /// Intended for tests and small fixture matrices.
-  Matrix(std::initializer_list<std::initializer_list<double>> rows);
-
-  static Matrix identity(std::size_t n);
-  static Matrix zeros(std::size_t rows, std::size_t cols);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
@@ -53,22 +44,15 @@ class Matrix {
     return std::span<const double>(data_).subspan(i * cols_, cols_);
   }
 
-  Matrix transposed() const;
-
-  /// Frobenius-norm comparison helper (mostly for tests).
-  bool approx_equal(const Matrix& other, double tol) const;
-
-  /// Human-readable dump, for diagnostics.
-  std::string to_string() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
 
-/// C = A * B. Dimensions must agree.
-Matrix multiply(const Matrix& a, const Matrix& b);
+// The scalar products below run in no shipped program: they are the
+// one-block references the lane kernels (linalg/lanes.hpp) are held to bit
+// for bit (tests/linalg/scalar_reference.hpp, tests/oracles.txt).
 
 /// C = A * B^T without forming B^T.
 Matrix multiply_abt(const Matrix& a, const Matrix& b);
@@ -76,22 +60,11 @@ Matrix multiply_abt(const Matrix& a, const Matrix& b);
 /// C = A^T * B without forming A^T.
 Matrix multiply_atb(const Matrix& a, const Matrix& b);
 
-/// Symmetric product A * A^T (returned matrix is rows(A) x rows(A)).
-Matrix gram_aat(const Matrix& a);
-
 /// y = A * x.
 std::vector<double> multiply(const Matrix& a, std::span<const double> x);
 
 /// y = A^T * x.
 std::vector<double> multiply_transpose(const Matrix& a,
                                        std::span<const double> x);
-
-/// y += alpha * A * x, in place. y.size() must equal rows(A).
-void multiply_add(const Matrix& a, std::span<const double> x, double alpha,
-                  std::span<double> y);
-
-Matrix operator*(const Matrix& a, const Matrix& b);
-Matrix operator+(const Matrix& a, const Matrix& b);
-Matrix operator-(const Matrix& a, const Matrix& b);
 
 }  // namespace dopf::linalg

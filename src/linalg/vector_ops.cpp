@@ -27,51 +27,4 @@ double norm_inf(std::span<const double> x) {
   return m;
 }
 
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  check_same(x.size(), y.size(), "axpy: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-void scale(std::span<double> x, double alpha) {
-  for (double& v : x) v *= alpha;
-}
-
-void clip(std::span<double> x, std::span<const double> lo,
-          std::span<const double> hi) {
-  check_same(x.size(), lo.size(), "clip: lo size mismatch");
-  check_same(x.size(), hi.size(), "clip: hi size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::min(std::max(x[i], lo[i]), hi[i]);
-  }
-}
-
-double distance2(std::span<const double> x, std::span<const double> y) {
-  check_same(x.size(), y.size(), "distance2: size mismatch");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double d = x[i] - y[i];
-    sum += d * d;
-  }
-  return std::sqrt(sum);
-}
-
-void fill(std::span<double> x, double value) {
-  std::fill(x.begin(), x.end(), value);
-}
-
-std::vector<double> add(std::span<const double> x, std::span<const double> y) {
-  check_same(x.size(), y.size(), "add: size mismatch");
-  std::vector<double> z(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) z[i] = x[i] + y[i];
-  return z;
-}
-
-std::vector<double> subtract(std::span<const double> x,
-                             std::span<const double> y) {
-  check_same(x.size(), y.size(), "subtract: size mismatch");
-  std::vector<double> z(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) z[i] = x[i] - y[i];
-  return z;
-}
-
 }  // namespace dopf::linalg

@@ -2,14 +2,11 @@
 
 #include <limits>
 #include <span>
-#include <vector>
 
-/// Free-function BLAS-1 style kernels on contiguous double ranges.
-///
-/// All hot loops of the solver-free ADMM (global/dual updates, residuals,
-/// eq. (13), (12), (16)) reduce to these; keeping them as plain span
-/// functions lets the serial, SIMT-simulated, and virtual-cluster execution
-/// paths share one implementation.
+/// BLAS-1 style reductions on contiguous double ranges, and the finite
+/// stand-in for an absent bound. The per-iteration updates of Algorithm 1
+/// do not come through here: they are the packed kernels of
+/// core/packed_kernels.hpp.
 namespace dopf::linalg {
 
 /// Value used to represent "no bound". Chosen finite so bound arithmetic
@@ -25,26 +22,5 @@ inline bool is_unbounded(double bound) {
 double dot(std::span<const double> x, std::span<const double> y);
 double norm2(std::span<const double> x);
 double norm_inf(std::span<const double> x);
-
-/// y += alpha * x.
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
-
-/// x *= alpha.
-void scale(std::span<double> x, double alpha);
-
-/// Elementwise x = min(max(x, lo), hi); the projection used by the global
-/// update (13)/(18).
-void clip(std::span<double> x, std::span<const double> lo,
-          std::span<const double> hi);
-
-/// ||x - y||_2.
-double distance2(std::span<const double> x, std::span<const double> y);
-
-/// Fill with a constant.
-void fill(std::span<double> x, double value);
-
-std::vector<double> add(std::span<const double> x, std::span<const double> y);
-std::vector<double> subtract(std::span<const double> x,
-                             std::span<const double> y);
 
 }  // namespace dopf::linalg

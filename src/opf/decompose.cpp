@@ -29,13 +29,6 @@ std::size_t DistributedProblem::total_local_vars() const {
                          });
 }
 
-std::size_t DistributedProblem::total_local_rows() const {
-  return std::accumulate(components.begin(), components.end(), std::size_t{0},
-                         [](std::size_t acc, const Component& comp) {
-                           return acc + comp.num_rows();
-                         });
-}
-
 namespace {
 
 /// Assemble one component from its equation list: collect the local variable

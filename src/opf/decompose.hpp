@@ -61,8 +61,6 @@ struct DistributedProblem {
   std::size_t num_components() const { return components.size(); }
   /// Total local dimension sum_s n_s (the length of z in (17)).
   std::size_t total_local_vars() const;
-  /// Total constraint count sum_s m_s.
-  std::size_t total_local_rows() const;
 };
 
 struct DecomposeOptions {

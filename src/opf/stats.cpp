@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 namespace dopf::opf {
 
@@ -57,35 +56,6 @@ SubproblemStats subproblem_stats(const DistributedProblem& problem) {
   s.cols = distribution(problem,
                         [](const Component& c) { return c.num_vars(); });
   return s;
-}
-
-std::string format_table2_row(const std::string& instance,
-                              const ModelSizes& sizes) {
-  std::ostringstream os;
-  os << instance << ": A is " << sizes.rows << " x " << sizes.cols << " ("
-     << sizes.nonzeros << " nonzeros)";
-  return os.str();
-}
-
-std::string format_table3(const std::string& instance,
-                          const ComponentCounts& counts) {
-  std::ostringstream os;
-  os << instance << ": nodes=" << counts.nodes << " lines=" << counts.lines
-     << " leaves=" << counts.leaves << " S=" << counts.S;
-  return os.str();
-}
-
-std::string format_table4(const std::string& instance,
-                          const SubproblemStats& stats) {
-  std::ostringstream os;
-  auto row = [&](const char* label, const SizeDistribution& d) {
-    os << instance << " " << label << ": min=" << d.min << " max=" << d.max
-       << " mean=" << d.mean << " stdev=" << d.stdev << " sum=" << d.sum
-       << "\n";
-  };
-  row("m_s", stats.rows);
-  row("n_s", stats.cols);
-  return os.str();
 }
 
 }  // namespace dopf::opf

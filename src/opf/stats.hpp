@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "opf/decompose.hpp"
 #include "opf/model.hpp"
@@ -39,13 +38,5 @@ struct SubproblemStats {
   SizeDistribution cols;  ///< n_s across components
 };
 SubproblemStats subproblem_stats(const DistributedProblem& problem);
-
-/// Fixed-width text renderings used by the bench harness (and tests).
-std::string format_table2_row(const std::string& instance,
-                              const ModelSizes& sizes);
-std::string format_table3(const std::string& instance,
-                          const ComponentCounts& counts);
-std::string format_table4(const std::string& instance,
-                          const SubproblemStats& stats);
 
 }  // namespace dopf::opf

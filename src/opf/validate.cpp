@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace dopf::opf {
 
@@ -54,16 +53,6 @@ std::string ValidationReport::worst_check() const {
     }
   }
   return name;
-}
-
-std::string ValidationReport::to_string() const {
-  std::ostringstream os;
-  os << "P-balance " << max_p_balance << ", Q-balance " << max_q_balance
-     << ", flow " << max_flow_consistency << ", voltage "
-     << max_voltage_equation << ", load-model " << max_load_model
-     << ", bounds " << max_bound_violation << " (worst at '" << worst_site
-     << "')";
-  return os.str();
 }
 
 ValidationReport validate_solution(const Network& net, const OpfModel& model,

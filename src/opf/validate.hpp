@@ -27,7 +27,6 @@ struct ValidationReport {
   /// just where.
   std::string worst_check() const;
   bool ok(double tol) const { return worst() <= tol; }
-  std::string to_string() const;
 };
 
 /// Validate `x` against the network's physics. Every check re-derives its

@@ -12,15 +12,6 @@ namespace dopf::robust {
 
 using dopf::linalg::Matrix;
 
-const char* to_string(BlockHealth health) {
-  switch (health) {
-    case BlockHealth::kHealthy: return "healthy";
-    case BlockHealth::kMarginal: return "marginal";
-    case BlockHealth::kDegenerate: return "degenerate";
-  }
-  return "unknown";
-}
-
 namespace {
 
 using dopf::linalg::lanes::Vec;
@@ -129,8 +120,8 @@ void estimate_chunk(const Matrix* const* blocks, std::size_t count,
   }
 }
 
-/// estimate_gram_cond of every block of `blocks`, which share one row
-/// count, in lane chunks.
+/// cond(A A^T) of every block of `blocks`, which share one row count, in
+/// lane chunks (estimate_chunk).
 void estimate_group(std::span<const Matrix* const> blocks,
                     const ConditioningOptions& options, Workspaces& ws,
                     double* cond) {
@@ -223,14 +214,6 @@ std::vector<BlockConditioning> analyze_components(
 }
 
 }  // namespace
-
-double estimate_gram_cond(const Matrix& a, const ConditioningOptions& options) {
-  const Matrix* blocks[] = {&a};
-  double cond = 1.0;
-  Workspaces ws;
-  estimate_group(blocks, options, ws, &cond);
-  return cond;
-}
 
 BlockConditioning analyze_component(const dopf::opf::Component& comp,
                                     const ConditioningOptions& options) {

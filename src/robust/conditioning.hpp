@@ -11,8 +11,6 @@ namespace dopf::robust {
 /// Classification of one component block's numerical health.
 enum class BlockHealth { kHealthy, kMarginal, kDegenerate };
 
-const char* to_string(BlockHealth health);
-
 /// Conditioning estimate for one component's equality block A_s (after the
 /// RREF preprocessing of Sec. IV-B). `rank` is the numerical row rank the
 /// pivoted reduction found; `cond` estimates cond(A_s A_s^T) — the matrix
@@ -42,13 +40,6 @@ struct ConditioningOptions {
   /// what ridge the remediation path would apply.
   dopf::linalg::ProjectorOptions projector;
 };
-
-/// Estimate cond(G) for the SPD-candidate Gram matrix of `a` via power
-/// iteration (largest eigenvalue) and inverse iteration through the
-/// Cholesky factor (smallest). Returns +inf when G is numerically
-/// indefinite. Exposed for tests.
-double estimate_gram_cond(const dopf::linalg::Matrix& a,
-                          const ConditioningOptions& options = {});
 
 /// Analyze one component block.
 BlockConditioning analyze_component(const dopf::opf::Component& comp,

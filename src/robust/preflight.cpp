@@ -42,14 +42,6 @@ std::size_t PreflightReport::count_health(BlockHealth health) const {
   return n;
 }
 
-double PreflightReport::worst_cond() const {
-  double worst = 1.0;
-  for (const BlockConditioning& b : blocks) {
-    worst = std::max(worst, b.cond);
-  }
-  return worst;
-}
-
 dopf::linalg::ProjectorOptions PreflightReport::projector_options() const {
   dopf::linalg::ProjectorOptions opts;
   opts.auto_regularize = policy == PreflightPolicy::kRemediate;

@@ -77,7 +77,6 @@ struct PreflightReport {
     return count_severity(issues, Severity::kWarning);
   }
   std::size_t count_health(BlockHealth health) const;
-  double worst_cond() const;
 
   /// Multi-line human-readable report (one line per issue + a conditioning
   /// summary + the verdict).

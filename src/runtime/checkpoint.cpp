@@ -283,13 +283,6 @@ AdmmCheckpoint load_checkpoint(const std::string& path,
   return read_checkpoint(in);
 }
 
-std::size_t checkpoint_bytes(const AdmmCheckpoint& ck) {
-  return sizeof(double) *
-             (ck.x.size() + ck.z.size() + ck.z_prev.size() +
-              ck.lambda.size()) +
-         sizeof(double) + sizeof(int);
-}
-
 namespace {
 
 bool file_exists(const std::string& path) {

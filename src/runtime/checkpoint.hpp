@@ -74,10 +74,6 @@ IoStats save_checkpoint(const AdmmCheckpoint& ck, const std::string& path,
 AdmmCheckpoint load_checkpoint(const std::string& path,
                                const DurableOptions& opts = {});
 
-/// Serialized size in bytes (what a rank must ship to recover a peer); used
-/// to price failover through the communication model.
-std::size_t checkpoint_bytes(const AdmmCheckpoint& ck);
-
 /// Generation-numbered A/B checkpoint pair: saves alternate between
 /// `base.a` and `base.b`, each stamped with a monotonically increasing
 /// generation, and every write is atomic+durable. The slot holding the

@@ -255,11 +255,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
                      })};
 }
 
-bool FaultPlan::has_persistent() const {
-  return std::any_of(events.begin(), events.end(),
-                     [](const FaultEvent& ev) { return ev.persistent; });
-}
-
 std::string FaultPlan::to_string() const { return spec_string(events); }
 
 double retry_cost_seconds(const RecoveryPolicy& policy, const CommModel& comm,
@@ -385,8 +380,6 @@ FsFaultPlan FsFaultPlan::parse(const std::string& spec) {
                               a.path_contains == b.path_contains;
                      })};
 }
-
-std::string FsFaultPlan::to_string() const { return spec_string(events); }
 
 FsFaultInjector::FsFaultInjector(FsFaultPlan plan)
     : plan_(std::move(plan)), schedule_(std::size(kFsKinds)) {

@@ -42,7 +42,7 @@ std::optional<int> read_integer(std::string_view text, int lo, int hi);
 std::optional<std::uint64_t> read_unsigned(std::string_view text);
 
 /// One kind of a plane: its name and the keys it reads. Any other key is
-/// rejected, so a plan's to_string() never drops a key it was given.
+/// rejected, so an event's to_string() never drops a key it was given.
 struct SpecKind {
   const char* name;
   std::span<const char* const> keys;
@@ -210,8 +210,6 @@ struct FaultPlan {
   std::vector<FaultEvent> events;
 
   bool empty() const { return events.empty(); }
-  /// True when any event is persistent (recurring).
-  bool has_persistent() const;
 
   /// Parse a spec string; throws FaultError with the offending token on
   /// malformed input. An empty/whitespace spec yields an empty plan.
@@ -322,7 +320,6 @@ struct FsFaultPlan {
 
   bool empty() const { return events.empty(); }
   static FsFaultPlan parse(const std::string& spec);
-  std::string to_string() const;
 };
 
 /// Query-side view of an FsFaultPlan used inside durable_write_file /

@@ -1,22 +1,6 @@
 #include "runtime/health.hpp"
 
-#include <sstream>
-
 namespace dopf::runtime {
-
-const char* to_string(DeviceState state) {
-  switch (state) {
-    case DeviceState::kHealthy:
-      return "healthy";
-    case DeviceState::kDegraded:
-      return "degraded";
-    case DeviceState::kQuarantined:
-      return "quarantined";
-    case DeviceState::kProbation:
-      return "probation";
-  }
-  return "?";
-}
 
 DeviceState DeviceHealth::state() const {
   if (quarantined_) {
@@ -95,15 +79,6 @@ void DeviceHealth::acknowledge() {
     ewma_straggle_ = 1.0;
     consecutive_failures_ = 0;
   }
-}
-
-std::string DeviceHealth::to_string() const {
-  std::ostringstream out;
-  out << dopf::runtime::to_string(state()) << " ewma=" << ewma_straggle_
-      << " failures=" << consecutive_failures_;
-  if (degraded_) out << " staleness=" << staleness_;
-  if (quarantined_) out << " streak=" << probation_streak_;
-  return out.str();
 }
 
 }  // namespace dopf::runtime

@@ -38,8 +38,6 @@ enum class DeviceState {
   kProbation,    ///< quarantined, but showing a clean streak
 };
 
-const char* to_string(DeviceState state);
-
 /// Per-device health tracker: EWMA of the straggle factor, a
 /// consecutive-delivery-failure counter, and the
 /// healthy -> degraded -> quarantined -> probation -> healthy state
@@ -74,8 +72,6 @@ class DeviceHealth {
   int staleness() const { return staleness_; }
   /// Clean streak accumulated towards readmission (quarantine only).
   int probation_streak() const { return probation_streak_; }
-
-  std::string to_string() const;
 
  private:
   bool unhealthy_now() const;

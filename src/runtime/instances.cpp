@@ -63,8 +63,4 @@ Instance make_instance(const std::string& name,
   return Instance{name, std::move(net), std::move(model), std::move(problem)};
 }
 
-std::vector<std::string> paper_instance_names() {
-  return {"ieee13", "ieee123", "ieee8500"};
-}
-
 }  // namespace dopf::runtime

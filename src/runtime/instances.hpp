@@ -40,7 +40,4 @@ dopf::network::Network load_network(const std::string& reference);
 Instance make_instance(const std::string& name,
                        const dopf::opf::DecomposeOptions& options = {});
 
-/// The three instances evaluated in the paper, in size order.
-std::vector<std::string> paper_instance_names();
-
 }  // namespace dopf::runtime

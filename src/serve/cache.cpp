@@ -3,15 +3,7 @@
 namespace dopf::serve {
 
 std::size_t estimate_model_bytes(const dopf::core::ScenarioBinding& binding) {
-  const auto& pack = binding.pack();
-  // The retained per-component factorizations are roughly another
-  // Abar-sized block (Gram factors + pivot bookkeeping), unpadded.
-  std::size_t factor_doubles = 0;
-  for (int ns : pack.comp_nvars) {
-    const auto n = static_cast<std::size_t>(ns);
-    factor_doubles += n * n;
-  }
-  return pack.bytes() + factor_doubles * sizeof(double);
+  return binding.model().bytes() + binding.bytes();
 }
 
 ModelCache::ModelCache(std::size_t budget_bytes)

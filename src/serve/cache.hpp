@@ -39,10 +39,9 @@ struct CachedModel {
   std::mutex mu;
 };
 
-/// Rough resident-byte estimate for a bound model: the packed image as
-/// core::PackedLocalSolvers::bytes() counts it, plus the retained Gram
-/// factorizations (approximated as one more unpadded Abar-sized block).
-/// Order-of-magnitude is all the budget needs.
+/// Resident bytes of a bound model: SolveModel::bytes() (the problem copy
+/// and every projector with its retained factor) plus
+/// ScenarioBinding::bytes() (the pack and the bound right-hand sides).
 std::size_t estimate_model_bytes(const dopf::core::ScenarioBinding& binding);
 
 /// Memory-budgeted LRU cache of CachedModel entries, keyed by the

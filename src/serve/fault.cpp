@@ -66,10 +66,6 @@ ServeFaultPlan ServeFaultPlan::parse(const std::string& spec) {
       })};
 }
 
-std::string ServeFaultPlan::to_string() const {
-  return dopf::runtime::spec_string(events);
-}
-
 ServeFaultInjector::ServeFaultInjector(ServeFaultPlan plan)
     : plan_(std::move(plan)), schedule_(std::size(kKinds)) {
   for (const ServeFailpoint& ev : plan_.events) {

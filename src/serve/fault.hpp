@@ -49,7 +49,6 @@ struct ServeFaultPlan {
 
   bool empty() const { return events.empty(); }
   static ServeFaultPlan parse(const std::string& spec);
-  std::string to_string() const;
 };
 
 /// Query-side view used inside the server's frame-send path. Each failpoint

@@ -63,12 +63,6 @@ Fd& Fd::operator=(Fd&& other) noexcept {
   return *this;
 }
 
-int Fd::release() {
-  const int fd = fd_;
-  fd_ = -1;
-  return fd;
-}
-
 void Fd::reset(int fd) {
   if (fd_ >= 0) ::close(fd_);
   fd_ = fd;

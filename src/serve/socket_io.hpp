@@ -24,7 +24,6 @@ class Fd {
 
   int get() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
-  int release();
   void reset(int fd = -1);
 
  private:

@@ -137,10 +137,6 @@ CrashFaultPlan CrashFaultPlan::parse(const std::string& spec) {
       })};
 }
 
-std::string CrashFaultPlan::to_string() const {
-  return dopf::runtime::spec_string(events);
-}
-
 CrashFaultInjector::CrashFaultInjector(CrashFaultPlan plan)
     : plan_(std::move(plan)), schedule_(std::size(kCrashKinds)) {
   for (const CrashFailpoint& ev : plan_.events) {

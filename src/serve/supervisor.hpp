@@ -87,7 +87,6 @@ struct CrashFaultPlan {
 
   bool empty() const { return events.empty(); }
   static CrashFaultPlan parse(const std::string& spec);
-  std::string to_string() const;
 };
 
 /// Query-side view of a CrashFaultPlan shared by all dispatcher threads:

@@ -23,7 +23,7 @@ MultiDeviceBackend::MultiDeviceBackend(const PackedLocalSolvers& pack,
       comp_nvars_(pack.comp_nvars.begin(), pack.comp_nvars.end()),
       image_bytes_(pack.image_bytes()),
       // What a rank ships to recover a peer: the four iterate vectors plus
-      // rho and the iteration (runtime::checkpoint_bytes).
+      // rho and the iteration: the payload of a runtime::AdmmCheckpoint.
       restart_bytes_(sizeof(double) *
                          (pack.num_global() + 3 * pack.total_local()) +
                      sizeof(double) + sizeof(int)),

@@ -83,20 +83,6 @@ void dual_block(BlockContext& ctx, const PackedLocalSolvers& pack,
   charge_bx_pass(ctx, end - begin, 3.0, 44.0, state.alpha);
 }
 
-double local_update_kernel_seconds(const Device& device,
-                                   const PackedLocalSolvers& pack,
-                                   std::span<const std::size_t> components,
-                                   int threads_per_block) {
-  Device pricing(device.spec());
-  pricing.launch("local_update", static_cast<int>(components.size()),
-                 threads_per_block, [&](BlockContext& ctx) {
-                   const std::size_t s = components[ctx.block_index];
-                   charge_local_block(
-                       ctx, static_cast<std::size_t>(pack.comp_nvars[s]), 1.0);
-                 });
-  return pricing.ledger().kernel_seconds;
-}
-
 SimtBackend::SimtBackend(Device device, Config config)
     : device_(std::move(device)), config_(config) {}
 

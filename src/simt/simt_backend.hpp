@@ -85,13 +85,4 @@ void dual_block(BlockContext& ctx, const dopf::core::PackedLocalSolvers& pack,
                 dopf::core::PackedState& state, std::size_t begin,
                 std::size_t end);
 
-/// Pure cost helper: simulated seconds of one local-update kernel launch for
-/// the given subset of components with T threads per block, priced exactly
-/// as launch_local_update charges it at alpha == 1, without executing
-/// anything.
-double local_update_kernel_seconds(const Device& device,
-                                   const dopf::core::PackedLocalSolvers& pack,
-                                   std::span<const std::size_t> components,
-                                   int threads_per_block);
-
 }  // namespace dopf::simt

@@ -58,17 +58,6 @@ CsrMatrix CsrMatrix::from_triplets(std::size_t rows, std::size_t cols,
   return m;
 }
 
-CsrMatrix CsrMatrix::identity(std::size_t n) {
-  CsrMatrix m(n, n);
-  m.col_idx_.resize(n);
-  m.values_.assign(n, 1.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    m.col_idx_[i] = static_cast<std::int64_t>(i);
-    m.row_ptr_[i + 1] = static_cast<std::int64_t>(i + 1);
-  }
-  return m;
-}
-
 void CsrMatrix::multiply(std::span<const double> x, std::span<double> y,
                          double alpha, double beta) const {
   if (x.size() != cols_ || y.size() != rows_) {
@@ -102,46 +91,6 @@ void CsrMatrix::multiply_transpose(std::span<const double> x,
       y[col_idx_[k]] += values_[k] * xi;
     }
   }
-}
-
-CsrMatrix CsrMatrix::transposed() const {
-  CsrMatrix t(cols_, rows_);
-  t.col_idx_.resize(nnz());
-  t.values_.resize(nnz());
-  std::vector<std::int64_t> counts(cols_ + 1, 0);
-  for (std::int64_t c : col_idx_) ++counts[c + 1];
-  std::partial_sum(counts.begin(), counts.end(), counts.begin());
-  t.row_ptr_ = counts;
-  std::vector<std::int64_t> cursor(counts.begin(), counts.end() - 1);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      const std::int64_t pos = cursor[col_idx_[k]]++;
-      t.col_idx_[pos] = static_cast<std::int64_t>(i);
-      t.values_[pos] = values_[k];
-    }
-  }
-  return t;
-}
-
-double CsrMatrix::at(std::size_t i, std::size_t j) const {
-  if (i >= rows_ || j >= cols_) {
-    throw std::out_of_range("CsrMatrix::at: index out of range");
-  }
-  const auto begin = col_idx_.begin() + row_ptr_[i];
-  const auto end = col_idx_.begin() + row_ptr_[i + 1];
-  const auto it = std::lower_bound(begin, end, static_cast<std::int64_t>(j));
-  if (it == end || *it != static_cast<std::int64_t>(j)) return 0.0;
-  return values_[it - col_idx_.begin()];
-}
-
-std::vector<double> CsrMatrix::column_sq_norms() const {
-  std::vector<double> d(cols_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      d[col_idx_[k]] += values_[k] * values_[k];
-    }
-  }
-  return d;
 }
 
 }  // namespace dopf::sparse

@@ -30,11 +30,8 @@ class CsrMatrix {
                                  std::span<const Triplet> triplets,
                                  double drop_tol = 0.0);
 
-  static CsrMatrix identity(std::size_t n);
-
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
-  std::size_t nnz() const noexcept { return values_.size(); }
 
   std::span<const std::int64_t> row_ptr() const noexcept { return row_ptr_; }
   std::span<const std::int64_t> col_idx() const noexcept { return col_idx_; }
@@ -48,16 +45,6 @@ class CsrMatrix {
   /// y = alpha * A^T * x + beta * y (no transpose is materialized).
   void multiply_transpose(std::span<const double> x, std::span<double> y,
                           double alpha = 1.0, double beta = 0.0) const;
-
-  CsrMatrix transposed() const;
-
-  /// Entry lookup by binary search within the row; 0.0 if not stored.
-  double at(std::size_t i, std::size_t j) const;
-
-  /// diag(A^T A) as a dense vector; for the consensus matrix B this is the
-  /// copy-count diagonal of (18) (each column of B holds the 0/1 incidences
-  /// of one global variable).
-  std::vector<double> column_sq_norms() const;
 
  private:
   std::size_t rows_ = 0;

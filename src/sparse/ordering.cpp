@@ -92,22 +92,4 @@ std::vector<int> invert_permutation(std::span<const int> perm) {
   return inv;
 }
 
-CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const int> perm) {
-  if (a.rows() != a.cols() || perm.size() != a.rows()) {
-    throw std::invalid_argument("permute_symmetric: dimension mismatch");
-  }
-  const auto iperm = invert_permutation(perm);
-  std::vector<Triplet> trips;
-  trips.reserve(a.nnz());
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto v = a.values();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::int64_t k = rp[i]; k < rp[i + 1]; ++k) {
-      trips.push_back({iperm[i], iperm[ci[k]], v[k]});
-    }
-  }
-  return CsrMatrix::from_triplets(a.rows(), a.cols(), trips);
-}
-
 }  // namespace dopf::sparse

@@ -24,7 +24,4 @@ std::vector<int> reverse_cuthill_mckee(const CsrMatrix& a);
 /// inverse[perm[k]] = k.
 std::vector<int> invert_permutation(std::span<const int> perm);
 
-/// P A P^T for a square matrix; entry (i,j) moves to (iperm[i], iperm[j]).
-CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const int> perm);
-
 }  // namespace dopf::sparse

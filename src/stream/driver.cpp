@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <istream>
 #include <ostream>
 #include <sstream>
 
@@ -278,68 +277,6 @@ void write_records(const StreamResult& result, const StreamProfile& profile,
   std::snprintf(crc_line, sizeof(crc_line), "record_crc %08" PRIx32,
                 dopf::verify::crc32(text));
   out << text << crc_line << '\n';
-}
-
-ReplayRecordFile read_records(std::istream& in) {
-  std::ostringstream slurp;
-  slurp << in.rdbuf();
-  const std::string text = slurp.str();
-
-  const auto crc_pos = text.rfind("\nrecord_crc ");
-  if (crc_pos == std::string::npos) {
-    throw StreamRecordError("missing record_crc line (truncated file?)");
-  }
-  const std::string body = text.substr(0, crc_pos + 1);
-  std::uint32_t stored = 0;
-  if (std::sscanf(text.c_str() + crc_pos + 1, "record_crc %8" SCNx32,
-                  &stored) != 1) {
-    throw StreamRecordError("malformed record_crc line");
-  }
-  const std::uint32_t actual = dopf::verify::crc32(body);
-  if (stored != actual) {
-    char msg[96];
-    std::snprintf(msg, sizeof(msg),
-                  "CRC mismatch (stored %08" PRIx32 ", payload %08" PRIx32
-                  ") — file corrupted or truncated",
-                  stored, actual);
-    throw StreamRecordError(msg);
-  }
-
-  ReplayRecordFile file;
-  std::istringstream lines(body);
-  std::string line;
-  if (!std::getline(lines, line)) {
-    throw StreamRecordError("empty record file");
-  }
-  {
-    std::istringstream header(line);
-    std::string tag, steps_key, first_key, dt_key, dt_value;
-    if (!(header >> tag >> file.profile >> steps_key >> file.num_steps >>
-          first_key >> file.first_step >> dt_key >> dt_value) ||
-        tag != "stream" || steps_key != "steps" ||
-        first_key != "first_step" || dt_key != "dt") {
-      throw StreamRecordError("malformed header line '" + line + "'");
-    }
-  }
-  bool saw_session = false;
-  while (std::getline(lines, line)) {
-    if (line.rfind("step ", 0) == 0) {
-      if (saw_session) {
-        throw StreamRecordError("step line after session footer");
-      }
-      file.step_lines.push_back(line);
-    } else if (line.rfind("session ", 0) == 0) {
-      if (saw_session) throw StreamRecordError("duplicate session footer");
-      saw_session = true;
-      file.session_line = line;
-    } else {
-      throw StreamRecordError("unrecognized line '" + line + "'");
-    }
-  }
-  if (!saw_session) {
-    throw StreamRecordError("missing session footer (truncated file?)");
-  }
-  return file;
 }
 
 }  // namespace dopf::stream

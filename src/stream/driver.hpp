@@ -27,22 +27,8 @@ class StreamError : public std::runtime_error {
         step_(step) {}
   int step() const noexcept { return step_; }
 
- protected:
-  /// File-level errors (no step provenance); see StreamRecordError.
-  explicit StreamError(const std::string& message)
-      : std::runtime_error(message) {}
-
  private:
   int step_ = -1;
-};
-
-/// Thrown by read_records on a malformed, truncated, or corrupted replay
-/// record file — typed so callers (and the truncation fuzzer) can tell a
-/// bad file from a driver bug.
-class StreamRecordError : public StreamError {
- public:
-  explicit StreamRecordError(const std::string& message)
-      : StreamError("stream record: " + message) {}
 };
 
 /// A preflight rejection of one step's scenario delta (exit code 5 at the
@@ -216,21 +202,5 @@ std::string record_line(const StreamStepRecord& rec);
 /// byte-identical output — the verify_stream_replay CI gate.
 void write_records(const StreamResult& result, const StreamProfile& profile,
                    std::ostream& out);
-
-/// A parsed replay record file (structure + CRC validated; step lines kept
-/// verbatim so byte-level tail comparisons need no re-serialization).
-struct ReplayRecordFile {
-  std::string profile;
-  int num_steps = 0;
-  int first_step = 0;
-  std::vector<std::string> step_lines;  ///< raw "step ..." lines, in order
-  std::string session_line;             ///< raw "session ..." footer
-};
-
-/// Parse and validate a replay record written by write_records. Throws
-/// StreamRecordError on missing/garbled header, step, session, or
-/// record_crc lines, and on a CRC mismatch — never a crash or a silently
-/// partial result.
-ReplayRecordFile read_records(std::istream& in);
 
 }  // namespace dopf::stream

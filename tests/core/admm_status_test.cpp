@@ -9,6 +9,7 @@
 #include "core/admm.hpp"
 #include "feeders/ieee13.hpp"
 #include "opf/decompose.hpp"
+#include "../linalg/matrix_literal.hpp"
 
 namespace dopf::core {
 namespace {
@@ -70,7 +71,7 @@ dopf::opf::DistributedProblem tiny_problem(double rhs) {
   p.x0 = {0.5, 0.5};
   dopf::opf::Component comp;
   comp.name = "eq";
-  comp.a = dopf::linalg::Matrix{{1.0, 1.0}};
+  comp.a = dopf::testing::matrix_of({{1.0, 1.0}});
   comp.b = {rhs};
   comp.global = {0, 1};
   p.components.push_back(std::move(comp));

@@ -128,15 +128,6 @@ TEST(SolverFreeAdmmTest, ResetReproducesIdenticalRun) {
   }
 }
 
-TEST(SolverFreeAdmmTest, PrecomputedSolversCanBeShared) {
-  LocalSolvers solvers = LocalSolvers::precompute(fixture().problem);
-  AdmmOptions opt;
-  opt.max_iterations = 20;
-  SolverFreeAdmm a(fixture().problem, opt, std::move(solvers));
-  const AdmmResult res = a.solve();
-  EXPECT_EQ(res.iterations, 20);
-}
-
 TEST(SolverFreeAdmmTest, HistoryRespectsRecordEvery) {
   AdmmOptions opt;
   opt.max_iterations = 100;

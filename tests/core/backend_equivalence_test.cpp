@@ -17,6 +17,7 @@
 #include "runtime/threaded_backend.hpp"
 #include "simt/multi_device.hpp"
 #include "simt/simt_backend.hpp"
+#include "../linalg/matrix_literal.hpp"
 
 namespace dopf::core {
 namespace {
@@ -137,7 +138,7 @@ TEST(BackendEquivalenceTest, SingleComponentProblemByteIdentical) {
   problem.copy_count = {1, 1};
   dopf::opf::Component comp;
   comp.name = "only";
-  comp.a = dopf::linalg::Matrix{{1.0, 1.0}};
+  comp.a = dopf::testing::matrix_of({{1.0, 1.0}});
   comp.b = {1.0};
   comp.global = {0, 1};
   problem.components.push_back(std::move(comp));

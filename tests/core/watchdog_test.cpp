@@ -13,6 +13,7 @@
 #include "feeders/ieee13.hpp"
 #include "opf/decompose.hpp"
 #include "runtime/instances.hpp"
+#include "../linalg/matrix_literal.hpp"
 
 namespace dopf::core {
 namespace {
@@ -46,7 +47,7 @@ dopf::opf::DistributedProblem infeasible_problem() {
   p.x0 = {0.5, 0.5};
   dopf::opf::Component comp;
   comp.name = "eq";
-  comp.a = dopf::linalg::Matrix{{1.0, 1.0}};
+  comp.a = dopf::testing::matrix_of({{1.0, 1.0}});
   comp.b = {4.0};
   comp.global = {0, 1};
   p.components.push_back(std::move(comp));

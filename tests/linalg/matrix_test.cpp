@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
+
+#include "linalg/lanes.hpp"
+#include "matrix_literal.hpp"
 
 namespace dopf::linalg {
 namespace {
+
+using dopf::testing::matrix_of;
 
 TEST(MatrixTest, DefaultConstructedIsEmpty) {
   Matrix m;
@@ -24,7 +30,7 @@ TEST(MatrixTest, SizedConstructorZeroInitializes) {
 }
 
 TEST(MatrixTest, InitializerListLayout) {
-  Matrix m{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
+  Matrix m = matrix_of({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
   EXPECT_EQ(m.rows(), 3u);
   EXPECT_EQ(m.cols(), 2u);
   EXPECT_EQ(m(0, 1), 2.0);
@@ -32,31 +38,13 @@ TEST(MatrixTest, InitializerListLayout) {
 }
 
 TEST(MatrixTest, RaggedInitializerThrows) {
-  EXPECT_THROW((Matrix{{1.0, 2.0}, {3.0}}), std::invalid_argument);
-}
-
-TEST(MatrixTest, IdentityHasUnitDiagonal) {
-  const Matrix id = Matrix::identity(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      EXPECT_EQ(id(i, j), i == j ? 1.0 : 0.0);
-    }
-  }
-}
-
-TEST(MatrixTest, TransposeSwapsIndices) {
-  Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const Matrix t = m.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_EQ(t(2, 1), 6.0);
-  EXPECT_EQ(t(0, 1), 4.0);
+  EXPECT_THROW((matrix_of({{1.0, 2.0}, {3.0}})), std::invalid_argument);
 }
 
 TEST(MatrixTest, MultiplyMatchesHandComputation) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  Matrix b{{5.0, 6.0}, {7.0, 8.0}};
-  const Matrix c = a * b;
+  const Matrix a = matrix_of({{1.0, 2.0}, {3.0, 4.0}});
+  const Matrix bt = matrix_of({{5.0, 7.0}, {6.0, 8.0}});  // B = [5 6; 7 8]
+  const Matrix c = multiply_abt(a, bt);
   EXPECT_EQ(c(0, 0), 19.0);
   EXPECT_EQ(c(0, 1), 22.0);
   EXPECT_EQ(c(1, 0), 43.0);
@@ -64,36 +52,63 @@ TEST(MatrixTest, MultiplyMatchesHandComputation) {
 }
 
 TEST(MatrixTest, MultiplyDimensionMismatchThrows) {
-  Matrix a(2, 3), b(2, 3);
-  EXPECT_THROW(multiply(a, b), std::invalid_argument);
+  const Matrix a(2, 3), b(3, 2);
+  const std::vector<double> x(2, 1.0);
+  EXPECT_THROW(multiply_abt(a, b), std::invalid_argument);
+  EXPECT_THROW(multiply_atb(a, b), std::invalid_argument);
+  EXPECT_THROW(multiply(a, x), std::invalid_argument);
+  EXPECT_THROW(multiply_transpose(b, x), std::invalid_argument);
+}
+
+// Entry (i, j) of the product of an explicitly transposed operand, summed
+// in the test: the reference the fused products are held to.
+Matrix explicit_product(const Matrix& l, const Matrix& r) {
+  Matrix c(l.rows(), r.cols());
+  for (std::size_t i = 0; i < l.rows(); ++i) {
+    for (std::size_t j = 0; j < r.cols(); ++j) {
+      for (std::size_t k = 0; k < l.cols(); ++k) c(i, j) += l(i, k) * r(k, j);
+    }
+  }
+  return c;
+}
+
+void expect_near(const Matrix& actual, const Matrix& expected) {
+  ASSERT_EQ(actual.rows(), expected.rows());
+  ASSERT_EQ(actual.cols(), expected.cols());
+  for (std::size_t i = 0; i < actual.rows(); ++i) {
+    for (std::size_t j = 0; j < actual.cols(); ++j) {
+      EXPECT_NEAR(actual(i, j), expected(i, j), 1e-14);
+    }
+  }
 }
 
 TEST(MatrixTest, MultiplyAbtEqualsExplicitTranspose) {
-  Matrix a{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  Matrix b{{7.0, 8.0, 9.0}, {1.0, 0.0, -1.0}};
-  const Matrix expected = multiply(a, b.transposed());
-  EXPECT_TRUE(multiply_abt(a, b).approx_equal(expected, 1e-14));
+  const Matrix a = matrix_of({{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}});
+  const Matrix b = matrix_of({{7.0, 8.0, 9.0}, {1.0, 0.0, -1.0}});
+  const Matrix bt = matrix_of({{7.0, 1.0}, {8.0, 0.0}, {9.0, -1.0}});
+  expect_near(multiply_abt(a, b), explicit_product(a, bt));
 }
 
 TEST(MatrixTest, MultiplyAtbEqualsExplicitTranspose) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
-  Matrix b{{7.0}, {8.0}, {9.0}};
-  const Matrix expected = multiply(a.transposed(), b);
-  EXPECT_TRUE(multiply_atb(a, b).approx_equal(expected, 1e-14));
+  const Matrix a = matrix_of({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
+  const Matrix at = matrix_of({{1.0, 3.0, 5.0}, {2.0, 4.0, 6.0}});
+  const Matrix b = matrix_of({{7.0}, {8.0}, {9.0}});
+  expect_near(multiply_atb(a, b), explicit_product(at, b));
 }
 
 TEST(MatrixTest, GramAatIsSymmetricPsd) {
-  Matrix a{{1.0, 2.0, 0.5}, {-1.0, 0.0, 2.0}};
-  const Matrix g = gram_aat(a);
-  EXPECT_EQ(g.rows(), 2u);
-  EXPECT_EQ(g.cols(), 2u);
+  // The Gram product of the precompute (one lane: a single block).
+  const Matrix a = matrix_of({{1.0, 2.0, 0.5}, {-1.0, 0.0, 2.0}});
+  Matrix g(2, 2);
+  lanes::gram<1>(a.data().data(), a.rows(), a.cols(), g.data().data());
   EXPECT_DOUBLE_EQ(g(0, 1), g(1, 0));
   EXPECT_GT(g(0, 0), 0.0);
   EXPECT_GT(g(1, 1), 0.0);
+  expect_near(g, multiply_abt(a, a));
 }
 
 TEST(MatrixTest, MatVecAndTransposeMatVec) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
+  Matrix a = matrix_of({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
   const std::vector<double> x = {1.0, -1.0};
   const std::vector<double> y = multiply(a, x);
   ASSERT_EQ(y.size(), 3u);
@@ -108,36 +123,8 @@ TEST(MatrixTest, MatVecAndTransposeMatVec) {
   EXPECT_EQ(aty[1], 12.0);
 }
 
-TEST(MatrixTest, MultiplyAddAccumulates) {
-  Matrix a{{2.0, 0.0}, {0.0, 3.0}};
-  const std::vector<double> x = {1.0, 1.0};
-  std::vector<double> y = {10.0, 10.0};
-  multiply_add(a, x, -1.0, y);
-  EXPECT_EQ(y[0], 8.0);
-  EXPECT_EQ(y[1], 7.0);
-}
-
-TEST(MatrixTest, AdditionAndSubtraction) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  Matrix b{{4.0, 3.0}, {2.0, 1.0}};
-  const Matrix sum = a + b;
-  const Matrix diff = a - b;
-  EXPECT_EQ(sum(0, 0), 5.0);
-  EXPECT_EQ(sum(1, 1), 5.0);
-  EXPECT_EQ(diff(0, 0), -3.0);
-  EXPECT_EQ(diff(1, 1), 3.0);
-}
-
-TEST(MatrixTest, ApproxEqualRespectsTolerance) {
-  Matrix a{{1.0}};
-  Matrix b{{1.0 + 1e-9}};
-  EXPECT_TRUE(a.approx_equal(b, 1e-8));
-  EXPECT_FALSE(a.approx_equal(b, 1e-10));
-  EXPECT_FALSE(a.approx_equal(Matrix(2, 1), 1.0));
-}
-
 TEST(MatrixTest, RowSpanAliasesStorage) {
-  Matrix m{{1.0, 2.0}, {3.0, 4.0}};
+  Matrix m = matrix_of({{1.0, 2.0}, {3.0, 4.0}});
   auto row = m.row(1);
   row[0] = 30.0;
   EXPECT_EQ(m(1, 0), 30.0);

@@ -5,12 +5,15 @@
 #include <random>
 
 #include "linalg/cholesky.hpp"
+#include "matrix_literal.hpp"
 
 namespace dopf::linalg {
 namespace {
 
+using dopf::testing::matrix_of;
+
 TEST(RrefTest, FullRankSystemKeepsAllRows) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
+  Matrix a = matrix_of({{1.0, 2.0}, {3.0, 4.0}});
   const RrefResult r = row_reduce(a, {5.0, 6.0});
   EXPECT_EQ(r.rank, 2u);
   EXPECT_FALSE(r.inconsistent);
@@ -18,7 +21,7 @@ TEST(RrefTest, FullRankSystemKeepsAllRows) {
 }
 
 TEST(RrefTest, DuplicateRowIsDropped) {
-  Matrix a{{1.0, 2.0, 3.0}, {2.0, 4.0, 6.0}};
+  Matrix a = matrix_of({{1.0, 2.0, 3.0}, {2.0, 4.0, 6.0}});
   const RrefResult r = row_reduce(a, {1.0, 2.0});
   EXPECT_EQ(r.rank, 1u);
   EXPECT_FALSE(r.inconsistent);
@@ -26,14 +29,14 @@ TEST(RrefTest, DuplicateRowIsDropped) {
 }
 
 TEST(RrefTest, ContradictoryDuplicateIsInconsistent) {
-  Matrix a{{1.0, 2.0, 3.0}, {2.0, 4.0, 6.0}};
+  Matrix a = matrix_of({{1.0, 2.0, 3.0}, {2.0, 4.0, 6.0}});
   const RrefResult r = row_reduce(a, {1.0, 3.0});
   EXPECT_EQ(r.rank, 1u);
   EXPECT_TRUE(r.inconsistent);
 }
 
 TEST(RrefTest, ZeroRowWithNonzeroRhsIsInconsistent) {
-  Matrix a{{0.0, 0.0}, {1.0, 1.0}};
+  Matrix a = matrix_of({{0.0, 0.0}, {1.0, 1.0}});
   const RrefResult r = row_reduce(a, {1.0, 2.0});
   EXPECT_TRUE(r.inconsistent);
   EXPECT_EQ(r.rank, 1u);
@@ -41,7 +44,7 @@ TEST(RrefTest, ZeroRowWithNonzeroRhsIsInconsistent) {
 
 TEST(RrefTest, SolutionSetIsPreserved) {
   // x + y = 3; 2x + 2y = 6 (dependent); x - y = 1  =>  x = 2, y = 1.
-  Matrix a{{1.0, 1.0}, {2.0, 2.0}, {1.0, -1.0}};
+  Matrix a = matrix_of({{1.0, 1.0}, {2.0, 2.0}, {1.0, -1.0}});
   const RrefResult r = row_reduce(a, {3.0, 6.0, 1.0});
   EXPECT_EQ(r.rank, 2u);
   EXPECT_FALSE(r.inconsistent);
@@ -70,11 +73,11 @@ TEST(RrefTest, ReducedMatrixHasFullRowRank) {
   const RrefResult r = row_reduce(a, b);
   EXPECT_FALSE(r.inconsistent);
   EXPECT_LE(r.rank, 4u);
-  EXPECT_NO_THROW(Cholesky{gram_aat(r.a)});
+  EXPECT_NO_THROW(Cholesky{multiply_abt(r.a, r.a)});
 }
 
 TEST(RrefTest, PivotColumnsAreStrictlyIncreasing) {
-  Matrix a{{0.0, 1.0, 2.0}, {1.0, 0.0, 1.0}};
+  Matrix a = matrix_of({{0.0, 1.0, 2.0}, {1.0, 0.0, 1.0}});
   const RrefResult r = row_reduce(a, {1.0, 1.0});
   ASSERT_EQ(r.pivot_cols.size(), 2u);
   EXPECT_LT(r.pivot_cols[0], r.pivot_cols[1]);
@@ -95,7 +98,7 @@ TEST(RrefTest, RhsSizeMismatchThrows) {
 
 TEST(RrefTest, PivotingHandlesTinyLeadingEntry) {
   // Without pivoting the 1e-14 leading entry would poison the elimination.
-  Matrix a{{1e-14, 1.0}, {1.0, 1.0}};
+  Matrix a = matrix_of({{1e-14, 1.0}, {1.0, 1.0}});
   const RrefResult r = row_reduce(a, {1.0, 2.0});
   EXPECT_EQ(r.rank, 2u);
   // Solve the reduced 2x2 system and compare with the exact solution

@@ -9,16 +9,19 @@
 
 #include "linalg/affine_projector.hpp"
 #include "linalg/rref.hpp"
+#include "matrix_literal.hpp"
 
 namespace dopf::linalg {
 namespace {
 
+using dopf::testing::matrix_of;
+
 // [A | b] with row 2 = row 0 + eps * e3 and a consistent rhs; the default
 // pivot tolerance is 1e-10 relative to max|A| = 1.
 RrefResult reduce_perturbed(double eps, double rhs_offset = 0.0) {
-  Matrix a{{1.0, 1.0, 0.0, 0.0},
+  Matrix a = matrix_of({{1.0, 1.0, 0.0, 0.0},
            {0.0, 0.0, 1.0, 1.0},
-           {1.0, 1.0, 0.0, eps}};
+           {1.0, 1.0, 0.0, eps}});
   const std::vector<double> x_ref = {1.0, 2.0, -1.0, 0.5};
   std::vector<double> b(3, 0.0);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -32,7 +35,8 @@ void expect_projector_feasible(const RrefResult& r, double tol) {
   const auto proj = AffineProjector::try_build(r.a, r.b);
   ASSERT_TRUE(proj.has_value());
   std::vector<double> y(r.a.cols(), 0.3);  // arbitrary anchor point
-  const std::vector<double> x = proj->project(y);
+  std::vector<double> x(y.size());
+  proj->project_into(y, x);
   const std::vector<double> ax = multiply(r.a, x);
   for (std::size_t i = 0; i < r.a.rows(); ++i) {
     EXPECT_NEAR(ax[i], r.b[i], tol) << "row " << i;
@@ -93,7 +97,7 @@ TEST(RrefToleranceTest, GramFailureWithoutRegularizationReportsPivot) {
   // Bypass RREF: rows at angle ~1e-7 pass any row-level tolerance but their
   // Gram matrix has lambda_min ~ 1e-14 < chol_tol, so the strict build must
   // refuse and name the offending pivot.
-  Matrix a{{1.0, 0.0}, {1.0, 1e-7}};
+  Matrix a = matrix_of({{1.0, 0.0}, {1.0, 1e-7}});
   const std::vector<double> b = {1.0, 1.0};
   ProjectorStatus status;
   const auto proj = AffineProjector::try_build(a, b, {}, &status);
@@ -103,7 +107,7 @@ TEST(RrefToleranceTest, GramFailureWithoutRegularizationReportsPivot) {
 }
 
 TEST(RrefToleranceTest, RidgeRemediationYieldsBoundedResidual) {
-  Matrix a{{1.0, 0.0}, {1.0, 1e-7}};
+  Matrix a = matrix_of({{1.0, 0.0}, {1.0, 1e-7}});
   const std::vector<double> b = {1.0, 1.0};
   ProjectorOptions options;
   options.auto_regularize = true;
@@ -117,7 +121,8 @@ TEST(RrefToleranceTest, RidgeRemediationYieldsBoundedResidual) {
   // still be satisfied to an accuracy commensurate with the reported ridge
   // (far looser than machine precision, far tighter than O(1)).
   const std::vector<double> origin(2, 0.0);
-  const std::vector<double> x = proj->project(origin);
+  std::vector<double> x(2);
+  proj->project_into(origin, x);
   const std::vector<double> ax = multiply(a, x);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_NEAR(ax[i], b[i], 1e-3) << "row " << i;

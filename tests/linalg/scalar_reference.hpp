@@ -115,7 +115,7 @@ inline double lambda_min(const Matrix& l, int iterations) {
   return inv_lambda > 0.0 ? 1.0 / inv_lambda : 0.0;
 }
 
-/// robust::estimate_gram_cond as it ran one block at a time.
+/// robust::analyze_component's cond estimate as it ran one block at a time.
 inline double estimate_gram_cond(const Matrix& a, int power_iterations,
                                  double chol_tol) {
   if (a.rows() == 0) return 1.0;

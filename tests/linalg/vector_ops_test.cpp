@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <stdexcept>
 #include <vector>
+
+#include "core/packed_kernels.hpp"
 
 namespace dopf::linalg {
 namespace {
@@ -23,51 +24,33 @@ TEST(VectorOpsTest, DotSizeMismatchThrows) {
   EXPECT_THROW(dot(x, y), std::invalid_argument);
 }
 
-TEST(VectorOpsTest, AxpyAndScale) {
-  const std::vector<double> x = {1.0, 2.0};
-  std::vector<double> y = {10.0, 20.0};
-  axpy(2.0, x, y);
-  EXPECT_EQ(y[0], 12.0);
-  EXPECT_EQ(y[1], 24.0);
-  scale(y, 0.5);
-  EXPECT_EQ(y[0], 6.0);
-  EXPECT_EQ(y[1], 12.0);
+// The box clip of the global update (13)/(18), clip((acc - c) / (rho deg),
+// lb, ub), here with c = 0 and rho deg = 1.
+std::vector<double> clip(const std::vector<double>& x,
+                         const std::vector<double>& lo,
+                         const std::vector<double>& hi) {
+  std::vector<double> out(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    out[i] = dopf::core::kernels::global_value(x[i], 0.0, lo[i], hi[i], 1.0);
+  }
+  return out;
 }
 
 TEST(VectorOpsTest, ClipProjectsIntoBox) {
-  std::vector<double> x = {-2.0, 0.5, 7.0};
   const std::vector<double> lo = {0.0, 0.0, 0.0};
   const std::vector<double> hi = {1.0, 1.0, 1.0};
-  clip(x, lo, hi);
+  const std::vector<double> x = clip({-2.0, 0.5, 7.0}, lo, hi);
   EXPECT_EQ(x[0], 0.0);
   EXPECT_EQ(x[1], 0.5);
   EXPECT_EQ(x[2], 1.0);
 }
 
 TEST(VectorOpsTest, ClipWithInfiniteBoundsIsIdentity) {
-  std::vector<double> x = {-1e10, 1e10};
   const std::vector<double> lo = {-kInfinity, -kInfinity};
   const std::vector<double> hi = {kInfinity, kInfinity};
-  clip(x, lo, hi);
+  const std::vector<double> x = clip({-1e10, 1e10}, lo, hi);
   EXPECT_EQ(x[0], -1e10);
   EXPECT_EQ(x[1], 1e10);
-}
-
-TEST(VectorOpsTest, Distance2) {
-  const std::vector<double> x = {1.0, 2.0};
-  const std::vector<double> y = {4.0, 6.0};
-  EXPECT_DOUBLE_EQ(distance2(x, y), 5.0);
-}
-
-TEST(VectorOpsTest, AddSubtract) {
-  const std::vector<double> x = {1.0, 2.0};
-  const std::vector<double> y = {3.0, 5.0};
-  const auto s = add(x, y);
-  const auto d = subtract(x, y);
-  EXPECT_EQ(s[0], 4.0);
-  EXPECT_EQ(s[1], 7.0);
-  EXPECT_EQ(d[0], -2.0);
-  EXPECT_EQ(d[1], -3.0);
 }
 
 TEST(VectorOpsTest, IsUnboundedSentinels) {
@@ -77,12 +60,6 @@ TEST(VectorOpsTest, IsUnboundedSentinels) {
   EXPECT_FALSE(is_unbounded(1e6));
   EXPECT_FALSE(is_unbounded(0.0));
   EXPECT_FALSE(is_unbounded(-1e6));
-}
-
-TEST(VectorOpsTest, FillSetsEveryElement) {
-  std::vector<double> x(5, 1.0);
-  fill(x, -3.5);
-  for (double v : x) EXPECT_EQ(v, -3.5);
 }
 
 }  // namespace

@@ -113,8 +113,8 @@ TEST(DecomposeEquivalenceTest, RowReductionPreservesSolutionSet) {
     ASSERT_EQ(cr.global, cu.global) << cr.name;
     // Build a point satisfying the reduced block via projection of zero.
     dopf::linalg::AffineProjector proj(cr.a, cr.b);
-    const std::vector<double> x =
-        proj.project(std::vector<double>(cr.num_vars(), 0.0));
+    std::vector<double> x(cr.num_vars());
+    proj.project_into(std::vector<double>(cr.num_vars(), 0.0), x);
     // It must satisfy every *unreduced* row too.
     for (std::size_t r = 0; r < cu.num_rows(); ++r) {
       double lhs = 0.0;

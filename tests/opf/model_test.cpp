@@ -5,6 +5,8 @@
 #include <cmath>
 #include <map>
 
+#include "../sparse/csr_entry.hpp"
+
 namespace dopf::opf {
 namespace {
 
@@ -323,7 +325,7 @@ TEST(ModelTest, ConstraintMatrixMatchesEquations) {
   for (std::size_t r = 0; r < m.num_equations(); ++r) {
     for (const auto& [var, coeff] : m.equations[r].terms) {
       (void)coeff;
-      EXPECT_NE(a.at(r, var), 0.0);
+      EXPECT_NE(dopf::testing::entry(a, r, var), 0.0);
     }
   }
 }

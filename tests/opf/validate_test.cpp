@@ -17,7 +17,7 @@ TEST(ValidateTest, ReferenceSolutionPassesPhysicsChecks) {
   const auto ref = dopf::solver::reference_solve(model);
   ASSERT_EQ(ref.status, dopf::solver::LpStatus::kOptimal);
   const ValidationReport report = validate_solution(net, model, ref.x);
-  EXPECT_TRUE(report.ok(1e-5)) << report.to_string();
+  EXPECT_TRUE(report.ok(1e-5)) << report.worst_check() << " " << report.worst();
 }
 
 TEST(ValidateTest, AdmmSolutionPassesAtItsTolerance) {
@@ -31,7 +31,7 @@ TEST(ValidateTest, AdmmSolutionPassesAtItsTolerance) {
   const auto res = admm.solve();
   ASSERT_TRUE(res.converged);
   const ValidationReport report = validate_solution(net, model, res.x);
-  EXPECT_TRUE(report.ok(1e-3)) << report.to_string();
+  EXPECT_TRUE(report.ok(1e-3)) << report.worst_check() << " " << report.worst();
   EXPECT_EQ(report.max_bound_violation, 0.0);  // clipped global update
 }
 
@@ -42,7 +42,7 @@ TEST(ValidateTest, SyntheticFeederSolutionValidates) {
   const auto ref = dopf::solver::reference_solve(model);
   ASSERT_EQ(ref.status, dopf::solver::LpStatus::kOptimal);
   const ValidationReport report = validate_solution(net, model, ref.x);
-  EXPECT_TRUE(report.ok(1e-4)) << report.to_string();
+  EXPECT_TRUE(report.ok(1e-4)) << report.worst_check() << " " << report.worst();
 }
 
 TEST(ValidateTest, DetectsCorruptedDispatch) {
@@ -91,17 +91,6 @@ TEST(ValidateTest, WorstCheckNamesDominantCategory) {
   EXPECT_EQ(report.worst_check(), "bounds");
   // All-zero report: still a well-defined (first) category.
   EXPECT_EQ(ValidationReport{}.worst_check(), "P-balance");
-}
-
-TEST(ValidateTest, ReportStringListsEveryCategory) {
-  const auto net = dopf::feeders::ieee13();
-  const OpfModel model = build_model(net);
-  const auto ref = dopf::solver::reference_solve(model);
-  const std::string s = validate_solution(net, model, ref.x).to_string();
-  for (const char* key : {"P-balance", "Q-balance", "flow", "voltage",
-                          "load-model", "bounds"}) {
-    EXPECT_NE(s.find(key), std::string::npos) << key;
-  }
 }
 
 TEST(ValidateTest, BuilderAndValidatorAgreeOnResiduals) {

@@ -74,8 +74,8 @@ void expect_blocks_match(const std::vector<dopf::opf::Component>& comps,
                     << ", m=" << comps[s].num_rows() << "): cond "
                     << have.cond << " vs " << want.cond << ", ridge "
                     << have.ridge << " vs " << want.ridge << ", health "
-                    << to_string(have.health) << " vs "
-                    << to_string(want.health);
+                    << static_cast<int>(have.health) << " vs "
+                    << static_cast<int>(want.health);
     }
   }
   EXPECT_EQ(mismatches, 0u) << label;
@@ -238,17 +238,12 @@ TEST(ConditioningLanesTest, EdgeLanesAmongHealthyLanes) {
   EXPECT_GT(healthy, 0);
   EXPECT_GT(ridged, 0);
   EXPECT_GT(unrescued, 0);
-  // A group of one runs the same code: the single-block entry points agree.
+  // A group of one runs the same code: the single-block entry point agrees.
   for (const auto& comp : comps) {
     const BlockConditioning want = reference_block(comp, options);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(analyze_component(comp).cond),
               std::bit_cast<std::uint64_t>(want.cond))
         << comp.name;
-    if (comp.num_rows() > 0) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(estimate_gram_cond(comp.a)),
-                std::bit_cast<std::uint64_t>(want.cond))
-          << comp.name;
-    }
   }
 }
 

@@ -3,39 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "feeders/ieee13.hpp"
 #include "opf/model.hpp"
+#include "../linalg/matrix_literal.hpp"
 
 namespace dopf::robust {
 namespace {
 
 using dopf::linalg::Matrix;
-
-TEST(ConditioningTest, IdentityGramHasUnitCondition) {
-  Matrix a{{1.0, 0.0, 0.0}, {0.0, 1.0, 0.0}};
-  EXPECT_NEAR(estimate_gram_cond(a), 1.0, 1e-9);
-}
-
-TEST(ConditioningTest, DiagonalScalingIsEstimatedAccurately) {
-  // G = diag(1, 100) => cond(G) = 100 exactly; the power/inverse iteration
-  // estimate must land within a few percent.
-  Matrix a{{1.0, 0.0}, {0.0, 10.0}};
-  EXPECT_NEAR(estimate_gram_cond(a), 100.0, 1.0);
-}
-
-TEST(ConditioningTest, ParallelRowsGiveInfiniteCondition) {
-  Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_TRUE(std::isinf(estimate_gram_cond(a)));
-}
-
-TEST(ConditioningTest, EstimateIsDeterministic) {
-  Matrix a{{3.0, 1.0, 0.5}, {0.2, 2.0, 1.0}};
-  const double first = estimate_gram_cond(a);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(estimate_gram_cond(a), first);
-  }
-}
+using dopf::testing::matrix_of;
 
 dopf::opf::Component make_component(Matrix a) {
   dopf::opf::Component comp;
@@ -50,9 +28,39 @@ dopf::opf::Component make_component(Matrix a) {
   return comp;
 }
 
+/// cond(A A^T) as preflight estimates it for a block.
+double estimate_gram_cond(Matrix a) {
+  return analyze_component(make_component(std::move(a))).cond;
+}
+
+TEST(ConditioningTest, IdentityGramHasUnitCondition) {
+  Matrix a = matrix_of({{1.0, 0.0, 0.0}, {0.0, 1.0, 0.0}});
+  EXPECT_NEAR(estimate_gram_cond(a), 1.0, 1e-9);
+}
+
+TEST(ConditioningTest, DiagonalScalingIsEstimatedAccurately) {
+  // G = diag(1, 100) => cond(G) = 100 exactly; the power/inverse iteration
+  // estimate must land within a few percent.
+  Matrix a = matrix_of({{1.0, 0.0}, {0.0, 10.0}});
+  EXPECT_NEAR(estimate_gram_cond(a), 100.0, 1.0);
+}
+
+TEST(ConditioningTest, ParallelRowsGiveInfiniteCondition) {
+  Matrix a = matrix_of({{1.0, 2.0}, {2.0, 4.0}});
+  EXPECT_TRUE(std::isinf(estimate_gram_cond(a)));
+}
+
+TEST(ConditioningTest, EstimateIsDeterministic) {
+  Matrix a = matrix_of({{3.0, 1.0, 0.5}, {0.2, 2.0, 1.0}});
+  const double first = estimate_gram_cond(a);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(estimate_gram_cond(a), first);
+  }
+}
+
 TEST(ConditioningTest, HealthyBlockClassified) {
   const BlockConditioning b =
-      analyze_component(make_component(Matrix{{1.0, 0.0}, {0.0, 1.0}}));
+      analyze_component(make_component(matrix_of({{1.0, 0.0}, {0.0, 1.0}})));
   EXPECT_EQ(b.health, BlockHealth::kHealthy);
   EXPECT_EQ(b.rank, 2u);
   EXPECT_EQ(b.ridge, 0.0);
@@ -61,14 +69,14 @@ TEST(ConditioningTest, HealthyBlockClassified) {
 TEST(ConditioningTest, MarginalBlockClassified) {
   // cond(G) = 1e10: above the 1e8 marginal threshold, below 1e12.
   const BlockConditioning b =
-      analyze_component(make_component(Matrix{{1.0, 0.0}, {0.0, 1e5}}));
+      analyze_component(make_component(matrix_of({{1.0, 0.0}, {0.0, 1e5}})));
   EXPECT_EQ(b.health, BlockHealth::kMarginal);
 }
 
 TEST(ConditioningTest, DegenerateBlockClassified) {
   // cond(G) = 1e14, but the Cholesky still succeeds: degenerate, finite.
   const BlockConditioning b =
-      analyze_component(make_component(Matrix{{1.0, 0.0}, {0.0, 1e7}}));
+      analyze_component(make_component(matrix_of({{1.0, 0.0}, {0.0, 1e7}})));
   EXPECT_EQ(b.health, BlockHealth::kDegenerate);
   EXPECT_TRUE(std::isfinite(b.cond));
 }
@@ -78,7 +86,7 @@ TEST(ConditioningTest, RankDeficientBlockProbesRidge) {
   // must report both the failure (cond = inf) and the ridge the remediation
   // path would need.
   const BlockConditioning b =
-      analyze_component(make_component(Matrix{{1.0, 0.0}, {1.0, 1e-7}}));
+      analyze_component(make_component(matrix_of({{1.0, 0.0}, {1.0, 1e-7}})));
   EXPECT_EQ(b.health, BlockHealth::kDegenerate);
   EXPECT_TRUE(std::isinf(b.cond));
   EXPECT_GT(b.ridge, 0.0);

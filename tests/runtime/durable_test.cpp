@@ -159,7 +159,7 @@ TEST(FsFaultPlanTest, ParsesRoundTrippableSpecs) {
   EXPECT_EQ(plan.events[0].times, 2);
   EXPECT_EQ(plan.events[0].path_contains, "day.ckpt");
   EXPECT_EQ(plan.events[1].bytes, 64u);
-  EXPECT_EQ(plan.to_string(),
+  EXPECT_EQ(dopf::runtime::spec_string(plan.events),
             "enospc:op=3,times=2,path=day.ckpt;short:op=5,bytes=64;crash:op=7");
 }
 

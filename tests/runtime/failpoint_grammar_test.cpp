@@ -3,9 +3,10 @@
 /// every spec string the tests and tool scripts use, plus thousands of
 /// seeded mutations of them (byte flips, truncations, spliced separators
 /// and spliced entries), goes through all four parsers. Each input must
-/// either throw the one typed FaultError, or give a plan whose to_string()
-/// re-parses to the same string — never another exception, a crash, or a
-/// plan that prints something it would not read back.
+/// either throw the one typed FaultError, or give a plan whose printed
+/// events (spec_string) re-parse to the same string — never another
+/// exception, a crash, or a plan that prints something it would not read
+/// back.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,12 @@ namespace {
 
 using dopf::serve::CrashFaultPlan;
 using dopf::serve::ServeFaultPlan;
+
+/// A plan as its spec string: every event's to_string(), `;`-joined.
+template <class Plan>
+std::string print(const Plan& plan) {
+  return spec_string(plan.events);
+}
 
 /// Every spec string in tests/ and tools/, valid and malformed, of every
 /// plane (each input is fed to all four parsers).
@@ -194,7 +201,7 @@ template <class Plan>
 bool accepts_and_round_trips(const std::string& input, const char* plane) {
   std::string printed;
   try {
-    printed = Plan::parse(input).to_string();
+    printed = print(Plan::parse(input));
   } catch (const FaultError&) {
     return false;
   } catch (const std::exception& e) {
@@ -203,7 +210,7 @@ bool accepts_and_round_trips(const std::string& input, const char* plane) {
     return false;
   }
   try {
-    EXPECT_EQ(Plan::parse(printed).to_string(), printed)
+    EXPECT_EQ(print(Plan::parse(printed)), printed)
         << plane << ": '" << input << "' printed as '" << printed << "'";
   } catch (const std::exception& e) {
     ADD_FAILURE() << plane << ": '" << input << "' printed as '" << printed
@@ -265,7 +272,7 @@ TEST(FailpointGrammarTest, SeededMutationsThrowTypedOrRoundTrip) {
 template <class Plan>
 void expect_rejected(const std::string& spec, const std::string& key) {
   try {
-    const std::string printed = Plan::parse(spec).to_string();
+    const std::string printed = print(Plan::parse(spec));
     ADD_FAILURE() << "'" << spec << "' accepted as '" << printed << "'";
   } catch (const FaultError& e) {
     const std::string what = e.what();
@@ -275,7 +282,7 @@ void expect_rejected(const std::string& spec, const std::string& key) {
 }
 
 TEST(FailpointGrammarTest, KeysAKindDoesNotReadAreRejected) {
-  // Each kind accepts only the keys it reads, so to_string() never drops
+  // Each kind accepts only the keys it reads, so printing never drops
   // one: these used to parse and print without the key.
   expect_rejected<FaultPlan>("drop:device=1,iter=4,until=9,count=2", "until");
   expect_rejected<FaultPlan>("corrupt:device=0,iter=5,until=9", "until");
@@ -295,26 +302,23 @@ TEST(FailpointGrammarTest, KeysAKindDoesNotReadAreRejected) {
   expect_rejected<ServeFaultPlan>("delay:op=1,bytes=3", "bytes");
 
   // The keys a kind does read still parse, aliases included.
-  EXPECT_EQ(FaultPlan::parse("drop:device=1,from=4,until=9,count=2")
-                .to_string(),
+  EXPECT_EQ(print(FaultPlan::parse("drop:device=1,from=4,until=9,count=2")),
             "drop:device=1,from=4,count=2,until=9");
-  EXPECT_EQ(FaultPlan::parse("corrupt:device=1,from=3,until=9,factor=2")
-                .to_string(),
-            "corrupt:device=1,from=3,scale=2,until=9");
-  EXPECT_EQ(FaultPlan::parse("straggle:device=1,iter=3,until=9,scale=2")
-                .to_string(),
-            "straggle:device=1,iter=3,until=9,factor=2");
-  EXPECT_EQ(FsFaultPlan::parse("short:op=2,bytes=32,path=a").to_string(),
+  EXPECT_EQ(
+      print(FaultPlan::parse("corrupt:device=1,from=3,until=9,factor=2")),
+      "corrupt:device=1,from=3,scale=2,until=9");
+  EXPECT_EQ(
+      print(FaultPlan::parse("straggle:device=1,iter=3,until=9,scale=2")),
+      "straggle:device=1,iter=3,until=9,factor=2");
+  EXPECT_EQ(print(FsFaultPlan::parse("short:op=2,bytes=32,path=a")),
             "short:op=2,bytes=32,path=a");
-  EXPECT_EQ(ServeFaultPlan::parse("delay:op=5,ms=80,frame=pong").to_string(),
+  EXPECT_EQ(print(ServeFaultPlan::parse("delay:op=5,ms=80,frame=pong")),
             "delay:op=5,ms=80,frame=pong");
 }
 
 TEST(FailpointGrammarTest, WhitespaceAroundTokensIsTrimmed) {
-  EXPECT_EQ(ServeFaultPlan::parse(" drop : op = 2 ; ").to_string(),
-            "drop:op=2");
-  EXPECT_EQ(FsFaultPlan::parse(" enospc : op = 2 ; ").to_string(),
-            "enospc:op=2");
+  EXPECT_EQ(print(ServeFaultPlan::parse(" drop : op = 2 ; ")), "drop:op=2");
+  EXPECT_EQ(print(FsFaultPlan::parse(" enospc : op = 2 ; ")), "enospc:op=2");
 }
 
 }  // namespace

@@ -134,8 +134,7 @@ TEST(FaultPlanTest, PersistentSpecsParse) {
   EXPECT_TRUE(plan.events[1].persistent);
   EXPECT_TRUE(plan.events[1].active_at(250));
   EXPECT_FALSE(plan.events[1].active_at(251));
-  EXPECT_TRUE(plan.has_persistent());
-  EXPECT_FALSE(FaultPlan::parse("drop:device=2,iter=4").has_persistent());
+  EXPECT_FALSE(FaultPlan::parse("drop:device=2,iter=4").events[0].persistent);
 
   // Persistent specs survive a to_string round trip.
   const FaultPlan replayed = FaultPlan::parse(plan.to_string());

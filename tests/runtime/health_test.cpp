@@ -144,20 +144,5 @@ TEST(DeviceHealthTest, UnhealthyProbeResetsProbationStreak) {
   EXPECT_EQ(h.state(), DeviceState::kQuarantined);
 }
 
-TEST(DeviceHealthTest, StateNamesAreStable) {
-  EXPECT_STREQ(to_string(DeviceState::kHealthy), "healthy");
-  EXPECT_STREQ(to_string(DeviceState::kDegraded), "degraded");
-  EXPECT_STREQ(to_string(DeviceState::kQuarantined), "quarantined");
-  EXPECT_STREQ(to_string(DeviceState::kProbation), "probation");
-}
-
-TEST(DeviceHealthTest, ToStringReportsStateAndCounters) {
-  DeviceHealth h(tight_policy());
-  h.observe(64.0, 0);
-  const std::string s = h.to_string();
-  EXPECT_NE(s.find("degraded"), std::string::npos) << s;
-  EXPECT_NE(s.find("staleness"), std::string::npos) << s;
-}
-
 }  // namespace
 }  // namespace dopf::runtime

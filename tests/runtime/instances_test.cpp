@@ -43,13 +43,6 @@ TEST(InstancesTest, UnknownNameThrows) {
   }
 }
 
-TEST(InstancesTest, PaperListHasThreeInstances) {
-  const auto names = paper_instance_names();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "ieee13");
-  EXPECT_EQ(names[2], "ieee8500");
-}
-
 TEST(InstancesTest, DecomposeOptionsArePassedThrough) {
   dopf::opf::DecomposeOptions opts;
   opts.merge_leaves = false;

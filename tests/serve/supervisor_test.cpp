@@ -44,7 +44,8 @@ TEST(CrashFaultPlanTest, ParsesSingleAndComposedSpecs) {
 TEST(CrashFaultPlanTest, ToStringRoundTrips) {
   const std::string spec = "signal:request=2;exit:request=5,times=3";
   const CrashFaultPlan plan = CrashFaultPlan::parse(spec);
-  const CrashFaultPlan again = CrashFaultPlan::parse(plan.to_string());
+  const CrashFaultPlan again =
+      CrashFaultPlan::parse(dopf::runtime::spec_string(plan.events));
   ASSERT_EQ(again.events.size(), plan.events.size());
   for (std::size_t i = 0; i < plan.events.size(); ++i) {
     EXPECT_EQ(again.events[i].kind, plan.events[i].kind);

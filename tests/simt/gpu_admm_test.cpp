@@ -162,22 +162,5 @@ TEST(GpuAdmmTest, KernelAveragesDivideByIterations) {
   EXPECT_GT(r.timing.total(), 0.0);
 }
 
-TEST(LocalKernelCostTest, SubsetCostsAreMonotone) {
-  const auto& p = fixture().problem;
-  const auto solvers = dopf::core::LocalSolvers::precompute(p);
-  const PackedLocalSolvers img = PackedLocalSolvers::build(p, solvers);
-  const Device dev;
-  std::vector<std::size_t> all(p.num_components());
-  for (std::size_t s = 0; s < all.size(); ++s) all[s] = s;
-  const std::vector<std::size_t> half(all.begin(),
-                                      all.begin() + all.size() / 2);
-  const double t_all = local_update_kernel_seconds(dev, img, all, 16);
-  const double t_half = local_update_kernel_seconds(dev, img, half, 16);
-  EXPECT_GE(t_all, t_half);
-  // More threads never slow the kernel down.
-  EXPECT_LE(local_update_kernel_seconds(dev, img, all, 64),
-            local_update_kernel_seconds(dev, img, all, 1));
-}
-
 }  // namespace
 }  // namespace dopf::simt

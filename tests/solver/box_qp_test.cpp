@@ -6,15 +6,17 @@
 
 #include "linalg/rref.hpp"
 #include "linalg/vector_ops.hpp"
+#include "../linalg/matrix_literal.hpp"
 
 namespace dopf::solver {
 namespace {
 
 using dopf::linalg::kInfinity;
 using dopf::linalg::Matrix;
+using dopf::testing::matrix_of;
 
 TEST(BoxQpTest, UnconstrainedBoxReducesToAffineProjection) {
-  Matrix a{{1.0, 1.0}};
+  Matrix a = matrix_of({{1.0, 1.0}});
   BoxQp qp(a, {2.0}, {-kInfinity, -kInfinity}, {kInfinity, kInfinity});
   const auto res = qp.project(std::vector<double>{0.0, 0.0});
   ASSERT_TRUE(res.converged);
@@ -24,7 +26,7 @@ TEST(BoxQpTest, UnconstrainedBoxReducesToAffineProjection) {
 
 TEST(BoxQpTest, ActiveBoundShiftsSolution) {
   // Project (0,0) onto {x + y = 2, x <= 0.5}: solution (0.5, 1.5).
-  Matrix a{{1.0, 1.0}};
+  Matrix a = matrix_of({{1.0, 1.0}});
   BoxQp qp(a, {2.0}, {-kInfinity, -kInfinity}, {0.5, kInfinity});
   const auto res = qp.project(std::vector<double>{0.0, 0.0});
   ASSERT_TRUE(res.converged);
@@ -33,7 +35,7 @@ TEST(BoxQpTest, ActiveBoundShiftsSolution) {
 }
 
 TEST(BoxQpTest, InteriorPointIsFixed) {
-  Matrix a{{1.0, -1.0}};
+  Matrix a = matrix_of({{1.0, -1.0}});
   BoxQp qp(a, {0.0}, {-1.0, -1.0}, {1.0, 1.0});
   const auto res = qp.project(std::vector<double>{0.3, 0.3});
   ASSERT_TRUE(res.converged);
@@ -43,7 +45,7 @@ TEST(BoxQpTest, InteriorPointIsFixed) {
 
 TEST(BoxQpTest, FullyClampedBox) {
   // Degenerate box pinning both variables; A x = b must still hold.
-  Matrix a{{1.0, 1.0}};
+  Matrix a = matrix_of({{1.0, 1.0}});
   BoxQp qp(a, {2.0}, {1.0, 1.0}, {1.0, 1.0});
   const auto res = qp.project(std::vector<double>{5.0, -7.0});
   EXPECT_NEAR(res.x[0], 1.0, 1e-8);
@@ -51,7 +53,7 @@ TEST(BoxQpTest, FullyClampedBox) {
 }
 
 TEST(BoxQpTest, WarmStartSpeedsSecondSolve) {
-  Matrix a{{1.0, 2.0, -1.0}, {0.0, 1.0, 1.0}};
+  Matrix a = matrix_of({{1.0, 2.0, -1.0}, {0.0, 1.0, 1.0}});
   BoxQp qp(a, {1.0, 0.5}, {-1.0, -1.0, -1.0}, {1.0, 1.0, 1.0});
   std::vector<double> mu(2, 0.0);
   const std::vector<double> y = {0.2, 0.8, -0.4};
@@ -90,7 +92,9 @@ void expect_projection_optimal(const Matrix& a, std::span<const double> b,
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<double> d(x.size());
     for (double& v : d) v = dist(rng);
-    d = null_proj.project(d);  // A d = 0
+    std::vector<double> nd(d.size());
+    null_proj.project_into(d, nd);  // A d = 0
+    d = nd;
     // Zero out components that would leave the box.
     for (std::size_t j = 0; j < x.size(); ++j) {
       if ((x[j] <= lb[j] + tol && d[j] < 0.0) ||
@@ -152,7 +156,7 @@ TEST_P(BoxQpRandomSweep, RandomProblemsAreSolvedToOptimality) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BoxQpRandomSweep, ::testing::Range(0, 25));
 
 TEST(BoxQpTest, DykstraFallbackAgreesWithNewton) {
-  Matrix a{{1.0, 1.0, 1.0}};
+  Matrix a = matrix_of({{1.0, 1.0, 1.0}});
   std::vector<double> b = {1.5};
   std::vector<double> lb = {0.0, 0.0, 0.0};
   std::vector<double> ub = {1.0, 1.0, 1.0};
@@ -172,7 +176,7 @@ TEST(BoxQpTest, DykstraFallbackAgreesWithNewton) {
 TEST(BoxQpTest, DimensionMismatchThrows) {
   Matrix a(1, 2);
   EXPECT_THROW(BoxQp(a, {1.0}, {0.0}, {1.0, 1.0}), std::invalid_argument);
-  BoxQp ok(Matrix{{1.0, 1.0}}, {1.0}, {0.0, 0.0}, {1.0, 1.0});
+  BoxQp ok(matrix_of({{1.0, 1.0}}), {1.0}, {0.0, 0.0}, {1.0, 1.0});
   EXPECT_THROW(ok.project(std::vector<double>{1.0}), std::invalid_argument);
 }
 

@@ -6,9 +6,12 @@
 
 #include "linalg/cholesky.hpp"
 #include "sparse/ordering.hpp"
+#include "csr_entry.hpp"
 
 namespace dopf::sparse {
 namespace {
+
+using dopf::testing::entry;
 
 CsrMatrix laplacian_plus_identity(std::size_t n, unsigned seed,
                                   double extra_edge_prob = 0.1) {
@@ -71,7 +74,7 @@ TEST(LdltTest, MatchesDenseCholeskyOnSmallMatrix) {
 
   dopf::linalg::Matrix dense(8, 8);
   for (std::size_t i = 0; i < 8; ++i) {
-    for (std::size_t j = 0; j < 8; ++j) dense(i, j) = a.at(i, j);
+    for (std::size_t j = 0; j < 8; ++j) dense(i, j) = entry(a, i, j);
   }
   const dopf::linalg::Cholesky chol(dense);
   std::vector<double> b(8);
@@ -139,7 +142,8 @@ TEST(LdltTest, DiagShiftRescuesSemidefinite) {
 }
 
 TEST(LdltTest, SolveBeforeFactorizeThrows) {
-  const CsrMatrix a = CsrMatrix::identity(3);
+  const std::vector<Triplet> diag = {{0, 0, 1.0}, {1, 1, 1.0}, {2, 2, 1.0}};
+  const CsrMatrix a = CsrMatrix::from_triplets(3, 3, diag);
   SparseLdlt ldlt(a);
   std::vector<double> b(3, 1.0);
   EXPECT_THROW(ldlt.solve(b), std::logic_error);

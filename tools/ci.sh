@@ -2,7 +2,8 @@
 # CI gate: run the verify suite three times — a plain Release pass, an
 # ASan+UBSan pass (-DDOPF_SANITIZE=ON), and a ThreadSanitizer pass
 # (-DDOPF_SANITIZE_THREAD=ON) scoped to the thread-dense serve/runtime
-# suites. All must be green.
+# suites — plus the reachability gate after the Release pass. All must be
+# green.
 #
 # Test tiers (see TESTING.md):
 #   tier1 — fast deterministic tests; run in BOTH configurations. This
@@ -37,6 +38,12 @@ run_pass() {
 
 # Release: the full suite, tier1 + tier2 (golden traces, fuzzing).
 run_pass build "" -DCMAKE_BUILD_TYPE=Release -DDOPF_SANITIZE=OFF
+
+# Reachability gate: every dopf:: library function is reached by a tool,
+# bench, example or the perfbench harness, or is a test oracle listed in
+# tests/oracles.txt (TESTING.md, "Reachability gate").
+echo "=== reachability (programs vs library symbols) ==="
+JOBS="${JOBS}" tools/reachability.sh build-reach
 
 # Preflight gate: every builtin feeder — including the deliberately
 # stressed ieee13_overload — must clear input sanitation + conditioning

@@ -29,7 +29,8 @@
 //                         (default ieee13); a bare name that is no file is
 //                         read as a builtin
 //   --backend B           serial (default) | threaded | simt | multigpu
-//   --threads N           worker threads for --backend threaded
+//   --threads N           worker threads for --backend threaded or for the
+//                         threaded leg of --fuzz (default 4)
 //   --devices N           simulated devices for --backend multigpu (default 3)
 //   --faults SPEC         fault schedule for multigpu (runtime/fault.hpp)
 //   --no-recovery         disable failover + message CRC verification
@@ -73,6 +74,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <sys/stat.h>
 
@@ -134,6 +136,9 @@ int main(int argc, char** argv) {
   dopf::simt::BackendSpec backend;
   backend.threads = 4;
   backend.devices = 3;
+  // As given: unset leaves the defaults above, and a value for a run that
+  // would ignore it is refused.
+  std::optional<int> threads, devices;
   std::string golden_file, golden_dir;
   std::string resume_file;
   int checkpoint_every = 0;
@@ -161,9 +166,9 @@ int main(int argc, char** argv) {
                                       "'");
         }
       } else if (arg == "--threads") {
-        backend.threads = args.integer(0, 1024);
+        threads = args.integer(0, 1024);
       } else if (arg == "--devices") {
-        backend.devices = args.integer(1, 1024);
+        devices = args.integer(1, 1024);
       } else if (arg == "--faults") {
         backend.faults = args.plan<dopf::runtime::FaultPlan>();
       } else if (arg == "--no-recovery") {
@@ -212,7 +217,13 @@ int main(int argc, char** argv) {
         {dopf::simt::breaks_multigpu_only(backend), dopf::simt::kMultigpuOnly},
         {session && !resume_file.empty(),
          "--session is not supported with --resume"},
+        {threads && backend.name != "threaded" && fuzz_cases == 0,
+         "--threads requires --backend threaded or --fuzz"},
+        {devices && backend.name != "multigpu",
+         "--devices requires --backend multigpu"},
     });
+    if (threads) backend.threads = *threads;
+    if (devices) backend.devices = *devices;
   } catch (const dopf::cli::UsageError& e) {
     return dopf::cli::refuse(argv[0], e, kUsage);
   }
