@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <vector>
 
 #include "core/packed_kernels.hpp"
@@ -126,18 +127,43 @@ void dual_residual_chunks(const PackedLocalSolvers& pack,
   }
 }
 
-void local_slice(const PackedLocalSolvers& pack, const PackedState& state,
-                 std::size_t begin, std::size_t end) {
+void local_schedule(const PackedLocalSolvers& pack, const PackedState& state) {
+  if (!state.component_seconds.empty()) {
+    local_components(pack, state, 0, pack.num_components());
+    return;
+  }
+  const bool finite = kernels::stage_range(pack, state, 0, pack.total_local());
+  kernels::project_range(pack, state, 0, pack.local_items());
+  if (!finite) repair_nonfinite(pack, state);
+}
+
+void local_components(const PackedLocalSolvers& pack, const PackedState& state,
+                      std::size_t begin, std::size_t end) {
   if (state.component_seconds.empty()) {
-    kernels::local_range(pack, state, begin, end);
+    for (std::size_t s = begin; s < end; ++s) {
+      kernels::local_component(pack, state, s);
+    }
     return;
   }
   using Clock = std::chrono::steady_clock;
-  for (std::size_t k = begin; k < end; ++k) {
+  for (std::size_t s = begin; s < end; ++s) {
     const auto start = Clock::now();
-    kernels::local_range(pack, state, k, k + 1);
-    state.component_seconds[static_cast<std::size_t>(pack.local_order[k])] +=
+    kernels::local_component(pack, state, s);
+    state.component_seconds[s] +=
         std::chrono::duration<double>(Clock::now() - start).count();
+  }
+}
+
+void repair_nonfinite(const PackedLocalSolvers& pack,
+                      const PackedState& state) {
+  for (std::size_t s = 0; s < pack.num_components(); ++s) {
+    const auto off = static_cast<std::size_t>(pack.comp_offset[s]);
+    const auto n = static_cast<std::size_t>(pack.comp_nvars[s]);
+    const auto y = state.y.subspan(off, n);
+    if (!std::all_of(y.begin(), y.end(),
+                     [](double v) { return std::isfinite(v); })) {
+      kernels::dense_component(pack, state, s);
+    }
   }
 }
 
@@ -178,7 +204,7 @@ class SerialBackend final : public ExecutionBackend {
 
   void local_update(const PackedLocalSolvers& pack,
                     PackedState& state) override {
-    local_slice(pack, state, 0, pack.num_components());
+    local_schedule(pack, state);
   }
 
   void dual_update(const PackedLocalSolvers& pack,

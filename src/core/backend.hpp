@@ -65,12 +65,24 @@ void dual_residual_chunks(const PackedLocalSolvers& pack,
                           const PackedState& state, std::size_t begin,
                           std::size_t end, ResidualSums* partials);
 
-/// Local update (15) over the schedule positions local_order[begin, end)
-/// (kernels::local_range). When state.component_seconds is non-empty the
-/// blocks run one at a time through the same kernels, each timed into its
-/// component's slot. Any split of [0, S) gives the same bits.
-void local_slice(const PackedLocalSolvers& pack, const PackedState& state,
-                 std::size_t begin, std::size_t end);
+/// Local update (15) over the whole sub-block schedule: the staging pass
+/// over every z position, then every sub-block and constant row
+/// (kernels::stage_range, kernels::project_range), then repair_nonfinite
+/// when a staged value was not finite. With state.component_seconds
+/// non-empty it runs local_components over every component instead.
+void local_schedule(const PackedLocalSolvers& pack, const PackedState& state);
+
+/// Local update (15) for components [begin, end), one at a time through
+/// the schedule's kernels (kernels::local_component). When
+/// state.component_seconds is non-empty each is timed into its slot. Any
+/// split of [0, S) gives the same bits as local_schedule.
+void local_components(const PackedLocalSolvers& pack, const PackedState& state,
+                      std::size_t begin, std::size_t end);
+
+/// Redo densely (kernels::dense_component) every component whose staged y
+/// holds a non-finite value; the projection pass skipped its +0.0 entries,
+/// which such a value would have turned into NaN.
+void repair_nonfinite(const PackedLocalSolvers& pack, const PackedState& state);
 
 /// Fixed pairwise-tree combination of chunk partials (destroys `partials`).
 ResidualSums combine_residual_chunks(std::span<ResidualSums> partials);

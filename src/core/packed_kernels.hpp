@@ -1,9 +1,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "core/backend.hpp"
 #include "core/packed_solvers.hpp"
@@ -23,8 +25,8 @@
 /// order, so the vector kernels are bit-identical to scalar loops.
 namespace dopf::core::kernels {
 
-/// The two-lane register of linalg/lanes.hpp; two of them span one
-/// kPanelRows panel.
+/// The two-lane register of linalg/lanes.hpp; one holds two rows of a
+/// sub-block.
 using dopf::linalg::lanes::Vec2;
 
 inline Vec2 load2(const double* p) {
@@ -34,6 +36,15 @@ inline Vec2 load2(const double* p) {
 }
 
 inline void store2(double* p, Vec2 v) { std::memcpy(p, &v, sizeof(v)); }
+
+using dopf::linalg::lanes::Mask2;
+
+/// The bits of v, as a mask.
+inline Mask2 bits(Vec2 v) {
+  Mask2 m;
+  std::memcpy(&m, &v, sizeof(m));
+  return m;
+}
 
 /// One copy's share of the global sum (18): rho z - lambda. T is double or
 /// Vec2 (lanes across variables).
@@ -155,171 +166,257 @@ inline void global_range(const PackedLocalSolvers& p, const double* z,
   for (; k < end; ++k) global_entry(p, z, lambda, rho, p.global_order[k], x);
 }
 
-/// stage_component with kRelaxed fixed.
-template <bool kRelaxed, int N>
-inline void stage_lanes(const PackedLocalSolvers& p, const PackedState& st,
-                        std::size_t s) {
-  const std::size_t ns =
-      N > 0 ? static_cast<std::size_t>(N)
-            : static_cast<std::size_t>(p.comp_nvars[s]);
-  const std::int64_t off = p.comp_offset[s];
-  const int* g = p.global_idx.data() + off;
+/// stage_range with kRelaxed fixed.
+template <bool kRelaxed>
+inline bool stage_lanes(const PackedLocalSolvers& p, const PackedState& st,
+                        std::size_t begin, std::size_t end) {
+  const int* g = p.global_idx.data();
   const double* x = st.x.data();
-  const double* l = st.lambda.data() + off;
-  const double* zp = st.z_prev.data() + off;
-  double* y = st.y.data() + off;
+  const double* l = st.lambda.data();
+  const double* zp = st.z_prev.data();
+  double* y = st.y.data();
   const double rho = st.rho, alpha = st.alpha;
-  std::size_t j = 0;
-  for (; j + 2 <= ns; j += 2) {
+  // v - v is +0.0 (no bits set) exactly when v is finite.
+  Mask2 bad = {0, 0};
+  std::size_t j = begin;
+  for (; j + 2 <= end; j += 2) {
     const Vec2 bx = relaxed_value<kRelaxed>(Vec2{x[g[j]], x[g[j + 1]]},
                                             load2(zp + j), alpha);
-    store2(y + j, stage_value(bx, load2(l + j), rho));
+    const Vec2 v = stage_value(bx, load2(l + j), rho);
+    store2(y + j, v);
+    bad |= bits(v - v);
   }
-  if (j < ns) {
+  bool finite = (bad[0] | bad[1]) == 0;
+  if (j < end) {
     y[j] = stage_value(relaxed_value<kRelaxed>(x[g[j]], zp[j], alpha), l[j],
                        rho);
+    finite = finite && std::isfinite(y[j]);
   }
+  return finite;
 }
 
-/// Local update (15), staging half for component s:
-///   y_s = B_s x + lambda_s / rho, written into st.y, with B_s x relaxed
-/// when st.alpha != 1 (relaxed_value). N > 0 asserts n_s = N, so the loop
-/// unrolls.
-template <int N = 0>
-inline void stage_component(const PackedLocalSolvers& p, const PackedState& st,
-                            std::size_t s) {
-  if (st.alpha == 1.0) {
-    stage_lanes<false, N>(p, st, s);
-  } else {
-    stage_lanes<true, N>(p, st, s);
-  }
+/// Local update (15), staging half over z positions [begin, end):
+///   y = B x + lambda / rho, written into st.y, with B x relaxed when
+/// st.alpha != 1 (relaxed_value). Returns false when a staged value is
+/// not finite: the sub-block image is exact only for finite y (see
+/// dense_component).
+inline bool stage_range(const PackedLocalSolvers& p, const PackedState& st,
+                        std::size_t begin, std::size_t end) {
+  return st.alpha == 1.0 ? stage_lanes<false>(p, st, begin, end)
+                         : stage_lanes<true>(p, st, begin, end);
 }
 
-/// Projection rows of B same-size blocks in lockstep: the half-panels
-/// [h0, h0 + H) (rows 2 h0 .. 2 (h0 + H) - 1) of each block comps[b],
-///   x_s = bbar_s - Abar_s y_s   (the projection form (15)).
-/// Each Vec2 accumulator holds two rows of one block. All H x B of them
-/// move through one j loop, so that many add chains are in flight; each
-/// row's sum still starts at 0.0 and adds Abar(i, j) y_j for ascending j,
-/// as a scalar row loop does. h0 is even (the group starts a panel). N > 0
-/// fixes n_s at compile time, so the j loop unrolls; N == 0 reads `ns`.
-template <int H, int B, int N = 0>
-inline void project_rows(const PackedLocalSolvers& p, const int* comps,
-                         std::size_t ns, std::size_t h0, const double* y_pool,
-                         double* z) {
-  static_assert(kPanelRows == 4);
-  const std::size_t n = N > 0 ? static_cast<std::size_t>(N) : ns;
-  const double* panel[B];
-  const double* y[B];
+/// Projection rows [r0, r0 + 2 H + kTail) of B consecutive size-k blocks
+/// of one group, in lockstep: for each row i of a block,
+///   z_i = bbar_i - sum_j Abar(i, j) y_j   (the projection form (15)),
+/// j running over the block's rows, ascending. Block t's entries start at
+/// a + t k^2 (column-major) and its z positions at rows + t k; a contiguous
+/// block (!kIndexed) reads only the first. Each Vec2 accumulator holds two
+/// rows of one block, the scalar tail an odd last row, and all of them move
+/// through one j loop, so that many add chains are in flight. Each row's
+/// sum still starts at 0.0 and adds Abar(i, j) y_j for ascending j, as a
+/// scalar row loop does. K > 0 fixes k at compile time, so the j loop
+/// unrolls; K == 0 reads `dim`.
+template <int H, bool kTail, int B, bool kIndexed, int K = 0>
+inline void project_blocks(const double* a, const int* rows, std::size_t dim,
+                           std::size_t r0, const double* bbar,
+                           const double* y, double* z) {
+  const std::size_t k = K > 0 ? static_cast<std::size_t>(K) : dim;
+  const double* col[B];
+  const int* pos[B];
+  const double* yb[B];
   for (int b = 0; b < B; ++b) {
-    panel[b] = p.abar.data() + p.abar_offset[comps[b]] +
-               h0 / 2 * kPanelRows * n;
-    y[b] = y_pool + p.comp_offset[comps[b]];
+    col[b] = a + static_cast<std::size_t>(b) * k * k + r0;
+    pos[b] = rows + static_cast<std::size_t>(b) * k;
+    yb[b] = y + pos[b][0];
   }
-  // Half h sits in panel h / 2, lanes 2 (h % 2) and 2 (h % 2) + 1.
-  auto at = [n](int h, std::size_t j) {
-    return static_cast<std::size_t>(h / 2) * kPanelRows * n + kPanelRows * j +
-           static_cast<std::size_t>(h % 2) * 2;
-  };
-  Vec2 acc[B][H];
+  Vec2 acc[B][H > 0 ? H : 1];
+  double tail[B];
   for (int b = 0; b < B; ++b) {
     for (int h = 0; h < H; ++h) acc[b][h] = Vec2{0.0, 0.0};
+    tail[b] = 0.0;
   }
-  for (std::size_t j = 0; j < n; ++j) {
+  for (std::size_t j = 0; j < k; ++j) {
     for (int b = 0; b < B; ++b) {
-      const double yj = y[b][j];
-      for (int h = 0; h < H; ++h) acc[b][h] += load2(panel[b] + at(h, j)) * yj;
+      const double yj = kIndexed ? y[pos[b][j]] : yb[b][j];
+      const double* c = col[b] + j * k;
+      for (int h = 0; h < H; ++h) acc[b][h] += load2(c + 2 * h) * yj;
+      if constexpr (kTail) tail[b] += c[2 * H] * yj;
     }
   }
   for (int b = 0; b < B; ++b) {
-    const std::int64_t off = p.comp_offset[comps[b]];
-    const double* bbar = p.bbar.data() + off;
-    double* out = z + off;
     for (int h = 0; h < H; ++h) {
-      const std::size_t r = 2 * (h0 + h);
-      if (r + 2 <= n) {
-        store2(out + r, load2(bbar + r) - acc[b][h]);
+      const std::size_t r = r0 + 2 * static_cast<std::size_t>(h);
+      if constexpr (kIndexed) {
+        const int p0 = pos[b][r], p1 = pos[b][r + 1];
+        z[p0] = bbar[p0] - acc[b][h][0];
+        z[p1] = bbar[p1] - acc[b][h][1];
       } else {
-        out[r] = bbar[r] - acc[b][h][0];
+        const std::size_t p0 = static_cast<std::size_t>(pos[b][0]) + r;
+        store2(z + p0, load2(bbar + p0) - acc[b][h]);
       }
     }
-  }
-}
-
-/// Half-panels per j loop of the generic kernel: 16 rows, eight
-/// accumulators, which the baseline ISA's 16 vector registers still hold.
-inline constexpr int kGenericHalves = 8;
-
-/// Local update (15), projection half for one component s of any size: the
-/// generic single-block kernel. Up to 16 rows move through each j loop. The
-/// SIMT per-block launch and every size without a fixed-size kernel run it.
-inline void project_component(const PackedLocalSolvers& p, std::size_t s,
-                              const double* y_pool, double* z) {
-  const int comp[1] = {static_cast<int>(s)};
-  const std::size_t ns = static_cast<std::size_t>(p.comp_nvars[s]);
-  const std::size_t halves = (ns + 1) / 2;
-  for (std::size_t h0 = 0; h0 < halves; h0 += kGenericHalves) {
-    switch (std::min<std::size_t>(kGenericHalves, halves - h0)) {
-      case 1: project_rows<1, 1>(p, comp, ns, h0, y_pool, z); break;
-      case 2: project_rows<2, 1>(p, comp, ns, h0, y_pool, z); break;
-      case 3: project_rows<3, 1>(p, comp, ns, h0, y_pool, z); break;
-      case 4: project_rows<4, 1>(p, comp, ns, h0, y_pool, z); break;
-      case 5: project_rows<5, 1>(p, comp, ns, h0, y_pool, z); break;
-      case 6: project_rows<6, 1>(p, comp, ns, h0, y_pool, z); break;
-      case 7: project_rows<7, 1>(p, comp, ns, h0, y_pool, z); break;
-      default: project_rows<8, 1>(p, comp, ns, h0, y_pool, z); break;
+    if constexpr (kTail) {
+      const std::size_t r = r0 + 2 * H;
+      const std::size_t p0 = kIndexed
+                                 ? static_cast<std::size_t>(pos[b][r])
+                                 : static_cast<std::size_t>(pos[b][0]) + r;
+      z[p0] = bbar[p0] - tail[b];
     }
   }
 }
 
-/// Local update (15) for the schedule slice local_order[k, end), whose
-/// blocks all have n_s = N: stage each block, then project two blocks in
-/// lockstep while their accumulators fit the registers (one at a time
-/// otherwise).
-template <int N>
-inline void local_fixed(const PackedLocalSolvers& p, const PackedState& st,
-                        std::size_t k, std::size_t end) {
-  constexpr int H = (N + 1) / 2;
-  constexpr int B = 2 * H <= 12 ? 2 : 1;
-  const int* order = p.local_order.data();
-  for (; k + B <= end; k += B) {
-    for (int b = 0; b < B; ++b) stage_component<N>(p, st, order[k + b]);
-    project_rows<H, B, N>(p, order + k, N, 0, st.y.data(), st.z.data());
+/// Blocks per lockstep pass for size k: as many as keep the accumulators
+/// (two rows per register, plus the odd row's) within twelve of the 16
+/// vector registers, at most four.
+constexpr int lockstep_width(int k) {
+  const int regs = k / 2 + k % 2;
+  return std::max(1, std::min(4, 12 / regs));
+}
+
+/// `count` consecutive contiguous size-K blocks, B = lockstep_width(K) at a
+/// time and the rest one by one.
+template <int K>
+inline void blocks_fixed(const double* a, const int* rows, std::size_t count,
+                         const double* bbar, const double* y, double* z) {
+  constexpr int H = K / 2;
+  constexpr bool kTail = K % 2 != 0;
+  constexpr int B = lockstep_width(K);
+  constexpr std::size_t kk = static_cast<std::size_t>(K) * K;
+  std::size_t t = 0;
+  for (; t + B <= count; t += B) {
+    project_blocks<H, kTail, B, false, K>(a + t * kk, rows + t * K, K, 0,
+                                          bbar, y, z);
   }
-  if (k < end) {
-    stage_component<N>(p, st, order[k]);
-    project_rows<H, 1, N>(p, order + k, N, 0, st.y.data(), st.z.data());
+  for (; t < count; ++t) {
+    project_blocks<H, kTail, 1, false, K>(a + t * kk, rows + t * K, K, 0,
+                                          bbar, y, z);
   }
 }
 
-/// Local update (15) for the schedule slice local_order[begin, end): each
-/// size group runs its fixed-size kernel (the common n_s of ieee13, ieee123
-/// and ieee8500), any other size project_component. Each block has one
-/// writer, so any slicing gives the same bits.
-inline void local_range(const PackedLocalSolvers& p, const PackedState& st,
-                        std::size_t begin, std::size_t end) {
-  std::size_t first = 0;
-  for (std::size_t g = 0; g < p.local_group_end.size() && first < end; ++g) {
-    const std::size_t lo = std::max(begin, first);
-    const std::size_t hi = std::min(end, p.local_group_end[g]);
-    first = p.local_group_end[g];
-    if (lo >= hi) continue;
-    switch (p.comp_nvars[p.local_order[lo]]) {
-      case 4: local_fixed<4>(p, st, lo, hi); break;
-      case 6: local_fixed<6>(p, st, lo, hi); break;
-      case 8: local_fixed<8>(p, st, lo, hi); break;
-      case 9: local_fixed<9>(p, st, lo, hi); break;
-      case 10: local_fixed<10>(p, st, lo, hi); break;
-      case 12: local_fixed<12>(p, st, lo, hi); break;
-      case 18: local_fixed<18>(p, st, lo, hi); break;
-      default:
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto s = static_cast<std::size_t>(p.local_order[k]);
-          stage_component(p, st, s);
-          project_component(p, s, st.y.data(), st.z.data());
-        }
+/// Rows [r0, r0 + R) of one block of any size, R <= 16: R / 2 two-row
+/// accumulators and, for odd R, the scalar tail.
+template <bool kIndexed, int R = 1>
+inline void generic_rows(std::size_t rows_left, const double* a,
+                         const int* rows, std::size_t k, std::size_t r0,
+                         const double* bbar, const double* y, double* z) {
+  if constexpr (R < 16) {
+    if (rows_left != R) {
+      generic_rows<kIndexed, R + 1>(rows_left, a, rows, k, r0, bbar, y, z);
+      return;
     }
   }
+  project_blocks<R / 2, R % 2 != 0, 1, kIndexed>(a, rows, k, r0, bbar, y, z);
+}
+
+/// `count` consecutive size-k blocks of any size, one at a time, up to 16
+/// rows per j loop: every size without a fixed-size kernel, and every
+/// indexed block.
+template <bool kIndexed>
+inline void blocks_generic(const double* a, const int* rows, std::size_t k,
+                           std::size_t count, const double* bbar,
+                           const double* y, double* z) {
+  for (std::size_t t = 0; t < count; ++t, a += k * k, rows += k) {
+    for (std::size_t r0 = 0; r0 < k; r0 += 16) {
+      generic_rows<kIndexed>(std::min<std::size_t>(16, k - r0), a, rows, k,
+                             r0, bbar, y, z);
+    }
+  }
+}
+
+/// Projection of blocks [lo, hi) of group g: each common size runs its
+/// fixed-size kernel, every other size and every indexed group the generic
+/// one.
+inline void project_group(const PackedLocalSolvers& p, const SubBlockGroup& g,
+                          std::size_t lo, std::size_t hi, const double* y,
+                          double* z) {
+  const auto k = static_cast<std::size_t>(g.dim);
+  const double* a = p.abar.data() + g.abar +
+                    static_cast<std::int64_t>((lo - g.first) * k * k);
+  const int* rows = p.sub_rows.data() + g.rows +
+                    static_cast<std::int64_t>((lo - g.first) * k);
+  const double* bbar = p.bbar.data();
+  const std::size_t count = hi - lo;
+  if (g.indexed) {
+    blocks_generic<true>(a, rows, k, count, bbar, y, z);
+    return;
+  }
+  switch (g.dim) {
+    case 1: blocks_fixed<1>(a, rows, count, bbar, y, z); break;
+    case 2: blocks_fixed<2>(a, rows, count, bbar, y, z); break;
+    case 3: blocks_fixed<3>(a, rows, count, bbar, y, z); break;
+    case 4: blocks_fixed<4>(a, rows, count, bbar, y, z); break;
+    case 5: blocks_fixed<5>(a, rows, count, bbar, y, z); break;
+    case 6: blocks_fixed<6>(a, rows, count, bbar, y, z); break;
+    case 7: blocks_fixed<7>(a, rows, count, bbar, y, z); break;
+    case 8: blocks_fixed<8>(a, rows, count, bbar, y, z); break;
+    case 9: blocks_fixed<9>(a, rows, count, bbar, y, z); break;
+    case 10: blocks_fixed<10>(a, rows, count, bbar, y, z); break;
+    case 11: blocks_fixed<11>(a, rows, count, bbar, y, z); break;
+    case 12: blocks_fixed<12>(a, rows, count, bbar, y, z); break;
+    case 18: blocks_fixed<18>(a, rows, count, bbar, y, z); break;
+    default: blocks_generic<false>(a, rows, k, count, bbar, y, z);
+  }
+}
+
+/// Local update (15), projection half for the schedule slice [begin, end)
+/// of local_items(): sub-blocks first (each group through project_group),
+/// then the constant rows, z = bbar. Reads the y that stage_range wrote.
+/// Each row has one writer, so any slicing gives the same bits.
+inline void project_range(const PackedLocalSolvers& p, const PackedState& st,
+                          std::size_t begin, std::size_t end) {
+  const double* y = st.y.data();
+  double* z = st.z.data();
+  for (const SubBlockGroup& g : p.sub_groups) {
+    if (g.first >= end) break;
+    const std::size_t lo = std::max(begin, g.first);
+    const std::size_t hi = std::min(end, g.end);
+    if (lo < hi) project_group(p, g, lo, hi, y, z);
+  }
+  const std::size_t blocks = p.num_blocks();
+  for (std::size_t k = std::max(begin, blocks); k < end; ++k) {
+    const int pos = p.const_rows[k - blocks];
+    z[pos] = p.bbar[pos];
+  }
+}
+
+/// The dense local update of component s from its staged y: one
+/// sequential sum per row over all n_s logical entries of Abar_s (+0.0
+/// outside its blocks). It reproduces what a dense kernel makes of
+/// non-finite staged values (0 * inf and 0 * NaN are NaN), which the
+/// sub-block image skips.
+inline void dense_component(const PackedLocalSolvers& p, const PackedState& st,
+                            std::size_t s) {
+  const auto n = static_cast<std::size_t>(p.comp_nvars[s]);
+  const auto off = static_cast<std::size_t>(p.comp_offset[s]);
+  std::vector<double> a(n * n);
+  p.unpack_abar(s, a);
+  const double* y = st.y.data() + off;
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = 0.0;
+    for (std::size_t j = 0; j < n; ++j) sum += a[i * n + j] * y[j];
+    st.z[off + i] = p.bbar[off + i] - sum;
+  }
+}
+
+/// Local update (15) for one component s, through the same kernels as the
+/// schedule: stage its positions, project its blocks one at a time, copy
+/// its constant rows, and redo it densely if a staged value is not finite.
+/// The SIMT per-block launch and the component timers run it.
+inline void local_component(const PackedLocalSolvers& p, const PackedState& st,
+                            std::size_t s) {
+  const auto off = static_cast<std::size_t>(p.comp_offset[s]);
+  const bool finite = stage_range(
+      p, st, off, off + static_cast<std::size_t>(p.comp_nvars[s]));
+  for (int t = p.comp_block_ptr[s]; t < p.comp_block_ptr[s + 1]; ++t) {
+    const auto b = static_cast<std::size_t>(p.comp_blocks[t]);
+    project_group(p, p.group_of(b), b, b + 1, st.y.data(), st.z.data());
+  }
+  for (int t = p.comp_const_ptr[s]; t < p.comp_const_ptr[s + 1]; ++t) {
+    const int pos = p.const_rows[t];
+    st.z[pos] = p.bbar[pos];
+  }
+  if (!finite) dense_component(p, st, s);
 }
 
 /// dual_range with kRelaxed fixed.

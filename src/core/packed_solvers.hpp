@@ -30,18 +30,33 @@ struct LocalSolvers {
       const dopf::linalg::ProjectorOptions& options = {});
 };
 
-/// Rows per Abar panel: the lane width of every packed kernel (see
-/// core/packed_kernels.hpp and DESIGN.md §11).
-inline constexpr std::size_t kPanelRows = 4;
+/// One size class of the sub-block schedule: blocks [first, end).
+struct SubBlockGroup {
+  int dim = 0;              ///< k: every block of the group is k x k
+  bool indexed = false;     ///< rows not contiguous in z (read sub_rows)
+  std::size_t first = 0;    ///< the group's first block
+  std::size_t end = 0;      ///< one past the group's last block
+  std::int64_t abar = 0;    ///< store offset of the group's first block
+  std::int64_t rows = 0;    ///< sub_rows offset of the group's first block
+};
 
 /// Packed structure-of-arrays image of everything the per-iteration updates
 /// touch — the flat device-array layout of the paper's Sec. IV-C/IV-D,
 /// shared by every execution backend (serial / threaded / SIMT):
 ///
-///   - all Abar_s matrices in one panel store: the rows of each Abar_s are
-///     grouped in panels of kPanelRows, each panel stored column-major
-///     (the kPanelRows entries of column j are adjacent), the last panel
-///     zero-padded; addressed by per-component {abar_offset, comp_nvars};
+///   - the sub-block image of every Abar_s: Abar_s is a direct sum of
+///     independent sub-blocks, the connected components of its non-+0.0
+///     pattern (read from the bits, so a -0.0 entry keeps its blocks
+///     joined). A row whose row and column are all +0.0 is a constant row
+///     (z = bbar whatever y is); every other row belongs to one k x k
+///     sub-block, stored densely and column-major in `abar`. The blocks
+///     are grouped by size across components (`sub_groups`: ascending k,
+///     contiguous blocks before indexed ones, then by component and first
+///     row), which is also the order of the store and of `sub_rows`, each
+///     block's z positions;
+///   - each component's own blocks (`comp_blocks` from `comp_block_ptr`)
+///     and constant rows (`const_rows` from `comp_const_ptr`), for the
+///     per-component walk of the SIMT launch and the component timers;
 ///   - all bbar_s concatenated (same {comp_offset, comp_nvars} layout as z);
 ///   - each B_s lowered to the flat gather array `global_idx`
 ///     (z position -> global variable), plus the transposed CSR
@@ -51,8 +66,6 @@ inline constexpr std::size_t kPanelRows = 4;
 ///     `bucket_end`, with each bucket's copy positions (`bucket_pos`) and
 ///     c/lb/ub (`sched_c`, `sched_lb`, `sched_ub`) stored in schedule
 ///     order, built once per topology;
-///   - the local schedule `local_order` / `local_group_end`: the components
-///     grouped by n_s, which is also the order of the panel store;
 ///   - the global objective/bounds (c, lb, ub).
 ///
 /// Gather lists store z positions in ascending order, so per-variable sums
@@ -64,12 +77,22 @@ struct PackedLocalSolvers {
 
   // Per component s:
   std::vector<std::int64_t> comp_offset;  ///< start of x_s within z
-  std::vector<std::int64_t> abar_offset;  ///< start of Abar_s's panels
   std::vector<int> comp_nvars;            ///< n_s
+  /// Component s's blocks are comp_blocks[comp_block_ptr[s] ..
+  /// comp_block_ptr[s + 1]) (ascending first row); its constant rows are
+  /// const_rows[comp_const_ptr[s] .. comp_const_ptr[s + 1]).
+  std::vector<int> comp_block_ptr, comp_blocks, comp_const_ptr;
   // Concatenated payloads:
-  std::vector<double> abar;     ///< all Abar_s, panel-interleaved
+  std::vector<double> abar;     ///< every sub-block, schedule order
   std::vector<double> bbar;     ///< all bbar_s
   std::vector<int> global_idx;  ///< z position -> global variable (B_s)
+  /// The sub-block schedule, and each block's z positions (ascending) in
+  /// schedule order: block b of group g has rows
+  /// sub_rows[g.rows + (b - g.first) k ..] and entries
+  /// abar[g.abar + (b - g.first) k^2 ..], entry (i, j) at j k + i.
+  std::vector<SubBlockGroup> sub_groups;
+  std::vector<int> sub_rows;
+  std::vector<int> const_rows;  ///< constant rows' z positions, ascending
   // Per global variable i (CSR over z positions holding copies of i):
   std::vector<std::int64_t> gather_ptr;
   std::vector<std::int64_t> gather_pos;
@@ -85,38 +108,36 @@ struct PackedLocalSolvers {
   /// c, lb and ub permuted into global_order order (sched_c[k] is
   /// c[global_order[k]]); schedule_objective/schedule_bounds refresh them.
   std::vector<double> sched_c, sched_lb, sched_ub;
-  /// Every component once, grouped by n_s: ascending n_s, ascending s
-  /// inside a group; group g ends at local_group_end[g]. The panel store
-  /// holds the blocks in this order.
-  std::vector<int> local_order;
-  std::vector<std::size_t> local_group_end;
   std::vector<double> c, lb, ub;
   std::vector<double> x0;  ///< global initial iterate (scenario data)
 
   std::size_t num_components() const { return comp_nvars.size(); }
   std::size_t num_global() const { return c.size(); }
   std::size_t total_local() const { return global_idx.size(); }
-  /// Packed footprint in bytes, panel padding and both schedules included
-  /// (diagnostics; the model cache budget).
+  std::size_t num_blocks() const {
+    return sub_groups.empty() ? 0 : sub_groups.back().end;
+  }
+  /// Length of the local schedule: every sub-block, then every constant
+  /// row.
+  std::size_t local_items() const { return num_blocks() + const_rows.size(); }
+  /// Packed footprint in bytes, both schedules included (diagnostics; the
+  /// model cache budget).
   std::size_t bytes() const;
   /// The part of bytes() a simulated device uploads: everything but
-  /// bucket_pos, the sched_* copies and the local schedule, which only the
-  /// serial and threaded backends walk.
+  /// bucket_pos and the sched_* copies, which only the serial and threaded
+  /// global update walks.
   std::size_t image_bytes() const;
 
-  /// Panel-store size of one n x n block (rows rounded up to kPanelRows).
-  static std::size_t panel_size(std::size_t n) {
-    return (n + kPanelRows - 1) / kPanelRows * kPanelRows * n;
-  }
-  /// Scatter a row-major Abar_s into component s's panels.
+  /// The group holding schedule block b.
+  const SubBlockGroup& group_of(std::size_t b) const;
+  /// Abar_s written out row-major (n_s x n_s): the stored bits, +0.0
+  /// outside its blocks.
+  void unpack_abar(std::size_t s, std::span<double> row_major) const;
+  /// Replace Abar_s by a row-major block. When the new block splits into
+  /// the same sub-blocks and constant rows, its entries are written in
+  /// place; otherwise the image is rebuilt, exactly as build would lay it
+  /// out.
   void set_abar(std::size_t s, std::span<const double> row_major);
-  /// Entry (i, j) of Abar_s, read through the panel layout.
-  double abar_at(std::size_t s, std::size_t i, std::size_t j) const {
-    const std::size_t n = static_cast<std::size_t>(comp_nvars[s]);
-    return abar[static_cast<std::size_t>(abar_offset[s]) +
-                i / kPanelRows * kPanelRows * n + j * kPanelRows +
-                i % kPanelRows];
-  }
 
   /// Refresh sched_c from c (resp. sched_lb/sched_ub from lb/ub) after an
   /// in-place edit of the objective (bounds).
@@ -127,6 +148,11 @@ struct PackedLocalSolvers {
   /// needed afterwards.
   static PackedLocalSolvers build(const dopf::opf::DistributedProblem& problem,
                                   const LocalSolvers& solvers);
+
+ private:
+  /// Lay out the sub-block image of the row-major blocks, one per
+  /// component.
+  void build_image(const std::vector<std::span<const double>>& blocks);
 };
 
 }  // namespace dopf::core

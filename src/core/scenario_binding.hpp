@@ -65,8 +65,9 @@ class ScenarioBinding {
   /// factorization (no refactorization).
   void set_rhs(std::size_t s, std::span<const double> b);
   /// Re-derive component s from an edited topology block (exactly one
-  /// refactorization); scatters the fresh Abar into that component's panels
-  /// and repacks its bbar slice.
+  /// refactorization); writes the fresh Abar into the sub-block image
+  /// (PackedLocalSolvers::set_abar, which lays the image out again when
+  /// the block splits differently) and repacks its bbar slice.
   void refresh_component(std::size_t s, const dopf::opf::Component& comp);
   void set_objective(std::span<const double> c);
   void set_bounds(std::span<const double> lb, std::span<const double> ub);

@@ -112,10 +112,10 @@ std::uint64_t topology_fingerprint(const PackedLocalSolvers& pack) {
   const std::uint64_t n = pack.num_global();
   fnv_bytes(h, &n, sizeof(n));
   fnv_vec(h, pack.comp_offset);
-  // Abar is hashed as the logical row-major blocks it packs (offsets and
-  // entries walked through the panels, padding skipped), so the
-  // fingerprint does not depend on the panel layout and checkpoints taken
-  // against row-major packs keep resuming.
+  // Abar is hashed as the logical row-major blocks it packs (offsets, then
+  // every entry, +0.0 outside the sub-blocks), so the fingerprint does not
+  // depend on the image layout and checkpoints taken against row-major
+  // packs keep resuming.
   const std::size_t S = pack.num_components();
   std::uint64_t len = S;
   fnv_bytes(h, &len, sizeof(len));
@@ -127,14 +127,12 @@ std::uint64_t topology_fingerprint(const PackedLocalSolvers& pack) {
   fnv_vec(h, pack.comp_nvars);
   len = static_cast<std::uint64_t>(row_major_offset);
   fnv_bytes(h, &len, sizeof(len));
+  std::vector<double> block;
   for (std::size_t s = 0; s < S; ++s) {
-    const std::size_t ns = static_cast<std::size_t>(pack.comp_nvars[s]);
-    for (std::size_t i = 0; i < ns; ++i) {
-      for (std::size_t j = 0; j < ns; ++j) {
-        const double v = pack.abar_at(s, i, j);
-        fnv_bytes(h, &v, sizeof(v));
-      }
-    }
+    const auto ns = static_cast<std::size_t>(pack.comp_nvars[s]);
+    block.resize(ns * ns);
+    pack.unpack_abar(s, block);
+    fnv_bytes(h, block.data(), block.size() * sizeof(double));
   }
   fnv_vec(h, pack.global_idx);
   fnv_vec(h, pack.gather_ptr);

@@ -1,5 +1,7 @@
 #include "runtime/threaded_backend.hpp"
 
+#include <algorithm>
+
 #include "core/packed_kernels.hpp"
 
 namespace dopf::runtime {
@@ -24,11 +26,29 @@ void ThreadedBackend::global_update(const PackedLocalSolvers& pack,
 
 void ThreadedBackend::local_update(const PackedLocalSolvers& pack,
                                    PackedState& state) {
-  // Slices of the local schedule; each block has one writer.
-  pool_.parallel_for(pack.num_components(),
-                     [&](int, std::size_t begin, std::size_t end) {
-                       dopf::core::local_slice(pack, state, begin, end);
+  if (!state.component_seconds.empty()) {
+    pool_.parallel_for(pack.num_components(),
+                       [&](int, std::size_t begin, std::size_t end) {
+                         dopf::core::local_components(pack, state, begin, end);
+                       });
+    return;
+  }
+  // Staging slices, then slices of the sub-block schedule; each y and z
+  // position has one writer.
+  nonfinite_.assign(static_cast<std::size_t>(pool_.size()), 0);
+  pool_.parallel_for(pack.total_local(),
+                     [&](int lane, std::size_t begin, std::size_t end) {
+                       if (!kernels::stage_range(pack, state, begin, end)) {
+                         nonfinite_[static_cast<std::size_t>(lane)] = 1;
+                       }
                      });
+  pool_.parallel_for(pack.local_items(),
+                     [&](int, std::size_t begin, std::size_t end) {
+                       kernels::project_range(pack, state, begin, end);
+                     });
+  if (std::find(nonfinite_.begin(), nonfinite_.end(), 1) != nonfinite_.end()) {
+    dopf::core::repair_nonfinite(pack, state);
+  }
 }
 
 void ThreadedBackend::dual_update(const PackedLocalSolvers& pack,

@@ -43,6 +43,7 @@ class ThreadedBackend final : public dopf::core::ExecutionBackend {
  private:
   ThreadPool pool_;
   std::vector<dopf::core::ResidualSums> partials_;
+  std::vector<char> nonfinite_;  // per lane: a staged value was not finite
 };
 
 std::unique_ptr<dopf::core::ExecutionBackend> make_threaded_backend(

@@ -68,9 +68,7 @@ void launch_local_update(Device& device, const PackedLocalSolvers& pack,
   device.launch("local_update", static_cast<int>(components.size()),
                 threads_per_block, [&](BlockContext& ctx) {
                   const std::size_t s = components[ctx.block_index];
-                  kernels::stage_component(pack, state, s);
-                  kernels::project_component(pack, s, state.y.data(),
-                                             state.z.data());
+                  kernels::local_component(pack, state, s);
                   charge_local_block(
                       ctx, static_cast<std::size_t>(pack.comp_nvars[s]),
                       state.alpha);

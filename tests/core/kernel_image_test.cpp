@@ -1,5 +1,5 @@
-// The packed kernel image (panel-interleaved Abar, degree-bucketed global
-// schedule, shape-scheduled local update, fused dual+residual pass)
+// The packed kernel image (sub-block Abar image, degree-bucketed global
+// schedule, size-scheduled local update, fused dual+residual pass)
 // against the scalar row-major kernels it replaced. Those kernels live only
 // here, as the reference: every backend must reproduce their x, z, lambda
 // and residual sums bit for bit.
@@ -213,8 +213,8 @@ void expect_identical(const Trajectory& want, const Trajectory& got) {
   EXPECT_TRUE(same_bits(want.lambda, got.lambda)) << "lambda";
 }
 
-/// A small synthetic feeder whose component sizes leave every remainder
-/// modulo the panel height.
+/// A small synthetic feeder whose image holds sub-blocks of odd and even
+/// size and constant rows.
 DistributedProblem synthetic_problem() {
   dopf::feeders::SyntheticSpec spec;
   spec.num_buses = 40;
@@ -271,42 +271,48 @@ TEST(KernelImageTest, Ieee8500MiniMatchesRowMajorReference) {
 }
 
 TEST(KernelImageTest, SyntheticMatchesRowMajorReference) {
-  std::vector<bool> remainder(kPanelRows, false);
-  for (const auto& comp : problem("synthetic").components) {
-    remainder[comp.num_vars() % kPanelRows] = true;
+  // Odd sizes run the scalar tail row, even ones only two-row lanes.
+  const PackedLocalSolvers pack =
+      SolveModel(problem("synthetic"), {}).make_pack();
+  bool odd = false, even = false;
+  for (const SubBlockGroup& g : pack.sub_groups) {
+    (g.dim % 2 != 0 ? odd : even) = true;
   }
-  for (std::size_t r = 1; r < kPanelRows; ++r) {
-    EXPECT_TRUE(remainder[r]) << "no component with n_s % 4 == " << r;
-  }
+  EXPECT_TRUE(odd);
+  EXPECT_TRUE(even);
+  EXPECT_FALSE(pack.const_rows.empty());
   check_instance("synthetic");
 }
 
-TEST(KernelImageTest, PanelStoreHoldsRowMajorBlocksAndZeroPadding) {
+TEST(KernelImageTest, SubBlockStoreHoldsRowMajorBlocks) {
   const DistributedProblem& p = problem("synthetic");
   SolveModel model(p, {});
   ScenarioBinding binding(model);
   const PackedLocalSolvers& pack = binding.pack();
   const RowMajorReference ref(p, 1.0);
-  // The blocks sit in local-schedule order, back to back.
-  std::size_t total = 0;
-  for (int comp : pack.local_order) {
-    const auto s = static_cast<std::size_t>(comp);
+  // Every logical block reads back with its bits, +0.0 outside the
+  // sub-blocks.
+  std::size_t logical = 0;
+  std::vector<double> block;
+  for (std::size_t s = 0; s < pack.num_components(); ++s) {
     const std::size_t ns = ref.nvars()[s];
-    ASSERT_EQ(pack.abar_offset[s], static_cast<std::int64_t>(total));
-    for (std::size_t i = 0; i < ns; ++i) {
-      for (std::size_t j = 0; j < ns; ++j) {
-        ASSERT_EQ(pack.abar_at(s, i, j), ref.abar()[s][i * ns + j]);
-      }
-    }
-    const std::size_t rows = PackedLocalSolvers::panel_size(ns) / ns;
-    for (std::size_t i = ns; i < rows; ++i) {
-      for (std::size_t j = 0; j < ns; ++j) {
-        ASSERT_EQ(pack.abar_at(s, i, j), 0.0) << "padding row " << i;
-      }
-    }
-    total += PackedLocalSolvers::panel_size(ns);
+    logical += ns * ns;
+    block.assign(ns * ns, 1.0);
+    pack.unpack_abar(s, block);
+    ASSERT_TRUE(same_bits(block, ref.abar()[s])) << "component " << s;
+  }
+  // The blocks sit in schedule order, back to back, k^2 entries each.
+  std::size_t total = 0, first = 0;
+  for (const SubBlockGroup& g : pack.sub_groups) {
+    ASSERT_EQ(g.first, first);
+    ASSERT_EQ(g.abar, static_cast<std::int64_t>(total));
+    const auto k = static_cast<std::size_t>(g.dim);
+    total += (g.end - first) * k * k;
+    first = g.end;
   }
   EXPECT_EQ(pack.abar.size(), total);
+  // The exact zeros between blocks are not stored.
+  EXPECT_LT(pack.abar.size(), logical);
 }
 
 TEST(KernelImageTest, GlobalScheduleBucketsEveryVariableByDegree) {
@@ -339,8 +345,20 @@ TEST(KernelImageTest, GlobalScheduleBucketsEveryVariableByDegree) {
 
 TEST(KernelImageTest, RefreshedComponentMatchesReference) {
   const DistributedProblem& base = problem("ieee13");
+  // A component whose blocks fall in more than one size group.
+  const PackedLocalSolvers base_pack = SolveModel(base, {}).make_pack();
   std::size_t target = 0;
-  while (base.components[target].num_vars() % kPanelRows == 0) ++target;
+  for (;; ++target) {
+    std::vector<int> sizes;
+    for (int t = base_pack.comp_block_ptr[target];
+         t < base_pack.comp_block_ptr[target + 1]; ++t) {
+      sizes.push_back(base_pack.group_of(base_pack.comp_blocks[t]).dim);
+    }
+    if (std::adjacent_find(sizes.begin(), sizes.end(), std::not_equal_to<>()) !=
+        sizes.end()) {
+      break;
+    }
+  }
   DistributedProblem edited = base;
   auto& comp = edited.components[target];
   for (std::size_t r = 0; r < comp.a.rows(); ++r) {
@@ -462,7 +480,7 @@ TEST(KernelImageTest, UnrelaxedKernelsKeepBxItself) {
 
 TEST(KernelImageTest, Ieee13FingerprintMatchesCommittedCheckpoint) {
   // tests/golden/ieee13.ckpt records model_fp 4fa556f60c2d954a, hashed
-  // from the row-major pack; the panel store must hash the same.
+  // from the row-major pack; the sub-block image must hash the same.
   SolveModel model(problem("ieee13"), {});
   ScenarioBinding binding(model);
   EXPECT_EQ(binding.model_fingerprint(), 0x4fa556f60c2d954aull);
@@ -560,37 +578,35 @@ TEST(KernelScheduleTest, EverySizeMatchesRowMajorReference) {
   }
 }
 
-/// The local schedule lists every component once, grouped by n_s with
-/// ascending s inside a group, and the panel store follows it.
+/// The sub-block schedule lists every block once, grouped by (k, indexed)
+/// ascending, with each component's blocks in comp_blocks; the store
+/// follows the schedule.
 void expect_local_schedule(const PackedLocalSolvers& pack) {
-  const std::size_t S = pack.num_components();
-  ASSERT_EQ(pack.local_order.size(), S);
-  std::vector<int> seen(S, 0);
-  for (int s : pack.local_order) ++seen[s];
+  std::vector<int> seen(pack.num_blocks(), 0);
+  for (int b : pack.comp_blocks) ++seen[b];
   for (int v : seen) EXPECT_EQ(v, 1);
-  ASSERT_FALSE(pack.local_group_end.empty());
-  EXPECT_EQ(pack.local_group_end.back(), S);
+  ASSERT_FALSE(pack.sub_groups.empty());
   std::size_t first = 0;
-  std::int64_t offset = 0;
-  for (std::size_t group_end : pack.local_group_end) {
-    ASSERT_LT(first, group_end);
-    const int n = pack.comp_nvars[pack.local_order[first]];
-    if (first > 0) {
-      EXPECT_LT(pack.comp_nvars[pack.local_order[first - 1]], n);
+  std::int64_t offset = 0, rows = 0;
+  for (std::size_t g = 0; g < pack.sub_groups.size(); ++g) {
+    const SubBlockGroup& group = pack.sub_groups[g];
+    ASSERT_EQ(group.first, first);
+    ASSERT_LT(first, group.end);
+    if (g > 0) {
+      const SubBlockGroup& prev = pack.sub_groups[g - 1];
+      EXPECT_TRUE(prev.dim < group.dim ||
+                  (prev.dim == group.dim && group.indexed && !prev.indexed));
     }
-    for (std::size_t k = first; k < group_end; ++k) {
-      const int s = pack.local_order[k];
-      EXPECT_EQ(pack.comp_nvars[s], n);
-      if (k > first) {
-        EXPECT_LT(pack.local_order[k - 1], s);
-      }
-      EXPECT_EQ(pack.abar_offset[s], offset) << "block " << s;
-      offset += static_cast<std::int64_t>(
-          PackedLocalSolvers::panel_size(static_cast<std::size_t>(n)));
-    }
-    first = group_end;
+    EXPECT_EQ(group.abar, offset) << "group " << g;
+    EXPECT_EQ(group.rows, rows) << "group " << g;
+    const auto count = static_cast<std::int64_t>(group.end - first);
+    offset += count * group.dim * group.dim;
+    rows += count * group.dim;
+    first = group.end;
   }
   EXPECT_EQ(static_cast<std::size_t>(offset), pack.abar.size());
+  EXPECT_EQ(static_cast<std::size_t>(rows), pack.sub_rows.size());
+  EXPECT_EQ(pack.sub_rows.size() + pack.const_rows.size(), pack.total_local());
 }
 
 /// Bucket d's positions are the gather_pos lists of its variables at
@@ -630,7 +646,11 @@ TEST(KernelScheduleTest, SchedulesCoverEveryBlockAndCopyOnce) {
   // The generator's sizes interleave in component order and every degree
   // bucket, plus the CSR tail, is populated.
   const PackedLocalSolvers pack = SolveModel(every_size(), {}).make_pack();
-  EXPECT_EQ(pack.local_group_end.size(), 40u);
+  // Dense random A_s give dense projectors: one block of each size from 2
+  // to 40. The one-variable block, with its one constraint, has Abar = 0:
+  // a constant row.
+  EXPECT_EQ(pack.sub_groups.size(), 39u);
+  EXPECT_EQ(pack.const_rows.size(), 1u);
   EXPECT_FALSE(std::is_sorted(pack.comp_nvars.begin(), pack.comp_nvars.end()));
   std::size_t first = 0;
   for (std::size_t end : pack.bucket_end) {
@@ -679,8 +699,10 @@ TEST(KernelScheduleTest, RebindInsideAGroupMatchesColdBind) {
   EXPECT_TRUE(same_bits(cold.sched_c, warm.sched_c)) << "sched_c";
   EXPECT_TRUE(same_bits(cold.sched_lb, warm.sched_lb)) << "sched_lb";
   EXPECT_TRUE(same_bits(cold.sched_ub, warm.sched_ub)) << "sched_ub";
-  EXPECT_EQ(cold.local_order, warm.local_order);
-  EXPECT_EQ(cold.abar_offset, warm.abar_offset);
+  EXPECT_EQ(cold.sub_rows, warm.sub_rows);
+  EXPECT_EQ(cold.const_rows, warm.const_rows);
+  EXPECT_EQ(cold.comp_blocks, warm.comp_blocks);
+  EXPECT_EQ(cold.sub_groups.size(), warm.sub_groups.size());
   EXPECT_EQ(cold.bucket_pos, warm.bucket_pos);
   expect_bucket_major(warm);
 

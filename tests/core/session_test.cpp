@@ -62,7 +62,9 @@ TEST(SolveModelTest, PackBitwiseEquivalentToLegacyPath) {
 
   const PackedLocalSolvers& ref = legacy.packed();
   EXPECT_EQ(ref.comp_offset, pack.comp_offset);
-  EXPECT_EQ(ref.abar_offset, pack.abar_offset);
+  EXPECT_EQ(ref.sub_rows, pack.sub_rows);
+  EXPECT_EQ(ref.const_rows, pack.const_rows);
+  EXPECT_EQ(ref.comp_blocks, pack.comp_blocks);
   EXPECT_EQ(ref.comp_nvars, pack.comp_nvars);
   EXPECT_EQ(ref.global_idx, pack.global_idx);
   EXPECT_EQ(ref.gather_ptr, pack.gather_ptr);

@@ -136,21 +136,19 @@ TEST(EstimateModelBytesTest, PackBytesPlusOneUnpaddedFactorBlock) {
   dopf::core::SolveModel model(inst.problem, {});
   dopf::core::ScenarioBinding binding(model);
   const auto& pack = binding.pack();
-  std::size_t logical = 0;  // sum n_s^2: Abar without panel padding
+  std::size_t logical = 0;  // sum n_s^2: the dense Abar blocks
   for (int ns : pack.comp_nvars) logical += static_cast<std::size_t>(ns) * ns;
-  // The pack's own count includes the panel padding, the global-update
-  // schedule and the shape schedules of the serial and threaded kernels, so
-  // it is the one definition the budget builds on.
-  EXPECT_GT(pack.abar.size(), logical);
+  // The pack's own count holds the sub-block image (which leaves out the
+  // exact zeros between blocks), the global-update schedule and its
+  // sched_* copies, so it is the one definition the budget builds on.
+  EXPECT_LT(pack.abar.size(), logical);
   EXPECT_GE(pack.image_bytes(), sizeof(double) * pack.abar.size() +
-                                    sizeof(int) * pack.global_order.size());
+                                    sizeof(int) * (pack.global_order.size() +
+                                                   pack.sub_rows.size()));
   EXPECT_EQ(pack.bytes(),
-            pack.image_bytes() +
-                sizeof(int) *
-                    (pack.bucket_pos.size() + pack.local_order.size()) +
-                sizeof(std::size_t) * pack.local_group_end.size() +
+            pack.image_bytes() + sizeof(int) * pack.bucket_pos.size() +
                 sizeof(double) * 3 * pack.num_global());
-  // The model holds at least one unpadded Abar-sized block per component
+  // The model holds at least one dense Abar-sized block per component
   // besides the pack (each projector's own Abar).
   EXPECT_GE(estimate_model_bytes(binding),
             pack.bytes() + sizeof(double) * logical);

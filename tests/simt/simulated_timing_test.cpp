@@ -129,7 +129,7 @@ TEST(SimulatedTimingTest, MultiDeviceIeee13KillFailover) {
   EXPECT_EQ(res.iterations, 2320);
   expect_timing(res.timing,
                 {0x1.4f3084eef69fp-7, 0x1.1f68fe3aee7b7p-4,
-                 0x1.3d45eda6b2baap-7, 0.0, 0x1.24aca177f924bp-15, 0.0,
+                 0x1.3d45eda6b2baap-7, 0.0, 0x1.16d8dca2aae27p-15, 0.0,
                  2356});
 }
 

@@ -86,8 +86,8 @@ sh tools/serve_smoke.sh ./build/tools/dopf_serve ./build/tools/dopf_client \
   ./build
 # Wide-ISA lane: on hosts with AVX2+FMA, rebuild Release for x86-64-v3 and
 # replay the golden traces, the checkpoint resumes and the failover rewind,
-# and run the kernel-image tests (every backend against the scalar
-# reference, plain and over-relaxed) and the lane-precompute tests (every
+# and run the kernel-image and sub-block tests (every backend against the
+# scalar reference, plain and over-relaxed) and the lane-precompute tests (every
 # conditioning estimate and projector against the scalar one-block build).
 # The SIMD kernels must stay bit-identical when the compiler may use
 # 256-bit registers and FMA instructions (the build pins -ffp-contract=off;
@@ -101,7 +101,7 @@ if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
     robust_test
   echo "=== test build-v3 (golden traces, kernel image, lane precompute) ==="
   ctest --test-dir build-v3 --output-on-failure -j "${JOBS}" \
-    -R 'verify_golden|verify_session_golden|verify_resume|verify_fault_failover|KernelImageTest|KernelScheduleTest|ConditioningLanes|ProjectorLanes'
+    -R 'verify_golden|verify_session_golden|verify_resume|verify_fault_failover|KernelImageTest|KernelScheduleTest|SubBlockImageTest|ConditioningLanes|ProjectorLanes'
 else
   echo "=== skip build-v3: host lacks avx2/fma ==="
 fi
