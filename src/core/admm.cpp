@@ -56,21 +56,15 @@ SolverFreeAdmm::SolverFreeAdmm(const DistributedProblem& problem,
   // precompute exactly, so golden traces are unaffected.
   owned_model_ = std::make_unique<SolveModel>(problem, options.projector);
   owned_binding_ = std::make_unique<ScenarioBinding>(*owned_model_);
-  problem_ = &owned_model_->problem();
-  pack_ = &owned_binding_->pack();
-  timing_.precompute =
-      owned_model_->precompute_seconds() + owned_binding_->bind_seconds();
+  binding_ = owned_binding_.get();
   init_storage();
 }
 
 SolverFreeAdmm::SolverFreeAdmm(ScenarioBinding& binding, AdmmOptions options)
-    : problem_(&binding.model().problem()),
-      options_(options),
-      pack_(&binding.pack()),
+    : options_(options),
+      binding_(&binding),
       backend_(make_serial_backend()),
       rho_(options.rho) {
-  timing_.precompute =
-      binding.model().precompute_seconds() + binding.bind_seconds();
   init_storage();
 }
 
@@ -81,8 +75,10 @@ void SolverFreeAdmm::set_backend(std::unique_ptr<ExecutionBackend> backend) {
 }
 
 void SolverFreeAdmm::init_storage() {
-  total_local_ = pack_->total_local();
-  x_.assign(pack_->num_global(), 0.0);
+  timing_.precompute =
+      binding_->model().precompute_seconds() + binding_->bind_seconds();
+  total_local_ = packed().total_local();
+  x_.assign(packed().num_global(), 0.0);
   z_.assign(total_local_, 0.0);
   z_prev_.assign(total_local_, 0.0);
   lambda_.assign(total_local_, 0.0);
@@ -108,14 +104,14 @@ PackedState SolverFreeAdmm::packed_state() {
 void SolverFreeAdmm::reset() {
   rho_ = options_.rho;
   start_iteration_ = 0;
-  x_ = pack_->x0;
+  x_ = packed().x0;
   std::fill(lambda_.begin(), lambda_.end(), 0.0);
   // z_s = B_s x0 (the paper's per-element initial values are encoded in x0).
   for (std::size_t pos = 0; pos < total_local_; ++pos) {
-    z_[pos] = pack_->x0[pack_->global_idx[pos]];
+    z_[pos] = packed().x0[packed().global_idx[pos]];
   }
   z_prev_ = z_;
-  component_seconds_.assign(pack_->num_components(), 0.0);
+  component_seconds_.assign(packed().num_components(), 0.0);
   timing_.global_update = timing_.local_update = timing_.dual_update =
       timing_.residuals = 0.0;
   timing_.iterations = 0;
@@ -123,7 +119,7 @@ void SolverFreeAdmm::reset() {
 
 void SolverFreeAdmm::warm_start(std::span<const double> x,
                                 std::span<const double> lambda) {
-  if (x.size() != pack_->num_global()) {
+  if (x.size() != packed().num_global()) {
     throw std::invalid_argument("warm_start: x size mismatch");
   }
   if (!lambda.empty() && lambda.size() != total_local_) {
@@ -131,7 +127,7 @@ void SolverFreeAdmm::warm_start(std::span<const double> x,
   }
   std::copy(x.begin(), x.end(), x_.begin());
   for (std::size_t pos = 0; pos < total_local_; ++pos) {
-    z_[pos] = x_[pack_->global_idx[pos]];
+    z_[pos] = x_[packed().global_idx[pos]];
   }
   z_prev_ = z_;
   if (lambda.empty()) {
@@ -162,7 +158,7 @@ void SolverFreeAdmm::restore_state(const IterateSnapshot& state) {
   if (state.iteration < 0) {
     throw std::invalid_argument("restore_state: negative iteration");
   }
-  if (state.x.size() != pack_->num_global() ||
+  if (state.x.size() != packed().num_global() ||
       state.z.size() != total_local_ || state.z_prev.size() != total_local_ ||
       state.lambda.size() != total_local_) {
     throw std::invalid_argument("restore_state: state size mismatch");
@@ -178,29 +174,29 @@ void SolverFreeAdmm::set_checkpoint_hook(int every, CheckpointHook hook) {
 
 void SolverFreeAdmm::global_update() {
   PackedState st = packed_state();
-  backend_->global_update(*pack_, st);
+  backend_->global_update(packed(), st);
 }
 
 void SolverFreeAdmm::local_update() {
   z_prev_.swap(z_);
   PackedState st = packed_state();
-  backend_->local_update(*pack_, st);
+  backend_->local_update(packed(), st);
 }
 
 void SolverFreeAdmm::dual_update() {
   PackedState st = packed_state();
-  backend_->dual_update(*pack_, st);
+  backend_->dual_update(packed(), st);
 }
 
 IterationRecord SolverFreeAdmm::compute_residuals(int iteration) {
   const PackedState st = packed_state();
-  return residual_record(iteration, backend_->residual_sums(*pack_, st));
+  return residual_record(iteration, backend_->residual_sums(packed(), st));
 }
 
 IterationRecord SolverFreeAdmm::dual_update_and_residuals(int iteration) {
   PackedState st = packed_state();
   return residual_record(iteration,
-                         backend_->dual_update_and_residuals(*pack_, st));
+                         backend_->dual_update_and_residuals(packed(), st));
 }
 
 IterationRecord SolverFreeAdmm::residual_record(
@@ -224,7 +220,7 @@ bool SolverFreeAdmm::termination_satisfied(const IterationRecord& rec) const {
 }
 
 double SolverFreeAdmm::objective() const {
-  return dopf::linalg::dot(pack_->c, x_);
+  return dopf::linalg::dot(packed().c, x_);
 }
 
 AdmmResult SolverFreeAdmm::solve() {

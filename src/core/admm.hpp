@@ -7,12 +7,10 @@
 #include "core/backend.hpp"
 #include "core/cancel.hpp"
 #include "core/packed_solvers.hpp"
+#include "core/scenario_binding.hpp"
 #include "opf/decompose.hpp"
 
 namespace dopf::core {
-
-class SolveModel;
-class ScenarioBinding;
 
 /// Options shared by the solver-free ADMM and the benchmark ADMM.
 /// The extension fields (adaptive_rho, relaxation) are honoured by
@@ -257,10 +255,12 @@ class SolverFreeAdmm {
   std::span<const double> lambda() const { return lambda_; }
   double rho() const { return rho_; }
   /// The packed per-iteration problem image shared by every backend.
-  const PackedLocalSolvers& packed() const { return *pack_; }
+  const PackedLocalSolvers& packed() const { return binding_->pack(); }
+  /// The binding that owns the pack (owned on the single-shot path).
+  const ScenarioBinding& binding() const { return *binding_; }
   /// Start offset of component s within z / lambda.
   std::size_t offset(std::size_t s) const {
-    return static_cast<std::size_t>(pack_->comp_offset[s]);
+    return static_cast<std::size_t>(packed().comp_offset[s]);
   }
 
   /// Reset iterates to the paper's initial point (Sec. V-A).
@@ -294,7 +294,9 @@ class SolverFreeAdmm {
   using CheckpointHook = std::function<void(const SolverFreeAdmm&, int)>;
   void set_checkpoint_hook(int every, CheckpointHook hook);
 
-  const dopf::opf::DistributedProblem& problem() const { return *problem_; }
+  const dopf::opf::DistributedProblem& problem() const {
+    return binding_->model().problem();
+  }
   const AdmmOptions& options() const { return options_; }
 
   /// Objective c'x of the current global iterate.
@@ -313,13 +315,12 @@ class SolverFreeAdmm {
   IterationRecord residual_record(int iteration,
                                   const ResidualSums& sums) const;
 
-  const dopf::opf::DistributedProblem* problem_ = nullptr;
   AdmmOptions options_;
   // Owned only on the single-shot wrapper path; the session path borrows
   // an external binding. Either way the iteration loop sees one pack.
   std::unique_ptr<SolveModel> owned_model_;
   std::unique_ptr<ScenarioBinding> owned_binding_;
-  const PackedLocalSolvers* pack_ = nullptr;
+  const ScenarioBinding* binding_ = nullptr;
   std::unique_ptr<ExecutionBackend> backend_;
   double rho_;
   int solves_run_ = 0;

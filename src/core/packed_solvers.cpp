@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
-#include <optional>
 #include <utility>
 
 #include "linalg/lanes.hpp"
@@ -12,59 +11,6 @@ namespace dopf::core {
 
 using dopf::opf::Component;
 using dopf::opf::DistributedProblem;
-
-LocalSolvers LocalSolvers::precompute(
-    const DistributedProblem& problem,
-    const dopf::linalg::ProjectorOptions& options) {
-  // Same-shape blocks are built in lockstep (linalg/lanes.hpp): grouped by
-  // (m_s, n_s), ascending, and by s inside a group. Each projector is
-  // bit-identical to its block built alone.
-  const std::size_t S = problem.components.size();
-  std::vector<std::pair<std::size_t, std::size_t>> shapes(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    const Component& comp = problem.components[s];
-    shapes[s] = {comp.a.rows(), comp.a.cols()};
-  }
-  std::vector<std::size_t> ends;
-  const std::vector<std::size_t> order =
-      dopf::linalg::lanes::group_by(shapes, &ends);
-  std::vector<std::optional<dopf::linalg::AffineProjector>> built(S);
-  std::vector<dopf::linalg::ProjectorStatus> status(S);
-  std::vector<const dopf::linalg::Matrix*> a;
-  std::vector<std::span<const double>> b;
-  std::vector<dopf::linalg::ProjectorStatus> group_status;
-  std::size_t begin = 0;
-  for (const std::size_t end : ends) {
-    a.clear();
-    b.clear();
-    for (std::size_t k = begin; k < end; ++k) {
-      const Component& comp = problem.components[order[k]];
-      a.push_back(&comp.a);
-      b.push_back(comp.b);
-    }
-    group_status.resize(a.size());
-    auto group = dopf::linalg::AffineProjector::try_build_group(
-        a, b, options, group_status);
-    for (std::size_t k = begin; k < end; ++k) {
-      built[order[k]] = std::move(group[k - begin]);
-      status[order[k]] = group_status[k - begin];
-    }
-    begin = end;
-  }
-
-  LocalSolvers solvers;
-  solvers.projectors.reserve(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    if (!built[s]) {
-      throw dopf::opf::ConditioningError(problem.components[s].name,
-                                         status[s].pivot_index,
-                                         status[s].pivot_value);
-    }
-    solvers.max_ridge = std::max(solvers.max_ridge, status[s].ridge);
-    solvers.projectors.push_back(std::move(*built[s]));
-  }
-  return solvers;
-}
 
 std::size_t PackedLocalSolvers::image_bytes() const {
   return sizeof(std::int64_t) *
@@ -165,19 +111,25 @@ const SubBlockGroup& PackedLocalSolvers::group_of(std::size_t b) const {
 
 namespace {
 
-/// Block b's rows and entries in the image.
-struct BlockView {
-  std::size_t k;
-  const int* rows;
-  std::int64_t abar;
-};
-
-BlockView view(const PackedLocalSolvers& p, std::size_t b) {
-  const SubBlockGroup& g = p.group_of(b);
-  const auto k = static_cast<std::size_t>(g.dim);
-  const auto t = static_cast<std::int64_t>(b - g.first);
-  return {k, p.sub_rows.data() + g.rows + t * g.dim,
-          g.abar + t * g.dim * g.dim};
+/// Call fn(t, i, j, e) for every entry of component s's sub-blocks: t is
+/// its block's rank in the component, (i, j) its row-major position in
+/// Abar_s and e its index in the store.
+template <class Fn>
+void for_each_entry(const PackedLocalSolvers& p, std::size_t s, Fn&& fn) {
+  const std::int64_t off = p.comp_offset[s];
+  for (int t = p.comp_block_ptr[s]; t < p.comp_block_ptr[s + 1]; ++t) {
+    const auto b = static_cast<std::size_t>(p.comp_blocks[t]);
+    const SubBlockGroup& g = p.group_of(b);
+    const auto k = static_cast<std::size_t>(g.dim);
+    const int* rows = p.sub_rows.data() + g.rows + (b - g.first) * k;
+    const auto at = static_cast<std::size_t>(g.abar) + (b - g.first) * k * k;
+    for (std::size_t j = 0; j < k; ++j) {
+      for (std::size_t i = 0; i < k; ++i) {
+        fn(t - p.comp_block_ptr[s], static_cast<std::size_t>(rows[i] - off),
+           static_cast<std::size_t>(rows[j] - off), at + j * k + i);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -185,49 +137,27 @@ BlockView view(const PackedLocalSolvers& p, std::size_t b) {
 void PackedLocalSolvers::unpack_abar(std::size_t s,
                                      std::span<double> row_major) const {
   const auto n = static_cast<std::size_t>(comp_nvars[s]);
-  const std::int64_t off = comp_offset[s];
   std::fill(row_major.begin(), row_major.begin() + n * n, 0.0);
-  for (int t = comp_block_ptr[s]; t < comp_block_ptr[s + 1]; ++t) {
-    const BlockView v = view(*this, static_cast<std::size_t>(comp_blocks[t]));
-    const double* a = abar.data() + v.abar;
-    for (std::size_t j = 0; j < v.k; ++j) {
-      const auto cj = static_cast<std::size_t>(v.rows[j] - off);
-      for (std::size_t i = 0; i < v.k; ++i) {
-        const auto ri = static_cast<std::size_t>(v.rows[i] - off);
-        row_major[ri * n + cj] = a[j * v.k + i];
-      }
-    }
-  }
+  for_each_entry(*this, s,
+                 [&](int, std::size_t i, std::size_t j, std::size_t e) {
+                   row_major[i * n + j] = abar[e];
+                 });
 }
 
 void PackedLocalSolvers::set_abar(std::size_t s,
                                   std::span<const double> row_major) {
   const auto n = static_cast<std::size_t>(comp_nvars[s]);
-  const std::int64_t off = comp_offset[s];
   std::vector<int> current(n, -1);
-  for (int t = comp_block_ptr[s]; t < comp_block_ptr[s + 1]; ++t) {
-    const BlockView v = view(*this, static_cast<std::size_t>(comp_blocks[t]));
-    for (std::size_t i = 0; i < v.k; ++i) {
-      current[static_cast<std::size_t>(v.rows[i] - off)] =
-          t - comp_block_ptr[s];
-    }
-  }
+  for_each_entry(*this, s, [&](int t, std::size_t i, std::size_t,
+                               std::size_t) { current[i] = t; });
   std::vector<int> label, parent, cols;
   split_rows(n, row_major, label, parent, cols);
   if (label == current) {
     // Same split: every entry outside the blocks is +0.0 already.
-    for (int t = comp_block_ptr[s]; t < comp_block_ptr[s + 1]; ++t) {
-      const BlockView v =
-          view(*this, static_cast<std::size_t>(comp_blocks[t]));
-      double* a = abar.data() + v.abar;
-      for (std::size_t j = 0; j < v.k; ++j) {
-        const auto cj = static_cast<std::size_t>(v.rows[j] - off);
-        for (std::size_t i = 0; i < v.k; ++i) {
-          a[j * v.k + i] =
-              row_major[static_cast<std::size_t>(v.rows[i] - off) * n + cj];
-        }
-      }
-    }
+    for_each_entry(*this, s,
+                   [&](int, std::size_t i, std::size_t j, std::size_t e) {
+                     abar[e] = row_major[i * n + j];
+                   });
     return;
   }
   // A new split moves blocks between size groups: lay the image out again
@@ -342,35 +272,26 @@ void PackedLocalSolvers::build_image(
   }
 }
 
-PackedLocalSolvers PackedLocalSolvers::build(const DistributedProblem& problem,
-                                             const LocalSolvers& solvers) {
+PackedLocalSolvers PackedLocalSolvers::build(
+    const DistributedProblem& problem,
+    const std::vector<std::span<const double>>& abar,
+    std::vector<double> bbar) {
   PackedLocalSolvers pack;
   const std::size_t S = problem.components.size();
   pack.comp_offset.reserve(S);
   pack.comp_nvars.reserve(S);
-
-  std::size_t local_total = 0;
-  for (const Component& comp : problem.components) {
-    local_total += comp.num_vars();
-  }
-  pack.bbar.reserve(local_total);
-  pack.global_idx.reserve(local_total);
+  pack.bbar = std::move(bbar);
+  pack.global_idx.reserve(pack.bbar.size());
 
   std::int64_t zoff = 0;
-  std::vector<std::span<const double>> blocks;
-  blocks.reserve(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    const Component& comp = problem.components[s];
-    const auto& proj = solvers.projectors[s];
+  for (const Component& comp : problem.components) {
     pack.comp_offset.push_back(zoff);
     pack.comp_nvars.push_back(static_cast<int>(comp.num_vars()));
-    pack.bbar.insert(pack.bbar.end(), proj.bbar().begin(), proj.bbar().end());
     pack.global_idx.insert(pack.global_idx.end(), comp.global.begin(),
                            comp.global.end());
-    blocks.push_back(proj.abar().data());
     zoff += static_cast<std::int64_t>(comp.num_vars());
   }
-  pack.build_image(blocks);
+  pack.build_image(abar);
 
   const std::size_t n = problem.num_vars;
   pack.c = problem.c;

@@ -6,29 +6,9 @@
 #include <span>
 #include <vector>
 
-#include "linalg/affine_projector.hpp"
 #include "opf/decompose.hpp"
 
 namespace dopf::core {
-
-/// Precomputed closed-form local solvers: the Abar_s / bbar_s pairs of
-/// (15b)-(15c), one AffineProjector per component (lines 2-3 of
-/// Algorithm 1). Reusable across solver instances and rho values; the
-/// per-iteration machinery consumes the packed form below.
-struct LocalSolvers {
-  std::vector<dopf::linalg::AffineProjector> projectors;
-  /// Largest Tikhonov ridge any projector needed (0 = all exact). Nonzero
-  /// only when `options.auto_regularize` was set (preflight remediation).
-  double max_ridge = 0.0;
-
-  /// Build one projector per component. A component whose Gram matrix is
-  /// not SPD (and that the `options` policy cannot regularize) raises
-  /// opf::ConditioningError with component/row provenance instead of a
-  /// bare SingularMatrixError from deep inside the factorization.
-  static LocalSolvers precompute(
-      const dopf::opf::DistributedProblem& problem,
-      const dopf::linalg::ProjectorOptions& options = {});
-};
 
 /// One size class of the sub-block schedule: blocks [first, end).
 struct SubBlockGroup {
@@ -144,10 +124,13 @@ struct PackedLocalSolvers {
   void schedule_objective();
   void schedule_bounds();
 
-  /// Pack the precomputed projectors once; the projector objects are not
-  /// needed afterwards.
-  static PackedLocalSolvers build(const dopf::opf::DistributedProblem& problem,
-                                  const LocalSolvers& solvers);
+  /// Pack the problem with every Abar_s (`abar[s]`, n_s x n_s row-major)
+  /// and all bbar_s concatenated; the dense blocks are not needed
+  /// afterwards.
+  static PackedLocalSolvers build(
+      const dopf::opf::DistributedProblem& problem,
+      const std::vector<std::span<const double>>& abar,
+      std::vector<double> bbar);
 
  private:
   /// Lay out the sub-block image of the row-major blocks, one per

@@ -17,13 +17,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-bool same_matrix(const dopf::linalg::Matrix& a, const dopf::linalg::Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  const std::span<const double> da = a.data();
-  const std::span<const double> db = b.data();
-  return std::equal(da.begin(), da.end(), db.begin());
-}
-
 void copy_span(std::span<const double> from, std::vector<double>& to,
                const char* what) {
   if (from.size() != to.size()) {
@@ -38,6 +31,7 @@ void copy_span(std::span<const double> from, std::vector<double>& to,
 ScenarioBinding::ScenarioBinding(SolveModel& model) : model_(&model) {
   const auto start = std::chrono::steady_clock::now();
   pack_ = model.make_pack();
+  model_fp_ = topology_fingerprint(pack_);
   bound_b_.reserve(model.num_components());
   for (const Component& comp : model.problem().components) {
     bound_b_.push_back(comp.b);
@@ -61,21 +55,9 @@ std::span<double> ScenarioBinding::bbar_slice(std::size_t s) {
 }
 
 void ScenarioBinding::set_rhs(std::size_t s, std::span<const double> b) {
-  const std::vector<double> bbar = model_->rebind_rhs(s, b);
-  std::span<double> slice = bbar_slice(s);
-  std::copy(bbar.begin(), bbar.end(), slice.begin());
+  model_->rebind_rhs(s, b, bbar_slice(s));
   bound_b_[s].assign(b.begin(), b.end());
   ++lifetime_.rhs_rebinds;
-}
-
-void ScenarioBinding::refresh_component(std::size_t s, const Component& comp) {
-  model_->refresh_component(s, comp);
-  const dopf::linalg::AffineProjector& proj = model_->projector(s);
-  pack_.set_abar(s, proj.abar().data());
-  std::span<double> bbar = bbar_slice(s);
-  std::copy(proj.bbar().begin(), proj.bbar().end(), bbar.begin());
-  bound_b_[s] = comp.b;
-  ++lifetime_.refactorizations;
 }
 
 void ScenarioBinding::set_objective(std::span<const double> c) {
@@ -115,19 +97,35 @@ RebindStats ScenarioBinding::rebind(const DistributedProblem& scenario) {
   }
 
   RebindStats st;
-  for (std::size_t s = 0; s < base.components.size(); ++s) {
-    const Component& sc = scenario.components[s];
-    const Component& bc = base.components[s];
-    if (!same_matrix(sc.a, bc.a)) {
-      refresh_component(s, sc);
-      ++st.refactorizations;
-    } else if (sc.b != bound_b_[s]) {
-      set_rhs(s, sc.b);
-      ++st.rhs_rebinds;
-    } else {
-      ++st.unchanged;
+  try {
+    for (std::size_t s = 0; s < base.components.size(); ++s) {
+      const Component& sc = scenario.components[s];
+      const Component& bc = base.components[s];
+      if (sc.a.rows() != bc.a.rows() ||
+          !std::ranges::equal(sc.a.data(), bc.a.data())) {
+        // Exactly one refactorization; the fresh Abar_s goes through a
+        // transient block into the image (set_abar lays the image out
+        // again when the block splits differently).
+        model_->refresh_component(s, sc);
+        std::vector<double> abar(sc.num_vars() * sc.num_vars());
+        model_->assemble(s, abar, bbar_slice(s));
+        pack_.set_abar(s, abar);
+        bound_b_[s] = sc.b;
+        ++lifetime_.refactorizations;
+        ++st.refactorizations;
+      } else if (sc.b != bound_b_[s]) {
+        set_rhs(s, sc.b);
+        ++st.rhs_rebinds;
+      } else {
+        ++st.unchanged;
+      }
     }
+  } catch (...) {
+    // The refreshes before a failing one stay bound: fingerprint them.
+    if (st.refactorizations > 0) model_fp_ = topology_fingerprint(pack_);
+    throw;
   }
+  if (st.refactorizations > 0) model_fp_ = topology_fingerprint(pack_);
 
   if (scenario.c != pack_.c) {
     set_objective(scenario.c);

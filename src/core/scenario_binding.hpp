@@ -33,8 +33,9 @@ struct RebindStats {
 /// Dirty tracking is per component: rebind() diffs a re-decomposed
 /// scenario problem against the currently bound data and
 ///   - leaves untouched components alone,
-///   - routes b_s-only changes through SolveModel::rebind_rhs (zero
-///     refactorizations, bbar bit-identical to a cold build),
+///   - routes b_s-only changes through SolveModel::rebind_rhs, straight
+///     into the pack's bbar slice (zero refactorizations, bbar
+///     bit-identical to a cold build),
 ///   - routes A_s changes through SolveModel::refresh_component (exactly
 ///     that component refactorized).
 /// A scenario whose component variable sets differ from the model's is
@@ -45,7 +46,6 @@ class ScenarioBinding {
   /// Bind the model's base scenario. `model` must outlive the binding.
   explicit ScenarioBinding(SolveModel& model);
 
-  SolveModel& model() { return *model_; }
   const SolveModel& model() const { return *model_; }
 
   /// The packed image backends iterate over. Invalidated slices are
@@ -64,11 +64,6 @@ class ScenarioBinding {
   /// Rebind component s to a new right-hand side b_s through the cached
   /// factorization (no refactorization).
   void set_rhs(std::size_t s, std::span<const double> b);
-  /// Re-derive component s from an edited topology block (exactly one
-  /// refactorization); writes the fresh Abar into the sub-block image
-  /// (PackedLocalSolvers::set_abar, which lays the image out again when
-  /// the block splits differently) and repacks its bbar slice.
-  void refresh_component(std::size_t s, const dopf::opf::Component& comp);
   void set_objective(std::span<const double> c);
   void set_bounds(std::span<const double> lb, std::span<const double> ub);
   void set_initial_point(std::span<const double> x0);
@@ -81,9 +76,10 @@ class ScenarioBinding {
   /// Totals accumulated across every rebind since construction.
   const RebindStats& lifetime() const { return lifetime_; }
 
-  std::uint64_t model_fingerprint() const {
-    return topology_fingerprint(pack_);
-  }
+  /// topology_fingerprint(pack()), computed when the binding is built and
+  /// after each rebind that refactorized: nothing else changes the
+  /// topology.
+  std::uint64_t model_fingerprint() const { return model_fp_; }
   std::uint64_t scenario_fingerprint() const {
     return dopf::core::scenario_fingerprint(pack_);
   }
@@ -97,6 +93,7 @@ class ScenarioBinding {
   /// model's base b_s is not updated by rhs-only rebinds).
   std::vector<std::vector<double>> bound_b_;
   RebindStats lifetime_;
+  std::uint64_t model_fp_ = 0;
   double bind_seconds_ = 0.0;
 };
 

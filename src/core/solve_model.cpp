@@ -1,13 +1,23 @@
 #include "core/solve_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "linalg/lanes.hpp"
+
 namespace dopf::core {
+
+using dopf::linalg::AssemblyBlock;
+using dopf::linalg::GramBlock;
+using dopf::linalg::ProjectorStatus;
+using dopf::opf::Component;
+using dopf::opf::DistributedProblem;
+namespace lanes = dopf::linalg::lanes;
 
 namespace {
 
@@ -19,6 +29,11 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+// FNV-1a over eight zero bytes: each step's xor is a no-op, so the eight
+// multiplies are one by the prime's eighth power (mod 2^64).
+constexpr std::uint64_t kFnvPrime2 = kFnvPrime * kFnvPrime;
+constexpr std::uint64_t kFnvPrime8 =
+    kFnvPrime2 * kFnvPrime2 * kFnvPrime2 * kFnvPrime2;
 
 void fnv_bytes(std::uint64_t& h, const void* data, std::size_t n) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
@@ -47,14 +62,31 @@ std::size_t heap_bytes(const std::string& s) {
 
 }  // namespace
 
-SolveModel::SolveModel(const dopf::opf::DistributedProblem& problem,
+SolveModel::SolveModel(const DistributedProblem& problem,
                        dopf::linalg::ProjectorOptions options)
     : problem_(problem), options_(options) {
-  // Retention is what makes this a model rather than a one-shot pack: the
-  // factors must survive so scenario rebinds can reuse them.
-  options_.keep_factorization = true;
   const auto start = std::chrono::steady_clock::now();
-  solvers_ = LocalSolvers::precompute(problem_, options_);
+  factor_offset_.assign(num_components() + 1, 0);
+  for (std::size_t s = 0; s < num_components(); ++s) {
+    const std::size_t m = problem_.components[s].a.rows();
+    factor_offset_[s + 1] = factor_offset_[s] + m * m;
+  }
+  factors_.assign(factor_offset_.back(), 0.0);
+  std::vector<ProjectorStatus> status(num_components());
+  std::vector<GramBlock> blocks;
+  for (std::size_t s = 0; s < num_components(); ++s) {
+    blocks.push_back({&problem_.components[s].a,
+                      factors_.data() + factor_offset_[s], &status[s]});
+  }
+  factor_gram(blocks, options_);
+  for (std::size_t s = 0; s < num_components(); ++s) {
+    if (!status[s].ok) {
+      throw dopf::opf::ConditioningError(problem_.components[s].name,
+                                         status[s].pivot_index,
+                                         status[s].pivot_value);
+    }
+    max_ridge_ = std::max(max_ridge_, status[s].ridge);
+  }
   precompute_seconds_ = seconds_since(start);
 }
 
@@ -63,28 +95,59 @@ std::size_t SolveModel::bytes() const {
                   heap_bytes(problem_.lb) + heap_bytes(problem_.ub) +
                   heap_bytes(problem_.x0) + heap_bytes(problem_.copy_count) +
                   heap_bytes(problem_.components);
-  for (const dopf::opf::Component& comp : problem_.components) {
+  for (const Component& comp : problem_.components) {
     n += heap_bytes(comp.name) + comp.a.data().size() * sizeof(double) +
          heap_bytes(comp.b) + heap_bytes(comp.global);
   }
-  n += heap_bytes(solvers_.projectors);
-  for (const dopf::linalg::AffineProjector& proj : solvers_.projectors) {
-    n += proj.heap_bytes();
+  return n + heap_bytes(factors_) + heap_bytes(factor_offset_);
+}
+
+PackedLocalSolvers SolveModel::make_pack() const {
+  std::size_t dense_size = 0, local_size = 0;
+  for (const Component& comp : problem_.components) {
+    dense_size += comp.num_vars() * comp.num_vars();
+    local_size += comp.num_vars();
   }
-  return n;
+  std::vector<double> dense(dense_size), bbar(local_size);
+  std::vector<AssemblyBlock> blocks;
+  std::vector<std::span<const double>> abar;
+  double* d = dense.data();
+  double* z = bbar.data();
+  for (std::size_t s = 0; s < num_components(); ++s) {
+    const Component& comp = problem_.components[s];
+    const std::size_t n = comp.num_vars();
+    blocks.push_back({&comp.a, factor(s), comp.b, d, z});
+    abar.emplace_back(d, n * n);
+    d += n * n;
+    z += n;
+  }
+  assemble_projector(blocks);
+  return PackedLocalSolvers::build(problem_, abar, std::move(bbar));
 }
 
-std::vector<double> SolveModel::rebind_rhs(std::size_t s,
-                                           std::span<const double> b) {
-  // The projector's bbar is scratch here: bindings copy the result into
-  // their own packs, so a model shared by several bindings stays usable.
-  dopf::linalg::AffineProjector& proj = solvers_.projectors[s];
-  proj.rebind_rhs(b);
-  return std::vector<double>(proj.bbar().begin(), proj.bbar().end());
+void SolveModel::assemble(std::size_t s, std::span<double> abar,
+                          std::span<double> bbar) const {
+  const Component& comp = problem_.components[s];
+  const AssemblyBlock block[] = {
+      {&comp.a, factor(s), comp.b, abar.data(), bbar.data()}};
+  assemble_projector(block);
 }
 
-void SolveModel::refresh_component(std::size_t s,
-                                   const dopf::opf::Component& comp) {
+void SolveModel::rebind_rhs(std::size_t s, std::span<const double> b,
+                            std::span<double> bbar) const {
+  const Component& comp = problem_.components[s];
+  const std::size_t m = comp.a.rows();
+  const std::size_t n = comp.a.cols();
+  if (b.size() != m || bbar.size() != n) {
+    throw std::invalid_argument("SolveModel::rebind_rhs: size mismatch");
+  }
+  // The bbar kernel of the assembly, replayed through the stored factor.
+  std::vector<double> x(m);
+  lanes::projector_rhs<1>(comp.a.data().data(), factor(s), b.data(), m, n,
+                          x.data(), bbar.data());
+}
+
+void SolveModel::refresh_component(std::size_t s, const Component& comp) {
   if (s >= num_components()) {
     throw std::invalid_argument("SolveModel::refresh_component: bad index");
   }
@@ -93,16 +156,25 @@ void SolveModel::refresh_component(std::size_t s,
         "SolveModel::refresh_component: component '" + comp.name +
         "' has a different variable set; that is a different model");
   }
-  dopf::linalg::ProjectorStatus status;
-  std::optional<dopf::linalg::AffineProjector> proj =
-      dopf::linalg::AffineProjector::try_build(comp.a, comp.b, options_,
-                                               &status);
-  if (!proj) {
+  std::vector<double> l(comp.a.rows() * comp.a.rows());
+  ProjectorStatus status;
+  const GramBlock block[] = {{&comp.a, l.data(), &status}};
+  factor_gram(block, options_);
+  if (!status.ok) {
     throw dopf::opf::ConditioningError(comp.name, status.pivot_index,
                                        status.pivot_value);
   }
-  solvers_.max_ridge = std::max(solvers_.max_ridge, status.ridge);
-  solvers_.projectors[s] = std::move(*proj);
+  max_ridge_ = std::max(max_ridge_, status.ridge);
+  // L_s replaces its slot; an edit that changes m_s moves later factors.
+  const std::size_t old_size = factor_offset_[s + 1] - factor_offset_[s];
+  const auto at =
+      factors_.begin() + static_cast<std::ptrdiff_t>(factor_offset_[s]);
+  factors_.insert(
+      factors_.erase(at, at + static_cast<std::ptrdiff_t>(old_size)),
+      l.begin(), l.end());
+  for (std::size_t t = s + 1; t < factor_offset_.size(); ++t) {
+    factor_offset_[t] = factor_offset_[t] + l.size() - old_size;
+  }
   problem_.components[s] = comp;
   ++refactorizations_;
 }
@@ -132,7 +204,13 @@ std::uint64_t topology_fingerprint(const PackedLocalSolvers& pack) {
     const auto ns = static_cast<std::size_t>(pack.comp_nvars[s]);
     block.resize(ns * ns);
     pack.unpack_abar(s, block);
-    fnv_bytes(h, block.data(), block.size() * sizeof(double));
+    for (const double v : block) {
+      if (std::bit_cast<std::uint64_t>(v) == 0) {
+        h *= kFnvPrime8;  // +0.0, about half of every Abar
+      } else {
+        fnv_bytes(h, &v, sizeof(v));
+      }
+    }
   }
   fnv_vec(h, pack.global_idx);
   fnv_vec(h, pack.gather_ptr);

@@ -5,13 +5,15 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "linalg/lanes.hpp"
 
 namespace dopf::linalg {
 
-/// The lane build behind try_build_group: Gram product, Cholesky factor
-/// (with the ridge fallback per lane) and assembly of up to W blocks at
+namespace {
+
+/// The lane steps behind factor_gram and assemble_projector, W blocks at
 /// once, each lane the scalar build of its block.
 struct ProjectorLanes {
   template <int W>
@@ -65,27 +67,26 @@ struct ProjectorLanes {
     }
   }
 
-  template <int W>
-  static void build(const Matrix* const* a, const std::span<const double>* b,
-                    std::size_t count, const ProjectorOptions& options,
-                    Workspace<W>& ws, std::optional<AffineProjector>* out,
-                    ProjectorStatus* status) {
-    using V = lanes::Vec<W>;
-    using M = lanes::Mask<W>;
-    const std::size_t m = a[0]->rows();
-    const std::size_t n = a[0]->cols();
+  template <int W, class Block>
+  static void gather_a(const Block* blocks, std::size_t count,
+                       Workspace<W>& ws) {
     lanes::gather<W>(
-        count, m, n,
+        count, blocks[0].a->rows(), blocks[0].a->cols(),
         [&](std::size_t k, std::size_t i, std::size_t j) {
-          return (*a[k])(i, j);
+          return (*blocks[k].a)(i, j);
         },
         ws.a);
-    lanes::gather<W>(
-        count, m, 1,
-        [&](std::size_t k, std::size_t i, std::size_t) { return b[k][i]; },
-        ws.b);
+  }
+
+  template <int W>
+  static void factor(const GramBlock* blocks, std::size_t count,
+                     const ProjectorOptions& options, Workspace<W>& ws) {
+    using V = lanes::Vec<W>;
+    using M = lanes::Mask<W>;
+    const std::size_t m = blocks[0].a->rows();
+    gather_a<W>(blocks, count, ws);
     ws.g.resize(m * m);
-    lanes::gram<W>(ws.a.data(), m, n, ws.g.data());
+    lanes::gram<W>(ws.a.data(), m, blocks[0].a->cols(), ws.g.data());
     ws.l.assign(m * m, V{});
     lanes::Pivot pivots[W];
     M ok;
@@ -97,92 +98,125 @@ struct ProjectorLanes {
       regularize<W>(m, options, ws, ok, ridge, pivots);
     }
 
-    if (lanes::any(ok)) {
-      ws.col.resize(m);
-      ws.y.resize(m * n);
-      ws.abar.resize(n * n);
-      ws.bbar.resize(n);
-      lanes::projector_matrix<W>(ws.a.data(), ws.l.data(), m, n, ws.col.data(),
-                                 ws.y.data(), ws.abar.data());
-      lanes::projector_rhs<W>(ws.a.data(), ws.l.data(), ws.b.data(), m, n,
-                              ws.col.data(), ws.bbar.data());
-    }
     for (std::size_t k = 0; k < count; ++k) {
       const int lane = static_cast<int>(k);
-      status[k] = ProjectorStatus{};
+      ProjectorStatus& status = *blocks[k].status;
+      status = ProjectorStatus{};
       if (lanes::get(ok, lane) == 0) {
-        status[k].pivot_index = pivots[k].index;
-        status[k].pivot_value = pivots[k].value;
+        status.pivot_index = pivots[k].index;
+        status.pivot_value = pivots[k].value;
         continue;
       }
-      AffineProjector proj;
-      proj.m_ = m;
-      proj.ridge_ = lanes::get(ridge, lane);
-      proj.abar_ = Matrix(n, n);
+      status.ok = true;
+      status.ridge = lanes::get(ridge, lane);
+      for (std::size_t e = 0; e < m * m; ++e) {
+        blocks[k].factor[e] = lanes::get(ws.l[e], lane);
+      }
+    }
+  }
+
+  template <int W>
+  static void assemble(const AssemblyBlock* blocks, std::size_t count,
+                       Workspace<W>& ws) {
+    const std::size_t m = blocks[0].a->rows();
+    const std::size_t n = blocks[0].a->cols();
+    gather_a<W>(blocks, count, ws);
+    lanes::gather<W>(
+        count, m, m,
+        [&](std::size_t k, std::size_t i, std::size_t j) {
+          return blocks[k].factor[i * m + j];
+        },
+        ws.l);
+    lanes::gather<W>(
+        count, m, 1,
+        [&](std::size_t k, std::size_t i, std::size_t) {
+          return blocks[k].b[i];
+        },
+        ws.b);
+    ws.col.resize(m);
+    ws.y.resize(m * n);
+    ws.abar.resize(n * n);
+    ws.bbar.resize(n);
+    lanes::projector_matrix<W>(ws.a.data(), ws.l.data(), m, n, ws.col.data(),
+                               ws.y.data(), ws.abar.data());
+    lanes::projector_rhs<W>(ws.a.data(), ws.l.data(), ws.b.data(), m, n,
+                            ws.col.data(), ws.bbar.data());
+    for (std::size_t k = 0; k < count; ++k) {
+      const int lane = static_cast<int>(k);
       for (std::size_t e = 0; e < n * n; ++e) {
-        proj.abar_.data()[e] = lanes::get(ws.abar[e], lane);
+        blocks[k].abar[e] = lanes::get(ws.abar[e], lane);
       }
-      proj.bbar_.resize(n);
       for (std::size_t e = 0; e < n; ++e) {
-        proj.bbar_[e] = lanes::get(ws.bbar[e], lane);
+        blocks[k].bbar[e] = lanes::get(ws.bbar[e], lane);
       }
-      if (options.keep_factorization) {
-        Matrix factor(m, m);
-        for (std::size_t i = 0; i < m; ++i) {
-          for (std::size_t j = 0; j <= i; ++j) {
-            factor(i, j) = lanes::get(ws.l[i * m + j], lane);
-          }
-        }
-        proj.factor_ = std::move(factor);
-        proj.a_ = *a[k];
-      }
-      status[k].ok = true;
-      status[k].ridge = proj.ridge_;
-      out[k] = std::move(proj);
+    }
+  }
+
+  /// Run `step` over `blocks` grouped by shape (ascending (m, n), input
+  /// order inside a group), in lane chunks of each group.
+  template <class Block, class Step>
+  static void for_each_chunk(std::span<const Block> blocks, Step&& step) {
+    std::vector<std::pair<std::size_t, std::size_t>> shapes;
+    for (const Block& block : blocks) {
+      shapes.emplace_back(block.a->rows(), block.a->cols());
+    }
+    std::vector<std::size_t> ends;
+    std::vector<Block> sorted;
+    for (const std::size_t k : lanes::group_by(shapes, &ends)) {
+      sorted.push_back(blocks[k]);
+    }
+    Workspaces ws;
+    std::size_t begin = 0;
+    for (const std::size_t end : ends) {
+      lanes::for_each_chunk(
+          sorted[begin].a->rows(), end - begin,
+          [&]<int W>(std::size_t first, std::size_t count) {
+            step(sorted.data() + begin + first, count,
+                 std::get<Workspace<W>>(ws));
+          });
+      begin = end;
     }
   }
 };
 
-std::vector<std::optional<AffineProjector>> AffineProjector::try_build_group(
-    std::span<const Matrix* const> a,
-    std::span<const std::span<const double>> b,
-    const ProjectorOptions& options, std::span<ProjectorStatus> status) {
-  if (b.size() != a.size() || status.size() != a.size()) {
-    throw std::invalid_argument(
-        "AffineProjector::try_build_group: group sizes differ");
-  }
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    if (a[k]->rows() != a[0]->rows() || a[k]->cols() != a[0]->cols()) {
-      throw std::invalid_argument(
-          "AffineProjector::try_build_group: blocks differ in shape");
-    }
-    if (a[k]->rows() != b[k].size()) {
-      throw std::invalid_argument("AffineProjector: b size must match rows");
-    }
-  }
-  std::vector<std::optional<AffineProjector>> out(a.size());
-  if (a.empty()) return out;
-  ProjectorLanes::Workspaces ws;
-  lanes::for_each_chunk(
-      a[0]->rows(), a.size(), [&]<int W>(std::size_t first, std::size_t count) {
-        ProjectorLanes::build<W>(
-            a.data() + first, b.data() + first, count, options,
-            std::get<ProjectorLanes::Workspace<W>>(ws), out.data() + first,
-            status.data() + first);
+}  // namespace
+
+void factor_gram(std::span<const GramBlock> blocks,
+                 const ProjectorOptions& options) {
+  ProjectorLanes::for_each_chunk(
+      blocks, [&](const GramBlock* chunk, std::size_t count, auto& ws) {
+        ProjectorLanes::factor(chunk, count, options, ws);
       });
-  return out;
+}
+
+void assemble_projector(std::span<const AssemblyBlock> blocks) {
+  ProjectorLanes::for_each_chunk(
+      blocks, [](const AssemblyBlock* chunk, std::size_t count, auto& ws) {
+        ProjectorLanes::assemble(chunk, count, ws);
+      });
 }
 
 std::optional<AffineProjector> AffineProjector::try_build(
     const Matrix& a, std::span<const double> b,
     const ProjectorOptions& options, ProjectorStatus* status) {
-  const Matrix* blocks[] = {&a};
-  const std::span<const double> rhs[] = {b};
+  if (b.size() != a.rows()) {
+    throw std::invalid_argument("AffineProjector: b size must match rows");
+  }
   ProjectorStatus local;
-  auto built = try_build_group(blocks, rhs, options,
-                               std::span<ProjectorStatus>(
-                                   status != nullptr ? status : &local, 1));
-  return std::move(built[0]);
+  ProjectorStatus& st = status != nullptr ? *status : local;
+  std::vector<double> factor(a.rows() * a.rows());
+  const GramBlock gram[] = {{&a, factor.data(), &st}};
+  factor_gram(gram, options);
+  if (!st.ok) return std::nullopt;
+  AffineProjector proj;
+  proj.m_ = a.rows();
+  proj.ridge_ = st.ridge;
+  proj.abar_ = Matrix(a.cols(), a.cols());
+  proj.bbar_.resize(a.cols());
+  const AssemblyBlock block[] = {
+      {&a, factor.data(), b, proj.abar_.data().data(), proj.bbar_.data()}};
+  assemble_projector(block);
+  return proj;
 }
 
 AffineProjector::AffineProjector(const Matrix& a, std::span<const double> b) {
@@ -196,29 +230,6 @@ AffineProjector::AffineProjector(const Matrix& a, std::span<const double> b) {
         std::to_string(status.pivot_index) + ")");
   }
   *this = std::move(*built);
-}
-
-void AffineProjector::rebind_rhs(std::span<const double> b) {
-  if (!factor_.has_value()) {
-    throw std::logic_error(
-        "AffineProjector::rebind_rhs: projector was built without "
-        "keep_factorization");
-  }
-  if (b.size() != m_) {
-    throw std::invalid_argument("AffineProjector::rebind_rhs: b size mismatch");
-  }
-  // The bbar kernel of the build, replayed through the retained factor:
-  // bit-identical to a cold build with the same A and this b.
-  std::vector<double> scratch(m_);
-  lanes::projector_rhs<1>(a_.data().data(), factor_->data().data(), b.data(),
-                          m_, dim(), scratch.data(), bbar_.data());
-}
-
-std::size_t AffineProjector::heap_bytes() const {
-  std::size_t doubles = abar_.data().size() + bbar_.capacity() +
-                        a_.data().size();
-  if (factor_) doubles += factor_->data().size();
-  return doubles * sizeof(double);
 }
 
 void AffineProjector::project_into(std::span<const double> y,

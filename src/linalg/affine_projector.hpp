@@ -21,22 +21,51 @@ struct ProjectorOptions {
   bool auto_regularize = false;
   double ridge_rel = 1e-10;
   int max_ridge_doublings = 24;
-  /// Retain A and the (possibly ridged) Cholesky factor of the Gram matrix
-  /// so rebind_rhs() can re-derive bbar for a new b without refactorizing —
-  /// the mechanism behind scenario rebinding (core::ScenarioBinding). Off
-  /// by default: single-shot projectors keep today's memory footprint.
-  bool keep_factorization = false;
 };
 
-/// Outcome of try_build: whether the projector exists, the Tikhonov ridge
-/// that was applied (0 = exact projector), and on failure the offending
-/// Cholesky pivot for row-level provenance.
+/// Outcome of the factor step (and of try_build): whether the Gram matrix
+/// factored, the Tikhonov ridge that was applied (0 = exact projector),
+/// and on failure the offending Cholesky pivot for row-level provenance.
 struct ProjectorStatus {
   bool ok = false;
   double ridge = 0.0;
   std::size_t pivot_index = 0;
   double pivot_value = 0.0;
 };
+
+/// One block of the factor step: A (m x n) in; out, the lower Cholesky
+/// factor L of the (possibly ridged) Gram matrix A A^T, m x m row-major
+/// with zeros above the diagonal (written only when the block factors),
+/// and the block's status.
+struct GramBlock {
+  const Matrix* a = nullptr;
+  double* factor = nullptr;
+  ProjectorStatus* status = nullptr;
+};
+
+/// One block of the assembly step: A (m x n), its factor L (m x m
+/// row-major, lower triangle read) and b (m) in; Abar (n x n row-major)
+/// and bbar (n) out.
+struct AssemblyBlock {
+  const Matrix* a = nullptr;
+  const double* factor = nullptr;
+  std::span<const double> b;
+  double* abar = nullptr;
+  double* bbar = nullptr;
+};
+
+/// The two steps of the projector build (lines 2-3 of Algorithm 1), each
+/// for any number of blocks: grouped by shape (m, n), same-shape blocks
+/// run up to eight at a time in vector lanes (linalg/lanes.hpp). Every
+/// block's output is bit-identical to the block run alone, so one block is
+/// the scalar build.
+///
+/// Factor step: the Gram product and its Cholesky factor, with the ridge
+/// fallback of `options` for a block that is not SPD.
+void factor_gram(std::span<const GramBlock> blocks,
+                 const ProjectorOptions& options);
+/// Assembly step: Abar (15b) and bbar (15c) from A, L and b.
+void assemble_projector(std::span<const AssemblyBlock> blocks);
 
 /// Precomputed orthogonal projector onto the affine set {x : A x = b} for a
 /// full-row-rank A.
@@ -45,14 +74,12 @@ struct ProjectorStatus {
 ///   Abar = A^T (A A^T)^{-1} A - I       (15b)
 ///   bbar = A^T (A A^T)^{-1} b           (15c)
 ///   x_s^{t+1} = (1/rho) * Abar * d + bbar,   d = -rho*v - lambda   (15a)
-/// which algebraically equals the projection P(v + lambda/rho) with
-///   P(y) = (I - A^T (A A^T)^{-1} A) y + bbar = -Abar y + ... note the
-/// sign: Abar = A^T(AA^T)^{-1}A - I so P(y) = -Abar*y + ... Careful readers:
-/// (1/rho)*Abar*(-rho*y) + bbar = -Abar*y + bbar = (I - A^T(AA^T)^{-1}A) y + bbar.
+/// which is the projection P(y) = -Abar y + bbar of y = v + lambda/rho
+/// onto {x : A x = b}.
 ///
-/// Construction is O(m^2 n + m^3) and happens once per component (the
-/// "Precomputation" step, lines 2-3 of Algorithm 1); project_into() is a
-/// dense matvec, the entirety of the per-iteration local update.
+/// Construction is O(m^2 n + m^3) (factor_gram, then assemble_projector,
+/// on one block); project_into() is a dense matvec, the entirety of
+/// the per-iteration local update.
 class AffineProjector {
  public:
   /// `a` must have full row rank (run row_reduce() first if unsure).
@@ -67,56 +94,28 @@ class AffineProjector {
       const Matrix& a, std::span<const double> b,
       const ProjectorOptions& options = {}, ProjectorStatus* status = nullptr);
 
-  /// try_build for a group of blocks of one shape (equal rows, equal
-  /// columns), built up to eight at a time in vector lanes
-  /// (linalg/lanes.hpp). Entry k is bit-identical to
-  /// try_build(*a[k], b[k], options, &status[k]); try_build is this with a
-  /// group of one.
-  static std::vector<std::optional<AffineProjector>> try_build_group(
-      std::span<const Matrix* const> a,
-      std::span<const std::span<const double>> b,
-      const ProjectorOptions& options, std::span<ProjectorStatus> status);
-
   std::size_t dim() const noexcept { return abar_.rows(); }
   std::size_t num_constraints() const noexcept { return m_; }
 
   /// Tikhonov ridge baked into this projector (0 for an exact projector).
   double ridge() const noexcept { return ridge_; }
 
-  /// Recompute bbar (15c) for a new right-hand side through the retained
-  /// factorization: bit-identical to a cold build with the same A and the
-  /// new b, at the cost of one triangular solve instead of a full
-  /// refactorization. Throws std::logic_error unless the projector was
-  /// built with keep_factorization, std::invalid_argument on a size
-  /// mismatch.
-  void rebind_rhs(std::span<const double> b);
-
   /// The projection form of (15a): out = argmin_{Ax=b} ||x - y||_2
   /// = -Abar y + bbar.
   void project_into(std::span<const double> y, std::span<double> out) const;
 
-  /// Abar from (15b); exposed for the SIMT kernels, which index its rows
-  /// directly from "device" memory.
+  /// Abar from (15b).
   const Matrix& abar() const noexcept { return abar_; }
   /// bbar from (15c).
   std::span<const double> bbar() const noexcept { return bbar_; }
 
-  /// Heap bytes this projector holds: Abar, bbar and, when retained, the
-  /// factor and A.
-  std::size_t heap_bytes() const;
-
  private:
-  friend struct ProjectorLanes;  // the lane build behind try_build_group
   AffineProjector() = default;
 
   std::size_t m_ = 0;
   double ridge_ = 0.0;
   Matrix abar_;                // (15b), n x n
   std::vector<double> bbar_;   // (15c), n
-  // Retained only under keep_factorization (scenario rebinding): the
-  // lower Cholesky factor of the (possibly ridged) Gram matrix, and A.
-  std::optional<Matrix> factor_;
-  Matrix a_;
 };
 
 }  // namespace dopf::linalg

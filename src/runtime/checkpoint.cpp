@@ -6,7 +6,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/solve_model.hpp"
+#include "core/scenario_binding.hpp"
 #include "verify/codec.hpp"
 
 namespace dopf::runtime {
@@ -93,8 +93,8 @@ AdmmCheckpoint AdmmCheckpoint::capture(const dopf::core::SolverFreeAdmm& admm,
                                        int iteration, std::string label) {
   AdmmCheckpoint ck;
   ck.label = std::move(label);
-  ck.model_fingerprint = dopf::core::topology_fingerprint(admm.packed());
-  ck.scenario_fingerprint = dopf::core::scenario_fingerprint(admm.packed());
+  ck.model_fingerprint = admm.binding().model_fingerprint();
+  ck.scenario_fingerprint = admm.binding().scenario_fingerprint();
   admm.capture(iteration, &ck);
   return ck;
 }
@@ -120,15 +120,14 @@ void AdmmCheckpoint::validate_for(const dopf::core::SolverFreeAdmm& admm,
   check("z_prev", z_prev.size(), admm.z_prev().size());
   check("lambda", lambda.size(), admm.lambda().size());
   if (model_fingerprint != 0 &&
-      model_fingerprint != dopf::core::topology_fingerprint(admm.packed())) {
+      model_fingerprint != admm.binding().model_fingerprint()) {
     throw CheckpointError(
         "checkpoint model fingerprint does not match the solver's bound "
         "topology — the model was edited (or is a different feeder) since "
         "this checkpoint was recorded; refusing to restore");
   }
   if (scenario_fingerprint != 0 &&
-      scenario_fingerprint !=
-          dopf::core::scenario_fingerprint(admm.packed())) {
+      scenario_fingerprint != admm.binding().scenario_fingerprint()) {
     throw CheckpointError(
         "checkpoint scenario fingerprint does not match the solver's bound "
         "scenario data — loads/costs/bounds were rebound since this "

@@ -18,9 +18,9 @@
 namespace dopf::serve {
 
 /// One cached topology precompute: everything requests sharing a topology
-/// fingerprint coalesce onto. The SolveModel owns the per-component
-/// projector factorizations (the paper's Table 4 subproblem precompute —
-/// the expensive part, identical across load-only scenario variations);
+/// fingerprint coalesce onto. The SolveModel owns the per-component Gram
+/// factors (the paper's Table 4 subproblem precompute — the expensive
+/// part, identical across load-only scenario variations);
 /// the ScenarioBinding is rebound in place per request, so a b-only
 /// scenario is a rhs rebind with zero refactorizations.
 ///
@@ -40,7 +40,7 @@ struct CachedModel {
 };
 
 /// Resident bytes of a bound model: SolveModel::bytes() (the problem copy
-/// and every projector with its retained factor) plus
+/// and the Gram factor store) plus
 /// ScenarioBinding::bytes() (the pack and the bound right-hand sides).
 std::size_t estimate_model_bytes(const dopf::core::ScenarioBinding& binding);
 

@@ -48,14 +48,14 @@ class RowMajorReference {
         lb_(problem.lb),
         ub_(problem.ub),
         gather_(problem.num_vars) {
-    const LocalSolvers solvers = LocalSolvers::precompute(problem);
-    for (std::size_t s = 0; s < problem.components.size(); ++s) {
-      const auto& comp = problem.components[s];
-      const auto& proj = solvers.projectors[s];
+    for (const auto& comp : problem.components) {
+      const auto proj =
+          dopf::linalg::AffineProjector::try_build(comp.a, comp.b);
       offset_.push_back(global_idx_.size());
       nvars_.push_back(comp.num_vars());
-      abar_.emplace_back(proj.abar().data().begin(), proj.abar().data().end());
-      bbar_.insert(bbar_.end(), proj.bbar().begin(), proj.bbar().end());
+      abar_.emplace_back(proj->abar().data().begin(),
+                         proj->abar().data().end());
+      bbar_.insert(bbar_.end(), proj->bbar().begin(), proj->bbar().end());
       global_idx_.insert(global_idx_.end(), comp.global.begin(),
                          comp.global.end());
     }

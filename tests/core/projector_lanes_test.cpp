@@ -1,10 +1,12 @@
-// The lockstep projector build (LocalSolvers::precompute and
-// AffineProjector::try_build_group over linalg/lanes.hpp) against the
-// scalar one-block build it replaced: every Abar and bbar entry, the
-// ridge, the failure pivot and the rebound bbar, bit for bit.
+// The lockstep projector build (linalg::factor_gram and
+// linalg::assemble_projector over linalg/lanes.hpp, as SolveModel and its
+// pack run them) against the scalar one-block build it replaced: every
+// factor, Abar and bbar entry, the ridge, the failure pivot and the
+// rebound bbar, bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -13,7 +15,8 @@
 #include <vector>
 
 #include "../linalg/scalar_reference.hpp"
-#include "core/packed_solvers.hpp"
+#include "core/scenario_binding.hpp"
+#include "core/solve_model.hpp"
 #include "linalg/affine_projector.hpp"
 #include "opf/decompose.hpp"
 #include "opf/model.hpp"
@@ -23,6 +26,8 @@ namespace dopf::core {
 namespace {
 
 using dopf::linalg::AffineProjector;
+using dopf::linalg::AssemblyBlock;
+using dopf::linalg::GramBlock;
 using dopf::linalg::Matrix;
 using dopf::linalg::ProjectorOptions;
 using dopf::linalg::ProjectorStatus;
@@ -67,11 +72,14 @@ void expect_matches_reference(const Matrix& a, std::span<const double> b,
 
 class ProjectorLanesBuiltin : public ::testing::TestWithParam<std::string> {};
 
-// Every Abar and bbar of every builtin, plain and row-equilibrated, through
-// the production precompute.
+// Every Abar and bbar of every builtin, plain and row-equilibrated, as the
+// model and its pack hold them, and every bbar rebound through the model's
+// stored factor for a new right-hand side.
 TEST_P(ProjectorLanesBuiltin, EveryProjectorMatchesScalarBuild) {
   const dopf::network::Network net = dopf::runtime::make_network(GetParam());
   const dopf::opf::OpfModel model = dopf::opf::build_model(net);
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<double> scale(0.5, 1.5);
   for (const bool equilibrate : {false, true}) {
     dopf::opf::DecomposeOptions dec;
     dec.equilibrate_rows = equilibrate;
@@ -79,26 +87,39 @@ TEST_P(ProjectorLanesBuiltin, EveryProjectorMatchesScalarBuild) {
         dopf::opf::decompose(net, model, dec);
     ProjectorOptions options;
     options.auto_regularize = equilibrate;
-    options.keep_factorization = true;
-    const LocalSolvers solvers = LocalSolvers::precompute(problem, options);
-    ASSERT_EQ(solvers.projectors.size(), problem.components.size());
+    SolveModel solve_model(problem, options);
+    ScenarioBinding binding(solve_model);
+    const PackedLocalSolvers& pack = binding.pack();
+    ASSERT_EQ(pack.num_components(), problem.components.size());
+    double max_ridge = 0.0;
     std::size_t mismatches = 0;
+    std::vector<double> abar;
     for (std::size_t s = 0; s < problem.components.size(); ++s) {
       const auto& comp = problem.components[s];
       const dopf::reference::Projector want =
           dopf::reference::build_projector(comp.a, comp.b, options);
-      const AffineProjector& have = solvers.projectors[s];
-      if (!want.ok || !same_bits(have.abar().data(), want.abar.data()) ||
-          !same_bits(have.bbar(), want.bbar) ||
-          std::bit_cast<std::uint64_t>(have.ridge()) !=
-              std::bit_cast<std::uint64_t>(want.ridge)) {
+      const auto n = comp.num_vars();
+      const auto off = static_cast<std::size_t>(pack.comp_offset[s]);
+      abar.resize(n * n);
+      pack.unpack_abar(s, abar);
+      std::vector<double> b2 = comp.b;
+      for (double& v : b2) v *= scale(rng);
+      binding.set_rhs(s, b2);
+      const dopf::reference::Projector rebound =
+          dopf::reference::build_projector(comp.a, b2, options);
+      const std::span<const double> bbar(pack.bbar.data() + off, n);
+      if (!want.ok || !same_bits(abar, want.abar.data()) ||
+          !same_bits(bbar, rebound.bbar)) {
         if (++mismatches <= 5) {
           ADD_FAILURE() << GetParam() << " component " << s << " ("
                         << comp.name << ") differs from the scalar build";
         }
       }
+      max_ridge = std::max(max_ridge, want.ridge);
     }
     EXPECT_EQ(mismatches, 0u) << GetParam() << " equilibrate " << equilibrate;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(solve_model.max_ridge()),
+              std::bit_cast<std::uint64_t>(max_ridge));
   }
 }
 
@@ -123,9 +144,10 @@ Matrix random_block(std::size_t m, std::size_t n, std::mt19937& rng) {
 // Groups of every width and tail, with lanes that need a ridge (different
 // numbers of doublings), lanes no ridge can save, non-finite lanes, zero
 // right-hand sides, signed zeros in A and overflowing Gram matrices (the
-// zero skips), mixed among healthy lanes: each lane is its block built
-// alone, with and without the ridge fallback, and a rebound bbar is the
-// scalar one for the new b.
+// zero skips), mixed among healthy lanes: each lane's factor, status,
+// Abar and bbar are its block built alone, with and without the ridge
+// fallback, and an assembly from the same factor with a new b gives the
+// scalar bbar for that b.
 TEST(ProjectorLanesTest, MixedGroupsMatchScalarBuild) {
   std::mt19937 rng(11);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
@@ -135,11 +157,12 @@ TEST(ProjectorLanesTest, MixedGroupsMatchScalarBuild) {
     const std::size_t n = m + 3;
     for (const std::size_t members : {1u, 2u, 3u, 5u, 8u, 9u, 17u}) {
       std::vector<Matrix> a;
-      std::vector<std::vector<double>> b;
+      std::vector<std::vector<double>> b, b2;
       for (std::size_t k = 0; k < members; ++k) {
         Matrix block = random_block(m, n, rng);
-        std::vector<double> rhs(m);
+        std::vector<double> rhs(m), rhs2(m);
         for (double& x : rhs) x = dist(rng);
+        for (double& x : rhs2) x = dist(rng);
         if (m > 1 && k % 3 == 1) {
           // Nearly parallel rows; the gap sets how many doublings it takes.
           for (std::size_t j = 0; j < n; ++j) block(1, j) = block(0, j);
@@ -164,28 +187,42 @@ TEST(ProjectorLanesTest, MixedGroupsMatchScalarBuild) {
         }
         a.push_back(std::move(block));
         b.push_back(std::move(rhs));
-      }
-      std::vector<const Matrix*> a_ptr;
-      std::vector<std::span<const double>> b_span;
-      for (std::size_t k = 0; k < members; ++k) {
-        a_ptr.push_back(&a[k]);
-        b_span.push_back(b[k]);
+        b2.push_back(std::move(rhs2));
       }
       for (const bool regularize : {false, true}) {
         ProjectorOptions options;
         options.auto_regularize = regularize;
         options.max_ridge_doublings = 8;
-        options.keep_factorization = true;
         std::vector<ProjectorStatus> status(members);
-        auto built =
-            AffineProjector::try_build_group(a_ptr, b_span, options, status);
+        std::vector<std::vector<double>> factor(members,
+                                                std::vector<double>(m * m));
+        std::vector<GramBlock> gram;
+        for (std::size_t k = 0; k < members; ++k) {
+          gram.push_back({&a[k], factor[k].data(), &status[k]});
+        }
+        dopf::linalg::factor_gram(gram, options);
+        // The factored blocks assembled as one group, once with b and once
+        // with the second right-hand side.
+        std::vector<Matrix> abar(members, Matrix(n, n)), abar2 = abar;
+        std::vector<std::vector<double>> bbar(members, std::vector<double>(n));
+        std::vector<std::vector<double>> bbar2 = bbar;
+        std::vector<AssemblyBlock> assembly;
+        for (std::size_t k = 0; k < members; ++k) {
+          if (!status[k].ok) continue;
+          assembly.push_back({&a[k], factor[k].data(), b[k],
+                              abar[k].data().data(), bbar[k].data()});
+          assembly.push_back({&a[k], factor[k].data(), b2[k],
+                              abar2[k].data().data(), bbar2[k].data()});
+        }
+        dopf::linalg::assemble_projector(assembly);
         for (std::size_t k = 0; k < members; ++k) {
           const std::string label = "m " + std::to_string(m) + " members " +
                                     std::to_string(members) + " lane " +
                                     std::to_string(k) +
                                     (regularize ? " ridge" : " exact");
-          expect_matches_reference(a[k], b[k], options, built[k], status[k],
-                                   label);
+          const auto want =
+              dopf::reference::build_projector(a[k], b[k], options);
+          ASSERT_EQ(status[k].ok, want.ok) << label;
           ridged += status[k].ridge > 0.0;
           failed += !status[k].ok;
           ProjectorStatus one;
@@ -193,12 +230,29 @@ TEST(ProjectorLanesTest, MixedGroupsMatchScalarBuild) {
                                                         &one);
           expect_matches_reference(a[k], b[k], options, alone, one,
                                    label + " alone");
-          if (!built[k]) continue;
-          std::vector<double> b2(m);
-          for (double& x : b2) x = dist(rng);
-          built[k]->rebind_rhs(b2);
-          const auto want = dopf::reference::build_projector(a[k], b2, options);
-          EXPECT_TRUE(same_bits(built[k]->bbar(), want.bbar)) << label;
+          if (!want.ok) {
+            EXPECT_EQ(status[k].pivot_index, want.pivot_index) << label;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(status[k].pivot_value),
+                      std::bit_cast<std::uint64_t>(want.pivot_value))
+                << label;
+            continue;
+          }
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(status[k].ridge),
+                    std::bit_cast<std::uint64_t>(want.ridge))
+              << label;
+          for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = 0; j <= i; ++j) {
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(factor[k][i * m + j]),
+                        std::bit_cast<std::uint64_t>(want.l(i, j)))
+                  << label << " factor (" << i << ", " << j << ")";
+            }
+          }
+          EXPECT_TRUE(same_bits(abar[k].data(), want.abar.data())) << label;
+          EXPECT_TRUE(same_bits(bbar[k], want.bbar)) << label;
+          EXPECT_TRUE(same_bits(abar2[k].data(), want.abar.data())) << label;
+          const auto want2 =
+              dopf::reference::build_projector(a[k], b2[k], options);
+          EXPECT_TRUE(same_bits(bbar2[k], want2.bbar)) << label;
         }
       }
     }

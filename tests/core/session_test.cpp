@@ -233,6 +233,71 @@ TEST(ScenarioBindingTest, ConsecutiveEditsToSameComponentRefactorizeTwice) {
   EXPECT_EQ(cold.model_fingerprint(), binding.model_fingerprint());
 }
 
+// --- The model's factor store and the binding's cached fingerprint.
+
+TEST(ScenarioBindingTest, CachedModelFingerprintSurvivesRhsRebinds) {
+  SolveModel model(fixture().problem, {});
+  ScenarioBinding binding(model);
+  const std::uint64_t base = binding.model_fingerprint();
+  EXPECT_EQ(base, topology_fingerprint(binding.pack()));
+  ASSERT_GT(binding.rebind(constant_load_scenario(1.1)).rhs_rebinds, 0);
+  EXPECT_EQ(binding.model_fingerprint(), base);
+  EXPECT_EQ(binding.model_fingerprint(), topology_fingerprint(binding.pack()));
+}
+
+/// Drop the last equality row of `comp`: m_s shrinks, n_s stays.
+void drop_last_row(dopf::opf::Component& comp) {
+  dopf::linalg::Matrix a(comp.a.rows() - 1, comp.a.cols());
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) a(r, c) = comp.a(r, c);
+  }
+  comp.a = a;
+  comp.b.pop_back();
+}
+
+TEST(ScenarioBindingTest, RefreshThatDropsARowMovesLaterFactors) {
+  SolveModel model(fixture().problem, {});
+  ScenarioBinding binding(model);
+  // Every factor after the edited one moves in the model's store.
+  DistributedProblem edited = fixture().problem;
+  const std::size_t target = edited.components.size() / 2;
+  ASSERT_GT(edited.components[target].a.rows(), 1u);
+  drop_last_row(edited.components[target]);
+  ASSERT_EQ(binding.rebind(edited).refactorizations, 1);
+
+  // New loads on the edited topology rebind every component's rhs through
+  // its factor, the moved ones included.
+  DistributedProblem loads = constant_load_scenario(1.1);
+  drop_last_row(loads.components[target]);
+  const RebindStats st = binding.rebind(loads);
+  EXPECT_EQ(st.refactorizations, 0);
+  EXPECT_GT(st.rhs_rebinds, 0);
+
+  SolveModel cold_model(loads, {});
+  ScenarioBinding cold(cold_model);
+  EXPECT_TRUE(bitwise_equal(cold.pack().abar, binding.pack().abar));
+  EXPECT_TRUE(bitwise_equal(cold.pack().bbar, binding.pack().bbar));
+  EXPECT_EQ(cold.model_fingerprint(), binding.model_fingerprint());
+  EXPECT_EQ(binding.model_fingerprint(), topology_fingerprint(binding.pack()));
+}
+
+TEST(ScenarioBindingTest, FailedRefreshLeavesTheFingerprintOfTheBoundPack) {
+  SolveModel model(fixture().problem, {});
+  ScenarioBinding binding(model);
+  const std::uint64_t base_fp = binding.model_fingerprint();
+  // The first edited component refreshes; a later one has two equal rows,
+  // so its Gram matrix does not factor and the rebind throws.
+  DistributedProblem edited = fixture().problem;
+  drop_last_row(edited.components[0]);
+  std::size_t bad = 1;
+  while (edited.components[bad].a.rows() < 2) ++bad;
+  auto& a = edited.components[bad].a;
+  for (std::size_t c = 0; c < a.cols(); ++c) a(1, c) = a(0, c);
+  EXPECT_THROW(binding.rebind(edited), dopf::opf::ConditioningError);
+  EXPECT_NE(binding.model_fingerprint(), base_fp);
+  EXPECT_EQ(binding.model_fingerprint(), topology_fingerprint(binding.pack()));
+}
+
 TEST(ScenarioBindingTest, ChangedComponentDimensionsAreRejected) {
   AdmmOptions opt;
   SolveModel model(fixture().problem, opt.projector);

@@ -163,11 +163,12 @@ void expect_matches(const PackedLocalSolvers& p, const Blocks& abar,
   }
 }
 
-Blocks model_blocks(const SolveModel& model) {
+/// Every Abar_s of `problem`, each block built alone.
+Blocks dense_blocks(const DistributedProblem& problem) {
   Blocks out;
-  for (std::size_t s = 0; s < model.num_components(); ++s) {
-    const auto d = model.projector(s).abar().data();
-    out.emplace_back(d.begin(), d.end());
+  for (const auto& comp : problem.components) {
+    const auto proj = dopf::linalg::AffineProjector::try_build(comp.a, comp.b);
+    out.emplace_back(proj->abar().data().begin(), proj->abar().data().end());
   }
   return out;
 }
@@ -306,7 +307,7 @@ TEST(SubBlockImageTest, EveryBuiltinMatchesDenseReference) {
     SolveModel model(inst.problem, {});
     ScenarioBinding binding(model);
     const PackedLocalSolvers& p = binding.pack();
-    const Blocks abar = model_blocks(model);
+    const Blocks abar = dense_blocks(inst.problem);
     expect_well_formed(p);
     expect_logical_blocks(p, abar);
     expect_matches(p, abar, random_inputs(p, 3), {1.0});
@@ -559,7 +560,7 @@ TEST(SubBlockImageTest, NonFiniteStagedValuesMatchDenseReference) {
   const auto inst = dopf::runtime::make_instance("ieee123");
   SolveModel model(inst.problem, {});
   ScenarioBinding binding(model);
-  expect_matches(binding.pack(), model_blocks(model),
+  expect_matches(binding.pack(), dense_blocks(inst.problem),
                  nonfinite_inputs(binding.pack()), {1.0});
 }
 
@@ -592,13 +593,15 @@ void check_refresh(const DistributedProblem& base,
   ASSERT_EQ(binding.rebind(edited).refactorizations, 1);
   const PackedLocalSolvers& warm = binding.pack();
   EXPECT_EQ(split_of(warm, target) == before, split_kept);
+  // The binding's cached fingerprint follows the refresh.
+  EXPECT_EQ(binding.model_fingerprint(), topology_fingerprint(warm));
 
   SolveModel cold_model(edited, {});
   const PackedLocalSolvers cold = cold_model.make_pack();
   expect_same_image(cold, warm);
   expect_well_formed(warm);
   EXPECT_EQ(topology_fingerprint(cold), topology_fingerprint(warm));
-  const Blocks abar = model_blocks(cold_model);
+  const Blocks abar = dense_blocks(edited);
   expect_logical_blocks(warm, abar);
   expect_matches(warm, abar, random_inputs(warm, 29), {1.0, 1.6});
 }

@@ -11,6 +11,8 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <thread>
 #include <vector>
 
@@ -131,6 +133,25 @@ TEST(ModelCacheTest, ConcurrentMissesBuildOnce) {
   EXPECT_EQ(st.hits, static_cast<std::uint64_t>(kThreads - 1));
 }
 
+/// Heap bytes of a problem copy, counted as SolveModel::bytes counts its
+/// own (container capacities).
+std::size_t problem_bytes(const dopf::opf::DistributedProblem& p) {
+  auto vec = [](const auto& v) {
+    using T = typename std::decay_t<decltype(v)>::value_type;
+    return v.capacity() * sizeof(T);
+  };
+  std::size_t n = vec(p.c) + vec(p.lb) + vec(p.ub) + vec(p.x0) +
+                  vec(p.copy_count) + vec(p.components);
+  for (const auto& comp : p.components) {
+    if (comp.name.capacity() > std::string().capacity()) {
+      n += comp.name.capacity() + 1;
+    }
+    n += comp.a.data().size() * sizeof(double) + vec(comp.b) +
+         vec(comp.global);
+  }
+  return n;
+}
+
 TEST(EstimateModelBytesTest, PackBytesPlusOneUnpaddedFactorBlock) {
   const auto inst = dopf::runtime::make_instance("ieee13");
   dopf::core::SolveModel model(inst.problem, {});
@@ -148,10 +169,29 @@ TEST(EstimateModelBytesTest, PackBytesPlusOneUnpaddedFactorBlock) {
   EXPECT_EQ(pack.bytes(),
             pack.image_bytes() + sizeof(int) * pack.bucket_pos.size() +
                 sizeof(double) * 3 * pack.num_global());
-  // The model holds at least one dense Abar-sized block per component
-  // besides the pack (each projector's own Abar).
-  EXPECT_GE(estimate_model_bytes(binding),
+  // The model holds no dense Abar besides the pack: past its problem copy,
+  // its Gram factors and the binding's bound b_s take less than the dense
+  // blocks would.
+  EXPECT_LT(estimate_model_bytes(binding) - problem_bytes(model.problem()),
             pack.bytes() + sizeof(double) * logical);
+}
+
+TEST(EstimateModelBytesTest, ModelHoldsProblemCopyAndGramFactorsOnly) {
+  // Past its copy of the problem, a model keeps one m_s x m_s Gram factor
+  // per component and a fixed overhead: no Abar, bbar or second A.
+  constexpr std::size_t kPerComponent = 16;
+  for (const char* name : {"ieee123", "ieee8500"}) {
+    SCOPED_TRACE(name);
+    const auto inst = dopf::runtime::make_instance(name);
+    const dopf::core::SolveModel model(inst.problem, {});
+    std::size_t factor_entries = 0;
+    for (const auto& comp : inst.problem.components) {
+      factor_entries += comp.a.rows() * comp.a.rows();
+    }
+    EXPECT_LE(model.bytes() - problem_bytes(model.problem()),
+              sizeof(model) + sizeof(double) * factor_entries +
+                  kPerComponent * inst.problem.components.size());
+  }
 }
 
 TEST(EstimateModelBytesTest, MatchesHeapDeltaOnIeee123) {

@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "core/admm.hpp"
+#include "core/solve_model.hpp"
 #include "feeders/ieee13.hpp"
 #include "opf/decompose.hpp"
 
@@ -47,8 +48,7 @@ struct SimtSolve {
 
 TEST(DeviceProblemTest, ImageShapesMatchProblem) {
   const auto& p = fixture().problem;
-  const auto solvers = dopf::core::LocalSolvers::precompute(p);
-  const PackedLocalSolvers img = PackedLocalSolvers::build(p, solvers);
+  const PackedLocalSolvers img = dopf::core::SolveModel(p).make_pack();
   EXPECT_EQ(img.num_components(), p.num_components());
   EXPECT_EQ(img.num_global(), p.num_vars);
   EXPECT_EQ(img.total_local(), p.total_local_vars());

@@ -87,8 +87,10 @@ sh tools/serve_smoke.sh ./build/tools/dopf_serve ./build/tools/dopf_client \
 # Wide-ISA lane: on hosts with AVX2+FMA, rebuild Release for x86-64-v3 and
 # replay the golden traces, the checkpoint resumes and the failover rewind,
 # and run the kernel-image and sub-block tests (every backend against the
-# scalar reference, plain and over-relaxed) and the lane-precompute tests (every
-# conditioning estimate and projector against the scalar one-block build).
+# scalar reference, plain and over-relaxed), the lane-precompute tests (every
+# conditioning estimate and projector against the scalar one-block build)
+# and the model/binding tests (rebound and refreshed packs against a cold
+# build).
 # The SIMD kernels must stay bit-identical when the compiler may use
 # 256-bit registers and FMA instructions (the build pins -ffp-contract=off;
 # DESIGN.md §11). Only dopf_verify, core_test and robust_test are built.
@@ -101,7 +103,7 @@ if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
     robust_test
   echo "=== test build-v3 (golden traces, kernel image, lane precompute) ==="
   ctest --test-dir build-v3 --output-on-failure -j "${JOBS}" \
-    -R 'verify_golden|verify_session_golden|verify_resume|verify_fault_failover|KernelImageTest|KernelScheduleTest|SubBlockImageTest|ConditioningLanes|ProjectorLanes'
+    -R 'verify_golden|verify_session_golden|verify_resume|verify_fault_failover|KernelImageTest|KernelScheduleTest|SubBlockImageTest|ConditioningLanes|ProjectorLanes|SolveModelTest|ScenarioBindingTest'
 else
   echo "=== skip build-v3: host lacks avx2/fma ==="
 fi
