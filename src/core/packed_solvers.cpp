@@ -111,25 +111,19 @@ const SubBlockGroup& PackedLocalSolvers::group_of(std::size_t b) const {
 
 namespace {
 
-/// Call fn(t, i, j, e) for every entry of component s's sub-blocks: t is
-/// its block's rank in the component, (i, j) its row-major position in
-/// Abar_s and e its index in the store.
-template <class Fn>
-void for_each_entry(const PackedLocalSolvers& p, std::size_t s, Fn&& fn) {
-  const std::int64_t off = p.comp_offset[s];
-  for (int t = p.comp_block_ptr[s]; t < p.comp_block_ptr[s + 1]; ++t) {
-    const auto b = static_cast<std::size_t>(p.comp_blocks[t]);
-    const SubBlockGroup& g = p.group_of(b);
-    const auto k = static_cast<std::size_t>(g.dim);
-    const int* rows = p.sub_rows.data() + g.rows + (b - g.first) * k;
-    const auto at = static_cast<std::size_t>(g.abar) + (b - g.first) * k * k;
-    for (std::size_t j = 0; j < k; ++j) {
-      for (std::size_t i = 0; i < k; ++i) {
-        fn(t - p.comp_block_ptr[s], static_cast<std::size_t>(rows[i] - off),
-           static_cast<std::size_t>(rows[j] - off), at + j * k + i);
-      }
-    }
-  }
+/// Block b's rows and entries in the image.
+struct BlockView {
+  std::size_t k;
+  const int* rows;
+  std::int64_t abar;
+};
+
+BlockView view(const PackedLocalSolvers& p, std::size_t b) {
+  const SubBlockGroup& g = p.group_of(b);
+  const auto k = static_cast<std::size_t>(g.dim);
+  const auto t = static_cast<std::int64_t>(b - g.first);
+  return {k, p.sub_rows.data() + g.rows + t * g.dim,
+          g.abar + t * g.dim * g.dim};
 }
 
 }  // namespace
@@ -137,27 +131,49 @@ void for_each_entry(const PackedLocalSolvers& p, std::size_t s, Fn&& fn) {
 void PackedLocalSolvers::unpack_abar(std::size_t s,
                                      std::span<double> row_major) const {
   const auto n = static_cast<std::size_t>(comp_nvars[s]);
+  const std::int64_t off = comp_offset[s];
   std::fill(row_major.begin(), row_major.begin() + n * n, 0.0);
-  for_each_entry(*this, s,
-                 [&](int, std::size_t i, std::size_t j, std::size_t e) {
-                   row_major[i * n + j] = abar[e];
-                 });
+  for (int t = comp_block_ptr[s]; t < comp_block_ptr[s + 1]; ++t) {
+    const BlockView v = view(*this, static_cast<std::size_t>(comp_blocks[t]));
+    const double* a = abar.data() + v.abar;
+    for (std::size_t j = 0; j < v.k; ++j) {
+      const auto cj = static_cast<std::size_t>(v.rows[j] - off);
+      for (std::size_t i = 0; i < v.k; ++i) {
+        const auto ri = static_cast<std::size_t>(v.rows[i] - off);
+        row_major[ri * n + cj] = a[j * v.k + i];
+      }
+    }
+  }
 }
 
 void PackedLocalSolvers::set_abar(std::size_t s,
                                   std::span<const double> row_major) {
   const auto n = static_cast<std::size_t>(comp_nvars[s]);
+  const std::int64_t off = comp_offset[s];
   std::vector<int> current(n, -1);
-  for_each_entry(*this, s, [&](int t, std::size_t i, std::size_t,
-                               std::size_t) { current[i] = t; });
+  for (int t = comp_block_ptr[s]; t < comp_block_ptr[s + 1]; ++t) {
+    const BlockView v = view(*this, static_cast<std::size_t>(comp_blocks[t]));
+    for (std::size_t i = 0; i < v.k; ++i) {
+      current[static_cast<std::size_t>(v.rows[i] - off)] =
+          t - comp_block_ptr[s];
+    }
+  }
   std::vector<int> label, parent, cols;
   split_rows(n, row_major, label, parent, cols);
   if (label == current) {
     // Same split: every entry outside the blocks is +0.0 already.
-    for_each_entry(*this, s,
-                   [&](int, std::size_t i, std::size_t j, std::size_t e) {
-                     abar[e] = row_major[i * n + j];
-                   });
+    for (int t = comp_block_ptr[s]; t < comp_block_ptr[s + 1]; ++t) {
+      const BlockView v =
+          view(*this, static_cast<std::size_t>(comp_blocks[t]));
+      double* a = abar.data() + v.abar;
+      for (std::size_t j = 0; j < v.k; ++j) {
+        const auto cj = static_cast<std::size_t>(v.rows[j] - off);
+        for (std::size_t i = 0; i < v.k; ++i) {
+          a[j * v.k + i] =
+              row_major[static_cast<std::size_t>(v.rows[i] - off) * n + cj];
+        }
+      }
+    }
     return;
   }
   // A new split moves blocks between size groups: lay the image out again

@@ -1,7 +1,6 @@
 #include "core/solve_model.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -29,11 +28,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-// FNV-1a over eight zero bytes: each step's xor is a no-op, so the eight
-// multiplies are one by the prime's eighth power (mod 2^64).
-constexpr std::uint64_t kFnvPrime2 = kFnvPrime * kFnvPrime;
-constexpr std::uint64_t kFnvPrime8 =
-    kFnvPrime2 * kFnvPrime2 * kFnvPrime2 * kFnvPrime2;
 
 void fnv_bytes(std::uint64_t& h, const void* data, std::size_t n) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
@@ -55,6 +49,16 @@ std::size_t heap_bytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
 }
 
+/// Every assembly reads b_s[i] for each row i of A_s.
+void check_rhs_size(const Component& comp) {
+  if (comp.b.size() != comp.a.rows()) {
+    throw std::invalid_argument("SolveModel: component '" + comp.name +
+                                "' has b size " +
+                                std::to_string(comp.b.size()) + " but " +
+                                std::to_string(comp.a.rows()) + " rows");
+  }
+}
+
 std::size_t heap_bytes(const std::string& s) {
   // Heap storage only once the string outgrows its inline buffer.
   return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
@@ -68,6 +72,7 @@ SolveModel::SolveModel(const DistributedProblem& problem,
   const auto start = std::chrono::steady_clock::now();
   factor_offset_.assign(num_components() + 1, 0);
   for (std::size_t s = 0; s < num_components(); ++s) {
+    check_rhs_size(problem_.components[s]);
     const std::size_t m = problem_.components[s].a.rows();
     factor_offset_[s + 1] = factor_offset_[s] + m * m;
   }
@@ -156,6 +161,7 @@ void SolveModel::refresh_component(std::size_t s, const Component& comp) {
         "SolveModel::refresh_component: component '" + comp.name +
         "' has a different variable set; that is a different model");
   }
+  check_rhs_size(comp);
   std::vector<double> l(comp.a.rows() * comp.a.rows());
   ProjectorStatus status;
   const GramBlock block[] = {{&comp.a, l.data(), &status}};
@@ -204,13 +210,7 @@ std::uint64_t topology_fingerprint(const PackedLocalSolvers& pack) {
     const auto ns = static_cast<std::size_t>(pack.comp_nvars[s]);
     block.resize(ns * ns);
     pack.unpack_abar(s, block);
-    for (const double v : block) {
-      if (std::bit_cast<std::uint64_t>(v) == 0) {
-        h *= kFnvPrime8;  // +0.0, about half of every Abar
-      } else {
-        fnv_bytes(h, &v, sizeof(v));
-      }
-    }
+    fnv_bytes(h, block.data(), block.size() * sizeof(double));
   }
   fnv_vec(h, pack.global_idx);
   fnv_vec(h, pack.gather_ptr);

@@ -72,9 +72,10 @@ void expect_matches_reference(const Matrix& a, std::span<const double> b,
 
 class ProjectorLanesBuiltin : public ::testing::TestWithParam<std::string> {};
 
-// Every Abar and bbar of every builtin, plain and row-equilibrated, as the
-// model and its pack hold them, and every bbar rebound through the model's
-// stored factor for a new right-hand side.
+// Every factor, ridge, Abar and bbar of every builtin, plain and
+// row-equilibrated: the factor step over all components at once, as the
+// model runs it, and the cold Abar and bbar its pack holds, then every
+// bbar rebound through the model's stored factor for a new right-hand side.
 TEST_P(ProjectorLanesBuiltin, EveryProjectorMatchesScalarBuild) {
   const dopf::network::Network net = dopf::runtime::make_network(GetParam());
   const dopf::opf::OpfModel model = dopf::opf::build_model(net);
@@ -91,6 +92,16 @@ TEST_P(ProjectorLanesBuiltin, EveryProjectorMatchesScalarBuild) {
     ScenarioBinding binding(solve_model);
     const PackedLocalSolvers& pack = binding.pack();
     ASSERT_EQ(pack.num_components(), problem.components.size());
+    const std::size_t S = problem.components.size();
+    std::vector<std::vector<double>> factor(S);
+    std::vector<ProjectorStatus> status(S);
+    std::vector<GramBlock> gram;
+    for (std::size_t s = 0; s < S; ++s) {
+      const std::size_t m = problem.components[s].a.rows();
+      factor[s].resize(m * m);
+      gram.push_back({&problem.components[s].a, factor[s].data(), &status[s]});
+    }
+    dopf::linalg::factor_gram(gram, options);
     double max_ridge = 0.0;
     std::size_t mismatches = 0;
     std::vector<double> abar;
@@ -98,18 +109,30 @@ TEST_P(ProjectorLanesBuiltin, EveryProjectorMatchesScalarBuild) {
       const auto& comp = problem.components[s];
       const dopf::reference::Projector want =
           dopf::reference::build_projector(comp.a, comp.b, options);
+      const auto m = comp.a.rows();
       const auto n = comp.num_vars();
       const auto off = static_cast<std::size_t>(pack.comp_offset[s]);
+      bool factor_ok = want.ok && status[s].ok &&
+                       std::bit_cast<std::uint64_t>(status[s].ridge) ==
+                           std::bit_cast<std::uint64_t>(want.ridge);
+      for (std::size_t i = 0; factor_ok && i < m; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) {
+          factor_ok = factor_ok &&
+                      std::bit_cast<std::uint64_t>(factor[s][i * m + j]) ==
+                          std::bit_cast<std::uint64_t>(want.l(i, j));
+        }
+      }
       abar.resize(n * n);
       pack.unpack_abar(s, abar);
+      const std::span<const double> bbar(pack.bbar.data() + off, n);
+      const bool cold_ok = same_bits(abar, want.abar.data()) &&
+                           same_bits(bbar, want.bbar);
       std::vector<double> b2 = comp.b;
       for (double& v : b2) v *= scale(rng);
       binding.set_rhs(s, b2);
       const dopf::reference::Projector rebound =
           dopf::reference::build_projector(comp.a, b2, options);
-      const std::span<const double> bbar(pack.bbar.data() + off, n);
-      if (!want.ok || !same_bits(abar, want.abar.data()) ||
-          !same_bits(bbar, rebound.bbar)) {
+      if (!factor_ok || !cold_ok || !same_bits(bbar, rebound.bbar)) {
         if (++mismatches <= 5) {
           ADD_FAILURE() << GetParam() << " component " << s << " ("
                         << comp.name << ") differs from the scalar build";

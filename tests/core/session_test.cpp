@@ -324,6 +324,29 @@ TEST(ScenarioBindingTest, ChangedComponentDimensionsAreRejected) {
   EXPECT_TRUE(session.solve().converged);
 }
 
+TEST(SolveModelTest, RhsShorterThanItsBlockIsRejected) {
+  // Construction: one component's b lacks its last entry.
+  DistributedProblem short_b = fixture().problem;
+  short_b.components[0].b.pop_back();
+  EXPECT_THROW(SolveModel(short_b, {}), std::invalid_argument);
+
+  // Refresh: an edited block whose b is a row short, directly and through a
+  // rebind, leaves the model and the binding as they were.
+  SolveModel model(fixture().problem, {});
+  ScenarioBinding binding(model);
+  const std::vector<double> abar = binding.pack().abar;
+  DistributedProblem edited = fixture().problem;
+  const std::size_t target = edited.components.size() / 2;
+  edited.components[target].a(0, 0) *= 2.0;
+  edited.components[target].b.pop_back();
+  EXPECT_THROW(model.refresh_component(target, edited.components[target]),
+               std::invalid_argument);
+  EXPECT_THROW(binding.rebind(edited), std::invalid_argument);
+  EXPECT_EQ(model.refactorizations(), 0);
+  EXPECT_TRUE(bitwise_equal(binding.pack().abar, abar));
+  EXPECT_EQ(binding.model_fingerprint(), topology_fingerprint(binding.pack()));
+}
+
 TEST(ScenarioBindingTest, DifferentLayoutIsRejected) {
   AdmmOptions opt;
   SolveModel model(fixture().problem, opt.projector);
