@@ -49,6 +49,11 @@ std::size_t heap_bytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
 }
 
+std::size_t heap_bytes(const std::string& s) {
+  // Heap storage only once the string outgrows its inline buffer.
+  return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
+}
+
 /// Every assembly reads b_s[i] for each row i of A_s.
 void check_rhs_size(const Component& comp) {
   if (comp.b.size() != comp.a.rows()) {
@@ -57,11 +62,6 @@ void check_rhs_size(const Component& comp) {
                                 std::to_string(comp.b.size()) + " but " +
                                 std::to_string(comp.a.rows()) + " rows");
   }
-}
-
-std::size_t heap_bytes(const std::string& s) {
-  // Heap storage only once the string outgrows its inline buffer.
-  return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
 }
 
 }  // namespace
