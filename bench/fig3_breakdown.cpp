@@ -109,7 +109,7 @@ void thread_row(const dopf::runtime::Instance& inst,
         threads, simulated_timing(inst, opt, [&](const auto&) {
           return std::make_unique<dopf::simt::SimtBackend>(
               dopf::simt::Device(),
-              dopf::simt::SimtBackend::Config{threads, 256});
+              dopf::simt::SimtBackend::Config{threads});
         }));
   }
 }

@@ -23,7 +23,7 @@ dopf::core::AdmmResult simulate(const dopf::opf::DistributedProblem& problem,
                                 dopf::simt::Device device, int threads) {
   dopf::core::SolverFreeAdmm admm(problem, opt);
   admm.set_backend(std::make_unique<dopf::simt::SimtBackend>(
-      std::move(device), dopf::simt::SimtBackend::Config{threads, 256}));
+      std::move(device), dopf::simt::SimtBackend::Config{threads}));
   return admm.solve();
 }
 

@@ -158,7 +158,6 @@ bool BenchmarkAdmm::termination_satisfied(const IterationRecord& rec) const {
 AdmmResult BenchmarkAdmm::solve() {
   AdmmResult result;
   int recorded = 0;
-  const auto wall_start = Clock::now();
   for (int t = 1; t <= options_.max_iterations; ++t) {
     auto tic = Clock::now();
     global_update();
@@ -197,11 +196,6 @@ AdmmResult BenchmarkAdmm::solve() {
       // check cadence like the solver-free driver.
       if (options_.cancel && options_.cancel->cancelled()) {
         result.status = dopf::core::AdmmStatus::kCancelled;
-        break;
-      }
-      if (options_.time_limit_seconds > 0.0 &&
-          seconds_since(wall_start) > options_.time_limit_seconds) {
-        result.status = dopf::core::AdmmStatus::kTimeLimit;
         break;
       }
     }

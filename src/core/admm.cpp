@@ -17,6 +17,17 @@ using Clock = std::chrono::steady_clock;
 using dopf::opf::DistributedProblem;
 
 namespace {
+// Residual balancing (AdmmOptions::adaptive_rho): every kAdaptiveEvery
+// iterations up to kAdaptiveUntil, scale rho by kAdaptiveFactor when one
+// residual exceeds kAdaptiveRatio times the other. The watchdog's forced
+// nudge uses the same factor.
+constexpr double kAdaptiveRatio = 10.0;
+constexpr double kAdaptiveFactor = 2.0;
+constexpr int kAdaptiveEvery = 100;
+constexpr int kAdaptiveUntil = 10000;
+/// Relative merit improvement the watchdog counts as progress.
+constexpr double kWatchdogMinImprovement = 1e-3;
+
 double seconds_between(Clock::time_point start, Clock::time_point end) {
   return std::chrono::duration<double>(end - start).count();
 }
@@ -36,8 +47,6 @@ const char* to_string(AdmmStatus status) {
       return "converged";
     case AdmmStatus::kIterationLimit:
       return "iteration-limit";
-    case AdmmStatus::kTimeLimit:
-      return "time-limit";
     case AdmmStatus::kDiverged:
       return "diverged";
     case AdmmStatus::kStalled:
@@ -238,11 +247,10 @@ AdmmResult SolverFreeAdmm::solve() {
   backend_->report_simulated_timing(simulated_before);
   AdmmResult result;
   int recorded = 0;
-  const auto wall_start = Clock::now();
   // Watchdog state: the monitor plus the best-merit iterate snapshot it can
   // roll the solver back to. Untouched (and cost-free) when watchdog is off.
   ConvergenceWatchdog watchdog(options_.watchdog_window,
-                               options_.watchdog_min_improvement,
+                               kWatchdogMinImprovement,
                                options_.watchdog_max_restarts);
   IterateSnapshot best;
   // Restart point of a backend that can lose device state (multi-device
@@ -320,21 +328,16 @@ AdmmResult SolverFreeAdmm::solve() {
         result.status = AdmmStatus::kCancelled;
         break;
       }
-      if (options_.time_limit_seconds > 0.0 &&
-          seconds_since(wall_start) > options_.time_limit_seconds) {
-        result.status = AdmmStatus::kTimeLimit;
-        break;
-      }
       if (options_.watchdog) {
         const auto decision = watchdog.observe(rec);
         if (decision.new_best) capture(t, &best);
         if (decision.action == ConvergenceWatchdog::Action::kNudgeRho) {
           // Forced residual balancing: same rule as adaptive_rho, but
-          // applied regardless of the adaptive_ratio trigger.
+          // applied regardless of the kAdaptiveRatio trigger.
           if (rec.primal_residual > rec.dual_residual) {
-            rho_ *= options_.adaptive_factor;
+            rho_ *= kAdaptiveFactor;
           } else {
-            rho_ /= options_.adaptive_factor;
+            rho_ /= kAdaptiveFactor;
           }
         } else if (decision.action ==
                    ConvergenceWatchdog::Action::kRestartFromBest) {
@@ -347,14 +350,12 @@ AdmmResult SolverFreeAdmm::solve() {
         result.watchdog = watchdog.summary();
       }
       // Residual balancing (extension): scale rho toward balanced residuals.
-      if (options_.adaptive_rho && t <= options_.adaptive_until &&
-          t % options_.adaptive_every == 0) {
-        if (rec.primal_residual >
-            options_.adaptive_ratio * rec.dual_residual) {
-          rho_ *= options_.adaptive_factor;
-        } else if (rec.dual_residual >
-                   options_.adaptive_ratio * rec.primal_residual) {
-          rho_ /= options_.adaptive_factor;
+      if (options_.adaptive_rho && t <= kAdaptiveUntil &&
+          t % kAdaptiveEvery == 0) {
+        if (rec.primal_residual > kAdaptiveRatio * rec.dual_residual) {
+          rho_ *= kAdaptiveFactor;
+        } else if (rec.dual_residual > kAdaptiveRatio * rec.primal_residual) {
+          rho_ /= kAdaptiveFactor;
         }
       }
     }

@@ -20,20 +20,16 @@ struct AdmmOptions {
   double rho = 100.0;     ///< penalty parameter (paper default)
   double eps_rel = 1e-3;  ///< relative tolerance in (16) (paper default)
   int max_iterations = 200000;
-  /// Wall-clock budget in seconds; <= 0 disables. Checked at the same
-  /// cadence as the termination criterion.
-  double time_limit_seconds = 0.0;
   /// Evaluate the termination criterion every k iterations (1 = paper).
   int check_every = 1;
   /// Record an IterationRecord every k checks (for residual plots).
   int record_every = 1;
 
-  /// Residual balancing [29] (extension; off reproduces the paper).
+  /// Residual balancing [29] (extension; off reproduces the paper): every
+  /// 100 iterations up to iteration 10000 (rho is frozen afterwards, which
+  /// keeps the convergence theory), rho is doubled when the primal residual
+  /// exceeds 10x the dual one and halved in the opposite case.
   bool adaptive_rho = false;
-  double adaptive_ratio = 10.0;  ///< trigger when residuals differ by this
-  double adaptive_factor = 2.0;  ///< multiply/divide rho by this
-  int adaptive_every = 100;      ///< check cadence
-  int adaptive_until = 10000;    ///< freeze rho afterwards (keeps theory)
 
   /// Over-relaxation factor alpha (standard ADMM acceleration; 1.0
   /// reproduces the paper, 1.5-1.8 typically reduces iterations). The
@@ -51,17 +47,16 @@ struct AdmmOptions {
   /// Convergence watchdog (extension; off reproduces the paper): monitor
   /// the residual merit max(pres/eps_primal, dres/eps_dual) at every
   /// termination check, remember the best iterate seen, and when no
-  /// relative merit improvement of at least `watchdog_min_improvement`
-  /// lands within `watchdog_window` iterations, escalate through
-  /// safeguarded actions: a residual-balancing rho nudge (the adaptive_rho
-  /// rule, forced), then restart-from-best-iterate (up to
+  /// relative merit improvement of at least 1e-3 lands within
+  /// `watchdog_window` iterations, escalate through safeguarded actions: a
+  /// residual-balancing rho nudge (the adaptive_rho factor, forced), then
+  /// restart-from-best-iterate (up to
   /// `watchdog_max_restarts` times), then a clean kStalled stop. The
   /// window is counted in iterations, not checks, so the verdict does not
   /// depend on check_every; the default rides out the multi-hundred-
   /// iteration merit plateaus healthy ADMM runs exhibit.
   bool watchdog = false;
   int watchdog_window = 1000;  ///< stall window, counted in iterations
-  double watchdog_min_improvement = 1e-3;  ///< relative merit improvement
   int watchdog_max_restarts = 2;  ///< restart-from-best budget before kStalled
 
   /// Cooperative cancellation/deadline token (not owned; must outlive the
@@ -140,14 +135,15 @@ struct TimingBreakdown {
   double total_with_precompute() const { return precompute + total(); }
 };
 
-/// Why the iteration stopped.
+/// Why the iteration stopped. The values are explicit because
+/// serve::SolveResponse carries them as one byte; 2 stays unused, since
+/// earlier builds sent it for a wall-clock time limit.
 enum class AdmmStatus {
-  kConverged,       ///< (16) satisfied
-  kIterationLimit,  ///< max_iterations reached
-  kTimeLimit,       ///< time_limit_seconds exceeded
-  kDiverged,        ///< non-finite residuals (model inconsistent or rho bad)
-  kStalled,         ///< watchdog: no residual progress, safeguards exhausted
-  kCancelled,       ///< cooperative cancellation (signal, deadline, caller)
+  kConverged = 0,       ///< (16) satisfied
+  kIterationLimit = 1,  ///< max_iterations reached
+  kDiverged = 3,   ///< non-finite residuals (model inconsistent or rho bad)
+  kStalled = 4,    ///< watchdog: no residual progress, safeguards exhausted
+  kCancelled = 5,  ///< cooperative cancellation (signal, deadline, caller)
 };
 
 const char* to_string(AdmmStatus status);
@@ -206,7 +202,7 @@ struct AdmmResult {
 /// to an ExecutionBackend over the packed SoA storage (serial by default;
 /// inject runtime::make_threaded_backend, a simt::SimtBackend or a
 /// simt::MultiDeviceBackend via set_backend), and termination, divergence
-/// guard, cancellation, time limit, adaptive rho, watchdog, history
+/// guard, cancellation, adaptive rho, watchdog, history
 /// sampling, checkpointing and over-relaxation behave the same on every
 /// backend. All backends produce byte-identical iterates.
 ///

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "linalg/lanes.hpp"
+#include "verify/codec.hpp"
 
 namespace dopf::core {
 
@@ -26,22 +27,13 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
+using dopf::verify::fnv1a;
 
 template <typename T>
 void fnv_vec(std::uint64_t& h, const std::vector<T>& v) {
   const std::uint64_t len = v.size();
-  fnv_bytes(h, &len, sizeof(len));
-  fnv_bytes(h, v.data(), v.size() * sizeof(T));
+  fnv1a(h, &len, sizeof(len));
+  fnv1a(h, v.data(), v.size() * sizeof(T));
 }
 
 template <typename T>
@@ -186,9 +178,9 @@ void SolveModel::refresh_component(std::size_t s, const Component& comp) {
 }
 
 std::uint64_t topology_fingerprint(const PackedLocalSolvers& pack) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = dopf::verify::kFingerprintSeed;
   const std::uint64_t n = pack.num_global();
-  fnv_bytes(h, &n, sizeof(n));
+  fnv1a(h, &n, sizeof(n));
   fnv_vec(h, pack.comp_offset);
   // Abar is hashed as the logical row-major blocks it packs (offsets, then
   // every entry, +0.0 outside the sub-blocks), so the fingerprint does not
@@ -196,21 +188,21 @@ std::uint64_t topology_fingerprint(const PackedLocalSolvers& pack) {
   // packs keep resuming.
   const std::size_t S = pack.num_components();
   std::uint64_t len = S;
-  fnv_bytes(h, &len, sizeof(len));
+  fnv1a(h, &len, sizeof(len));
   std::int64_t row_major_offset = 0;
   for (int ns : pack.comp_nvars) {
-    fnv_bytes(h, &row_major_offset, sizeof(row_major_offset));
+    fnv1a(h, &row_major_offset, sizeof(row_major_offset));
     row_major_offset += static_cast<std::int64_t>(ns) * ns;
   }
   fnv_vec(h, pack.comp_nvars);
   len = static_cast<std::uint64_t>(row_major_offset);
-  fnv_bytes(h, &len, sizeof(len));
+  fnv1a(h, &len, sizeof(len));
   std::vector<double> block;
   for (std::size_t s = 0; s < S; ++s) {
     const auto ns = static_cast<std::size_t>(pack.comp_nvars[s]);
     block.resize(ns * ns);
     pack.unpack_abar(s, block);
-    fnv_bytes(h, block.data(), block.size() * sizeof(double));
+    fnv1a(h, block.data(), block.size() * sizeof(double));
   }
   fnv_vec(h, pack.global_idx);
   fnv_vec(h, pack.gather_ptr);
@@ -219,7 +211,7 @@ std::uint64_t topology_fingerprint(const PackedLocalSolvers& pack) {
 }
 
 std::uint64_t scenario_fingerprint(const PackedLocalSolvers& pack) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = dopf::verify::kFingerprintSeed;
   fnv_vec(h, pack.bbar);
   fnv_vec(h, pack.c);
   fnv_vec(h, pack.lb);

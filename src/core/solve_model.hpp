@@ -90,12 +90,14 @@ class SolveModel {
   int refactorizations_ = 0;
 };
 
-/// FNV-1a fingerprint of a pack's topology arrays (dims, offsets, Abar
-/// bits, gather structure). Two packs with equal topology fingerprints
+/// Fingerprint of a pack's topology arrays (dims, offsets, Abar bits,
+/// gather structure): FNV-1a steps from verify::kFingerprintSeed, which is
+/// not the standard offset basis. Two packs with equal topology fingerprints
 /// came from the same SolveModel precompute.
 std::uint64_t topology_fingerprint(const PackedLocalSolvers& pack);
 
-/// FNV-1a fingerprint of a pack's scenario arrays (bbar, c, lb, ub, x0).
+/// Fingerprint of a pack's scenario arrays (bbar, c, lb, ub, x0), hashed
+/// the same way.
 /// Changes whenever a ScenarioBinding rebinds data; checkpoints carry both
 /// fingerprints so a resume against edited loads fails loudly.
 std::uint64_t scenario_fingerprint(const PackedLocalSolvers& pack);

@@ -24,7 +24,7 @@ struct ProjectorLanes {
       std::tuple<Workspace<1>, Workspace<2>, Workspace<4>, Workspace<8>>;
 
   /// The Tikhonov-ridge fallback for the lanes `ok` leaves out: ridge
-  /// sigma = ridge_rel * max(1, max diag G), doubled up to
+  /// sigma = kRidgeRel * max(1, max diag G), doubled up to
   /// max_ridge_doublings times until the ridged Gram matrix factors. A
   /// lane that factors joins `ok` with its factor in ws.l and its sigma in
   /// `ridge`; one that never does keeps the pivot of its last attempt.
@@ -40,7 +40,7 @@ struct ProjectorLanes {
       for (std::size_t i = 0; i < m; ++i) {
         max_diag = std::max(max_diag, std::abs(lanes::get(ws.g[i * m + i], k)));
       }
-      lanes::set(trying, k, options.ridge_rel * max_diag);
+      lanes::set(trying, k, kRidgeRel * max_diag);
     }
     M pending = ok == M{};
     for (int attempt = 0;
@@ -51,8 +51,8 @@ struct ProjectorLanes {
       ws.trial.assign(m * m, V{});
       M factored;
       lanes::Pivot trial_pivots[W];
-      lanes::cholesky<W>(ws.ridged.data(), m, options.chol_tol,
-                         ws.trial.data(), factored, trial_pivots);
+      lanes::cholesky<W>(ws.ridged.data(), m, kCholTol, ws.trial.data(),
+                         factored, trial_pivots);
       const M passed = pending & factored;
       for (std::size_t e = 0; e < m * m; ++e) {
         ws.l[e] = lanes::select(passed, ws.trial[e], ws.l[e]);
@@ -90,8 +90,7 @@ struct ProjectorLanes {
     ws.l.assign(m * m, V{});
     lanes::Pivot pivots[W];
     M ok;
-    lanes::cholesky<W>(ws.g.data(), m, options.chol_tol, ws.l.data(), ok,
-                       pivots);
+    lanes::cholesky<W>(ws.g.data(), m, kCholTol, ws.l.data(), ok, pivots);
 
     V ridge{};
     if (!lanes::all(ok) && options.auto_regularize) {

@@ -9,17 +9,21 @@
 
 namespace dopf::linalg {
 
+/// Smallest Cholesky pivot of the Gram matrix `A A^T` that counts as
+/// positive: a block whose factor meets a smaller one is not SPD.
+inline constexpr double kCholTol = 1e-12;
+/// First Tikhonov ridge of the fallback, relative to max(1, max diag A A^T).
+inline constexpr double kRidgeRel = 1e-10;
+
 /// Policy for building an AffineProjector when `A A^T` turns out not to be
 /// numerically SPD (near-duplicate constraint rows that survived the RREF
 /// tolerance). This is the preflight remediation knob: with
 /// `auto_regularize` off the build fails with a status (strict behaviour);
 /// with it on, a Tikhonov ridge `sigma I` is added to the Gram matrix —
-/// starting at `ridge_rel * max(1, max diag(A A^T))` and doubling up to
+/// starting at `kRidgeRel * max(1, max diag(A A^T))` and doubling up to
 /// `max_ridge_doublings` times — and the applied perturbation is reported.
 struct ProjectorOptions {
-  double chol_tol = 1e-12;
   bool auto_regularize = false;
-  double ridge_rel = 1e-10;
   int max_ridge_doublings = 24;
 };
 

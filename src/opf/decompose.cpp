@@ -31,6 +31,9 @@ std::size_t DistributedProblem::total_local_vars() const {
 
 namespace {
 
+/// Pivot tolerance of the row reduction (relative to the largest entry).
+constexpr double kRrefTol = 1e-9;
+
 /// Assemble one component from its equation list: collect the local variable
 /// set in order of first appearance, build the dense A_s / b_s, and
 /// optionally row-reduce to full row rank.
@@ -71,7 +74,7 @@ Component assemble(std::string name,
 
   if (options.row_reduce) {
     dopf::linalg::RrefResult red =
-        dopf::linalg::row_reduce(a, std::move(b), options.rref_tol);
+        dopf::linalg::row_reduce(a, std::move(b), kRrefTol);
     if (red.inconsistent) {
       throw ModelError("component '" + comp.name +
                        "' has inconsistent equality constraints");

@@ -71,7 +71,6 @@ struct DecomposeOptions {
   /// only useful for the ablation benchmark; the solver requires full row
   /// rank and will throw on rank-deficient components.
   bool row_reduce = true;
-  double rref_tol = 1e-9;
   /// Scale every raw constraint row to unit infinity norm before the row
   /// reduction (preflight remediation for mixed-unit feeder data). Exact:
   /// the solution set of each A_s x = b_s is unchanged, but the relative

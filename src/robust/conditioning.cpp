@@ -66,8 +66,7 @@ void power_norm(std::size_t m, int iterations, int period, Step&& step,
 /// are zero-padded on the right, which leaves their Gram bits unchanged.
 template <int W>
 void estimate_chunk(const Matrix* const* blocks, std::size_t count,
-                    const ConditioningOptions& options, Workspace<W>& ws,
-                    double* cond) {
+                    Workspace<W>& ws, double* cond) {
   namespace lanes = dopf::linalg::lanes;
   const std::size_t m = blocks[0]->rows();
   std::size_t n = 0;
@@ -83,7 +82,7 @@ void estimate_chunk(const Matrix* const* blocks, std::size_t count,
   const Vec<W>* g = ws.g.data();
   Vec<W> lmax;
   power_norm<W>(
-      m, options.power_iterations, 7,
+      m, kPowerIterations, 7,
       [&](const Vec<W>* v, Vec<W>* w) {
         for (std::size_t i = 0; i < m; ++i) {
           Vec<W> sum{};
@@ -96,14 +95,14 @@ void estimate_chunk(const Matrix* const* blocks, std::size_t count,
   ws.l.assign(m * m, Vec<W>{});
   Mask<W> factored;
   lanes::Pivot pivots[W];
-  lanes::cholesky<W>(g, m, options.projector.chol_tol, ws.l.data(), factored,
+  lanes::cholesky<W>(g, m, dopf::linalg::kCholTol, ws.l.data(), factored,
                      pivots);
   Vec<W> lmin{};
   if (lanes::any(factored)) {
     const Vec<W>* l = ws.l.data();
     Vec<W> inv;
     power_norm<W>(
-        m, options.power_iterations, 5,
+        m, kPowerIterations, 5,
         [&](const Vec<W>* v, Vec<W>* w) {
           std::copy(v, v + m, w);
           lanes::cholesky_solve<W>(l, m, w);
@@ -122,8 +121,7 @@ void estimate_chunk(const Matrix* const* blocks, std::size_t count,
 
 /// cond(A A^T) of every block of `blocks`, which share one row count, in
 /// lane chunks (estimate_chunk).
-void estimate_group(std::span<const Matrix* const> blocks,
-                    const ConditioningOptions& options, Workspaces& ws,
+void estimate_group(std::span<const Matrix* const> blocks, Workspaces& ws,
                     double* cond) {
   if (blocks.empty()) return;
   const std::size_t m = blocks[0]->rows();
@@ -133,14 +131,13 @@ void estimate_group(std::span<const Matrix* const> blocks,
   }
   dopf::linalg::lanes::for_each_chunk(
       m, blocks.size(), [&]<int W>(std::size_t first, std::size_t count) {
-        estimate_chunk<W>(blocks.data() + first, count, options,
+        estimate_chunk<W>(blocks.data() + first, count,
                           std::get<Workspace<W>>(ws), cond + first);
       });
 }
 
 /// The verdict on one block from its cond estimate.
-BlockConditioning judge(const dopf::opf::Component& comp, double cond,
-                        const ConditioningOptions& options) {
+BlockConditioning judge(const dopf::opf::Component& comp, double cond) {
   BlockConditioning block;
   block.component = comp.name;
   block.rows = comp.num_rows();
@@ -157,20 +154,21 @@ BlockConditioning judge(const dopf::opf::Component& comp, double cond,
   if (std::isinf(block.cond)) {
     // Exact factorization failed: the projector does not exist as-is.
     // Probe what the remediation path would do so the report can state the
-    // exact perturbation a regularized solve will accept.
-    dopf::linalg::ProjectorOptions probe = options.projector;
+    // exact perturbation a regularized solve will accept: the ridge of the
+    // solver's own factor step (0 when even the ridge fails).
+    dopf::linalg::ProjectorOptions probe;
     probe.auto_regularize = true;
     dopf::linalg::ProjectorStatus status;
-    const auto proj =
-        dopf::linalg::AffineProjector::try_build(comp.a, comp.b, probe,
-                                                 &status);
-    block.ridge = proj ? status.ridge : 0.0;
+    std::vector<double> factor(comp.num_rows() * comp.num_rows());
+    const dopf::linalg::GramBlock gram[] = {{&comp.a, factor.data(), &status}};
+    dopf::linalg::factor_gram(gram, probe);
+    block.ridge = status.ridge;
     block.health = BlockHealth::kDegenerate;
     return block;
   }
-  if (block.cond >= options.cond_degenerate) {
+  if (block.cond >= kCondDegenerate) {
     block.health = BlockHealth::kDegenerate;
-  } else if (block.cond >= options.cond_marginal) {
+  } else if (block.cond >= kCondMarginal) {
     block.health = BlockHealth::kMarginal;
   } else {
     block.health = BlockHealth::kHealthy;
@@ -181,8 +179,7 @@ BlockConditioning judge(const dopf::opf::Component& comp, double cond,
 /// Analyze `comps` in lockstep: grouped by row count (ascending, then in
 /// the given order), each group run in lane chunks.
 std::vector<BlockConditioning> analyze_components(
-    std::span<const dopf::opf::Component* const> comps,
-    const ConditioningOptions& options) {
+    std::span<const dopf::opf::Component* const> comps) {
   std::vector<std::size_t> rows(comps.size());
   for (std::size_t k = 0; k < comps.size(); ++k) rows[k] = comps[k]->a.rows();
   std::vector<std::size_t> ends;
@@ -199,7 +196,7 @@ std::vector<BlockConditioning> analyze_components(
       group.push_back(&comps[order[k]]->a);
     }
     group_cond.resize(group.size());
-    estimate_group(group, options, ws, group_cond.data());
+    estimate_group(group, ws, group_cond.data());
     for (std::size_t k = begin; k < end; ++k) {
       cond[order[k]] = group_cond[k - begin];
     }
@@ -208,26 +205,24 @@ std::vector<BlockConditioning> analyze_components(
   std::vector<BlockConditioning> blocks;
   blocks.reserve(comps.size());
   for (std::size_t k = 0; k < comps.size(); ++k) {
-    blocks.push_back(judge(*comps[k], cond[k], options));
+    blocks.push_back(judge(*comps[k], cond[k]));
   }
   return blocks;
 }
 
 }  // namespace
 
-BlockConditioning analyze_component(const dopf::opf::Component& comp,
-                                    const ConditioningOptions& options) {
+BlockConditioning analyze_component(const dopf::opf::Component& comp) {
   const dopf::opf::Component* comps[] = {&comp};
-  return analyze_components(comps, options).front();
+  return analyze_components(comps).front();
 }
 
 std::vector<BlockConditioning> analyze_conditioning(
-    const dopf::opf::DistributedProblem& problem,
-    const ConditioningOptions& options) {
+    const dopf::opf::DistributedProblem& problem) {
   std::vector<const dopf::opf::Component*> comps;
   comps.reserve(problem.components.size());
   for (const auto& comp : problem.components) comps.push_back(&comp);
-  return analyze_components(comps, options);
+  return analyze_components(comps);
 }
 
 }  // namespace dopf::robust

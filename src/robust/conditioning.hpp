@@ -28,26 +28,19 @@ struct BlockConditioning {
   BlockHealth health = BlockHealth::kHealthy;
 };
 
-struct ConditioningOptions {
-  /// cond(A_s A_s^T) thresholds for the marginal / degenerate verdicts.
-  double cond_marginal = 1e8;
-  double cond_degenerate = 1e12;
-  /// Power-iteration steps for the extreme-eigenvalue estimates. The
-  /// iteration is deterministic (fixed start vector), so preflight output
-  /// is reproducible across runs and backends.
-  int power_iterations = 48;
-  /// Factorization policy used to probe whether the projector exists and
-  /// what ridge the remediation path would apply.
-  dopf::linalg::ProjectorOptions projector;
-};
+/// cond(A_s A_s^T) thresholds for the marginal / degenerate verdicts.
+inline constexpr double kCondMarginal = 1e8;
+inline constexpr double kCondDegenerate = 1e12;
+/// Power-iteration steps for the extreme-eigenvalue estimates. The
+/// iteration is deterministic (fixed start vector), so preflight output is
+/// reproducible across runs and backends.
+inline constexpr int kPowerIterations = 48;
 
 /// Analyze one component block.
-BlockConditioning analyze_component(const dopf::opf::Component& comp,
-                                    const ConditioningOptions& options = {});
+BlockConditioning analyze_component(const dopf::opf::Component& comp);
 
 /// Analyze every component of a decomposed problem.
 std::vector<BlockConditioning> analyze_conditioning(
-    const dopf::opf::DistributedProblem& problem,
-    const ConditioningOptions& options = {});
+    const dopf::opf::DistributedProblem& problem);
 
 }  // namespace dopf::robust

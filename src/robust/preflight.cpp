@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "robust/sanitize.hpp"
+
 namespace dopf::robust {
 
 const char* to_string(PreflightPolicy policy) {
@@ -149,7 +151,7 @@ void judge_block(const BlockConditioning& block,
     std::snprintf(msg, sizeof(msg),
                   "cond(A_s A_s') ~ %.3e exceeds the degenerate "
                   "threshold %.1e%s",
-                  block.cond, options.conditioning.cond_degenerate, after);
+                  block.cond, kCondDegenerate, after);
     report->issues.push_back(Issue{IssueCode::kIllConditioned,
                                    options.policy == PreflightPolicy::kStrict
                                        ? Severity::kError
@@ -197,9 +199,9 @@ PreflightReport run_preflight(const dopf::network::Network& net,
 
   // 1. Structural sanitation of the feeder, then numerical sanitation of
   //    the assembled model. Collect everything before judging.
-  report.issues = sanitize_network(net, options.sanitize);
+  report.issues = sanitize_network(net);
   {
-    std::vector<Issue> model_issues = sanitize_model(model, options.sanitize);
+    std::vector<Issue> model_issues = sanitize_model(model);
     report.issues.insert(report.issues.end(),
                          std::make_move_iterator(model_issues.begin()),
                          std::make_move_iterator(model_issues.end()));
@@ -243,8 +245,7 @@ PreflightReport run_preflight(const dopf::network::Network& net,
 
   // 3. Conditioning analysis of each component block.
   if (decomposed) {
-    ConditioningOptions cond = options.conditioning;
-    report.blocks = analyze_conditioning(problem, cond);
+    report.blocks = analyze_conditioning(problem);
     for (const BlockConditioning& block : report.blocks) {
       judge_block(block, options, /*scenario=*/false, &report);
     }
@@ -328,8 +329,7 @@ PreflightReport run_scenario_preflight(
       continue;
     }
     check_finite(sc.b, "scenario:" + sc.name + ":b", &report.issues);
-    const BlockConditioning block =
-        analyze_component(sc, options.conditioning);
+    const BlockConditioning block = analyze_component(sc);
     report.blocks.push_back(block);
     judge_block(block, options, /*scenario=*/true, &report);
   }

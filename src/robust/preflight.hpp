@@ -10,7 +10,6 @@
 #include "opf/model.hpp"
 #include "robust/conditioning.hpp"
 #include "robust/issues.hpp"
-#include "robust/sanitize.hpp"
 
 namespace dopf::robust {
 
@@ -42,8 +41,6 @@ PreflightMode parse_mode(const std::string& text);
 
 struct PreflightOptions {
   PreflightPolicy policy = PreflightPolicy::kWarn;
-  SanitizeOptions sanitize;
-  ConditioningOptions conditioning;
   /// Decomposition profile preflight analyzes (and, under kRemediate,
   /// amends with row equilibration). Must match what the solve will use so
   /// the verdict talks about the actual blocks.

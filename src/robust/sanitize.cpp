@@ -22,6 +22,16 @@ using dopf::opf::OpfModel;
 
 namespace {
 
+/// Per-row coefficient magnitude range (max|a_ij| / min nonzero |a_ij|)
+/// beyond which an equation is flagged as mixed-unit data.
+constexpr double kRowDisparityWarn = 1e8;
+constexpr double kRowDisparityError = 1e12;
+/// Two rows of one component are "near-duplicate" when the angle between
+/// them is below this (1 - |cos| <= tol). Exact duplicates are dropped by
+/// RREF and only noted; near-parallel survivors are warned about, since
+/// they are what breaks the Gram Cholesky later.
+constexpr double kNearParallelTol = 1e-8;
+
 std::string fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3g", v);
@@ -94,9 +104,7 @@ class Collector {
 
 }  // namespace
 
-std::vector<Issue> sanitize_network(const Network& net,
-                                    const SanitizeOptions& options) {
-  (void)options;
+std::vector<Issue> sanitize_network(const Network& net) {
   std::vector<Issue> issues;
   Collector c(&issues);
 
@@ -223,8 +231,7 @@ std::vector<Issue> sanitize_network(const Network& net,
   return issues;
 }
 
-std::vector<Issue> sanitize_model(const OpfModel& model,
-                                  const SanitizeOptions& options) {
+std::vector<Issue> sanitize_model(const OpfModel& model) {
   std::vector<Issue> issues;
   Collector c(&issues);
 
@@ -255,11 +262,11 @@ std::vector<Issue> sanitize_model(const OpfModel& model,
     }
     if (max_abs > 0.0 && min_abs < kInfinity) {
       const double disparity = max_abs / min_abs;
-      if (disparity > options.row_disparity_error) {
+      if (disparity > kRowDisparityError) {
         c.add(IssueCode::kRowScaleDisparity, Severity::kError, site,
               "coefficient magnitudes span " + fmt(disparity) +
                   "x (mixed-unit data?); row equilibration required");
-      } else if (disparity > options.row_disparity_warn) {
+      } else if (disparity > kRowDisparityWarn) {
         c.add(IssueCode::kRowScaleDisparity, Severity::kWarning, site,
               "coefficient magnitudes span " + fmt(disparity) + "x");
       }
@@ -311,7 +318,7 @@ std::vector<Issue> sanitize_model(const OpfModel& model,
           c.add(IssueCode::kNearDuplicateRows, Severity::kInfo,
                 "equation:" + eqs[i]->name + " / " + eqs[j]->name,
                 "rows are parallel (RREF will drop one)");
-        } else if (1.0 - cosine <= options.near_parallel_tol) {
+        } else if (1.0 - cosine <= kNearParallelTol) {
           c.add(IssueCode::kNearDuplicateRows, Severity::kWarning,
                 "equation:" + eqs[i]->name + " / " + eqs[j]->name,
                 "rows are nearly parallel (1 - |cos| = " + fmt(1.0 - cosine) +

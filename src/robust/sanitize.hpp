@@ -8,31 +8,16 @@
 
 namespace dopf::robust {
 
-/// Thresholds for the numerical model checks.
-struct SanitizeOptions {
-  /// Per-row coefficient magnitude range (max|a_ij| / min nonzero |a_ij|)
-  /// beyond which an equation is flagged as mixed-unit data.
-  double row_disparity_warn = 1e8;
-  double row_disparity_error = 1e12;
-  /// Two rows of one component are "near-duplicate" when the angle between
-  /// them is below this (1 - |cos| <= tol). Exact duplicates are dropped by
-  /// RREF and only noted; near-parallel survivors are warned about, since
-  /// they are what breaks the Gram Cholesky later.
-  double near_parallel_tol = 1e-8;
-};
-
 /// Structural sanitation of a feeder/network: non-finite numeric fields,
 /// inverted or degenerate bound boxes, phase consistency, orphaned phases,
 /// connectivity, generator presence. Unlike Network::validate() this never
 /// throws — it collects EVERY finding with component provenance, so a user
 /// fixing a malformed feeder sees all problems at once.
-std::vector<Issue> sanitize_network(const dopf::network::Network& net,
-                                    const SanitizeOptions& options = {});
+std::vector<Issue> sanitize_network(const dopf::network::Network& net);
 
 /// Numerical sanitation of the assembled model: non-finite coefficients,
 /// per-row scale disparity, near-duplicate constraint rows within one
 /// owning component (the blocks that become A_s).
-std::vector<Issue> sanitize_model(const dopf::opf::OpfModel& model,
-                                  const SanitizeOptions& options = {});
+std::vector<Issue> sanitize_model(const dopf::opf::OpfModel& model);
 
 }  // namespace dopf::robust

@@ -15,6 +15,7 @@ namespace {
 
 using dopf::verify::crc32;
 using dopf::verify::hex_double;
+using dopf::verify::hex_u64;
 using dopf::verify::parse_double_token;
 
 void write_vector(std::ostream& out, const char* name,
@@ -54,12 +55,6 @@ double parse_number(const std::string& token, int line_no) {
                           ": bad number '" + token + "'");
   }
   return v;
-}
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
 }
 
 std::string payload_string(const AdmmCheckpoint& ck) {

@@ -25,13 +25,15 @@ class CheckpointError : public std::runtime_error {
 /// detected at load time instead of silently corrupting a resumed run.
 struct AdmmCheckpoint : dopf::core::IterateSnapshot {
   std::string label;  ///< instance label (informational, e.g. "ieee13")
-  /// FNV-1a fingerprint of the model topology (Abar pool, gather
+  /// Fingerprint (FNV-1a steps from verify::kFingerprintSeed, not the
+  /// standard offset basis) of the model topology (Abar pool, gather
   /// structure) the checkpoint was recorded against; 0 = unknown (legacy
   /// file). See core::topology_fingerprint.
   std::uint64_t model_fingerprint = 0;
-  /// FNV-1a fingerprint of the bound scenario data (bbar, c, bounds, x0);
-  /// 0 = unknown. A resume against edited loads fails validation loudly
-  /// instead of silently continuing on the wrong scenario.
+  /// Fingerprint of the bound scenario data (bbar, c, bounds, x0), hashed
+  /// the same way; 0 = unknown. A resume against edited loads fails
+  /// validation loudly instead of silently continuing on the wrong
+  /// scenario.
   std::uint64_t scenario_fingerprint = 0;
   /// Monotonic save counter assigned by CheckpointStore (0 = not stored in
   /// an A/B pair, the single-file layout). The store picks the slot with

@@ -379,9 +379,7 @@ struct Server::Impl {
     so.worker_command = opts.worker_command;
     so.worker_entry = opts.worker_entry;
     so.restart_budget = opts.restart_budget;
-    so.backoff_seed = opts.supervisor_seed;
     so.hang_timeout_ms = opts.hang_timeout_ms;
-    so.grace_ms = opts.drain_grace_ms;
     (void)slot;  // the slot index seeds the backoff inside WorkerSupervisor
     return so;
   }

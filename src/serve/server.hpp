@@ -61,10 +61,6 @@ struct ServeOptions {
   int hang_timeout_ms = 0;
   /// How long a quarantined content_hash stays rejected before readmission.
   int quarantine_ttl_ms = 60000;
-  /// Shutdown/drain grace before escalating a worker to SIGKILL.
-  int drain_grace_ms = 10000;
-  /// Seed for the per-slot restart backoff jitter.
-  std::uint64_t supervisor_seed = 1;
   /// External drain token; flipped by SIGTERM/SIGINT (see
   /// runtime/signals.hpp). Required.
   dopf::core::CancelToken* drain = nullptr;

@@ -24,6 +24,7 @@
 #include "runtime/instances.hpp"
 #include "runtime/scenario.hpp"
 #include "runtime/signals.hpp"
+#include "verify/codec.hpp"
 
 namespace dopf::serve {
 namespace {
@@ -37,13 +38,6 @@ constexpr const char* kCrashRequired[] = {"request"};
 constexpr dopf::runtime::SpecGrammar kCrashGrammar{
     "crash fault spec", kCrashKinds, kCrashRequired,
     "kind and request ordinal"};
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 /// Parse the request's scenario override lines (runtime/scenario.hpp
 /// grammar, one override per line, '#' comments allowed). Throws
@@ -328,8 +322,8 @@ class RequestProcessor {
 
  private:
   std::string checkpoint_path(const SolveRequest& req) const {
-    return cfg_.checkpoint_dir + "/req-" + hex_u64(req.content_hash()) +
-           ".ckpt";
+    return cfg_.checkpoint_dir + "/req-" +
+           dopf::verify::hex_u64(req.content_hash()) + ".ckpt";
   }
 
   std::shared_ptr<CachedModel> build_entry(const SolveRequest& req,
@@ -607,6 +601,9 @@ drain_exit:
 
 namespace {
 
+/// Jitter seed of slot 0; slot k uses kBackoffSeed + k.
+constexpr std::uint64_t kBackoffSeed = 1;
+
 dopf::runtime::BackoffOptions restart_backoff(const SupervisorOptions& opts,
                                               int slot) {
   dopf::runtime::BackoffOptions bo;
@@ -617,7 +614,7 @@ dopf::runtime::BackoffOptions restart_backoff(const SupervisorOptions& opts,
   // thundering onto the same core the moment a shared cause clears.
   bo.jitter_min = 0.5;
   bo.jitter_max = 1.0;
-  bo.seed = opts.backoff_seed + static_cast<std::uint64_t>(slot);
+  bo.seed = kBackoffSeed + static_cast<std::uint64_t>(slot);
   return bo;
 }
 

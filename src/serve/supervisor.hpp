@@ -216,10 +216,10 @@ struct SupervisorOptions {
   /// Restarts allowed per worker slot before it degrades permanently.
   int restart_budget = 8;
   /// Seeded jittered exponential backoff between restarts (runtime::Backoff
-  /// policy — the same engine the client and durable retries use).
+  /// policy — the same engine the client and durable retries use), with a
+  /// fixed jitter seed per slot.
   int backoff_base_ms = 50;
   int backoff_max_ms = 2000;
-  std::uint64_t backoff_seed = 1;
   /// SIGKILL a worker that takes longer than this to answer one dispatch;
   /// 0 disables (a legitimate solve can take arbitrarily long).
   int hang_timeout_ms = 0;

@@ -230,15 +230,12 @@ SolveRequest SolveRequest::decode(std::string_view payload) {
 }
 
 std::uint64_t SolveRequest::content_hash() const {
-  // FNV-1a over the solve-defining fields; request_id and resume are
-  // deliberately excluded so a resubmission hashes to the same checkpoint.
-  std::uint64_t h = 1469598103934665603ull;
+  // FNV-1a steps from the fingerprint seed over the solve-defining fields;
+  // request_id and resume are deliberately excluded so a resubmission
+  // hashes to the same checkpoint.
+  std::uint64_t h = dopf::verify::kFingerprintSeed;
   auto mix_bytes = [&h](const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
+    dopf::verify::fnv1a(h, data, n);
   };
   auto mix_str = [&](const std::string& s) {
     const std::uint64_t len = s.size();

@@ -147,7 +147,8 @@ struct SolveRequest {
   std::string encode() const;
   static SolveRequest decode(std::string_view payload);
 
-  /// FNV-1a over the solve-defining content (feeder, scenario, options —
+  /// FNV-1a steps from verify::kFingerprintSeed (not the standard offset
+  /// basis) over the solve-defining content (feeder, scenario, options —
   /// NOT request_id): two requests with equal hashes ask for the same
   /// solve, so the hash names the drain-checkpoint file a resubmission
   /// resumes from.

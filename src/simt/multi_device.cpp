@@ -17,6 +17,13 @@ using dopf::runtime::FaultError;
 using dopf::runtime::FaultEvent;
 using dopf::runtime::retry_cost_seconds;
 
+namespace {
+/// Launch shapes, interconnect and PCIe models of every device.
+constexpr int kThreadsPerBlock = SimtBackend::Config{}.threads_per_block;
+constexpr dopf::runtime::CommModel kComm{};
+constexpr dopf::runtime::StagingModel kStaging{};
+}  // namespace
+
 MultiDeviceBackend::MultiDeviceBackend(const PackedLocalSolvers& pack,
                                        MultiGpuOptions options)
     : options_(std::move(options)),
@@ -81,7 +88,7 @@ void MultiDeviceBackend::global_update(const PackedLocalSolvers& pack,
   // The aggregator runs the diagonal global update over all entries.
   Device& agg = devices_[aggregator_];
   const double before = agg.ledger().kernel_seconds;
-  launch_global_update(agg, pack, state, options_.gpu.elementwise_block);
+  launch_global_update(agg, pack, state);
   sim_global_ += agg.ledger().kernel_seconds - before;
 }
 
@@ -112,7 +119,7 @@ void MultiDeviceBackend::local_update(const PackedLocalSolvers& pack,
     if (!partition_[d].empty()) {  // idle rank: skip the zero-block launch
       const double before = devices_[d].ledger().kernel_seconds;
       launch_local_update(devices_[d], pack, state, partition_[d],
-                          options_.gpu.threads_per_block);
+                          kThreadsPerBlock);
       dev_span = devices_[d].ledger().kernel_seconds - before;
     }
     dev_span *= injector_.straggle_factor(d, t);
@@ -120,25 +127,24 @@ void MultiDeviceBackend::local_update(const PackedLocalSolvers& pack,
     const std::size_t down = payload_vars_[d] * sizeof(double);
     const std::size_t up = 2 * payload_vars_[d] * sizeof(double);
     if (!multi) continue;
-    staging = std::max(staging, options_.staging.transfer_seconds(down) +
-                                    options_.staging.transfer_seconds(up));
+    staging = std::max(staging, kStaging.transfer_seconds(down) +
+                                    kStaging.transfer_seconds(up));
     devices_[d].record_transfer(down + up);
     if (d == aggregator_) continue;
-    comm += options_.comm.message_seconds(down) +
-            options_.comm.message_seconds(up);
+    comm += kComm.message_seconds(down) + kComm.message_seconds(up);
 
     const int drops = injector_.message_drops(d, t);
     if (drops > 0) {
       // begin_iteration already escalated budget overruns, so here the
       // retries always succeed; price them and move on.
-      comm += retry_cost_seconds(options_.recovery, options_.comm, up, drops);
+      comm += retry_cost_seconds(options_.recovery, kComm, up, drops);
       retries_ += drops;
       injector_.consume_drops(d, t);
     }
     if (const FaultEvent* ev = injector_.corruption(d, t)) {
       if (options_.recovery.verify_messages) {
         // CRC rejects the payload; one re-send restores it intact.
-        comm += retry_cost_seconds(options_.recovery, options_.comm, up, 1);
+        comm += retry_cost_seconds(options_.recovery, kComm, up, 1);
         ++retries_;
       } else {
         // Undetected: the mangled x_s silently enters the consensus state
@@ -164,7 +170,7 @@ double MultiDeviceBackend::launch_dual_on(std::size_t d,
   const double before = devices_[d].ledger().kernel_seconds;
   devices_[d].launch(
       "dual_update", static_cast<int>(part.size()),
-      options_.gpu.elementwise_block, [&](BlockContext& ctx) {
+      kElementwiseBlock, [&](BlockContext& ctx) {
         const std::size_t s = part[ctx.block_index];
         const auto off = static_cast<std::size_t>(pack.comp_offset[s]);
         dual_block(ctx, pack, state, off,
@@ -223,16 +229,16 @@ bool MultiDeviceBackend::degrade_step() {
       quarantined_[d] = 1;
       health_[d].acknowledge();
       repartition();  // survivors take over; NO rollback — state is global
-      sim_degrade_ += options_.staging.transfer_seconds(image_slice) +
-                      options_.comm.message_seconds(image_slice);
+      sim_degrade_ += kStaging.transfer_seconds(image_slice) +
+                      kComm.message_seconds(image_slice);
       ++quarantines_;
     } else if (health_[d].readmission_pending()) {
       quarantined_[d] = 0;
       health_[d].acknowledge();
       repartition();
       // The readmitted device re-uploads its slice of the problem image.
-      sim_degrade_ += options_.staging.transfer_seconds(image_slice) +
-                      options_.comm.message_seconds(image_slice);
+      sim_degrade_ += kStaging.transfer_seconds(image_slice) +
+                      kComm.message_seconds(image_slice);
       devices_[d].record_transfer(image_slice);
       ++readmissions_;
     }
@@ -264,11 +270,11 @@ void MultiDeviceBackend::fail_over(std::size_t device) {
   // survivor executes the identical kernel expressions over the identical
   // component order, so the replay is bit-for-bit the fault-free run.
   const std::size_t image_slice = image_bytes_ / devices_.size();
-  double cost = options_.staging.transfer_seconds(restart_bytes_);
+  double cost = kStaging.transfer_seconds(restart_bytes_);
   for (std::size_t d = 0; d < devices_.size(); ++d) {
     if (!alive_[d]) continue;
-    if (d != aggregator_) cost += options_.comm.message_seconds(restart_bytes_);
-    cost += options_.staging.transfer_seconds(
+    if (d != aggregator_) cost += kComm.message_seconds(restart_bytes_);
+    cost += kStaging.transfer_seconds(
         image_slice / std::max<std::size_t>(1, alive_devices()));
     devices_[d].record_transfer(restart_bytes_);
   }

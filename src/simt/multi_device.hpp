@@ -11,14 +11,13 @@
 
 namespace dopf::simt {
 
+/// Every device runs SimtBackend::Config's default launch shapes; messages
+/// between devices are priced with the default runtime::CommModel (MPI) and
+/// runtime::StagingModel (GPU <-> host PCIe).
 struct MultiGpuOptions {
-  /// Kernel launch shapes on every device.
-  SimtBackend::Config gpu;
   std::size_t num_devices = 2;
   /// Hardware model used for every device (defaults to the A100-like spec).
   DeviceSpec device_spec;
-  dopf::runtime::CommModel comm;        ///< inter-node MPI model
-  dopf::runtime::StagingModel staging;  ///< GPU <-> host PCIe model
 
   /// Deterministic fault schedule injected into the run (empty = none).
   dopf::runtime::FaultPlan faults;

@@ -39,9 +39,10 @@ void charge_local_block(BlockContext& ctx, std::size_t ns, double alpha) {
 }  // namespace
 
 void launch_global_update(Device& device, const PackedLocalSolvers& pack,
-                          PackedState& state, int block) {
+                          PackedState& state) {
   // One thread per global variable (Sec. IV-C): the Gram matrix B'B is
   // diagonal, so each entry is an independent gather + clip.
+  constexpr int block = kElementwiseBlock;
   const std::size_t n = pack.num_global();
   const int blocks = static_cast<int>((n + block - 1) / block);
   device.launch("global_update", blocks, block, [&](BlockContext& ctx) {
@@ -97,7 +98,7 @@ void SimtBackend::upload_once(const PackedLocalSolvers& pack) {
 void SimtBackend::global_update(const PackedLocalSolvers& pack,
                                 PackedState& state) {
   upload_once(pack);
-  launch_global_update(device_, pack, state, config_.elementwise_block);
+  launch_global_update(device_, pack, state);
 }
 
 void SimtBackend::local_update(const PackedLocalSolvers& pack,
@@ -115,7 +116,7 @@ void SimtBackend::dual_update(const PackedLocalSolvers& pack,
                               PackedState& state) {
   upload_once(pack);
   const std::size_t total = pack.total_local();
-  const int T = config_.elementwise_block;
+  constexpr int T = kElementwiseBlock;
   const int blocks = static_cast<int>((total + T - 1) / T);
   device_.launch("dual_update", blocks, T, [&](BlockContext& ctx) {
     const std::size_t begin = static_cast<std::size_t>(ctx.block_index) * T;
@@ -134,7 +135,7 @@ ResidualSums SimtBackend::residual_sums(const PackedLocalSolvers& pack,
   dopf::core::residual_chunks(pack, state, 0, partials_.size(),
                               partials_.data());
   const std::size_t total = pack.total_local();
-  const int T = config_.elementwise_block;
+  constexpr int T = kElementwiseBlock;
   device_.launch("residuals", static_cast<int>((total + T - 1) / T), T,
                  [&](BlockContext& ctx) {
                    const std::size_t begin =

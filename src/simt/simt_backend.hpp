@@ -24,8 +24,6 @@ class SimtBackend final : public dopf::core::ExecutionBackend {
   struct Config {
     /// Threads per block T for the local-update kernel (paper sweeps 1..64).
     int threads_per_block = 32;
-    /// Threads per block for the elementwise global/dual/residual kernels.
-    int elementwise_block = 256;
   };
 
   SimtBackend() : SimtBackend(Device()) {}
@@ -60,12 +58,15 @@ class SimtBackend final : public dopf::core::ExecutionBackend {
   std::vector<dopf::core::ResidualSums> partials_;
 };
 
+/// Threads per block of the elementwise global/dual/residual kernels.
+inline constexpr int kElementwiseBlock = 256;
+
 /// The global update (13)/(18) as an elementwise kernel on `device`: one
-/// thread per global variable, `block` threads per block. Shared by the
-/// single- and multi-device backends.
+/// thread per global variable, kElementwiseBlock threads per block. Shared
+/// by the single- and multi-device backends.
 void launch_global_update(Device& device,
                           const dopf::core::PackedLocalSolvers& pack,
-                          dopf::core::PackedState& state, int block);
+                          dopf::core::PackedState& state);
 
 /// The local update (15) for `components` on `device`: one block per
 /// component with `threads_per_block` threads, priced as the cooperative

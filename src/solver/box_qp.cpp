@@ -14,6 +14,9 @@ using dopf::linalg::Matrix;
 using dopf::linalg::norm_inf;
 
 namespace {
+/// Smallest diagonal shift of the semismooth Newton system.
+constexpr double kRegularization = 1e-12;
+
 const Matrix& check_dimensions(const Matrix& a, const std::vector<double>& b,
                                const std::vector<double>& lb,
                                const std::vector<double>& ub) {
@@ -110,7 +113,7 @@ BoxQp::Result BoxQp::project(std::span<const double> y, const Options& options,
       }
     }
     const double reg =
-        std::max(options.regularization, 1e-10 * (1.0 + res.residual));
+        std::max(kRegularization, 1e-10 * (1.0 + res.residual));
     for (std::size_t i = 0; i < m; ++i) {
       h(i, i) += reg;
       for (std::size_t k = i + 1; k < m; ++k) h(i, k) = h(k, i);

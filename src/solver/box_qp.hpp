@@ -27,7 +27,6 @@ struct BoxQpOptions {
   double tol = 1e-9;        ///< infinity-norm tolerance on A x - b
   int max_newton = 60;      ///< semismooth Newton iteration cap
   int max_dykstra = 20000;  ///< fallback iteration cap
-  double regularization = 1e-12;
 };
 
 class BoxQp {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "linalg/cholesky.hpp"
@@ -30,6 +29,11 @@ const char* to_string(LpStatus status) {
 }
 
 namespace {
+
+/// Primal regularization: the Theta shift (it also handles free variables).
+constexpr double kRegPrimal = 1e-9;
+/// Dual regularization: the first diagonal shift of the normal equations.
+constexpr double kRegDual = 1e-9;
 
 /// Per-variable bound bookkeeping: slacks and duals exist only for finite
 /// bounds.
@@ -140,7 +144,7 @@ LpSolution solve_lp(const LpProblem& problem, const LpOptions& options) {
   auto newton_solve = [&](std::span<const double> tl,
                           std::span<const double> tu) {
     for (std::size_t j = 0; j < n; ++j) {
-      double t = options.reg_primal;
+      double t = kRegPrimal;
       if (bounds.has_lb[j]) t += zl[j] / sl[j];
       if (bounds.has_ub[j]) t += zu[j] / su[j];
       theta[j] = t;
@@ -159,7 +163,7 @@ LpSolution solve_lp(const LpProblem& problem, const LpOptions& options) {
     // and nearly-active variables can push the normal equations to the edge
     // of positive definiteness late in the solve.
     normal.compute(A, d);
-    double shift = options.reg_dual;
+    double shift = kRegDual;
     for (int attempt = 0;; ++attempt) {
       try {
         ldlt.factorize(normal.matrix(), shift);
@@ -209,11 +213,6 @@ LpSolution solve_lp(const LpProblem& problem, const LpOptions& options) {
     }();
     sol.gap = std::abs(sol.objective - dual_obj) /
               (1.0 + std::abs(sol.objective));
-    if (options.verbose) {
-      std::printf("ipm %3d  obj %+.8e  pinf %.2e  dinf %.2e  gap %.2e\n",
-                  iter, sol.objective, sol.primal_infeasibility,
-                  sol.dual_infeasibility, sol.gap);
-    }
     if (sol.primal_infeasibility < options.tolerance &&
         sol.dual_infeasibility < options.tolerance &&
         sol.gap < options.gap_tolerance) {

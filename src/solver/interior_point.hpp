@@ -30,9 +30,6 @@ struct LpOptions {
   /// primal-dual regularization puts the attainable gap plateau around
   /// 1e-6..1e-5 on large instances.
   double gap_tolerance = 1e-5;
-  double reg_primal = 1e-9;      ///< Theta shift (also handles free vars)
-  double reg_dual = 1e-9;        ///< normal-equations diagonal shift
-  bool verbose = false;
   /// Polled once per iteration, after the convergence test: once it
   /// reports cancelled (a signal or a deadline), the solve stops with
   /// kCancelled and the last iterate. Not owned; null = never cancelled.

@@ -8,6 +8,12 @@ namespace dopf::solver {
 
 using dopf::linalg::is_unbounded;
 
+namespace {
+/// A box narrower than this (lb == ub, say) is widened to it around its
+/// midpoint.
+constexpr double kMinBoxWidth = 1e-7;
+}  // namespace
+
 LpProblem reference_problem(const dopf::opf::OpfModel& model,
                             const ReferenceOptions& options) {
   LpProblem p;
@@ -20,10 +26,10 @@ LpProblem reference_problem(const dopf::opf::OpfModel& model,
   for (std::size_t i = 0; i < p.c.size(); ++i) {
     if (is_unbounded(p.lb[i]) && !is_unbounded(-big_m)) p.lb[i] = -big_m;
     if (is_unbounded(p.ub[i]) && !is_unbounded(big_m)) p.ub[i] = big_m;
-    if (p.ub[i] - p.lb[i] < options.min_box_width) {
+    if (p.ub[i] - p.lb[i] < kMinBoxWidth) {
       const double mid = 0.5 * (p.lb[i] + p.ub[i]);
-      p.lb[i] = mid - 0.5 * options.min_box_width;
-      p.ub[i] = mid + 0.5 * options.min_box_width;
+      p.lb[i] = mid - 0.5 * kMinBoxWidth;
+      p.ub[i] = mid + 0.5 * kMinBoxWidth;
     }
   }
   return p;

@@ -12,14 +12,13 @@ struct ReferenceOptions {
   /// A finite value must exceed any flow the optimum needs (trunk flows
   /// reach the total feeder load).
   double big_m = 1e30;
-  /// Fixed variables (lb == ub, e.g. the pinned substation voltage) are
-  /// widened to this box width so the interior-point method has an interior.
-  double min_box_width = 1e-7;
   LpOptions lp;
 };
 
 /// Solve the centralized OPF LP (7) with the interior-point method, after
-/// replacing infinite bounds by +-big_m and widening zero-width boxes.
+/// replacing infinite bounds by +-big_m and widening zero-width boxes (fixed
+/// variables such as the pinned substation voltage) to a width of 1e-7, so
+/// the interior-point method has an interior.
 /// This provides the ground-truth objective/solution that both distributed
 /// methods are validated against in tests and EXPERIMENTS.md.
 LpSolution reference_solve(const dopf::opf::OpfModel& model,

@@ -12,16 +12,6 @@
 
 namespace dopf::stream {
 
-namespace {
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-}  // namespace
-
 StreamDriver::StreamDriver(const dopf::network::Network& base,
                            const StreamProfile& profile,
                            StreamOptions options)
@@ -249,8 +239,8 @@ std::string record_line(const StreamStepRecord& rec) {
   line += " objective " + dopf::verify::hex_double(rec.objective);
   line += " primal " + dopf::verify::hex_double(rec.primal_residual);
   line += " dual " + dopf::verify::hex_double(rec.dual_residual);
-  line += " model_fp " + hex_u64(rec.model_fp);
-  line += " scenario_fp " + hex_u64(rec.scenario_fp);
+  line += " model_fp " + dopf::verify::hex_u64(rec.model_fp);
+  line += " scenario_fp " + dopf::verify::hex_u64(rec.scenario_fp);
   return line;
 }
 

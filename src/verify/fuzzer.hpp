@@ -28,8 +28,10 @@ struct FuzzOptions {
   FuzzOptions();
 };
 
-/// The ADMM profile the fuzzer runs: paper defaults, eps_rel = 5e-3 (fast
-/// but still meaningfully converged against the reference tolerances).
+/// The ADMM profile the fuzzer runs: paper defaults (eps_rel = 1e-3), the
+/// stop checked every 10 iterations and capped at 50,000. At this loose
+/// stop some seeds miss the KKT tolerance against the reference; 20250807
+/// passes every check at eps_rel = 1e-4.
 dopf::core::AdmmOptions default_fuzz_admm();
 
 /// Outcome of one fuzz case. `digest` is the trace digest of the serial run

@@ -18,9 +18,6 @@ struct InvariantOptions {
   /// ||A_s z_s - b_s||_inf per component: z is a projection output, so this
   /// is factorization roundoff, not an eps-level quantity.
   double local_feasibility_tol = 1e-7;
-  /// Bound violation of the global iterate: the global update clips, so any
-  /// violation beyond roundoff means the clip kernel broke.
-  double box_tol = 1e-9;
   /// ||B x - z||_inf consensus gap at termination.
   double consensus_tol = 5e-2;
   /// max_e |A x - b|_e of the centralized model at the global iterate.

@@ -74,13 +74,7 @@ std::string value_pair(double golden, double candidate) {
   return buf;
 }
 
-void fnv(std::uint64_t* h, double v) {
-  std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-  for (int byte = 0; byte < 8; ++byte) {
-    *h ^= (bits >> (8 * byte)) & 0xffu;
-    *h *= 0x100000001b3ull;
-  }
-}
+void fnv(std::uint64_t* h, double v) { fnv1a(*h, &v, sizeof(v)); }
 
 }  // namespace
 
@@ -321,7 +315,7 @@ Trace trace_suffix(const Trace& trace, int after_iteration) {
 }
 
 std::uint64_t trace_digest(const Trace& trace) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = kFnvOffsetBasis;
   for (const IterationRecord& r : trace.history) {
     fnv(&h, static_cast<double>(r.iteration));
     fnv(&h, r.primal_residual);

@@ -1,4 +1,4 @@
-/// Tests for solver robustness: status reporting, time limits, and
+/// Tests for solver robustness: status reporting, cancellation, and
 /// divergence detection on ill-posed inputs.
 
 #include <gtest/gtest.h>
@@ -36,29 +36,6 @@ TEST(AdmmStatusTest, IterationLimitStatusReported) {
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.status, AdmmStatus::kIterationLimit);
   EXPECT_EQ(res.iterations, 5);
-}
-
-TEST(AdmmStatusTest, TimeLimitStops) {
-  AdmmOptions opt;
-  opt.max_iterations = 100000000;
-  opt.time_limit_seconds = 0.05;
-  SolverFreeAdmm admm(problem(), opt);
-  const AdmmResult res = admm.solve();
-  if (!res.converged) {  // on a slow machine it may legitimately converge
-    EXPECT_EQ(res.status, AdmmStatus::kTimeLimit);
-    EXPECT_LT(res.iterations, 100000000);
-  }
-}
-
-TEST(AdmmStatusTest, BenchmarkTimeLimitStops) {
-  AdmmOptions opt;
-  opt.max_iterations = 100000000;
-  opt.time_limit_seconds = 0.05;
-  dopf::baseline::BenchmarkAdmm admm(problem(), opt);
-  const AdmmResult res = admm.solve();
-  if (!res.converged) {
-    EXPECT_EQ(res.status, AdmmStatus::kTimeLimit);
-  }
 }
 
 dopf::opf::DistributedProblem tiny_problem(double rhs) {
@@ -120,24 +97,70 @@ TEST(AdmmStatusTest, ExplodingRhoDetectedAsDiverged) {
   EXPECT_LT(res.iterations, 1000);
 }
 
-TEST(AdmmStatusTest, TimeLimitRecordsPartialProgress) {
-  // An infeasible problem can never converge, so a tight time limit MUST
-  // fire; the result still carries the partial iteration count and the
-  // residual records accumulated before the stop.
+/// The residual records of `cancelled` equal those of `uncut`, bit for bit.
+void expect_same_history(const AdmmResult& cancelled, const AdmmResult& uncut) {
+  ASSERT_EQ(cancelled.history.size(), uncut.history.size());
+  for (std::size_t k = 0; k < uncut.history.size(); ++k) {
+    const IterationRecord& a = cancelled.history[k];
+    const IterationRecord& b = uncut.history[k];
+    EXPECT_EQ(a.iteration, b.iteration) << k;
+    EXPECT_EQ(a.primal_residual, b.primal_residual) << k;
+    EXPECT_EQ(a.dual_residual, b.dual_residual) << k;
+    EXPECT_EQ(a.eps_primal, b.eps_primal) << k;
+    EXPECT_EQ(a.eps_dual, b.eps_dual) << k;
+    EXPECT_EQ(a.rho, b.rho) << k;
+  }
+}
+
+TEST(AdmmCancelTest, TokenStopsBothAdmmsWithPartialProgress) {
+  // No clock is involved. The solver-free run, on an infeasible problem
+  // that never converges, is cancelled from its checkpoint hook after
+  // iteration 30 and stops at the next check (40). The benchmark ADMM,
+  // which has no hook, gets the token already cancelled and stops at its
+  // first check (10) on ieee13, long before it converges. Each result
+  // carries the partial iteration count and exactly the residual records
+  // of an uncancelled run cut at the same iteration.
   const auto p = tiny_problem(4.0);
   AdmmOptions opt;
   opt.max_iterations = 100000000;
-  opt.time_limit_seconds = 0.05;
   opt.check_every = 10;
-  SolverFreeAdmm admm(p, opt);
+
+  CancelToken cancel;
+  AdmmOptions with_token = opt;
+  with_token.cancel = &cancel;
+  SolverFreeAdmm admm(p, with_token);
+  admm.set_checkpoint_hook(30, [&cancel](const SolverFreeAdmm&, int t) {
+    if (t == 30) cancel.request("hook");
+  });
   const AdmmResult res = admm.solve();
+  EXPECT_EQ(res.status, AdmmStatus::kCancelled);
   EXPECT_FALSE(res.converged);
-  EXPECT_EQ(res.status, AdmmStatus::kTimeLimit);
-  EXPECT_GT(res.iterations, 0);
-  EXPECT_LT(res.iterations, 100000000);
-  ASSERT_FALSE(res.history.empty());
-  EXPECT_LE(res.history.back().iteration, res.iterations);
-  EXPECT_EQ(res.timing.iterations, res.iterations);
+  EXPECT_EQ(res.iterations, 40);
+  EXPECT_EQ(res.timing.iterations, 40);
+  AdmmOptions cut = opt;
+  cut.max_iterations = 40;
+  SolverFreeAdmm uncut(p, cut);
+  const AdmmResult want = uncut.solve();
+  ASSERT_EQ(want.status, AdmmStatus::kIterationLimit);
+  ASSERT_EQ(want.history.size(), 4u);
+  expect_same_history(res, want);
+
+  CancelToken cancelled;
+  cancelled.request("before solve");
+  AdmmOptions bench_token = opt;
+  bench_token.cancel = &cancelled;
+  dopf::baseline::BenchmarkAdmm bench(problem(), bench_token);
+  const AdmmResult bres = bench.solve();
+  EXPECT_EQ(bres.status, AdmmStatus::kCancelled);
+  EXPECT_FALSE(bres.converged);
+  EXPECT_EQ(bres.iterations, 10);
+  EXPECT_EQ(bres.timing.iterations, 10);
+  cut.max_iterations = 10;
+  dopf::baseline::BenchmarkAdmm bench_uncut(problem(), cut);
+  const AdmmResult bwant = bench_uncut.solve();
+  ASSERT_EQ(bwant.status, AdmmStatus::kIterationLimit);
+  ASSERT_EQ(bwant.history.size(), 1u);
+  expect_same_history(bres, bwant);
 }
 
 TEST(AdmmStatusTest, FeasibleTinyProblemConverges) {
@@ -197,8 +220,8 @@ TEST(AdmmWarmStartTest, SizeMismatchThrows) {
 TEST(AdmmStatusTest, StatusNamesAreStable) {
   EXPECT_STREQ(to_string(AdmmStatus::kConverged), "converged");
   EXPECT_STREQ(to_string(AdmmStatus::kIterationLimit), "iteration-limit");
-  EXPECT_STREQ(to_string(AdmmStatus::kTimeLimit), "time-limit");
   EXPECT_STREQ(to_string(AdmmStatus::kDiverged), "diverged");
+  EXPECT_STREQ(to_string(AdmmStatus::kStalled), "stalled");
   EXPECT_STREQ(to_string(AdmmStatus::kCancelled), "cancelled");
 }
 

@@ -60,7 +60,7 @@ TEST(MultiPeriodGpuTest, StorageComponentDominatesKernelSpan) {
     opt.check_every = 100;
     dopf::core::SolverFreeAdmm gpu(mp.problem, opt);
     gpu.set_backend(std::make_unique<dopf::simt::SimtBackend>(
-        dopf::simt::Device(), dopf::simt::SimtBackend::Config{threads, 256}));
+        dopf::simt::Device(), dopf::simt::SimtBackend::Config{threads}));
     const auto timing = gpu.solve().timing;
     return timing.local_update / timing.iterations;
   };

@@ -95,7 +95,7 @@ TEST(RrefToleranceTest, KeptNearDependentRowStillYieldsUsableProjector) {
 
 TEST(RrefToleranceTest, GramFailureWithoutRegularizationReportsPivot) {
   // Bypass RREF: rows at angle ~1e-7 pass any row-level tolerance but their
-  // Gram matrix has lambda_min ~ 1e-14 < chol_tol, so the strict build must
+  // Gram matrix has lambda_min ~ 1e-14 < kCholTol, so the strict build must
   // refuse and name the offending pivot.
   Matrix a = matrix_of({{1.0, 0.0}, {1.0, 1e-7}});
   const std::vector<double> b = {1.0, 1.0};

@@ -144,19 +144,19 @@ inline Projector build_projector(
     const dopf::linalg::ProjectorOptions& options) {
   Projector p;
   const Matrix g = gram(a);
-  Factor chol = cholesky(g, options.chol_tol);
+  Factor chol = cholesky(g, dopf::linalg::kCholTol);
   double ridge = 0.0;
   if (!chol.ok && options.auto_regularize) {
     double max_diag = 1.0;
     for (std::size_t i = 0; i < g.rows(); ++i) {
       max_diag = std::max(max_diag, std::abs(g(i, i)));
     }
-    ridge = options.ridge_rel * max_diag;
+    ridge = dopf::linalg::kRidgeRel * max_diag;
     for (int attempt = 0; attempt <= options.max_ridge_doublings && !chol.ok;
          ++attempt) {
       Matrix ridged = g;
       for (std::size_t i = 0; i < ridged.rows(); ++i) ridged(i, i) += ridge;
-      chol = cholesky(ridged, options.chol_tol);
+      chol = cholesky(ridged, dopf::linalg::kCholTol);
       if (!chol.ok) ridge *= 2.0;
     }
   }

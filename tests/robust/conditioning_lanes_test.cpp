@@ -26,8 +26,7 @@ namespace {
 using dopf::linalg::Matrix;
 
 /// analyze_component as it ran one block at a time.
-BlockConditioning reference_block(const dopf::opf::Component& comp,
-                                  const ConditioningOptions& options) {
+BlockConditioning reference_block(const dopf::opf::Component& comp) {
   BlockConditioning block;
   block.component = comp.name;
   block.rows = comp.num_rows();
@@ -35,17 +34,17 @@ BlockConditioning reference_block(const dopf::opf::Component& comp,
   block.rows_before_reduction = comp.rows_before_reduction;
   block.rank = comp.num_rows();
   if (comp.num_rows() == 0) return block;
-  block.cond = dopf::reference::estimate_gram_cond(
-      comp.a, options.power_iterations, options.projector.chol_tol);
+  block.cond = dopf::reference::estimate_gram_cond(comp.a, kPowerIterations,
+                                                   dopf::linalg::kCholTol);
   if (std::isinf(block.cond)) {
-    dopf::linalg::ProjectorOptions probe = options.projector;
+    dopf::linalg::ProjectorOptions probe;
     probe.auto_regularize = true;
     const auto proj = dopf::reference::build_projector(comp.a, comp.b, probe);
     block.ridge = proj.ok ? proj.ridge : 0.0;
     block.health = BlockHealth::kDegenerate;
-  } else if (block.cond >= options.cond_degenerate) {
+  } else if (block.cond >= kCondDegenerate) {
     block.health = BlockHealth::kDegenerate;
-  } else if (block.cond >= options.cond_marginal) {
+  } else if (block.cond >= kCondMarginal) {
     block.health = BlockHealth::kMarginal;
   }
   return block;
@@ -53,12 +52,11 @@ BlockConditioning reference_block(const dopf::opf::Component& comp,
 
 void expect_blocks_match(const std::vector<dopf::opf::Component>& comps,
                          const std::vector<BlockConditioning>& got,
-                         const ConditioningOptions& options,
                          const std::string& label) {
   ASSERT_EQ(got.size(), comps.size()) << label;
   std::size_t mismatches = 0;
   for (std::size_t s = 0; s < comps.size(); ++s) {
-    const BlockConditioning want = reference_block(comps[s], options);
+    const BlockConditioning want = reference_block(comps[s]);
     const BlockConditioning& have = got[s];
     const bool same =
         have.component == want.component && have.rows == want.rows &&
@@ -125,15 +123,14 @@ TEST_P(ConditioningLanesBuiltin, EveryBlockMatchesScalarEstimator) {
     const dopf::opf::DistributedProblem problem =
         dopf::opf::decompose(net, model, dec);
     const std::string label = GetParam() + "/" + to_string(policy);
-    expect_blocks_match(problem.components,
-                        analyze_conditioning(problem, popt.conditioning),
-                        popt.conditioning, label);
+    expect_blocks_match(problem.components, analyze_conditioning(problem),
+                        label);
     // The report carries the same blocks whenever sanitation let the
     // decomposition run.
     const PreflightReport report = run_preflight(net, model, nullptr, popt);
     if (!report.blocks.empty()) {
       expect_blocks_match(problem.components, report.blocks,
-                          popt.conditioning, label + " report");
+                          label + " report");
     }
   }
 }
@@ -169,8 +166,7 @@ TEST(ConditioningLanesTest, EveryRowCountAndGroupSizeMatchesScalar) {
     }
     dopf::opf::DistributedProblem problem;
     problem.components = comps;
-    const ConditioningOptions options;
-    expect_blocks_match(comps, analyze_conditioning(problem, options), options,
+    expect_blocks_match(comps, analyze_conditioning(problem),
                         "delta " + std::to_string(delta));
   }
 }
@@ -219,16 +215,9 @@ TEST(ConditioningLanesTest, EdgeLanesAmongHealthyLanes) {
   }
   dopf::opf::DistributedProblem problem;
   problem.components = comps;
-  for (const bool remediate : {false, true}) {
-    ConditioningOptions options;
-    options.projector.auto_regularize = remediate;
-    expect_blocks_match(comps, analyze_conditioning(problem, options), options,
-                        remediate ? "remediate" : "plain");
-  }
+  const std::vector<BlockConditioning> blocks = analyze_conditioning(problem);
+  expect_blocks_match(comps, blocks, "edge lanes");
   // The mix takes every exit: healthy, ridge-rescued, unrescuable.
-  const ConditioningOptions options;
-  const std::vector<BlockConditioning> blocks =
-      analyze_conditioning(problem, options);
   int healthy = 0, ridged = 0, unrescued = 0;
   for (const BlockConditioning& block : blocks) {
     healthy += block.health == BlockHealth::kHealthy && block.rows > 0;
@@ -240,7 +229,7 @@ TEST(ConditioningLanesTest, EdgeLanesAmongHealthyLanes) {
   EXPECT_GT(unrescued, 0);
   // A group of one runs the same code: the single-block entry point agrees.
   for (const auto& comp : comps) {
-    const BlockConditioning want = reference_block(comp, options);
+    const BlockConditioning want = reference_block(comp);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(analyze_component(comp).cond),
               std::bit_cast<std::uint64_t>(want.cond))
         << comp.name;

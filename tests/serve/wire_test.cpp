@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 
+#include "core/admm.hpp"
 #include "serve/wire.hpp"
 
 namespace dopf::serve {
@@ -69,6 +72,32 @@ TEST(WireTest, SolveResponseRoundTripPreservesExactBits) {
   // Identical responses encode to identical bytes — the byte-compare
   // property the fault harness relies on.
   EXPECT_EQ(resp.encode(), resp.encode());
+}
+
+// SolveResponse carries core::AdmmStatus as one byte, right after the
+// 8-byte request id: every status keeps the byte it has always had (2, a
+// deleted wall-clock time limit, stays unused) and round-trips to itself.
+TEST(WireTest, SolveResponseStatusBytesArePinned) {
+  using dopf::core::AdmmStatus;
+  const std::pair<AdmmStatus, unsigned char> pinned[] = {
+      {AdmmStatus::kConverged, 0},
+      {AdmmStatus::kIterationLimit, 1},
+      {AdmmStatus::kDiverged, 3},
+      {AdmmStatus::kStalled, 4},
+      {AdmmStatus::kCancelled, 5},
+  };
+  for (const auto& [status, byte] : pinned) {
+    SolveResponse resp;
+    resp.request_id = 9;
+    resp.status = static_cast<std::uint8_t>(status);
+    const std::string bytes = resp.encode();
+    ASSERT_GT(bytes.size(), 8u);
+    EXPECT_EQ(static_cast<unsigned char>(bytes[8]), byte)
+        << dopf::core::to_string(status);
+    EXPECT_EQ(static_cast<AdmmStatus>(SolveResponse::decode(bytes).status),
+              status)
+        << dopf::core::to_string(status);
+  }
 }
 
 TEST(WireTest, RejectAndPingRoundTrip) {

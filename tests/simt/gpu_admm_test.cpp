@@ -38,7 +38,7 @@ struct SimtSolve {
   SimtSolve(const AdmmOptions& opt, int threads_per_block = 32)
       : admm(fixture().problem, opt) {
     auto owned = std::make_unique<SimtBackend>(
-        Device(), SimtBackend::Config{threads_per_block, 256});
+        Device(), SimtBackend::Config{threads_per_block});
     backend = owned.get();
     admm.set_backend(std::move(owned));
   }

@@ -2,8 +2,8 @@
 # CI gate: run the verify suite three times — a plain Release pass, an
 # ASan+UBSan pass (-DDOPF_SANITIZE=ON), and a ThreadSanitizer pass
 # (-DDOPF_SANITIZE_THREAD=ON) scoped to the thread-dense serve/runtime
-# suites — plus the reachability gate after the Release pass. All must be
-# green.
+# suites — plus the reachability gate and the knob census after the
+# Release pass. All must be green.
 #
 # Test tiers (see TESTING.md):
 #   tier1 — fast deterministic tests; run in BOTH configurations. This
@@ -44,6 +44,11 @@ run_pass build "" -DCMAKE_BUILD_TYPE=Release -DDOPF_SANITIZE=OFF
 # tests/oracles.txt (TESTING.md, "Reachability gate").
 echo "=== reachability (programs vs library symbols) ==="
 JOBS="${JOBS}" tools/reachability.sh build-reach
+
+# Knob census: every options field under src/ is set by some statement, or
+# is listed in tools/knob_census_allow.txt (TESTING.md, "Knob census").
+echo "=== knob census (option fields nothing sets) ==="
+tools/knob_census.sh
 
 # Preflight gate: every builtin feeder — including the deliberately
 # stressed ieee13_overload — must clear input sanitation + conditioning

@@ -106,7 +106,7 @@
 //                         refused with --scenarios or --stream)
 //
 // Exit codes (scriptable): 0 converged/optimal, 1 usage or input errors,
-// 2 iteration/time limit, 3 diverged, 4 stalled (watchdog gave up),
+// 2 iteration limit, 3 diverged, 4 stalled (watchdog gave up),
 // 5 preflight rejected the input (see src/robust/preflight.hpp),
 // 6 cancelled (SIGINT/SIGTERM or --deadline; durable checkpoint written
 // when configured), 7 durable I/O failure (retries exhausted or an
@@ -167,8 +167,7 @@ int exit_code_for(dopf::core::AdmmStatus status) {
     case AdmmStatus::kDiverged: return 3;
     case AdmmStatus::kStalled: return 4;
     case AdmmStatus::kCancelled: return 6;
-    case AdmmStatus::kIterationLimit:
-    case AdmmStatus::kTimeLimit: break;
+    case AdmmStatus::kIterationLimit: break;
   }
   return 2;
 }

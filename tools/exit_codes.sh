@@ -3,7 +3,7 @@
 # each documented code is pinned here:
 #   0  converged / reference optimal
 #   1  usage or input errors
-#   2  iteration or time limit without convergence
+#   2  iteration limit without convergence
 #   3  divergence (non-finite iterates)
 #   4  stalled (watchdog gave up on a persistent stall)
 #   5  preflight rejected the input (sanitation or conditioning)
